@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .courant import GenSection, courant_bracket, pair
@@ -45,6 +46,10 @@ class IsotropicSubbundle:
     ``split`` records which generators are tangent-type and which are
     cotangent-type when L arises from a complex structure; it powers the
     classical/non-classical labeling of deformations and is absent otherwise.
+
+    Derived data (the spans with their left inverses, the doubled pairing,
+    the theta-inverse sections and the Schouten table) is computed on first
+    use and kept on the instance.
     """
 
     frame: ComplexFrame
@@ -90,14 +95,13 @@ class IsotropicSubbundle:
         if mat_rank(stacked) != 2 * len(generators):
             raise AlgebroidError("L and its conjugate intersect (real index not zero)")
 
-        cols = _column_matrix(generators)
-        left = mat_left_inverse(cols)
+        span = Span(generators)
 
         brackets: dict[tuple[str, str], dict[str, GaussianRational]] = {}
         for a in range(len(generators)):
             for b in range(a + 1, len(generators)):
                 br = courant_bracket(generators[a], generators[b])
-                coeffs = _express(left, cols, br.constant_vector())
+                coeffs = span.express(br.constant_vector())
                 if coeffs is None:
                     raise AlgebroidError(
                         f"not involutive: [{names[a]}, {names[b]}] = {br}"
@@ -151,46 +155,51 @@ class IsotropicSubbundle:
             out = out + g.scale(poly(c))
         return out
 
+    @cached_property
+    def span(self) -> "Span":
+        return Span(self.generators)
+
+    @cached_property
+    def conj_span(self) -> "Span":
+        return Span(self.conj_generators)
+
+    @cached_property
+    def doubled_pairing(self) -> tuple[tuple[GaussianRational, ...], ...]:
+        """``[j][i]`` is 2<g_j, conj(g_i)>, the matrix of theta on the conjugates."""
+        return tuple(
+            tuple(pair(g, c).constant_value() * 2 for c in self.conj_generators)
+            for g in self.generators
+        )
+
     def express(self, section: GenSection) -> Optional[list[PolyScalar]]:
         """Generator coefficients of an ambient section, or None if outside L."""
-        cols = _column_matrix(self.generators)
-        left = mat_left_inverse(cols)
-        return _express(left, cols, list(section.coeffs))
+        return self.span.express(section.coeffs)
 
     # -- theta identification ---------------------------------------------------
 
-    def theta_inverse_sections(self) -> list[GenSection]:
-        """Sections h_a of the conjugate span with 2<h_a, g_b> = delta_ab."""
-        n = self.rank
-        q = [
-            [
-                (pair(self.conj_generators[c], self.generators[b]).constant_value() * 2)
-                for b in range(n)
-            ]
-            for c in range(n)
-        ]
-        qt = [[q[c][b] for c in range(n)] for b in range(n)]
+    @cached_property
+    def _theta_inverse(self) -> tuple[GenSection, ...]:
         out = []
-        for a in range(n):
-            e = [GR_ONE if k == a else GR_ZERO for k in range(n)]
-            z = mat_solve(qt, e)
+        for a in range(self.rank):
+            e = [GR_ONE if k == a else GR_ZERO for k in range(self.rank)]
+            z = mat_solve(self.doubled_pairing, e)
             if z is None:
                 raise AlgebroidError("degenerate pairing between L and its conjugate")
             h = GenSection.zero(self.frame)
-            for c in range(n):
-                h = h + self.conj_generators[c].scale(PolyScalar.const(z[c]))
+            for c, zc in zip(self.conj_generators, z):
+                h = h + c.scale(PolyScalar.const(zc))
             out.append(h)
-        return out
+        return tuple(out)
+
+    def theta_inverse_sections(self) -> list[GenSection]:
+        """Sections h_a of the conjugate span with 2<h_a, g_b> = delta_ab."""
+        return list(self._theta_inverse)
 
     def theta(self, y: GenSection) -> list[GaussianRational]:
         """Dual coefficients 2<y, g_a> of a constant section of the conjugate span."""
-        cols = _column_matrix(self.conj_generators)
-        left = mat_left_inverse(cols)
-        if _express(left, cols, list(y.coeffs)) is None:
+        if self.conj_span.express(y.coeffs) is None:
             raise AlgebroidError("section is not in the conjugate span")
-        return [
-            (pair(y, self.generators[a]).constant_value() * 2) for a in range(self.rank)
-        ]
+        return [(pair(y, g).constant_value() * 2) for g in self.generators]
 
     # -- differentials -----------------------------------------------------------
 
@@ -269,9 +278,9 @@ class IsotropicSubbundle:
 
     # -- Schouten bracket ----------------------------------------------------------
 
-    def schouten_table(self) -> dict[tuple[int, int], list[tuple[int, GaussianRational]]]:
-        """Generator-level bracket on L* transported through theta."""
-        hs = self.theta_inverse_sections()
+    @cached_property
+    def _schouten_table(self) -> dict[tuple[int, int], list[tuple[int, GaussianRational]]]:
+        hs = self._theta_inverse
         table: dict[tuple[int, int], list[tuple[int, GaussianRational]]] = {}
         for a in range(self.rank):
             for b in range(self.rank):
@@ -285,6 +294,10 @@ class IsotropicSubbundle:
                 if entry:
                     table[(a, b)] = entry
         return table
+
+    def schouten_table(self) -> dict[tuple[int, int], list[tuple[int, GaussianRational]]]:
+        """Generator-level bracket on L* transported through theta."""
+        return {key: list(entry) for key, entry in self._schouten_table.items()}
 
     def schouten_bracket(self, f1: ExteriorForm, f2: ExteriorForm) -> ExteriorForm:
         """Graded bracket on exterior elements over L*, degrees at most 2.
@@ -321,42 +334,39 @@ class IsotropicSubbundle:
         return out
 
 
-def _column_matrix(sections: Sequence[GenSection]) -> list[list[GaussianRational]]:
-    vecs = [s.constant_vector() for s in sections]
-    rows = len(vecs[0])
-    return [[vecs[j][i] for j in range(len(vecs))] for i in range(rows)]
+class Span:
+    """Constant sections as the columns of a matrix, with one left inverse."""
+
+    def __init__(self, sections: Sequence[GenSection]):
+        vecs = [s.constant_vector() for s in sections]
+        self.columns = [[v[i] for v in vecs] for i in range(len(vecs[0]))]
+        self.left = mat_left_inverse(self.columns)
+
+    def express(self, vector: Sequence[PolyLike]) -> Optional[list[PolyScalar]]:
+        """Coefficients c with columns @ c = vector, or None if the vector is outside."""
+        vec = [poly(v) for v in vector]
+        coeffs = []
+        for row in self.left:
+            acc = PolyScalar.zero()
+            for c, v in zip(row, vec):
+                if not c.is_zero() and not v.is_zero():
+                    acc = acc + v.scale(c)
+            coeffs.append(acc)
+        for row, v in zip(self.columns, vec):
+            acc = PolyScalar.zero()
+            for c, x in zip(row, coeffs):
+                if not c.is_zero():
+                    acc = acc + x.scale(c)
+            if acc != v:
+                return None
+        return coeffs
 
 
 def express_in_span(
     sections: Sequence[GenSection], vector: Sequence[PolyScalar]
 ) -> Optional[list[PolyScalar]]:
     """Coefficients of a coefficient vector over constant sections, if inside."""
-    cols = _column_matrix(sections)
-    left = mat_left_inverse(cols)
-    return _express(left, cols, vector)
-
-
-def _express(left, cols, vector: Sequence[PolyScalar]) -> Optional[list[PolyScalar]]:
-    """Coefficients c with cols @ c = vector, or None if the vector is outside."""
-    vec = [poly(v) for v in vector]
-    n = len(left)
-    coeffs = []
-    for j in range(n):
-        acc = PolyScalar.zero()
-        for k, v in enumerate(vec):
-            c = left[j][k]
-            if not c.is_zero() and not v.is_zero():
-                acc = acc + v.scale(c)
-        coeffs.append(acc)
-    for i, v in enumerate(vec):
-        acc = PolyScalar.zero()
-        for j in range(n):
-            c = cols[i][j]
-            if not c.is_zero():
-                acc = acc + coeffs[j].scale(c)
-        if acc != v:
-            return None
-    return coeffs
+    return Span(sections).express(vector)
 
 
 # ---------------------------------------------------------------------------

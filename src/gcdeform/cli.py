@@ -24,25 +24,30 @@ import json
 import re
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .algebroid import (
     AlgebroidError,
+    InternalConsistencyError,
     IsotropicSubbundle,
     build_symplectic_eigenbundle,
     complex_eigenbundle,
 )
 from .courant import GenSection, bracket_table
 from .deformation import (
+    ConstraintReport,
     DeformationError,
     DeformationFamily,
+    DeformationMap,
+    MCSystem,
+    Stratification,
     classify,
     constrain_map,
     fresh_parameter_matrix,
     gauge_image,
     mc_residual,
     reduce_family,
-    solve_mc_system,
     stratify_type,
 )
 from .frame import ComplexFrame, ComplexOp, ExteriorForm, FrameAlgebra, FrameError
@@ -369,11 +374,36 @@ def _render_combo(combo: dict[str, GaussianRational], order: Sequence[str]) -> s
 
 @dataclass
 class Workspace:
+    """A built workspace and its analysis stages.
+
+    Each stage (pencil, MC system, family, strata; the MC solution lives on
+    the MC system) is computed on first use and kept, so every section of
+    one command reads the same results.
+    """
+
     spec: WorkspaceSpec
     algebra: FrameAlgebra
     frame: ComplexFrame
     sub: IsotropicSubbundle
     jop: Optional[ComplexOp] = None
+
+    @cached_property
+    def pencil(self) -> tuple[DeformationMap, ConstraintReport]:
+        prefix = self.spec.param_prefix
+        raw = None if prefix == "t" else fresh_parameter_matrix(self.sub, prefix)
+        return constrain_map(self.sub, raw=raw)
+
+    @cached_property
+    def mc(self) -> MCSystem:
+        return mc_residual(self.pencil[0])
+
+    @cached_property
+    def family(self) -> DeformationFamily:
+        return reduce_family(self.mc)
+
+    @cached_property
+    def strata(self) -> Stratification:
+        return stratify_type(self.family.reduced_map)
 
 
 def build_workspace(spec: WorkspaceSpec) -> Workspace:
@@ -502,48 +532,17 @@ def section_brackets(ws: Workspace) -> dict:
     return {"nonzero": lines or ["all pairs vanish"], "note": "all other pairs vanish"}
 
 
-def _pencil(ws: Workspace):
-    return constrain_map(
-        ws.sub,
-        raw=None
-        if ws.spec.param_prefix == "t"
-        else _prefixed(ws.sub, ws.spec.param_prefix),
-    )
-
-
-def _family(ws: Workspace) -> tuple[DeformationFamily, dict]:
-    emap, report = _pencil(ws)
-    mc = mc_residual(emap)
-    family = reduce_family(mc)
-    info = {
-        "raw_parameters": ws.sub.rank * ws.sub.rank,
-        "free_after_compatibility": [s.name for s in report.free],
-        "eliminated": len(report.eliminated),
-        "mc_constraints": [
-            {"slot": _wedge_label(ws.sub, idx), "value": str(c)} for idx, c in mc.nonzero()
-        ],
-        "mc_solution": {s.name: str(v) for s, v in family.solved.items()},
-        "mc_residual": [],
-    }
-    return family, info
-
-
-def _prefixed(sub: IsotropicSubbundle, prefix: str):
-    return fresh_parameter_matrix(sub, prefix)
-
-
 def section_mc(ws: Workspace) -> dict:
     # the system itself is reported even when its solution is blocked by
     # constraints that stay nonlinear
-    emap, report = _pencil(ws)
-    mc = mc_residual(emap)
-    solved, _, residual = solve_mc_system([c for _, c in mc.nonzero()], mc.unknowns)
+    report = ws.pencil[1]
+    solved, _, residual = ws.mc.solution
     return {
         "raw_parameters": ws.sub.rank * ws.sub.rank,
         "free_after_compatibility": [s.name for s in report.free],
         "eliminated": len(report.eliminated),
         "mc_constraints": [
-            {"slot": _wedge_label(ws.sub, idx), "value": str(c)} for idx, c in mc.nonzero()
+            {"slot": _wedge_label(ws.sub, idx), "value": str(c)} for idx, c in ws.mc.nonzero()
         ],
         "mc_solution": {s.name: str(v) for s, v in solved.items()},
         "mc_residual": [str(p) for p in residual],
@@ -551,19 +550,15 @@ def section_mc(ws: Workspace) -> dict:
 
 
 def section_gauge(ws: Workspace) -> dict:
-    basis = gauge_basis_forms(ws)
+    basis = gauge_image(ws.sub)
     return {
         "dimension": len(basis),
         "basis": [str(b) for b in basis] or ["zero image"],
     }
 
 
-def gauge_basis_forms(ws: Workspace):
-    return gauge_image(ws.sub)
-
-
 def section_family(ws: Workspace) -> dict:
-    family, info = _family(ws)
+    family = ws.family
     directions = [
         {"parameter": p.name, "direction": str(f)}
         for p, f in zip(family.free, family.reduced_basis)
@@ -578,8 +573,7 @@ def section_family(ws: Workspace) -> dict:
 
 
 def section_strata(ws: Workspace) -> dict:
-    family, _ = _family(ws)
-    strat = stratify_type(family.reduced_map)
+    strat = ws.strata
     strata = []
     for s in strat.strata:
         conditions = [f"{p} = 0" for p in s.zero] + [f"{p} != 0" for p in s.nonzero]
@@ -600,7 +594,7 @@ def section_strata(ws: Workspace) -> dict:
 
 
 def run_type(ws: Workspace, at: str) -> dict:
-    family, _ = _family(ws)
+    family = ws.family
     by_name = {p.name: p for p in family.free}
     bindings = {}
     for chunk in at.split(","):
@@ -791,6 +785,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (MathError, DeformationError, AlgebroidError, FrameError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalConsistencyError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return 3
     sys.stdout.write(output)
     return 0
 

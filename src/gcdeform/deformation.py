@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
-from .algebroid import InternalConsistencyError, IsotropicSubbundle, express_in_span
+from .algebroid import InternalConsistencyError, IsotropicSubbundle, Span
 from .courant import GenSection, courant_bracket, pair
-from .frame import ExteriorForm
+from .frame import ExteriorForm, _permutation_sign
 from .scalar import (
     GR_HALF,
     GR_ONE,
@@ -67,13 +68,7 @@ class DeformationMap:
         entries = tuple(tuple(poly(c) for c in row) for row in entries)
         if len(entries) != n or any(len(r) != n for r in entries):
             raise DeformationError("entry matrix has wrong shape")
-        pair2 = [
-            [
-                pair(sub.generators[j], sub.conj_generators[i]).constant_value() * 2
-                for i in range(n)
-            ]
-            for j in range(n)
-        ]
+        pair2 = sub.doubled_pairing
         gram = [
             [
                 sum(
@@ -119,7 +114,7 @@ class DeformationMap:
                 for slot, hv in enumerate(h_coords[a]):
                     if not hv.is_zero():
                         amb[slot] = amb[slot] - c.scale(hv)
-            coeffs = express_in_span(sub.conj_generators, amb)
+            coeffs = sub.conj_span.express(amb)
             if coeffs is None:
                 raise DeformationError("form does not map into the conjugate span")
             for i in range(n):
@@ -208,22 +203,17 @@ def constrain_map(
     symbols = [s for row in raw for s in row]
     if len(set(symbols)) != n * n:
         raise DeformationError("raw parameters must be distinct fresh symbols")
-    pairing = [
-        [
-            pair(sub.conj_generators[i], sub.generators[k]).constant_value()
-            for k in range(n)
-        ]
-        for i in range(n)
-    ]
+    # 2<g_j, eps(g_k)> + 2<g_k, eps(g_j)> = 0 for every pair j <= k
+    pair2 = sub.doubled_pairing
     system = []
     for j in range(n):
         for k in range(j, n):
             constraint = PolyScalar.zero()
             for i in range(n):
-                if not pairing[i][k].is_zero():
-                    constraint = constraint + PolyScalar.of(raw[i][j]).scale(pairing[i][k])
-                if not pairing[i][j].is_zero():
-                    constraint = constraint + PolyScalar.of(raw[i][k]).scale(pairing[i][j])
+                if not pair2[k][i].is_zero():
+                    constraint = constraint + PolyScalar.of(raw[i][j]).scale(pair2[k][i])
+                if not pair2[j][i].is_zero():
+                    constraint = constraint + PolyScalar.of(raw[i][k]).scale(pair2[j][i])
             system.append(constraint)
     solution = solve_linear(system, symbols)
     if solution.residual or not solution.consistent:
@@ -255,6 +245,11 @@ class MCSystem:
 
     def is_trivial(self) -> bool:
         return not self.nonzero()
+
+    @cached_property
+    def solution(self) -> tuple[dict[Symbol, PolyScalar], list[Symbol], list[PolyScalar]]:
+        """``solve_mc_system`` on the nonzero constraints, computed once."""
+        return solve_mc_system([c for _, c in self.nonzero()], self.unknowns)
 
 
 def mc_residual(e: DeformationMap) -> MCSystem:
@@ -369,8 +364,7 @@ def reduce_family(mc: MCSystem) -> DeformationFamily:
     """
     e = mc.deformation
     sub = e.sub
-    system = [c for _, c in mc.nonzero()]
-    solved, free_syms, residual = solve_mc_system(system, mc.unknowns)
+    solved, free_syms, residual = mc.solution
     if residual:
         rendered = "; ".join(str(p) for p in residual)
         raise DeformationError(f"nonlinear constraints block reduction: {rendered}")
@@ -483,12 +477,11 @@ def deform_subbundle(
 
     involutive = False
     if spanning:
-        involutive = True
-        for a, b in itertools.combinations(range(len(gens)), 2):
-            br = courant_bracket(gens[a], gens[b])
-            if express_in_span(gens, list(br.coeffs)) is None:
-                involutive = False
-                break
+        span = Span(gens)
+        involutive = all(
+            span.express(courant_bracket(a, b).coeffs) is not None
+            for a, b in itertools.combinations(gens, 2)
+        )
 
     return DeformedStructure(
         generators=gens,
@@ -567,18 +560,7 @@ def _det(matrix: list[list[PolyScalar]]) -> PolyScalar:
     n = len(matrix)
     total = PolyScalar.zero()
     for perm in itertools.permutations(range(n)):
-        sign = 1
-        seen = [False] * n
-        for s in range(n):
-            if seen[s]:
-                continue
-            ln, j = 0, s
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                ln += 1
-            if ln % 2 == 0:
-                sign = -sign
+        sign = _permutation_sign(perm)
         prod = PolyScalar.const(GR_ONE)
         for row, col in enumerate(perm):
             prod = prod * matrix[row][col]
@@ -725,15 +707,19 @@ def stratify_type(e: DeformationMap) -> Stratification:
 
 
 def _minimal_hitting_sets(supports: Sequence[tuple[Symbol, ...]]):
-    """Minimal sets of symbols meeting every support (exact, small inputs)."""
+    """All minimal sets of symbols meeting every support (exact, small inputs).
+
+    Sets are tried by increasing size, so a hitting set is minimal exactly
+    when it contains none found before.  A minimal set needs, for each of its
+    symbols, a support met by that symbol alone, so none is larger than the
+    number of supports.
+    """
     universe = sorted({s for sup in supports for s in sup}, key=lambda s: s.name)
+    sets = [set(sup) for sup in supports]
     found: list[tuple[Symbol, ...]] = []
-    for size in range(1, len(universe) + 1):
+    for size in range(1, min(len(universe), len(sets)) + 1):
         for combo in itertools.combinations(universe, size):
             cs = set(combo)
-            if all(cs & set(sup) for sup in supports):
-                if not any(set(f) <= cs for f in found):
-                    found.append(combo)
-        if found and size >= max(len(f) for f in found):
-            break
+            if all(cs & sup for sup in sets) and not any(cs.issuperset(f) for f in found):
+                found.append(combo)
     return found

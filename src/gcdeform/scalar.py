@@ -558,9 +558,6 @@ class LinearSolution:
     residual: list[PolyScalar]
     consistent: bool
 
-    def substitute_into(self, p: PolyScalar) -> PolyScalar:
-        return p.substitute(self.bindings)
-
 
 def solve_linear(system: Sequence[PolyScalar], unknowns: Sequence[Symbol]) -> LinearSolution:
     """Gaussian elimination for the linear part of ``system`` in ``unknowns``.
@@ -744,8 +741,3 @@ def mat_left_inverse(matrix: Sequence[Sequence[GaussianRational]]) -> Matrix:
         cols.append(sol)
     return cols
 
-
-def mat_column_reduce(columns: Sequence[Sequence[GaussianRational]]) -> list[list[GaussianRational]]:
-    """Echelon basis of the span of the given columns (each a sequence)."""
-    rows, pivots = mat_rref([list(c) for c in columns])
-    return [rows[i] for i in range(len(pivots))]

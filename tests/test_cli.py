@@ -1,3 +1,4 @@
+import collections
 import json
 import subprocess
 import sys
@@ -5,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from gcdeform import cli, deformation
+from gcdeform.algebroid import IsotropicSubbundle
 from gcdeform.cli import (
     KODAIRA_WORKSPACE,
     ParseError,
@@ -275,3 +278,52 @@ def test_family_blocks_on_nonlinear_residual(tmp_path):
     result = run_cli("family", "--input", str(ws))
     assert result.returncode == 2
     assert "nonlinear constraints block reduction" in result.stderr
+
+
+def _counted(counts, key, fn):
+    def wrapper(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def test_report_runs_each_stage_once(monkeypatch, capsys):
+    counts = collections.Counter()
+    for name in ("constrain_map", "mc_residual", "reduce_family"):
+        for module in (cli, deformation):
+            monkeypatch.setattr(module, name, _counted(counts, name, getattr(module, name)))
+    for attr in ("_theta_inverse", "_schouten_table"):
+        cached = IsotropicSubbundle.__dict__[attr]
+        monkeypatch.setattr(cached, "func", _counted(counts, attr, cached.func))
+
+    per_call, outputs = [], []
+    for _ in range(2):
+        counts.clear()
+        assert cli.main(["report", "--preset", "kodaira"]) == 0
+        outputs.append(capsys.readouterr().out)
+        per_call.append(dict(counts))
+
+    # one pencil, one reduction, one theta inverse and one Schouten table;
+    # mc_residual runs for the pencil and for the reduced-family certificate
+    assert per_call[0] == {
+        "constrain_map": 1,
+        "mc_residual": 2,
+        "reduce_family": 1,
+        "_theta_inverse": 1,
+        "_schouten_table": 1,
+    }
+    # a second call recomputes everything: nothing is cached across calls
+    assert per_call[1] == per_call[0]
+    assert outputs[0] == outputs[1] == GOLDEN.read_text(encoding="utf-8")
+
+
+def test_internal_consistency_failure_exit_code(monkeypatch, capsys):
+    # break the reduced-family certificate, mc_residual(reduced).is_trivial()
+    monkeypatch.setattr(deformation.MCSystem, "is_trivial", lambda self: False)
+    assert cli.main(["family", "--preset", "kodaira"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: internal: reduced family fails its own constraint system\n"
+    )

@@ -18,6 +18,7 @@ from gcdeform.deformation import (
     gauge_image,
     mc_residual,
     reduce_family,
+    _minimal_hitting_sets,
     solve_mc_system,
     stratify_type,
     type_of,
@@ -364,6 +365,36 @@ def test_stratify_refuses_too_many_parameters(ksub, kmap):
     result = stratify_type(padded)
     assert result.refused == "too many parameters"
     assert result.generic_rank == 4
+
+
+def _brute_minimal_hitting_sets(supports):
+    universe = sorted({s for sup in supports for s in sup}, key=lambda s: s.name)
+    hitting = [
+        frozenset(combo)
+        for size in range(len(universe) + 1)
+        for combo in itertools.combinations(universe, size)
+        if all(set(combo) & set(sup) for sup in supports)
+    ]
+    return {h for h in hitting if not any(other < h for other in hitting)}
+
+
+def test_minimal_hitting_sets_keep_larger_minimal_sets():
+    a, b, c = t("a"), t("b"), t("c")
+    found = _minimal_hitting_sets([(a, b), (a, c)])
+    assert found == [(a,), (b, c)]
+
+
+def test_minimal_hitting_sets_match_brute_force():
+    rng = random.Random(2024)
+    symbols = [t(f"s{k}") for k in range(6)]
+    for _ in range(300):
+        supports = [
+            tuple(rng.sample(symbols, rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 5))
+        ]
+        found = _minimal_hitting_sets(supports)
+        assert len(found) == len(set(map(frozenset, found)))
+        assert set(map(frozenset, found)) == _brute_minimal_hitting_sets(supports)
 
 
 def test_solve_mc_system_staged_moves():
