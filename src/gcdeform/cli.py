@@ -376,9 +376,11 @@ def _render_combo(combo: dict[str, GaussianRational], order: Sequence[str]) -> s
 class Workspace:
     """A built workspace and its analysis stages.
 
-    Each stage (pencil, MC system, family, strata; the MC solution lives on
-    the MC system) is computed on first use and kept, so every section of
-    one command reads the same results.
+    Each stage (pencil, MC system, gauge image, family, strata; the MC
+    solution lives on the MC system) is computed on first use and kept, so
+    every section of one command reads the same results.  The gauge image
+    needs only the subbundle, so the gauge section prints even where the
+    family is blocked.
     """
 
     spec: WorkspaceSpec
@@ -398,8 +400,12 @@ class Workspace:
         return mc_residual(self.pencil[0])
 
     @cached_property
+    def gauge(self) -> list[ExteriorForm]:
+        return gauge_image(self.sub)
+
+    @cached_property
     def family(self) -> DeformationFamily:
-        return reduce_family(self.mc)
+        return reduce_family(self.mc, self.gauge)
 
     @cached_property
     def strata(self) -> Stratification:
@@ -550,7 +556,7 @@ def section_mc(ws: Workspace) -> dict:
 
 
 def section_gauge(ws: Workspace) -> dict:
-    basis = gauge_image(ws.sub)
+    basis = ws.gauge
     return {
         "dimension": len(basis),
         "basis": [str(b) for b in basis] or ["zero image"],

@@ -17,7 +17,7 @@ from typing import Mapping, Optional, Sequence
 
 from .algebroid import InternalConsistencyError, IsotropicSubbundle, Span
 from .courant import GenSection, courant_bracket, pair
-from .frame import ExteriorForm, _permutation_sign
+from .frame import ExteriorForm
 from .scalar import (
     GR_HALF,
     GR_ONE,
@@ -355,12 +355,15 @@ def solve_mc_system(
     return bindings, free, []
 
 
-def reduce_family(mc: MCSystem) -> DeformationFamily:
+def reduce_family(
+    mc: MCSystem, gauge: Optional[list[ExteriorForm]] = None
+) -> DeformationFamily:
     """Solve the Maurer-Cartan system and quotient by the gauge directions.
 
     The gauge quotient drops, per gauge basis element, the lexicographically
     first solution coordinate whose 2-form direction hits that element's
-    leading slot.
+    leading slot.  ``gauge`` is the subbundle's ``gauge_image`` when the
+    caller already has it; otherwise it is computed here.
     """
     e = mc.deformation
     sub = e.sub
@@ -373,7 +376,8 @@ def reduce_family(mc: MCSystem) -> DeformationFamily:
     slots = list(itertools.combinations(range(sub.rank), 2))
 
     directions = {p: _direction(solved_map.form, p) for p in free_syms}
-    gauge = gauge_image(sub)
+    if gauge is None:
+        gauge = gauge_image(sub)
 
     dropped: list[Symbol] = []
     for g in gauge:
@@ -437,6 +441,7 @@ class DeformedStructure:
     isotropic: bool
     involutive: bool
     separated: bool
+    ground: DeformationMap  # the map at the ground parameter values
 
     def is_generalized_complex(self) -> bool:
         return self.isotropic and self.involutive and self.separated
@@ -488,12 +493,11 @@ def deform_subbundle(
         isotropic=isotropic,
         involutive=involutive,
         separated=separated,
+        ground=ground,
     )
 
 
-def type_of(e: DeformationMap, bindings: Mapping[Symbol, GaussianRational]) -> int:
-    """Type k: corank of the tangent projection of the deformed generators."""
-    structure = deform_subbundle(e, bindings)
+def _structure_type(structure: DeformedStructure) -> int:
     if not structure.separated:
         raise DeformationError(
             "not a generalized complex structure at these parameter values"
@@ -501,7 +505,12 @@ def type_of(e: DeformationMap, bindings: Mapping[Symbol, GaussianRational]) -> i
     rows = [
         [c.constant_value() for c in g.tangent] for g in structure.generators
     ]
-    return e.sub.frame.dim - mat_rank(rows)
+    return structure.ground.sub.frame.dim - mat_rank(rows)
+
+
+def type_of(e: DeformationMap, bindings: Mapping[Symbol, GaussianRational]) -> int:
+    """Type k: corank of the tangent projection of the deformed generators."""
+    return _structure_type(deform_subbundle(e, bindings))
 
 
 SYMPLECTIC = "symplectic type"
@@ -515,13 +524,13 @@ def classify(
     e: DeformationMap, bindings: Mapping[Symbol, GaussianRational]
 ) -> tuple[int, str]:
     """Type together with its stratum label at ground parameter values."""
-    k = type_of(e, bindings)
+    structure = deform_subbundle(e, bindings)
+    k = _structure_type(structure)
     if k == 0:
         return k, SYMPLECTIC
     if k == e.sub.frame.dim // 2:
         if e.sub.split is not None:
-            ground = _ground(e, bindings)
-            mixed = ground.mixed_block_entries()
+            mixed = structure.ground.mixed_block_entries()
             if all(c.is_zero() for c in mixed):
                 return k, CLASSICAL_COMPLEX
             return k, COMPLEX_NONCLASSICAL
@@ -556,18 +565,33 @@ class Stratification:
     refused: Optional[str] = None
 
 
-def _det(matrix: list[list[PolyScalar]]) -> PolyScalar:
-    n = len(matrix)
-    total = PolyScalar.zero()
-    for perm in itertools.permutations(range(n)):
-        sign = _permutation_sign(perm)
-        prod = PolyScalar.const(GR_ONE)
-        for row, col in enumerate(perm):
-            prod = prod * matrix[row][col]
-            if prod.is_zero():
-                break
-        total = total + (prod if sign > 0 else -prod)
-    return total
+def _minor(
+    matrix, rows: tuple[int, ...], cols: tuple[int, ...], table: dict
+) -> PolyScalar:
+    """Determinant of the ``rows`` x ``cols`` submatrix, memoized in ``table``.
+
+    Laplace expansion along the last selected row into minors of the rows
+    before it, so minors of every size share their smaller minors; the signed
+    products are summed in one dict and put in canonical order once.
+    """
+    key = (rows, cols)
+    if key in table:
+        return table[key]
+    head, last = rows[:-1], matrix[rows[-1]]
+    if not head:
+        value = last[cols[0]]
+    else:
+        total: dict[Monomial, GaussianRational] = {}
+        for pos, col in enumerate(cols):
+            if last[col].is_zero():
+                continue
+            rest = _minor(matrix, head, cols[:pos] + cols[pos + 1 :], table)
+            odd = (len(head) + pos) % 2
+            for mono, c in (rest * last[col]).terms:
+                total[mono] = total.get(mono, GR_ZERO) + (-c if odd else c)
+        value = PolyScalar.from_dict(total)
+    table[key] = value
+    return value
 
 
 def _normalize_minor(p: PolyScalar) -> PolyScalar:
@@ -589,14 +613,15 @@ def _projection_matrix(e: DeformationMap) -> list[list[PolyScalar]]:
     ]
 
 
-def _nonzero_minors(matrix, r) -> list[PolyScalar]:
+def _nonzero_minors(matrix, r: int, table: dict) -> list[PolyScalar]:
+    """Distinct normalized nonzero r x r minors, read from ``table``."""
     rows = range(len(matrix))
     cols = range(len(matrix[0]))
     out: list[PolyScalar] = []
     seen = set()
     for rsel in itertools.combinations(rows, r):
         for csel in itertools.combinations(cols, r):
-            d = _det([[matrix[i][j] for j in csel] for i in rsel])
+            d = _minor(matrix, rsel, csel, table)
             if d.is_zero():
                 continue
             norm = _normalize_minor(d)
@@ -606,26 +631,35 @@ def _nonzero_minors(matrix, r) -> list[PolyScalar]:
     return out
 
 
+def _rank_and_minors(e: DeformationMap) -> tuple[int, list[PolyScalar]]:
+    """Generic rank of the tangent projection and its nonzero top minors.
+
+    One minor table serves every size tried, from the largest down.
+    """
+    matrix = _projection_matrix(e)
+    table: dict = {}
+    for r in range(min(len(matrix), len(matrix[0])), 0, -1):
+        minors = _nonzero_minors(matrix, r, table)
+        if minors:
+            return r, minors
+    return 0, []
+
+
 def stratify_type(e: DeformationMap) -> Stratification:
     """Enumerate type strata of a parameter family by exact minor vanishing.
 
-    Rank boundaries whose minors are monomials are descended exactly through
-    minimal hitting sets of their variable supports; a non-monomial boundary
-    stops the descent with an explicit refusal note, and more than eight
-    parameters refuse stratification outright (the generic rank is still
-    reported).
+    Each descent node finds the rank of its tangent projection and the
+    nonzero minors of that size in one pass over a minor table of its own:
+    every minor is a Laplace expansion along its last row into minors of the
+    rows before it, each computed once and shared across all sizes; the
+    root's rank is the reported generic rank.  Rank boundaries whose minors
+    are monomials are descended exactly through minimal hitting sets of
+    their variable supports; a non-monomial boundary stops the descent with
+    an explicit refusal note, and more than eight parameters refuse
+    stratification outright (the generic rank is still reported).
     """
-    matrix = _projection_matrix(e)
     dim = e.sub.frame.dim
-    max_r = min(len(matrix), dim)
-
-    def generic_rank(m) -> int:
-        for r in range(max_r, 0, -1):
-            if _nonzero_minors(m, r):
-                return r
-        return 0
-
-    grank = generic_rank(matrix)
+    grank, root_minors = _rank_and_minors(e)
     if len(e.parameters) > 8:
         return Stratification(strata=[], generic_rank=grank, refused="too many parameters")
 
@@ -660,17 +694,14 @@ def stratify_type(e: DeformationMap) -> Stratification:
             (COMPLEX_NONCLASSICAL, anti),
         )
 
-    def descend(current: DeformationMap, zeroed: tuple[Symbol, ...]):
-        key = frozenset(s.name for s in zeroed)
-        if key in strata:
-            return
-        m = _projection_matrix(current)
-        r = generic_rank(m)
-        minors = _nonzero_minors(m, r) if r else []
+    def key_of(zeroed: tuple[Symbol, ...]) -> frozenset[str]:
+        return frozenset(s.name for s in zeroed)
+
+    def descend(current: DeformationMap, zeroed: tuple[Symbol, ...], r: int, minors):
         has_constant = any(p.is_constant() for p in minors)
         nonzero = () if has_constant else tuple(minors)
         k = dim - r
-        strata[key] = TypeStratum(
+        strata[key_of(zeroed)] = TypeStratum(
             zero=tuple(PolyScalar.of(s) for s in zeroed),
             nonzero=nonzero,
             k=k,
@@ -692,10 +723,13 @@ def stratify_type(e: DeformationMap) -> Stratification:
                 )
             )
         for hitting in _minimal_hitting_sets(supports):
-            bindings = {s: PolyScalar.zero() for s in hitting}
-            descend(current.substitute(bindings), zeroed + tuple(hitting))
+            below = zeroed + tuple(hitting)
+            if key_of(below) in strata:
+                continue
+            child = current.substitute({s: PolyScalar.zero() for s in hitting})
+            descend(child, below, *_rank_and_minors(child))
 
-    descend(e, ())
+    descend(e, (), grank, root_minors)
     ordered = sorted(
         strata.values(), key=lambda s: (len(s.zero), [str(p) for p in s.zero])
     )

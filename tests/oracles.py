@@ -7,6 +7,7 @@ expansion.
 """
 
 from fractions import Fraction
+import itertools
 import random
 
 from gcdeform.courant import GenSection
@@ -36,6 +37,20 @@ def courant_oracle(frame: ComplexFrame, s1: GenSection, s2: GenSection) -> GenSe
         out[k] = form.coefficient((k,)) - ly.coefficient((k,))
     # the d(i_x tau - i_y sigma)/2 term differentiates a constant: zero
     return GenSection(frame, tuple(tangent + out))
+
+
+def permutation_det(matrix) -> PolyScalar:
+    """Determinant by expansion over all n! permutations, signed by inversions."""
+    n = len(matrix)
+    total = PolyScalar.zero()
+    for perm in itertools.permutations(range(n)):
+        pairs = itertools.combinations(range(n), 2)
+        inversions = sum(perm[i] > perm[j] for i, j in pairs)
+        prod = PolyScalar.const(1)
+        for row, col in enumerate(perm):
+            prod = prod * matrix[row][col]
+        total = total + (-prod if inversions % 2 else prod)
+    return total
 
 
 def random_gaussian(rng: random.Random, bound: int = 3) -> GaussianRational:

@@ -280,6 +280,27 @@ def test_family_blocks_on_nonlinear_residual(tmp_path):
     assert "nonlinear constraints block reduction" in result.stderr
 
 
+def test_gauge_prints_where_family_blocks():
+    out = run_pipeline(parse_workspace(SIX_DIM), "gauge")
+    assert out == "gauge image dimension: 1\nZ1bar*^z2*\n"
+
+
+ABELIAN8_SYMPLECTIC = "basis X1 Y1 X2 Y2 X3 Y3 X4 Y4\n" + "".join(
+    f"symplectic X{i} Y{i} = 1\n" for i in range(1, 5)
+)
+
+
+def test_strata_symplectic_abelian8_refuses_with_generic_rank(tmp_path, capsys):
+    # an 8x8 tangent projection of two-term entries: its generic rank needs
+    # the full 8x8 minor, and its 28 family parameters refuse the descent
+    ws = tmp_path / "abelian8.ws"
+    ws.write_text(ABELIAN8_SYMPLECTIC, encoding="utf-8")
+    assert cli.main(["strata", "--format", "machine", "--input", str(ws)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["generic_rank"] == 8
+    assert data["refused"] == "too many parameters"
+
+
 def _counted(counts, key, fn):
     def wrapper(*args, **kwargs):
         counts[key] += 1
@@ -290,7 +311,7 @@ def _counted(counts, key, fn):
 
 def test_report_runs_each_stage_once(monkeypatch, capsys):
     counts = collections.Counter()
-    for name in ("constrain_map", "mc_residual", "reduce_family"):
+    for name in ("constrain_map", "mc_residual", "reduce_family", "gauge_image"):
         for module in (cli, deformation):
             monkeypatch.setattr(module, name, _counted(counts, name, getattr(module, name)))
     for attr in ("_theta_inverse", "_schouten_table"):
@@ -304,12 +325,14 @@ def test_report_runs_each_stage_once(monkeypatch, capsys):
         outputs.append(capsys.readouterr().out)
         per_call.append(dict(counts))
 
-    # one pencil, one reduction, one theta inverse and one Schouten table;
+    # one pencil, one reduction, one gauge image (shared by the gauge section
+    # and the reduction), one theta inverse and one Schouten table;
     # mc_residual runs for the pencil and for the reduced-family certificate
     assert per_call[0] == {
         "constrain_map": 1,
         "mc_residual": 2,
         "reduce_family": 1,
+        "gauge_image": 1,
         "_theta_inverse": 1,
         "_schouten_table": 1,
     }

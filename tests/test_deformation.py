@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from gcdeform import deformation
 from gcdeform.algebroid import complex_eigenbundle
 from gcdeform.courant import GenSection, pair
 from gcdeform.deformation import (
@@ -19,6 +20,9 @@ from gcdeform.deformation import (
     mc_residual,
     reduce_family,
     _minimal_hitting_sets,
+    _minor,
+    _nonzero_minors,
+    _normalize_minor,
     solve_mc_system,
     stratify_type,
     type_of,
@@ -33,7 +37,7 @@ from gcdeform.scalar import (
     parameter,
     poly,
 )
-from oracles import small_binding
+from oracles import permutation_det, random_poly, small_binding
 
 GR = GaussianRational.of
 HALF_I = GR(0, Fraction(1, 2))
@@ -308,6 +312,75 @@ def test_classify_labels(kfamily):
     assert classify(
         red, bind_all(red, t32=GR(Fraction(1, 8)), t11=GR(Fraction(1, 8)))
     ) == (2, COMPLEX_NONCLASSICAL)
+
+
+def test_classify_grounds_once(kfamily, monkeypatch):
+    red = kfamily.reduced_map
+    calls = []
+    ground = deformation._ground
+
+    def counted(e, bindings):
+        calls.append(bindings)
+        return ground(e, bindings)
+
+    monkeypatch.setattr(deformation, "_ground", counted)
+    assert classify(red, bind_all(red, t32=GR(1, 1))) == (2, COMPLEX_NONCLASSICAL)
+    assert len(calls) == 1
+
+
+def _random_matrix(rng, symbols, rows, cols):
+    return [
+        [
+            random_poly(rng, symbols, 2) if rng.random() < 0.7 else PolyScalar.zero()
+            for _ in range(cols)
+        ]
+        for _ in range(rows)
+    ]
+
+
+def test_minor_table_matches_permutation_expansion():
+    rng = random.Random(8128)
+    symbols = [t(f"m{k}") for k in range(3)]
+    shapes = [(1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (2, 3), (3, 2), (3, 5), (5, 4)]
+    for rows, cols in shapes:
+        for variant in ("plain", "zero row", "zero column"):
+            matrix = _random_matrix(rng, symbols, rows, cols)
+            if variant == "zero row":
+                matrix[rng.randrange(rows)] = [PolyScalar.zero()] * cols
+            elif variant == "zero column":
+                dead = rng.randrange(cols)
+                for row in matrix:
+                    row[dead] = PolyScalar.zero()
+            table = {}
+            for r in range(1, min(rows, cols) + 1):
+                expected = []
+                for rsel in itertools.combinations(range(rows), r):
+                    for csel in itertools.combinations(range(cols), r):
+                        det = permutation_det([[matrix[i][j] for j in csel] for i in rsel])
+                        assert _minor(matrix, rsel, csel, table) == det
+                        norm = _normalize_minor(det)
+                        if not det.is_zero() and norm not in expected:
+                            expected.append(norm)
+                # same minors, same order, read back from the filled table
+                assert _nonzero_minors(matrix, r, table) == expected
+
+
+def test_stratify_builds_one_minor_table_per_descent_node(kfamily, monkeypatch):
+    reads = []
+    nonzero_minors = deformation._nonzero_minors
+
+    def counted(matrix, r, table):
+        reads.append((matrix, table))
+        return nonzero_minors(matrix, r, table)
+
+    monkeypatch.setattr(deformation, "_nonzero_minors", counted)
+    result = stratify_type(kfamily.reduced_map)
+
+    # ``reads`` keeps every matrix and table alive, so their ids are distinct
+    matrices = {id(m) for m, _ in reads}
+    tables = {id(tb) for _, tb in reads}
+    assert len(result.strata) == len(matrices) == len(tables) == 2
+    assert len({(id(m), id(tb)) for m, tb in reads}) == 2
 
 
 def test_stratify_kodaira(kfamily):
