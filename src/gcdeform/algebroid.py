@@ -24,9 +24,10 @@ from .scalar import (
     GaussianRational,
     PolyLike,
     PolyScalar,
+    SingularMatrixError,
+    mat_inverse,
     mat_left_inverse,
     mat_rank,
-    mat_solve,
     poly,
 )
 
@@ -179,15 +180,15 @@ class IsotropicSubbundle:
 
     @cached_property
     def _theta_inverse(self) -> tuple[GenSection, ...]:
+        try:
+            inverse = mat_inverse(self.doubled_pairing)
+        except SingularMatrixError:
+            raise AlgebroidError("degenerate pairing between L and its conjugate") from None
         out = []
         for a in range(self.rank):
-            e = [GR_ONE if k == a else GR_ZERO for k in range(self.rank)]
-            z = mat_solve(self.doubled_pairing, e)
-            if z is None:
-                raise AlgebroidError("degenerate pairing between L and its conjugate")
             h = GenSection.zero(self.frame)
-            for c, zc in zip(self.conj_generators, z):
-                h = h + c.scale(PolyScalar.const(zc))
+            for c, row in zip(self.conj_generators, inverse):
+                h = h + c.scale(PolyScalar.const(row[a]))
             out.append(h)
         return tuple(out)
 

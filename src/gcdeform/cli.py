@@ -165,6 +165,7 @@ def parse_workspace(text: str) -> WorkspaceSpec:
     sympl: dict[tuple[str, str], GaussianRational] = {}
     gens: list[dict[str, GaussianRational]] = []
     names_eigen = names_duals = None
+    names_lines: dict[str, int] = {}
     param_prefix = "t"
 
     def basis_or_fail(line: int) -> tuple[str, ...]:
@@ -235,6 +236,8 @@ def parse_workspace(text: str) -> WorkspaceSpec:
             if name in jmap:
                 raise ParseError(lineno, f"duplicate J line for {name}")
             jmap[name] = _parse_combination(rhs.strip(), b, lineno)
+            if any(c.im != 0 for c in jmap[name].values()):
+                raise ParseError(lineno, f"J {name} has a non-real coefficient")
 
         elif keyword == "symplectic":
             b = basis_or_fail(lineno)
@@ -254,6 +257,8 @@ def parse_workspace(text: str) -> WorkspaceSpec:
                 value = parse_gaussian(rhs.strip())
             except ScalarError as exc:
                 raise ParseError(lineno, str(exc)) from None
+            if value.im != 0:
+                raise ParseError(lineno, "symplectic value is not real")
             i, j = b.index(a), b.index(c)
             key, val = ((a, c), value) if i < j else ((c, a), -value)
             if key in sympl and sympl[key] != val:
@@ -272,8 +277,10 @@ def parse_workspace(text: str) -> WorkspaceSpec:
             rest = tokens[2:]
             if kind == "eigen":
                 names_eigen = tuple(rest)
+                names_lines[kind] = lineno
             elif kind == "duals":
                 names_duals = tuple(rest)
+                names_lines[kind] = lineno
             elif kind == "params":
                 if len(rest) != 1 or not _NAME_RE.match(rest[0]):
                     raise ParseError(lineno, "names params needs one identifier")
@@ -297,10 +304,17 @@ def parse_workspace(text: str) -> WorkspaceSpec:
     if structure == "complex" and set(jmap) != set(basis):
         missing = ", ".join(sorted(set(basis) - set(jmap)))
         raise ParseError(1, f"J is missing on: {missing}")
-    if names_eigen is not None and len(names_eigen) != len(basis) // 2:
-        raise ParseError(1, "names eigen needs one name per complex plane")
-    if names_duals is not None and len(names_duals) != len(basis) // 2:
-        raise ParseError(1, "names duals needs one name per complex plane")
+    # eigenframe and co-frame names, with their bar forms, must differ from
+    # each other and from the basis, or the printed labels are ambiguous
+    taken = set(basis)
+    for kind, line in sorted(names_lines.items(), key=lambda kl: kl[1]):
+        chosen = names_eigen if kind == "eigen" else names_duals
+        if len(chosen) != len(basis) // 2:
+            raise ParseError(line, f"names {kind} needs one name per complex plane")
+        for label in [*chosen, *(f"{n}bar" for n in chosen)]:
+            if label in taken:
+                raise ParseError(line, f"names {kind}: {label!r} is already in use")
+            taken.add(label)
 
     return WorkspaceSpec(
         basis=basis,

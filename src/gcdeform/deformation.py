@@ -443,9 +443,6 @@ class DeformedStructure:
     separated: bool
     ground: DeformationMap  # the map at the ground parameter values
 
-    def is_generalized_complex(self) -> bool:
-        return self.isotropic and self.involutive and self.separated
-
 
 def _ground(e: DeformationMap, bindings: Mapping[Symbol, GaussianRational]):
     missing = [p for p in e.parameters if p not in bindings]

@@ -91,9 +91,6 @@ class ExteriorForm:
     def degrees(self) -> set[int]:
         return {len(i) for i, _ in self.terms}
 
-    def degree_part(self, k: int) -> "ExteriorForm":
-        return ExteriorForm(self.names, tuple((i, c) for i, c in self.terms if len(i) == k))
-
     def __add__(self, other: "ExteriorForm") -> "ExteriorForm":
         self._check(other)
         d = {i: c for i, c in self.terms}
@@ -302,15 +299,6 @@ class FrameAlgebra:
 
     def index(self, name: str) -> int:
         return self.basis.index(name)
-
-    def bracket_basis(self, i: int, j: int) -> tuple[GaussianRational, ...]:
-        if i == j:
-            return tuple([GR_ZERO] * self.dim)
-        key = (i, j) if i < j else (j, i)
-        for ij, vec in self.table:
-            if ij == key:
-                return vec if i < j else tuple(-c for c in vec)
-        return tuple([GR_ZERO] * self.dim)
 
     def bracket_vectors(
         self, v: Sequence[PolyScalar], w: Sequence[PolyScalar]

@@ -18,6 +18,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence, Union
 
 
@@ -661,34 +662,101 @@ class SingularMatrixError(ScalarError):
     pass
 
 
-def mat_rref(matrix: Sequence[Sequence[GaussianRational]]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = [list(r) for r in matrix]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
+def _gaussian_integer_rows(
+    matrix: Sequence[Sequence[GaussianRational]],
+) -> list[tuple[list[int], list[int]]]:
+    """Each row times the lcm of its denominators, as real and imaginary int lists.
+
+    Scaling a row by a nonzero constant changes neither the row space nor the
+    solutions, so every routine below works on these Gaussian-integer rows.
+    """
+    out = []
+    for row in matrix:
+        den = 1
+        for x in row:
+            den = lcm(den, x.re.denominator, x.im.denominator)
+        out.append((
+            [x.re.numerator * (den // x.re.denominator) for x in row],
+            [x.im.numerator * (den // x.im.denominator) for x in row],
+        ))
+    return out
+
+
+def _eliminate(
+    rows: list[tuple[list[int], list[int]]], ncols: int, jordan: bool
+) -> tuple[list[int], tuple[int, int]]:
+    """Fraction-free elimination over Z[i], in place; returns (pivots, last pivot).
+
+    Bareiss's one-step rule (Math. Comp. 22, 1968): with pivot p at (r, c) and
+    previous pivot q, every other row becomes (p*row - row[c]*pivot_row) / q.
+    Each entry is then a minor of the input, so the division is exact in the
+    Gaussian integers.  A row with row[c] = 0 is still scaled by p/q.
+    ``jordan`` clears the rows above each pivot as well (Gauss-Jordan form);
+    every pivot row then ends with the same pivot value, the last one.
+    Without it the elimination stops at the echelon form.
+    """
+    nrows = len(rows)
     pivots: list[int] = []
+    qr, qi = 1, 0
     r = 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        lead = rows[r][c]
-        rows[r] = [x / lead for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
+        if r == nrows:
             break
-    return rows, pivots
+        p = next((i for i in range(r, nrows) if rows[i][0][c] or rows[i][1][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        pre, pim = rows[r]
+        pr, pi = pre[c], pim[c]
+        qn = qr * qr + qi * qi
+        for i in range(0 if jordan else r + 1, nrows):
+            if i == r:
+                continue
+            xre, xim = rows[i]
+            fr, fi = xre[c], xim[c]
+            if not (fr or fi) and pr == qr and pi == qi:
+                continue
+            # rows below r are zero left of c; column c itself comes out zero
+            for j in range(0 if i < r else c, ncols):
+                xr, xi, yr, yi = xre[j], xim[j], pre[j], pim[j]
+                tr = pr * xr - pi * xi - fr * yr + fi * yi
+                ti = pr * xi + pi * xr - fr * yi - fi * yr
+                if qi:
+                    tr, ti = tr * qr + ti * qi, ti * qr - tr * qi
+                    xre[j], xim[j] = tr // qn, ti // qn
+                else:
+                    xre[j], xim[j] = tr // qr, ti // qr
+        pivots.append(c)
+        qr, qi = pr, pi
+        r += 1
+    return pivots, (qr, qi)
+
+
+def _over(a: int, b: int, dr: int, di: int) -> GaussianRational:
+    """The Gaussian rational (a + b*i) / (dr + di*i)."""
+    if not (a or b):
+        return GR_ZERO
+    if not di:
+        return GaussianRational(Fraction(a, dr), Fraction(b, dr))
+    n = dr * dr + di * di
+    return GaussianRational(Fraction(a * dr + b * di, n), Fraction(b * dr - a * di, n))
+
+
+def mat_rref(matrix: Sequence[Sequence[GaussianRational]]) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form; returns (rows, pivot column indices)."""
+    if not matrix:
+        return [], []
+    ncols = len(matrix[0])
+    rows = _gaussian_integer_rows(matrix)
+    pivots, (dr, di) = _eliminate(rows, ncols, jordan=True)
+    out = [[_over(a, b, dr, di) for a, b in zip(re_, im_)] for re_, im_ in rows[: len(pivots)]]
+    out.extend([GR_ZERO] * ncols for _ in range(len(rows) - len(pivots)))
+    return out, pivots
 
 
 def mat_rank(matrix: Sequence[Sequence[GaussianRational]]) -> int:
-    return len(mat_rref(matrix)[1])
+    ncols = len(matrix[0]) if matrix else 0
+    return len(_eliminate(_gaussian_integer_rows(matrix), ncols, jordan=False)[0])
 
 
 def mat_inverse(matrix: Sequence[Sequence[GaussianRational]]) -> Matrix:
@@ -728,16 +796,24 @@ def mat_solve(matrix: Sequence[Sequence[GaussianRational]], rhs: Sequence[Gaussi
 
 
 def mat_left_inverse(matrix: Sequence[Sequence[GaussianRational]]) -> Matrix:
-    """Left inverse of a full-column-rank matrix (L @ matrix = identity)."""
+    """Left inverse of a full-column-rank matrix (L @ matrix = identity).
+
+    One elimination of [matrix^T | I]: row j of L is the solution of
+    matrix^T x = e_j whose free coordinates are zero.
+    """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
-    t = [[matrix[i][j] for i in range(m)] for j in range(n)]
-    cols = []
-    for j in range(n):
-        e = [GR_ONE if k == j else GR_ZERO for k in range(n)]
-        sol = mat_solve(t, e)
-        if sol is None:
-            raise SingularMatrixError("matrix has no left inverse")
-        cols.append(sol)
-    return cols
-
+    if n == 0:
+        return []
+    aug = [
+        [matrix[i][j] for i in range(m)] + [GR_ONE if k == j else GR_ZERO for k in range(n)]
+        for j in range(n)
+    ]
+    rows, pivots = mat_rref(aug)
+    if pivots[-1] >= m:
+        raise SingularMatrixError("matrix has no left inverse")
+    left = [[GR_ZERO] * m for _ in range(n)]
+    for row, c in zip(rows, pivots):
+        for j in range(n):
+            left[j][c] = row[m + j]
+    return left

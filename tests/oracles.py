@@ -53,6 +53,48 @@ def permutation_det(matrix) -> PolyScalar:
     return total
 
 
+def reference_rref(matrix):
+    """Reduced row echelon form by entry-wise ``Fraction`` division.
+
+    This is the Gauss-Jordan routine the engine used before its fraction-free
+    elimination; it returns (rows, pivot column indices) in the same form.
+    """
+    rows = [list(r) for r in matrix]
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        lead = rows[r][c]
+        rows[r] = [x / lead for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def reference_solve(matrix, rhs):
+    """The solution of ``matrix @ x = rhs`` with free coordinates zero, or None."""
+    n = len(matrix[0]) if matrix else 0
+    rows, pivots = reference_rref([list(row) + [b] for row, b in zip(matrix, rhs)])
+    if n in pivots:
+        return None
+    x = [GaussianRational.of(0)] * n
+    for r, c in enumerate(pivots):
+        x[c] = rows[r][n]
+    return x
+
+
 def random_gaussian(rng: random.Random, bound: int = 3) -> GaussianRational:
     return GaussianRational.of(
         Fraction(rng.randint(-bound, bound), rng.randint(1, 4)),

@@ -254,6 +254,33 @@ def test_names_eigen_wrong_count(tmp_path):
     )
     result = run_cli("validate", "--input", str(ws))
     assert result.returncode == 1
+    assert "line 6" in result.stderr
+
+
+KODAIRA_J = "basis X Y U V\nbracket X Y = U\nJ X = Y\nJ Y = -X\nJ U = V\nJ V = -U\n"
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        # repeated eigenframe name (the frame check would exit 2)
+        (KODAIRA_J + "names eigen T T\n", 7),
+        # J must be real (the frame split would exit 2)
+        ("basis X Y U V\nbracket X Y = U\nJ X = i*X\nJ Y = -X\nJ U = V\nJ V = -U\n", 3),
+        # a symplectic form must be real (the real-index check would exit 2)
+        ("basis X Y U V\nbracket X Y = U\nsymplectic X Y = 1\nsymplectic X U = i\n", 4),
+        # co-frame names equal to basis names make the printed X* ambiguous
+        (KODAIRA_J + "names duals X Y\n", 7),
+        # a wrong count cites the names line, not line 1
+        (KODAIRA_J + "names duals omega\n# trailing comment\n", 7),
+    ],
+    ids=["eigen-repeat", "j-not-real", "symplectic-not-real", "duals-clash", "duals-count"],
+)
+def test_input_errors_cite_their_line(tmp_path, capsys, text, line):
+    ws = tmp_path / "bad.ws"
+    ws.write_text(text, encoding="utf-8")
+    assert cli.main(["validate", "--input", str(ws)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: line {line}: ")
 
 
 SIX_DIM = (

@@ -1,0 +1,132 @@
+"""The fraction-free matrix routines against the ``Fraction`` Gauss-Jordan reference."""
+
+import collections
+import random
+from fractions import Fraction
+
+import pytest
+
+from gcdeform.scalar import (
+    GR_ONE,
+    GR_ZERO,
+    GaussianRational,
+    SingularMatrixError,
+    mat_inverse,
+    mat_left_inverse,
+    mat_mul,
+    mat_rank,
+    mat_rref,
+    mat_solve,
+)
+from oracles import reference_rref, reference_solve
+
+
+def _identity(n):
+    return [[GR_ONE if i == j else GR_ZERO for j in range(n)] for i in range(n)]
+
+
+def _entry(rng):
+    # mixed denominators up to 12, so rows need different common denominators
+    if rng.random() < 0.25:
+        return GR_ZERO
+    return GaussianRational.of(
+        Fraction(rng.randint(-5, 5), rng.randint(1, 12)),
+        Fraction(rng.randint(-5, 5), rng.randint(1, 12)) if rng.random() < 0.7 else 0,
+    )
+
+
+def _random_matrix(rng, m, n):
+    matrix = [[_entry(rng) for _ in range(n)] for _ in range(m)]
+    shape = rng.choice(("plain", "multiple", "zero-column", "zero-row"))
+    if shape == "multiple" and m >= 2:
+        # one row a Gaussian-rational multiple of another: rank deficient
+        src, dst = rng.sample(range(m), 2)
+        factor = _entry(rng) or GR_ONE
+        matrix[dst] = [factor * x for x in matrix[src]]
+    elif shape == "zero-column" and n:
+        col = rng.randrange(n)
+        for row in matrix:
+            row[col] = GR_ZERO
+    elif shape == "zero-row" and m:
+        matrix[rng.randrange(m)] = [GR_ZERO] * n
+    return matrix
+
+
+def _reference_inverse(matrix):
+    n = len(matrix)
+    rows, pivots = reference_rref([list(r) + e for r, e in zip(matrix, _identity(n))])
+    if pivots[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in rows[:n]]
+
+
+def _reference_left_inverse(matrix):
+    # one solve of matrix^T x = e_j per column, free coordinates zero
+    m, n = len(matrix), len(matrix[0])
+    transpose = [[matrix[i][j] for i in range(m)] for j in range(n)]
+    rows = [reference_solve(transpose, e) for e in _identity(n)]
+    return None if any(r is None for r in rows) else rows
+
+
+def _raises_singular(fn, matrix):
+    try:
+        return fn(matrix)
+    except SingularMatrixError:
+        return None
+
+
+def test_matrix_routines_match_fraction_reference():
+    rng = random.Random(20261018)
+    seen = collections.Counter()
+    for _ in range(400):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        matrix = _random_matrix(rng, m, n)
+        rows, pivots = reference_rref(matrix)
+        assert mat_rref(matrix) == (rows, pivots)
+        assert mat_rank(matrix) == len(pivots)
+
+        for rhs in (
+            [_entry(rng) for _ in range(m)],
+            # a consistent right side: matrix @ x for a random x
+            [row[0] for row in mat_mul(matrix, [[_entry(rng)] for _ in range(n)])],
+        ):
+            expected = reference_solve(matrix, rhs)
+            assert mat_solve(matrix, rhs) == expected
+            seen["solvable" if expected is not None else "inconsistent"] += 1
+
+        left = _reference_left_inverse(matrix)
+        assert _raises_singular(mat_left_inverse, matrix) == left
+        if left is not None:
+            assert mat_mul(left, matrix) == _identity(n)
+        seen["left inverse" if left is not None else "no left inverse"] += 1
+
+        square = [row[:m] for row in matrix] if n >= m else matrix[:n]
+        inverse = _reference_inverse(square)
+        assert _raises_singular(mat_inverse, square) == inverse
+        seen["invertible" if inverse is not None else "singular"] += 1
+    for case in ("solvable", "inconsistent", "left inverse", "no left inverse", "invertible", "singular"):
+        assert seen[case] >= 25, seen
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [],
+        [[]],
+        [[GR_ZERO, GR_ZERO], [GR_ZERO, GR_ZERO]],
+        [[GaussianRational.of(0, Fraction(1, 3))]],
+        [[GR_ZERO, GaussianRational.of(2, 1)], [GaussianRational.of(Fraction(1, 2)), GR_ONE]],
+    ],
+    ids=["empty", "no-columns", "zero", "one-by-one", "zero-corner"],
+)
+def test_matrix_routines_on_edge_shapes(matrix):
+    assert mat_rref(matrix) == reference_rref(matrix)
+    assert mat_rank(matrix) == len(reference_rref(matrix)[1])
+    if matrix and matrix[0]:
+        assert _raises_singular(mat_left_inverse, matrix) == _reference_left_inverse(matrix)
+        assert _raises_singular(mat_inverse, matrix) == _reference_inverse(matrix)
+
+
+def test_left_inverse_of_empty_matrix_is_empty():
+    assert mat_left_inverse([]) == []
+    assert mat_inverse([]) == []
