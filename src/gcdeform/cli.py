@@ -50,7 +50,14 @@ from .deformation import (
     reduce_family,
     stratify_type,
 )
-from .frame import ComplexFrame, ComplexOp, ExteriorForm, FrameAlgebra, FrameError
+from .frame import (
+    ComplexFrame,
+    ComplexOp,
+    ExteriorForm,
+    FrameAlgebra,
+    FrameError,
+    default_frame_names,
+)
 from .scalar import (
     GR_ONE,
     GR_ZERO,
@@ -305,8 +312,13 @@ def parse_workspace(text: str) -> WorkspaceSpec:
         missing = ", ".join(sorted(set(basis) - set(jmap)))
         raise ParseError(1, f"J is missing on: {missing}")
     # eigenframe and co-frame names, with their bar forms, must differ from
-    # each other and from the basis, or the printed labels are ambiguous
+    # each other and from the basis, or the printed labels are ambiguous; a
+    # kind left unnamed takes eigenframe's default names
     taken = set(basis)
+    if structure == "complex":
+        for kind, default in zip(("eigen", "duals"), default_frame_names(len(basis) // 2)):
+            if kind not in names_lines:
+                taken.update([*default, *(f"{n}bar" for n in default)])
     for kind, line in sorted(names_lines.items(), key=lambda kl: kl[1]):
         chosen = names_eigen if kind == "eigen" else names_duals
         if len(chosen) != len(basis) // 2:

@@ -238,7 +238,6 @@ class MCSystem:
     deformation: DeformationMap
     residual_form: ExteriorForm
     constraints: list[tuple[tuple[int, int, int], PolyScalar]]
-    unknowns: list[Symbol]
 
     def nonzero(self) -> list[tuple[tuple[int, int, int], PolyScalar]]:
         return [(idx, c) for idx, c in self.constraints if not c.is_zero()]
@@ -249,7 +248,7 @@ class MCSystem:
     @cached_property
     def solution(self) -> tuple[dict[Symbol, PolyScalar], list[Symbol], list[PolyScalar]]:
         """``solve_mc_system`` on the nonzero constraints, computed once."""
-        return solve_mc_system([c for _, c in self.nonzero()], self.unknowns)
+        return solve_mc_system([c for _, c in self.nonzero()], self.deformation.parameters)
 
 
 def mc_residual(e: DeformationMap) -> MCSystem:
@@ -265,7 +264,6 @@ def mc_residual(e: DeformationMap) -> MCSystem:
         deformation=e,
         residual_form=residual,
         constraints=constraints,
-        unknowns=list(e.parameters),
     )
 
 
@@ -300,7 +298,6 @@ class DeformationFamily:
     free: list[Symbol]
     reduced_basis: list[ExteriorForm]
     reduced_map: DeformationMap
-    residual_nonlinear: list[PolyScalar]
 
 
 def _direction(form: ExteriorForm, param: Symbol) -> ExteriorForm:
@@ -426,7 +423,6 @@ def reduce_family(
         free=free,
         reduced_basis=reduced_basis,
         reduced_map=reduced_map,
-        residual_nonlinear=[],
     )
 
 

@@ -443,6 +443,11 @@ class ComplexFrame:
         return self.algebra.dual_names
 
 
+def default_frame_names(m: int) -> tuple[list[str], list[str]]:
+    """Eigenvector and co-frame names for m complex planes when none are given."""
+    return [f"Z{a + 1}" for a in range(m)], [f"z{a + 1}" for a in range(m)]
+
+
 def eigenframe(
     g: FrameAlgebra,
     J: ComplexOp,
@@ -475,12 +480,9 @@ def eigenframe(
     if len(seeds) != m:
         raise FrameError("could not split the frame into J-stable planes")
 
-    if tangent_names is None:
-        tangent_names = [f"Z{a + 1}" for a in range(m)]
-    if dual_names is None:
-        dual_names = [f"z{a + 1}" for a in range(m)]
-    tangent_names = list(tangent_names)
-    dual_names = list(dual_names)
+    default_tangent, default_duals = default_frame_names(m)
+    tangent_names = list(default_tangent if tangent_names is None else tangent_names)
+    dual_names = list(default_duals if dual_names is None else dual_names)
     if len(tangent_names) != m or len(dual_names) != m:
         raise FrameError("need one eigenvector name and one dual name per plane")
     names = tangent_names + [f"{n}bar" for n in tangent_names]

@@ -6,6 +6,11 @@ deformation parameters and coefficient functions, plus formal first-order
 derivative symbols of the coefficient functions.  All arithmetic is exact;
 nothing is ever rounded.
 
+A Gaussian rational (a + b*i)/d is held as three plain ints in canonical
+form: d > 0 and gcd(a, b, d) = 1.  A polynomial stores no zero coefficient
+and keeps its terms in one fixed monomial order.  Equal values therefore have
+equal representations, so equality and hashing are structural.
+
 Derivative symbols are first order only.  A ``DerivationSymbol`` can only be
 built from a plain coefficient-function ``Symbol``, so a nested derivative is
 not constructible, and differentiating a polynomial that already contains a
@@ -17,8 +22,9 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Mapping, Sequence, Union
 
 
@@ -41,80 +47,142 @@ class SubstitutionError(ScalarError):
 FractionLike = Union[int, Fraction]
 
 
-def _frac(x: FractionLike) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"not an exact rational: {x!r}")
-
-
-@dataclass(frozen=True)
 class GaussianRational:
     """Exact complex number re + im*i with rational parts.
 
-    ``Fraction`` keeps denominators positive and in lowest terms, which is the
-    canonical form required for structural equality.
+    The value (a + b*i)/d is held as three ints in canonical form: d > 0 and
+    gcd(a, b, d) = 1, so zero is (0, 0, 1).  Equal values have equal triples,
+    which makes equality and hashing structural.  As with ``Fraction``, the
+    fields are private slots and instances are never changed after they are
+    built; ``re`` and ``im`` are read-only ``Fraction`` views.
     """
 
-    re: Fraction
-    im: Fraction
+    __slots__ = ("_a", "_b", "_d")
+
+    def __init__(self, re: FractionLike, im: FractionLike) -> None:
+        if not isinstance(re, (int, Fraction)):
+            raise TypeError(f"not an exact rational: {re!r}")
+        if not isinstance(im, (int, Fraction)):
+            raise TypeError(f"not an exact rational: {im!r}")
+        # both parts are in lowest terms, so over the lcm of their
+        # denominators no prime divides a, b and d at once
+        p, q = re.denominator, im.denominator
+        d = q * p // gcd(p, q)
+        self._a = re.numerator * (d // p)
+        self._b = im.numerator * (d // q)
+        self._d = d
 
     @staticmethod
     def of(re: FractionLike = 0, im: FractionLike = 0) -> "GaussianRational":
-        return GaussianRational(_frac(re), _frac(im))
+        return GaussianRational(re, im)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        other = _coerce_gr(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if other.__class__ is not GaussianRational:
+            other = _coerce_gr(other)
+        d, f = self._d, other._d
+        if d == f:
+            a, b = self._a + other._a, self._b + other._b
+            if d == 1:
+                return _triple(a, b, 1)
+        else:
+            a, b, d = self._a * f + other._a * d, self._b * f + other._b * d, d * f
+        return _reduced(a, b, d)
 
     __radd__ = __add__
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        other = _coerce_gr(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if other.__class__ is not GaussianRational:
+            other = _coerce_gr(other)
+        d, f = self._d, other._d
+        if d == f:
+            a, b = self._a - other._a, self._b - other._b
+            if d == 1:
+                return _triple(a, b, 1)
+        else:
+            a, b, d = self._a * f - other._a * d, self._b * f - other._b * d, d * f
+        return _reduced(a, b, d)
 
     def __rsub__(self, other: "GaussianRational") -> "GaussianRational":
         return _coerce_gr(other) - self
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _triple(-self._a, -self._b, self._d)
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        other = _coerce_gr(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if other.__class__ is not GaussianRational:
+            other = _coerce_gr(other)
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
-        other = _coerce_gr(other)
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
+        if other.__class__ is not GaussianRational:
+            other = _coerce_gr(other)
+        a, b, c, e, f = self._a, self._b, other._a, other._b, other._d
+        n = c * c + e * e
+        if not n:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        # (a + b*i)/d / ((c + e*i)/f) = (a + b*i)(c - e*i) f / (d (c^2 + e^2))
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self._d * n)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _triple(self._a, -self._b, self._d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self._a or self._b)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self._a or self._b)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not GaussianRational:
+            return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
+
+    def __hash__(self) -> int:
+        return hash((self._a, self._b, self._d))
+
+    def __repr__(self) -> str:
+        return f"GaussianRational(re={self.re!r}, im={self.im!r})"
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return _imag_str(self.im)
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re} {sign} {_imag_str(abs(self.im))}"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return _imag_str(im)
+        sign = "+" if im > 0 else "-"
+        return f"{re} {sign} {_imag_str(abs(im))}"
+
+
+_new = object.__new__
+
+
+def _triple(a: int, b: int, d: int) -> GaussianRational:
+    """The Gaussian rational of a triple that is already canonical."""
+    x = _new(GaussianRational)
+    x._a, x._b, x._d = a, b, d
+    return x
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d for d > 0, brought to lowest terms."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    # _triple inlined: every product and quotient ends here
+    x = _new(GaussianRational)
+    x._a, x._b, x._d = a, b, d
+    return x
 
 
 def _imag_str(im: Fraction) -> str:
@@ -129,7 +197,7 @@ def _coerce_gr(x) -> GaussianRational:
     if isinstance(x, GaussianRational):
         return x
     if isinstance(x, (int, Fraction)):
-        return GaussianRational(_frac(x), Fraction(0))
+        return _triple(x.numerator, 0, x.denominator)
     raise TypeError(f"cannot coerce {x!r} to a Gaussian rational")
 
 
@@ -292,6 +360,7 @@ class Monomial:
         items.sort(key=lambda ge: ge[0].sort_key())
         return Monomial(tuple(items))
 
+    @cached_property
     def order_key(self) -> tuple[tuple[str, str], ...]:
         # Fixed lexicographic order on (symbol name, derivation direction);
         # a monomial that is a prefix of another sorts first.
@@ -340,18 +409,19 @@ class PolyScalar:
     @staticmethod
     def from_dict(d: Mapping[Monomial, GaussianRational]) -> "PolyScalar":
         items = [(m, c) for m, c in d.items() if not c.is_zero()]
-        items.sort(key=lambda mc: mc[0].order_key())
+        if len(items) > 1:
+            items.sort(key=lambda mc: mc[0].order_key)
         return PolyScalar(tuple(items))
 
     @staticmethod
     def zero() -> "PolyScalar":
-        return PolyScalar(())
+        return P_ZERO
 
     @staticmethod
     def const(c) -> "PolyScalar":
         c = _coerce_gr(c)
         if c.is_zero():
-            return PolyScalar(())
+            return P_ZERO
         return PolyScalar(((MONOMIAL_ONE, c),))
 
     @staticmethod
@@ -362,6 +432,10 @@ class PolyScalar:
 
     def __add__(self, other: PolyLike) -> "PolyScalar":
         other = poly(other)
+        if not self.terms:
+            return other
+        if not other.terms:
+            return self
         d = dict(self.terms)
         for m, c in other.terms:
             s = d.get(m, GR_ZERO) + c
@@ -400,7 +474,7 @@ class PolyScalar:
     def scale(self, c) -> "PolyScalar":
         c = _coerce_gr(c)
         if c.is_zero():
-            return PolyScalar(())
+            return P_ZERO
         return PolyScalar(tuple((m, k * c) for m, k in self.terms))
 
     # -- inspection ----------------------------------------------------------
@@ -541,7 +615,7 @@ def poly(x: PolyLike) -> PolyScalar:
     return PolyScalar.const(_coerce_gr(x))
 
 
-P_ZERO = PolyScalar.zero()
+P_ZERO = PolyScalar(())
 P_ONE = PolyScalar.const(GR_ONE)
 
 
@@ -672,13 +746,8 @@ def _gaussian_integer_rows(
     """
     out = []
     for row in matrix:
-        den = 1
-        for x in row:
-            den = lcm(den, x.re.denominator, x.im.denominator)
-        out.append((
-            [x.re.numerator * (den // x.re.denominator) for x in row],
-            [x.im.numerator * (den // x.im.denominator) for x in row],
-        ))
+        den = lcm(*[x._d for x in row])
+        out.append(([x._a * (den // x._d) for x in row], [x._b * (den // x._d) for x in row]))
     return out
 
 
@@ -736,10 +805,11 @@ def _over(a: int, b: int, dr: int, di: int) -> GaussianRational:
     """The Gaussian rational (a + b*i) / (dr + di*i)."""
     if not (a or b):
         return GR_ZERO
-    if not di:
-        return GaussianRational(Fraction(a, dr), Fraction(b, dr))
-    n = dr * dr + di * di
-    return GaussianRational(Fraction(a * dr + b * di, n), Fraction(b * dr - a * di, n))
+    if di:
+        return _reduced(a * dr + b * di, b * dr - a * di, dr * dr + di * di)
+    if dr < 0:
+        return _reduced(-a, -b, -dr)
+    return _reduced(a, b, dr)
 
 
 def mat_rref(matrix: Sequence[Sequence[GaussianRational]]) -> tuple[Matrix, list[int]]:

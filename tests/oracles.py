@@ -6,8 +6,11 @@ products), a different route from the engine's function-coefficient Leibniz
 expansion.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 import itertools
+from math import gcd
+import operator
 import random
 
 from gcdeform.courant import GenSection
@@ -93,6 +96,113 @@ def reference_solve(matrix, rhs):
     for r, c in enumerate(pivots):
         x[c] = rows[r][n]
     return x
+
+
+@dataclass(frozen=True)
+class ReferenceGaussianRational:
+    """Exact complex number re + im*i held as a pair of ``Fraction``s.
+
+    This is the number format the engine used before its canonical
+    ``(a, b, d)`` int triples; ``Fraction`` keeps each part in lowest terms.
+    """
+
+    re: Fraction
+    im: Fraction
+
+    @staticmethod
+    def of(re=0, im=0) -> "ReferenceGaussianRational":
+        return ReferenceGaussianRational(Fraction(re), Fraction(im))
+
+    def __add__(self, other):
+        return ReferenceGaussianRational(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return ReferenceGaussianRational(self.re - other.re, self.im - other.im)
+
+    def __neg__(self):
+        return ReferenceGaussianRational(-self.re, -self.im)
+
+    def __mul__(self, other):
+        return ReferenceGaussianRational(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    def __truediv__(self, other):
+        n = other.re * other.re + other.im * other.im
+        if n == 0:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        return ReferenceGaussianRational(
+            (self.re * other.re + self.im * other.im) / n,
+            (self.im * other.re - self.re * other.im) / n,
+        )
+
+    def conjugate(self):
+        return ReferenceGaussianRational(self.re, -self.im)
+
+    def is_zero(self) -> bool:
+        return self.re == 0 and self.im == 0
+
+    def __str__(self) -> str:
+        def imag(im):
+            return "i" if im == 1 else "-i" if im == -1 else f"{im}*i"
+
+        if self.im == 0:
+            return str(self.re)
+        if self.re == 0:
+            return imag(self.im)
+        sign = "+" if self.im > 0 else "-"
+        return f"{self.re} {sign} {imag(abs(self.im))}"
+
+
+def gaussian_mismatches(p, q) -> list[str]:
+    """Every disagreement of ``GaussianRational`` with the ``Fraction``-pair
+    reference on two operands, each given as an (re, im) pair of ints or
+    ``Fraction``s: ``+ - * /``, negation, conjugation, ``==``, ``hash``,
+    ``str``, ``is_zero``, ``re``, ``im`` and the canonical (a, b, d) triple."""
+    x, y = GaussianRational.of(*p), GaussianRational.of(*q)
+    rx, ry = ReferenceGaussianRational.of(*p), ReferenceGaussianRational.of(*q)
+    out = []
+
+    def check(label, value, ref):
+        got = (value.re, value.im, str(value), value.is_zero(), bool(value))
+        want = (ref.re, ref.im, str(ref), ref.is_zero(), not ref.is_zero())
+        if got != want:
+            out.append(f"{label}: {got} != {want}")
+        if not (isinstance(value.re, Fraction) and isinstance(value.im, Fraction)):
+            out.append(f"{label}: parts are not Fractions")
+        a, b, d = value._a, value._b, value._d
+        if d <= 0 or gcd(a, b, d) != 1:
+            out.append(f"{label}: triple {(a, b, d)} is not canonical")
+
+    for v, r in ((x, rx), (y, ry)):
+        check(f"{r}", v, r)
+        check(f"-({r})", -v, -r)
+        check(f"conj({r})", v.conjugate(), r.conjugate())
+    ops = (("+", operator.add), ("-", operator.sub), ("*", operator.mul), ("/", operator.truediv))
+    for a, b, ra, rb in ((x, y, rx, ry), (y, x, ry, rx)):
+        for name, op in ops:
+            label = f"({ra}) {name} ({rb})"
+            if op is operator.truediv and rb.is_zero():
+                try:
+                    a / b
+                except ZeroDivisionError:
+                    continue
+                out.append(f"{label}: no ZeroDivisionError")
+                continue
+            check(label, op(a, b), op(ra, rb))
+    if (x == y) != (rx == ry) or (x != y) != (rx != ry):
+        out.append(f"({rx}) == ({ry}) disagrees")
+    if x == y and hash(x) != hash(y):
+        out.append(f"equal ({rx}) and ({ry}) hash differently")
+    # results reached by different routes are equal and hash alike
+    routes = [(x + y) - y, x * GaussianRational.of(1)]
+    if not ry.is_zero():
+        routes.append((x * y) / y)
+    for value in routes:
+        if value != x or hash(value) != hash(x):
+            out.append(f"({rx}) rebuilt as {value!r} differs")
+    return out
 
 
 def random_gaussian(rng: random.Random, bound: int = 3) -> GaussianRational:

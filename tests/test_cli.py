@@ -273,8 +273,20 @@ KODAIRA_J = "basis X Y U V\nbracket X Y = U\nJ X = Y\nJ Y = -X\nJ U = V\nJ V = -
         (KODAIRA_J + "names duals X Y\n", 7),
         # a wrong count cites the names line, not line 1
         (KODAIRA_J + "names duals omega\n# trailing comment\n", 7),
+        # eigenframe names equal to the default co-frame names z1 z2
+        (KODAIRA_J + "names eigen z1 z2\n", 7),
+        # co-frame names equal to the default eigenframe names Z1 Z2
+        (KODAIRA_J + "names params s\nnames duals Z1 Z2\n", 8),
     ],
-    ids=["eigen-repeat", "j-not-real", "symplectic-not-real", "duals-clash", "duals-count"],
+    ids=[
+        "eigen-repeat",
+        "j-not-real",
+        "symplectic-not-real",
+        "duals-clash",
+        "duals-count",
+        "eigen-default-duals",
+        "duals-default-eigen",
+    ],
 )
 def test_input_errors_cite_their_line(tmp_path, capsys, text, line):
     ws = tmp_path / "bad.ws"
@@ -326,6 +338,32 @@ def test_strata_symplectic_abelian8_refuses_with_generic_rank(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["generic_rank"] == 8
     assert data["refused"] == "too many parameters"
+
+
+KODAIRA_SYMPLECTIC = "basis X Y U V\nbracket X Y = U\nsymplectic X U = 1\nsymplectic Y V = 1\n"
+ABELIAN6_SYMPLECTIC = "basis X1 Y1 X2 Y2 X3 Y3\n" + "".join(
+    f"symplectic X{i} Y{i} = 1\n" for i in range(1, 4)
+)
+
+
+@pytest.mark.parametrize(
+    "command, text, golden",
+    [
+        ("report", KODAIRA_SYMPLECTIC, "kodaira_symplectic_report.json"),
+        # the 15-term rank boundary renders every coefficient
+        ("strata", KODAIRA_SYMPLECTIC, "kodaira_symplectic_strata.json"),
+        # generic rank 6 and a refusal
+        ("strata", ABELIAN6_SYMPLECTIC, "abelian6_symplectic_strata.json"),
+    ],
+    ids=["kodaira-symplectic-report", "kodaira-symplectic-strata", "abelian6-symplectic-strata"],
+)
+def test_machine_output_matches_golden_file(tmp_path, capsys, command, text, golden):
+    ws = tmp_path / "ws.ws"
+    ws.write_text(text, encoding="utf-8")
+    assert cli.main([command, "--format", "machine", "--input", str(ws)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (GOLDEN.parent / golden).read_text(encoding="utf-8")
 
 
 def _counted(counts, key, fn):

@@ -200,7 +200,6 @@ def test_reduce_family_kodaira(ksub, kfamily):
         ExteriorForm.basis(names, (2, 3)),
     ]
     assert kfamily.reduced_basis == expected
-    assert kfamily.residual_nonlinear == []
 
 
 def test_reduced_family_residual_is_zero(kfamily):

@@ -18,7 +18,7 @@ from gcdeform.scalar import (
     poly,
     solve_linear,
 )
-from oracles import random_gaussian, random_poly
+from oracles import gaussian_mismatches, random_gaussian, random_poly
 
 
 GR = GaussianRational.of
@@ -32,6 +32,52 @@ def test_gaussian_arithmetic():
     assert -GR(0, 1) == GR(0, -1)
     assert GR(1) / GR(0, 1) == GR(0, -1)
     assert GR(3, 4).conjugate() == GR(3, -4)
+
+
+def _part(rng):
+    # shared factors between numerators and denominators, so inputs and
+    # results need reducing; about a quarter of the parts are exact zeros
+    if rng.random() < 0.25:
+        return rng.choice((0, Fraction(0, 5)))
+    value = Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 4, 6, 8, 12)))
+    return int(value) if value.denominator == 1 and rng.random() < 0.5 else value
+
+
+def test_gaussian_rational_matches_fraction_pair_reference():
+    rng = random.Random(7)
+    values = [(_part(rng), _part(rng)) for _ in range(60)]
+    mismatches = []
+    for _ in range(1500):
+        mismatches += gaussian_mismatches(rng.choice(values), rng.choice(values))
+    assert mismatches == []
+
+
+def test_gaussian_rational_canonical_form():
+    half = GR(Fraction(1, 2))
+    assert GR(Fraction(2, 4)) == half and hash(GR(Fraction(2, 4))) == hash(half)
+    assert GaussianRational(Fraction(2, 6), Fraction(4, 6)) == GR(Fraction(1, 3), Fraction(2, 3))
+    assert GR(2, Fraction(4, 2)) == GaussianRational(Fraction(2), 2)
+    assert half + half == GR(1) and hash(half + half) == hash(GR(1))
+    zero = GR(Fraction(3, 7)) - GR(Fraction(6, 14))
+    assert zero == GR(0) and hash(zero) == hash(GR(0)) and zero.is_zero() and not zero
+    assert GR(0, Fraction(-1, 3)).conjugate() == GR(0, Fraction(1, 3))
+    assert GR(1) != 1 and GR(1) != GR(0, 1)
+    assert gaussian_mismatches((Fraction(2, 4), 0), (Fraction(1, 2), 0)) == []
+    assert gaussian_mismatches((0, 0), (0, Fraction(0, 3))) == []
+
+
+def test_gaussian_rational_is_immutable_and_exact():
+    x = GR(Fraction(1, 2), 3)
+    assert x.re == Fraction(1, 2) and isinstance(x.re, Fraction)
+    assert x.im == 3 and isinstance(x.im, Fraction)
+    with pytest.raises(AttributeError):
+        x.re = Fraction(1)
+    with pytest.raises(AttributeError):
+        x.extra = 1
+    with pytest.raises(TypeError):
+        GR(0.5)
+    assert {x: 1}[GR(Fraction(2, 4), Fraction(6, 2))] == 1
+    assert repr(x) == "GaussianRational(re=Fraction(1, 2), im=Fraction(3, 1))"
 
 
 def test_gaussian_division_by_zero():
