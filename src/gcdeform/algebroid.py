@@ -11,7 +11,7 @@ biderivation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -48,9 +48,10 @@ class IsotropicSubbundle:
     cotangent-type when L arises from a complex structure; it powers the
     classical/non-classical labeling of deformations and is absent otherwise.
 
-    Derived data (the spans with their left inverses, the doubled pairing,
-    the theta-inverse sections and the Schouten table) is computed on first
-    use and kept on the instance.
+    ``span`` is the generators' span with its left inverse, built once by
+    ``build``.  The other derived data (the conjugate span, the doubled
+    pairing, the theta-inverse sections and the Schouten table) is computed on
+    first use and kept on the instance.
     """
 
     frame: ComplexFrame
@@ -59,6 +60,7 @@ class IsotropicSubbundle:
     conj_generators: tuple[GenSection, ...]
     anchor: tuple[tuple[GaussianRational, ...], ...]
     algebroid: FrameAlgebra
+    span: "Span" = field(compare=False, repr=False)
     split: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
 
     # -- construction ---------------------------------------------------------
@@ -87,16 +89,15 @@ class IsotropicSubbundle:
                     f"not isotropic: <{names[a]}, {names[b]}> = {p}"
                 )
 
-        rows = [g.constant_vector() for g in generators]
-        if mat_rank(rows) != len(generators):
-            raise AlgebroidError("generators are linearly dependent")
+        try:
+            span = Span(generators)
+        except SingularMatrixError:
+            raise AlgebroidError("generators are linearly dependent") from None
 
         conj = tuple(g.conjugate() for g in generators)
-        stacked = rows + [g.constant_vector() for g in conj]
+        stacked = [g.constant_vector() for g in generators + conj]
         if mat_rank(stacked) != 2 * len(generators):
             raise AlgebroidError("L and its conjugate intersect (real index not zero)")
-
-        span = Span(generators)
 
         brackets: dict[tuple[str, str], dict[str, GaussianRational]] = {}
         for a in range(len(generators)):
@@ -126,6 +127,7 @@ class IsotropicSubbundle:
             conj_generators=conj,
             anchor=anchor,
             algebroid=algebroid,
+            span=span,
             split=tuple(split) if split else None,
         )
 
@@ -155,10 +157,6 @@ class IsotropicSubbundle:
         for c, g in zip(coeffs, self.generators):
             out = out + g.scale(poly(c))
         return out
-
-    @cached_property
-    def span(self) -> "Span":
-        return Span(self.generators)
 
     @cached_property
     def conj_span(self) -> "Span":
@@ -336,7 +334,11 @@ class IsotropicSubbundle:
 
 
 class Span:
-    """Constant sections as the columns of a matrix, with one left inverse."""
+    """Constant sections as the columns of a matrix, with one left inverse.
+
+    Building a ``Span`` raises ``SingularMatrixError`` exactly when the
+    sections are linearly dependent.
+    """
 
     def __init__(self, sections: Sequence[GenSection]):
         vecs = [s.constant_vector() for s in sections]

@@ -65,6 +65,7 @@ from .scalar import (
     PolyScalar,
     ScalarError,
     parse_gaussian,
+    render_sum,
 )
 
 COMMANDS = ("validate", "brackets", "mc", "gauge", "family", "type", "strata", "report")
@@ -371,26 +372,7 @@ def render_workspace(spec: WorkspaceSpec) -> str:
 
 
 def _render_combo(combo: dict[str, GaussianRational], order: Sequence[str]) -> str:
-    parts = []
-    for name in order:
-        if name not in combo:
-            continue
-        c = combo[name]
-        cs = str(c)
-        if cs == "1":
-            parts.append(name)
-        elif cs == "-1":
-            parts.append(f"-{name}")
-        elif " " in cs:
-            parts.append(f"({cs})*{name}")
-        else:
-            parts.append(f"{cs}*{name}")
-    if not parts:
-        return "0"
-    out = parts[0]
-    for p in parts[1:]:
-        out += " - " + p[1:] if p.startswith("-") else " + " + p
-    return out
+    return render_sum((str(combo[name]), name) for name in order if name in combo)
 
 
 # ---------------------------------------------------------------------------
@@ -729,14 +711,15 @@ def _lines_type(d: dict) -> list[str]:
     return [f"k = {d['k']} ({d['label']})"]
 
 
+# (report heading, command printing the section alone or None, builder, liner)
 _SECTIONS = (
-    ("validation", section_validation, _lines_validation),
-    ("eigenframe", section_frame, _lines_frame),
-    ("bracket table", section_brackets, _lines_brackets),
-    ("mc system", section_mc, _lines_mc),
-    ("gauge basis", section_gauge, _lines_gauge),
-    ("reduced family", section_family, _lines_family),
-    ("type strata", section_strata, _lines_strata),
+    ("validation", "validate", section_validation, _lines_validation),
+    ("eigenframe", None, section_frame, _lines_frame),
+    ("bracket table", "brackets", section_brackets, _lines_brackets),
+    ("mc system", "mc", section_mc, _lines_mc),
+    ("gauge basis", "gauge", section_gauge, _lines_gauge),
+    ("reduced family", "family", section_family, _lines_family),
+    ("type strata", "strata", section_strata, _lines_strata),
 )
 
 
@@ -744,30 +727,22 @@ def run_pipeline(spec: WorkspaceSpec, command: str, at: Optional[str] = None, fm
     ws = build_workspace(spec)
     if command == "report":
         if fmt == "machine":
-            data = {name: builder(ws) for name, builder, _ in _SECTIONS}
+            data = {name: builder(ws) for name, _, builder, _ in _SECTIONS}
             return json.dumps(data, indent=2) + "\n"
         chunks = []
-        for name, builder, liner in _SECTIONS:
+        for name, _, builder, liner in _SECTIONS:
             chunks.append(f"== {name} ==")
             chunks.extend(liner(builder(ws)))
             chunks.append("")
         return "\n".join(chunks)
 
-    singles = {
-        "validate": (section_validation, _lines_validation),
-        "brackets": (section_brackets, _lines_brackets),
-        "mc": (section_mc, _lines_mc),
-        "gauge": (section_gauge, _lines_gauge),
-        "family": (section_family, _lines_family),
-        "strata": (section_strata, _lines_strata),
-    }
     if command == "type":
         if not at:
             raise ParseError(1, "type needs --at name=value,...")
         data = run_type(ws, at)
         liner = _lines_type
     else:
-        builder, liner = singles[command]
+        builder, liner = {cmd: (b, lines) for _, cmd, b, lines in _SECTIONS}[command]
         data = builder(ws)
     if fmt == "machine":
         return json.dumps(data, indent=2) + "\n"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .frame import ComplexFrame
-from .scalar import GR_HALF, GR_ONE, PolyLike, PolyScalar, poly
+from .scalar import GR_HALF, GR_ONE, PolyLike, PolyScalar, poly, render_sum
 
 
 class CourantError(ValueError):
@@ -95,25 +95,9 @@ class GenSection:
 
     def __str__(self) -> str:
         names = self.frame.tangent_names + self.frame.cotangent_names
-        parts = []
-        for name, c in zip(names, self.coeffs):
-            if c.is_zero():
-                continue
-            cs = str(c)
-            if cs == "1":
-                parts.append(name)
-            elif cs == "-1":
-                parts.append(f"-{name}")
-            elif " " in cs:
-                parts.append(f"({cs})*{name}")
-            else:
-                parts.append(f"{cs}*{name}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return render_sum(
+            (str(c), name) for name, c in zip(names, self.coeffs) if not c.is_zero()
+        )
 
 
 def _slot(frame: ComplexFrame, name: str) -> int:

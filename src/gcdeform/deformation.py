@@ -25,9 +25,11 @@ from .scalar import (
     GaussianRational,
     Monomial,
     PolyScalar,
+    SingularMatrixError,
     Symbol,
     mat_rank,
     mat_rref,
+    minor,
     parameter,
     poly,
     solve_linear,
@@ -468,18 +470,17 @@ def deform_subbundle(
         pair(a, b).is_zero() for a, b in itertools.combinations_with_replacement(gens, 2)
     )
 
-    rows = [g.constant_vector() for g in gens]
-    spanning = mat_rank(rows) == len(gens)
-    conj_rows = [g.conjugate().constant_vector() for g in gens]
-    separated = spanning and mat_rank(rows + conj_rows) == 2 * len(gens)
-
-    involutive = False
-    if spanning:
+    try:
         span = Span(gens)
-        involutive = all(
-            span.express(courant_bracket(a, b).coeffs) is not None
-            for a, b in itertools.combinations(gens, 2)
-        )
+    except SingularMatrixError:
+        span = None
+    rows = [g.constant_vector() for g in gens]
+    conj_rows = [g.conjugate().constant_vector() for g in gens]
+    separated = span is not None and mat_rank(rows + conj_rows) == 2 * len(gens)
+    involutive = span is not None and all(
+        span.express(courant_bracket(a, b).coeffs) is not None
+        for a, b in itertools.combinations(gens, 2)
+    )
 
     return DeformedStructure(
         generators=gens,
@@ -558,35 +559,6 @@ class Stratification:
     refused: Optional[str] = None
 
 
-def _minor(
-    matrix, rows: tuple[int, ...], cols: tuple[int, ...], table: dict
-) -> PolyScalar:
-    """Determinant of the ``rows`` x ``cols`` submatrix, memoized in ``table``.
-
-    Laplace expansion along the last selected row into minors of the rows
-    before it, so minors of every size share their smaller minors; the signed
-    products are summed in one dict and put in canonical order once.
-    """
-    key = (rows, cols)
-    if key in table:
-        return table[key]
-    head, last = rows[:-1], matrix[rows[-1]]
-    if not head:
-        value = last[cols[0]]
-    else:
-        total: dict[Monomial, GaussianRational] = {}
-        for pos, col in enumerate(cols):
-            if last[col].is_zero():
-                continue
-            rest = _minor(matrix, head, cols[:pos] + cols[pos + 1 :], table)
-            odd = (len(head) + pos) % 2
-            for mono, c in (rest * last[col]).terms:
-                total[mono] = total.get(mono, GR_ZERO) + (-c if odd else c)
-        value = PolyScalar.from_dict(total)
-    table[key] = value
-    return value
-
-
 def _normalize_minor(p: PolyScalar) -> PolyScalar:
     """Scale to leading coefficient one; reduce a monomial to its radical."""
     if p.is_zero():
@@ -614,7 +586,7 @@ def _nonzero_minors(matrix, r: int, table: dict) -> list[PolyScalar]:
     seen = set()
     for rsel in itertools.combinations(rows, r):
         for csel in itertools.combinations(cols, r):
-            d = _minor(matrix, rsel, csel, table)
+            d = minor(matrix, rsel, csel, table)
             if d.is_zero():
                 continue
             norm = _normalize_minor(d)

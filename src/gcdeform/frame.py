@@ -25,7 +25,9 @@ from .scalar import (
     mat_inverse,
     mat_mul,
     mat_rank,
+    minor,
     poly,
+    render_sum,
 )
 
 
@@ -140,19 +142,12 @@ class ExteriorForm:
 
     def evaluate(self, vectors: Sequence[Sequence[PolyScalar]]) -> PolyScalar:
         """Determinant-convention evaluation at coefficient vectors."""
-        k = len(vectors)
+        rows = tuple(range(len(vectors)))
+        table: dict = {}
         total = PolyScalar.zero()
         for idx, c in self.terms:
-            if len(idx) != k:
-                continue
-            det = PolyScalar.zero()
-            for perm in itertools.permutations(range(k)):
-                sign = _permutation_sign(perm)
-                prod = PolyScalar.const(GR_ONE)
-                for row, col in enumerate(perm):
-                    prod = prod * vectors[row][idx[col]]
-                det = det + (prod if sign > 0 else -prod)
-            total = total + c * det
+            if len(idx) == len(rows):
+                total = total + c * minor(vectors, rows, idx, table)
         return total
 
     def _check(self, other: "ExteriorForm") -> None:
@@ -160,52 +155,17 @@ class ExteriorForm:
             raise FrameError("forms over different dual bases")
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for idx, c in self.terms:
-            label = "^".join(self.names[i] for i in idx) if idx else "1"
-            if c == PolyScalar.const(GR_ONE) and idx:
-                parts.append(label)
-            elif c == PolyScalar.const(-GR_ONE) and idx:
-                parts.append(f"-{label}")
-            else:
-                cs = str(c)
-                if " " in cs:
-                    cs = f"({cs})"
-                parts.append(f"{cs}*{label}" if idx else cs)
-        out = parts[0]
-        for p in parts[1:]:
-            if p.startswith("-"):
-                out += " - " + p[1:]
-            else:
-                out += " + " + p
-        return out
+        return render_sum(
+            (str(c), "^".join(self.names[i] for i in idx)) for idx, c in self.terms
+        )
 
 
 def _sort_index(idx: tuple[int, ...]):
+    """The sorted index with the sign of its sorting permutation, or (None, 0)."""
     if len(set(idx)) != len(idx):
         return None, 0
-    order = sorted(range(len(idx)), key=lambda p: idx[p])
-    sign = _permutation_sign(tuple(order))
-    return tuple(idx[p] for p in order), sign
-
-
-def _permutation_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    inversions = sum(a > b for a, b in itertools.combinations(idx, 2))
+    return tuple(sorted(idx)), -1 if inversions % 2 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -220,20 +180,10 @@ class JacobiViolation:
     basis: tuple[str, ...]
 
     def __str__(self) -> str:
-        names = ", ".join(self.triple)
-        parts = []
-        for name, c in zip(self.basis, self.defect):
-            if c.is_zero():
-                continue
-            cs = str(c)
-            if cs == "1":
-                parts.append(name)
-            elif cs == "-1":
-                parts.append(f"-{name}")
-            else:
-                parts.append(f"{cs}*{name}" if " " not in cs else f"({cs})*{name}")
-        rendered = " + ".join(parts).replace("+ -", "- ")
-        return f"jacobi defect at ({names}): {rendered}"
+        rendered = render_sum(
+            (str(c), name) for name, c in zip(self.basis, self.defect) if not c.is_zero()
+        )
+        return f"jacobi defect at ({', '.join(self.triple)}): {rendered}"
 
 
 @dataclass(frozen=True)

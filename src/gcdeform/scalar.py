@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 
 class ScalarError(ValueError):
@@ -583,28 +583,35 @@ class PolyScalar:
         return PolyScalar.const(c.conjugate())
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        rendered = [render_term(c, str(m) if m != MONOMIAL_ONE else "") for m, c in self.terms]
-        out = rendered[0]
-        for r in rendered[1:]:
-            if r.startswith("-"):
-                out += " - " + r[1:]
-            else:
-                out += " + " + r
-        return out
+        return render_sum((str(c), str(m) if m != MONOMIAL_ONE else "") for m, c in self.terms)
 
 
-def render_term(c: GaussianRational, mono: str) -> str:
-    if not mono:
-        return str(c) if (c.im == 0 or c.re == 0) else f"({c})"
-    if c == GR_ONE:
-        return mono
-    if c == -GR_ONE:
-        return f"-{mono}"
-    if c.re != 0 and c.im != 0:
-        return f"({c})*{mono}"
-    return f"{c}*{mono}"
+def render_sum(terms: Iterable[tuple[str, str]]) -> str:
+    """Render (coefficient, label) pairs as one signed sum.
+
+    A coefficient containing a space is parenthesised; a coefficient of 1 or
+    -1 folds into its label; an empty label keeps the bare coefficient; the
+    empty sum is ``0``.
+    """
+    out = ""
+    for cs, label in terms:
+        if " " in cs:
+            cs = f"({cs})"
+        if not label:
+            term = cs
+        elif cs == "1":
+            term = label
+        elif cs == "-1":
+            term = "-" + label
+        else:
+            term = f"{cs}*{label}"
+        if not out:
+            out = term
+        elif term.startswith("-"):
+            out += " - " + term[1:]
+        else:
+            out += " + " + term
+    return out or "0"
 
 
 def poly(x: PolyLike) -> PolyScalar:
@@ -617,6 +624,36 @@ def poly(x: PolyLike) -> PolyScalar:
 
 P_ZERO = PolyScalar(())
 P_ONE = PolyScalar.const(GR_ONE)
+
+
+def minor(matrix, rows: tuple[int, ...], cols: tuple[int, ...], table: dict) -> PolyScalar:
+    """Determinant of the ``rows`` x ``cols`` submatrix, memoized in ``table``.
+
+    Laplace expansion along the last selected row into minors of the rows
+    before it, so minors of every size share their smaller minors; the signed
+    products are summed in one dict and put in canonical order once.  The
+    minor of no rows is 1.
+    """
+    if not rows:
+        return P_ONE
+    key = (rows, cols)
+    if key in table:
+        return table[key]
+    head, last = rows[:-1], matrix[rows[-1]]
+    if not head:
+        value = last[cols[0]]
+    else:
+        total: dict[Monomial, GaussianRational] = {}
+        for pos, col in enumerate(cols):
+            if last[col].is_zero():
+                continue
+            rest = minor(matrix, head, cols[:pos] + cols[pos + 1 :], table)
+            odd = (len(head) + pos) % 2
+            for mono, c in (rest * last[col]).terms:
+                total[mono] = total.get(mono, GR_ZERO) + (-c if odd else c)
+        value = PolyScalar.from_dict(total)
+    table[key] = value
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -706,12 +743,12 @@ def solve_linear(system: Sequence[PolyScalar], unknowns: Sequence[Symbol]) -> Li
                 continue
             f = pcoeffs.pop(pivot_sym)
             for v, cv in norm_coeffs.items():
-                nv = pcoeffs.get(v, GR_ZERO) + f * cv
+                nv = pcoeffs.get(v, GR_ZERO) - f * cv
                 if nv.is_zero():
                     pcoeffs.pop(v, None)
                 else:
                     pcoeffs[v] = nv
-            pivots[u] = (pcoeffs, prest + norm_rest.scale(f))
+            pivots[u] = (pcoeffs, prest - norm_rest.scale(f))
 
     bindings: dict[Symbol, PolyScalar] = {}
     for u in unknowns:
@@ -849,20 +886,6 @@ def mat_mul(a: Sequence[Sequence[GaussianRational]], b: Sequence[Sequence[Gaussi
         ]
         for i in range(len(a))
     ]
-
-
-def mat_solve(matrix: Sequence[Sequence[GaussianRational]], rhs: Sequence[GaussianRational]):
-    """One exact solution of ``matrix @ x = rhs``, or None if inconsistent."""
-    m = len(matrix)
-    n = len(matrix[0]) if m else 0
-    aug = [list(matrix[i]) + [rhs[i]] for i in range(m)]
-    rows, pivots = mat_rref(aug)
-    if n in pivots:
-        return None
-    x = [GR_ZERO] * n
-    for r, c in enumerate(pivots):
-        x[c] = rows[r][n]
-    return x
 
 
 def mat_left_inverse(matrix: Sequence[Sequence[GaussianRational]]) -> Matrix:

@@ -86,18 +86,6 @@ def reference_rref(matrix):
     return rows, pivots
 
 
-def reference_solve(matrix, rhs):
-    """The solution of ``matrix @ x = rhs`` with free coordinates zero, or None."""
-    n = len(matrix[0]) if matrix else 0
-    rows, pivots = reference_rref([list(row) + [b] for row, b in zip(matrix, rhs)])
-    if n in pivots:
-        return None
-    x = [GaussianRational.of(0)] * n
-    for r, c in enumerate(pivots):
-        x[c] = rows[r][n]
-    return x
-
-
 @dataclass(frozen=True)
 class ReferenceGaussianRational:
     """Exact complex number re + im*i held as a pair of ``Fraction``s.

@@ -366,6 +366,25 @@ def test_machine_output_matches_golden_file(tmp_path, capsys, command, text, gol
     assert captured.out == (GOLDEN.parent / golden).read_text(encoding="utf-8")
 
 
+def test_symplectic_form_whose_compatibility_solve_rereduces_a_pivot(tmp_path, capsys):
+    # solving the compatibility constraint of this form substitutes a later
+    # pivot back into an earlier one; the family is the Kodaira one, b2 = 4
+    ws = tmp_path / "ws.ws"
+    ws.write_text(KODAIRA_SYMPLECTIC + "symplectic X V = 1/2\n", encoding="utf-8")
+    assert cli.main(["family", "--input", str(ws)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (
+        "reduced family: 4 free parameters\n"
+        "t11 -> -2*i*LX*^LU* - i*LX*^LV*\n"
+        "t21 -> -2*i*LX*^LV*\n"
+        "t12 -> -2*i*LY*^LU* - i*LY*^LV*\n"
+        "t22 -> -2*i*LY*^LV*\n"
+        "dropped: t14 (maurer-cartan)\n"
+        "dropped: t31 (gauge)\n"
+    )
+
+
 def _counted(counts, key, fn):
     def wrapper(*args, **kwargs):
         counts[key] += 1

@@ -20,7 +20,6 @@ from gcdeform.deformation import (
     mc_residual,
     reduce_family,
     _minimal_hitting_sets,
-    _minor,
     _nonzero_minors,
     _normalize_minor,
     solve_mc_system,
@@ -34,6 +33,7 @@ from gcdeform.scalar import (
     GaussianRational,
     PolyScalar,
     mat_rank,
+    minor,
     parameter,
     poly,
 )
@@ -356,7 +356,7 @@ def test_minor_table_matches_permutation_expansion():
                 for rsel in itertools.combinations(range(rows), r):
                     for csel in itertools.combinations(range(cols), r):
                         det = permutation_det([[matrix[i][j] for j in csel] for i in rsel])
-                        assert _minor(matrix, rsel, csel, table) == det
+                        assert minor(matrix, rsel, csel, table) == det
                         norm = _normalize_minor(det)
                         if not det.is_zero() and norm not in expected:
                             expected.append(norm)

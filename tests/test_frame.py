@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from gcdeform.frame import (
     kodaira_preset,
 )
 from gcdeform.scalar import GR_ONE, GR_ZERO, GaussianRational, PolyScalar, function, parameter, poly
-from oracles import random_gaussian
+from oracles import permutation_det, random_gaussian, random_poly
 
 GR = GaussianRational.of
 
@@ -119,11 +120,33 @@ def test_wedge_evaluation_is_determinant():
     assert form.evaluate([v1, v2]) == poly(GR(2 * 7 - 3 * 5))
 
 
+def test_evaluation_matches_permutation_expansion():
+    rng = random.Random(314)
+    names = ("a", "b", "c", "d")
+    symbols = [parameter("s"), parameter("t")]
+    for k in range(4):
+        for _ in range(5):
+            data = {
+                idx: random_poly(rng, symbols)
+                for idx in itertools.combinations(range(4), k)
+                if rng.random() < 0.6
+            }
+            vectors = [[random_poly(rng, symbols) for _ in names] for _ in range(k)]
+            expected = PolyScalar.zero()
+            for idx, c in data.items():
+                expected = expected + c * permutation_det([[v[i] for i in idx] for v in vectors])
+            assert ExteriorForm.build(names, data).evaluate(vectors) == expected
+
+
 def test_wedge_sign_normalization():
     names = ("a", "b")
     swapped = ExteriorForm.build(names, {(1, 0): PolyScalar.const(GR_ONE)})
     assert swapped == -ExteriorForm.basis(names, (0, 1))
     assert ExteriorForm.build(names, {(0, 0): PolyScalar.const(GR_ONE)}).is_zero()
+    names = ("a", "b", "c")
+    cyclic = ExteriorForm.build(names, {(2, 0, 1): PolyScalar.const(GR_ONE)})
+    transposed = ExteriorForm.build(names, {(1, 0, 2): PolyScalar.const(GR_ONE)})
+    assert cyclic == -transposed == ExteriorForm.basis(names, (0, 1, 2))
 
 
 def _dual_form(frame, data):

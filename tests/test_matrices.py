@@ -16,9 +16,8 @@ from gcdeform.scalar import (
     mat_mul,
     mat_rank,
     mat_rref,
-    mat_solve,
 )
-from oracles import reference_rref, reference_solve
+from oracles import reference_rref
 
 
 def _identity(n):
@@ -63,9 +62,17 @@ def _reference_inverse(matrix):
 def _reference_left_inverse(matrix):
     # one solve of matrix^T x = e_j per column, free coordinates zero
     m, n = len(matrix), len(matrix[0])
-    transpose = [[matrix[i][j] for i in range(m)] for j in range(n)]
-    rows = [reference_solve(transpose, e) for e in _identity(n)]
-    return None if any(r is None for r in rows) else rows
+    left = []
+    for e in _identity(n):
+        augmented = [[matrix[i][j] for i in range(m)] + [e[j]] for j in range(n)]
+        rows, pivots = reference_rref(augmented)
+        if m in pivots:
+            return None
+        x = [GR_ZERO] * m
+        for r, c in enumerate(pivots):
+            x[c] = rows[r][m]
+        left.append(x)
+    return left
 
 
 def _raises_singular(fn, matrix):
@@ -85,15 +92,6 @@ def test_matrix_routines_match_fraction_reference():
         assert mat_rref(matrix) == (rows, pivots)
         assert mat_rank(matrix) == len(pivots)
 
-        for rhs in (
-            [_entry(rng) for _ in range(m)],
-            # a consistent right side: matrix @ x for a random x
-            [row[0] for row in mat_mul(matrix, [[_entry(rng)] for _ in range(n)])],
-        ):
-            expected = reference_solve(matrix, rhs)
-            assert mat_solve(matrix, rhs) == expected
-            seen["solvable" if expected is not None else "inconsistent"] += 1
-
         left = _reference_left_inverse(matrix)
         assert _raises_singular(mat_left_inverse, matrix) == left
         if left is not None:
@@ -104,7 +102,7 @@ def test_matrix_routines_match_fraction_reference():
         inverse = _reference_inverse(square)
         assert _raises_singular(mat_inverse, square) == inverse
         seen["invertible" if inverse is not None else "singular"] += 1
-    for case in ("solvable", "inconsistent", "left inverse", "no left inverse", "invertible", "singular"):
+    for case in ("left inverse", "no left inverse", "invertible", "singular"):
         assert seen[case] >= 25, seen
 
 
