@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .courant import GenSection, courant_bracket, pair
+from .courant import GenSection, courant_bracket, directional, pair
 from .frame import ComplexFrame, ComplexOp, ExteriorForm, FrameAlgebra, eigenframe
 from .scalar import (
     GR_I,
@@ -144,9 +144,6 @@ class IsotropicSubbundle:
     def lform(self, data) -> ExteriorForm:
         return ExteriorForm.build(self.lform_names, data)
 
-    def zero_form(self) -> ExteriorForm:
-        return ExteriorForm.zero(self.lform_names)
-
     def type_index(self) -> int:
         """Codimension of the tangent projection in the complexified tangent."""
         return self.frame.dim - mat_rank([list(r) for r in self.anchor])
@@ -229,18 +226,7 @@ class IsotropicSubbundle:
                 raise AlgebroidError("section argument has wrong length")
 
         def anchor_apply(x: Sequence[PolyScalar], h: PolyScalar) -> PolyScalar:
-            out = PolyScalar.zero()
-            for j, xj in enumerate(x):
-                if xj.is_zero():
-                    continue
-                for b in range(self.frame.dim):
-                    c = self.anchor[j][b]
-                    if c.is_zero():
-                        continue
-                    dh = h.differentiate(self.frame.tangent_names[b])
-                    if not dh.is_zero():
-                        out = out + xj.scale(c) * dh
-            return out
+            return directional(self.frame, self.ambient_section(x).tangent, h)
 
         def bracket(xa, xb) -> list[PolyScalar]:
             sa = self.ambient_section(xa)
@@ -311,26 +297,26 @@ class IsotropicSubbundle:
             for _, c in f.terms:
                 if c.has_functions():
                     raise AlgebroidError("schouten_bracket needs parameter-only coefficients")
-        table = self.schouten_table()
-        out = self.zero_form()
+        table = self._schouten_table
+        acc: dict[tuple[int, ...], PolyScalar] = {}
         for idx1, c1 in f1.terms:
             for idx2, c2 in f2.terms:
+                hits = [
+                    (s, t, entry)
+                    for s, i_gen in enumerate(idx1)
+                    for t, j_gen in enumerate(idx2)
+                    if (entry := table.get((i_gen, j_gen)))
+                ]
+                if not hits:
+                    continue
                 coeff = c1 * c2
-                for s, i_gen in enumerate(idx1):
-                    rest1 = idx1[:s] + idx1[s + 1 :]
-                    for t, j_gen in enumerate(idx2):
-                        entry = table.get((i_gen, j_gen))
-                        if not entry:
-                            continue
-                        rest2 = idx2[:t] + idx2[t + 1 :]
-                        sign = -1 if (s + t) % 2 else 1
-                        for c_idx, v in entry:
-                            term_coeff = coeff.scale(v if sign > 0 else -v)
-                            out = out + ExteriorForm.build(
-                                self.lform_names,
-                                {(c_idx,) + rest1 + rest2: term_coeff},
-                            )
-        return out
+                for s, t, entry in hits:
+                    rest = idx1[:s] + idx1[s + 1 :] + idx2[:t] + idx2[t + 1 :]
+                    for c_idx, v in entry:
+                        term = coeff.scale(-v if (s + t) % 2 else v)
+                        key = (c_idx,) + rest
+                        acc[key] = acc.get(key, PolyScalar.zero()) + term
+        return ExteriorForm.build(self.lform_names, acc)
 
 
 class Span:

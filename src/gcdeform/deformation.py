@@ -70,17 +70,7 @@ class DeformationMap:
         entries = tuple(tuple(poly(c) for c in row) for row in entries)
         if len(entries) != n or any(len(r) != n for r in entries):
             raise DeformationError("entry matrix has wrong shape")
-        pair2 = sub.doubled_pairing
-        gram = [
-            [
-                sum(
-                    (entries[i][k].scale(pair2[j][i]) for i in range(n)),
-                    PolyScalar.zero(),
-                )
-                for k in range(n)
-            ]
-            for j in range(n)
-        ]
+        gram = _gram(sub, entries)
         for j in range(n):
             for k in range(j, n):
                 if not (gram[j][k] + gram[k][j]).is_zero():
@@ -174,6 +164,19 @@ class DeformationMap:
         return out
 
 
+def _gram(sub: IsotropicSubbundle, entries) -> list[list[PolyScalar]]:
+    """``[j][k]`` is 2<g_j, eps(g_k)> for the map with these entries."""
+    pair2 = sub.doubled_pairing
+    n = sub.rank
+    return [
+        [
+            sum((entries[i][k].scale(pair2[j][i]) for i in range(n)), PolyScalar.zero())
+            for k in range(n)
+        ]
+        for j in range(n)
+    ]
+
+
 @dataclass
 class ConstraintReport:
     eliminated: dict[Symbol, PolyScalar]
@@ -206,17 +209,8 @@ def constrain_map(
     if len(set(symbols)) != n * n:
         raise DeformationError("raw parameters must be distinct fresh symbols")
     # 2<g_j, eps(g_k)> + 2<g_k, eps(g_j)> = 0 for every pair j <= k
-    pair2 = sub.doubled_pairing
-    system = []
-    for j in range(n):
-        for k in range(j, n):
-            constraint = PolyScalar.zero()
-            for i in range(n):
-                if not pair2[k][i].is_zero():
-                    constraint = constraint + PolyScalar.of(raw[i][j]).scale(pair2[k][i])
-                if not pair2[j][i].is_zero():
-                    constraint = constraint + PolyScalar.of(raw[i][k]).scale(pair2[j][i])
-            system.append(constraint)
+    gram = _gram(sub, [[PolyScalar.of(s) for s in row] for row in raw])
+    system = [gram[j][k] + gram[k][j] for j in range(n) for k in range(j, n)]
     solution = solve_linear(system, symbols)
     if solution.residual or not solution.consistent:
         raise InternalConsistencyError("compatibility constraint is not linear")
@@ -359,10 +353,11 @@ def reduce_family(
 ) -> DeformationFamily:
     """Solve the Maurer-Cartan system and quotient by the gauge directions.
 
-    The gauge quotient drops, per gauge basis element, the lexicographically
-    first solution coordinate whose 2-form direction hits that element's
-    leading slot.  ``gauge`` is the subbundle's ``gauge_image`` when the
-    caller already has it; otherwise it is computed here.
+    The gauge quotient drops, per gauge basis element in echelon order, the
+    first-named kept solution coordinate whose direction has nonzero weight
+    when that element is written over the gauge elements already placed and
+    the kept directions.  ``gauge`` is the subbundle's ``gauge_image`` when
+    the caller already has it; otherwise it is computed here.
     """
     e = mc.deformation
     sub = e.sub
@@ -378,19 +373,27 @@ def reduce_family(
     if gauge is None:
         gauge = gauge_image(sub)
 
+    # Steinitz exchange: each gauge element replaces a kept direction of
+    # nonzero weight in its expansion over the placed gauge elements and the
+    # kept directions, so these stay a basis of the same span; the expansion
+    # is the last column of the rref of [basis | element], all zero when the
+    # element lies outside the span
     dropped: list[Symbol] = []
+    kept = sorted(free_syms, key=lambda s: s.name)
+    placed: list[list[GaussianRational]] = []
     for g in gauge:
-        lead = next(idx for idx, c in g.terms if not c.is_zero())
-        aligned = [
-            p
-            for p in free_syms
-            if p not in dropped and not directions[p].coefficient(lead).is_zero()
-        ]
-        if not aligned:
+        gvec = _form_vector(g, slots)
+        basis = placed + [_form_vector(directions[p], slots) for p in kept]
+        rows, pivots = mat_rref(list(zip(*basis, gvec)))
+        weights = {c: row[-1] for row, c in zip(rows, pivots)}
+        hit = [p for a, p in enumerate(kept, len(placed)) if weights.get(a)]
+        if not hit:
             raise DeformationError(
                 f"gauge direction {g} not expressible in solution coordinates"
             )
-        dropped.append(min(aligned, key=lambda s: s.name))
+        kept.remove(hit[0])
+        dropped.append(hit[0])
+        placed.append(gvec)
 
     def slot_order_key(p: Symbol):
         vec = directions[p]
@@ -514,22 +517,26 @@ COMPLEX_NONCLASSICAL = "complex type, non-classical"
 OTHER = "other"
 
 
+def _label(k: int, dim: int) -> str:
+    """The stratum label of type k on a frame of dimension ``dim``."""
+    if k == 0:
+        return SYMPLECTIC
+    if k == dim // 2:
+        return COMPLEX
+    return OTHER
+
+
 def classify(
     e: DeformationMap, bindings: Mapping[Symbol, GaussianRational]
 ) -> tuple[int, str]:
     """Type together with its stratum label at ground parameter values."""
     structure = deform_subbundle(e, bindings)
     k = _structure_type(structure)
-    if k == 0:
-        return k, SYMPLECTIC
-    if k == e.sub.frame.dim // 2:
-        if e.sub.split is not None:
-            mixed = structure.ground.mixed_block_entries()
-            if all(c.is_zero() for c in mixed):
-                return k, CLASSICAL_COMPLEX
-            return k, COMPLEX_NONCLASSICAL
-        return k, COMPLEX
-    return k, OTHER
+    label = _label(k, e.sub.frame.dim)
+    if label == COMPLEX and e.sub.split is not None:
+        mixed = structure.ground.mixed_block_entries()
+        return k, CLASSICAL_COMPLEX if all(c.is_zero() for c in mixed) else COMPLEX_NONCLASSICAL
+    return k, label
 
 
 # ---------------------------------------------------------------------------
@@ -578,22 +585,18 @@ def _projection_matrix(e: DeformationMap) -> list[list[PolyScalar]]:
     ]
 
 
+def _distinct_normalized(polys) -> list[PolyScalar]:
+    """The distinct normalized forms of the nonzero ``polys``, in first-seen order."""
+    return list(dict.fromkeys(_normalize_minor(p) for p in polys if not p.is_zero()))
+
+
 def _nonzero_minors(matrix, r: int, table: dict) -> list[PolyScalar]:
     """Distinct normalized nonzero r x r minors, read from ``table``."""
-    rows = range(len(matrix))
-    cols = range(len(matrix[0]))
-    out: list[PolyScalar] = []
-    seen = set()
-    for rsel in itertools.combinations(rows, r):
-        for csel in itertools.combinations(cols, r):
-            d = minor(matrix, rsel, csel, table)
-            if d.is_zero():
-                continue
-            norm = _normalize_minor(d)
-            if norm not in seen:
-                seen.add(norm)
-                out.append(norm)
-    return out
+    return _distinct_normalized(
+        minor(matrix, rsel, csel, table)
+        for rsel in itertools.combinations(range(len(matrix)), r)
+        for csel in itertools.combinations(range(len(matrix[0])), r)
+    )
 
 
 def _rank_and_minors(e: DeformationMap) -> tuple[int, list[PolyScalar]]:
@@ -631,25 +634,10 @@ def stratify_type(e: DeformationMap) -> Stratification:
     strata: dict[frozenset[str], TypeStratum] = {}
     refusal: list[str] = []
 
-    def label_for(k: int) -> str:
-        if k == 0:
-            return SYMPLECTIC
-        if k == dim // 2:
-            return COMPLEX
-        return OTHER
-
     def substrata_for(current: DeformationMap, k: int):
         if k != dim // 2 or current.sub.split is None:
             return ()
-        mixed = []
-        seen = set()
-        for c in current.mixed_block_entries():
-            if c.is_zero():
-                continue
-            norm = _normalize_minor(c)
-            if norm not in seen:
-                seen.add(norm)
-                mixed.append(norm)
+        mixed = _distinct_normalized(current.mixed_block_entries())
         if not mixed:
             return ((CLASSICAL_COMPLEX, ""),)
         conditions = ", ".join(f"{m} = 0" for m in mixed)
@@ -670,7 +658,7 @@ def stratify_type(e: DeformationMap) -> Stratification:
             zero=tuple(PolyScalar.of(s) for s in zeroed),
             nonzero=nonzero,
             k=k,
-            label=label_for(k),
+            label=_label(k, dim),
             substrata=substrata_for(current, k),
         )
         if has_constant or r == 0:

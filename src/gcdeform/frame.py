@@ -110,21 +110,6 @@ class ExteriorForm:
         c = poly(c)
         return ExteriorForm.build(self.names, {i: k * c for i, k in self.terms})
 
-    def wedge(self, other: "ExteriorForm") -> "ExteriorForm":
-        self._check(other)
-        acc: dict[tuple[int, ...], PolyScalar] = {}
-        for i1, c1 in self.terms:
-            for i2, c2 in other.terms:
-                idx = i1 + i2
-                sorted_idx, sign = _sort_index(idx)
-                if sorted_idx is None:
-                    continue
-                c = c1 * c2
-                if sign < 0:
-                    c = -c
-                acc[sorted_idx] = acc.get(sorted_idx, PolyScalar.zero()) + c
-        return ExteriorForm.build(self.names, acc)
-
     def interior(self, vector: Sequence[PolyScalar]) -> "ExteriorForm":
         """Interior product into the first slot: (i_v f)(...) = f(v, ...)."""
         acc: dict[tuple[int, ...], PolyScalar] = {}
@@ -307,23 +292,19 @@ class FrameAlgebra:
         for _, c in form.terms:
             if c.has_functions():
                 raise FrameError("non-constant coefficients in invariant differential")
-        out = ExteriorForm.zero(self.dual_names)
+        # Leibniz rule: d(c e*_I) = sum_p (-1)^p c e*_{I<p} ^ d(e*_{i_p}) ^ e*_{I>p},
+        # with d(e*_k) = -sum_{i<j} c^k_ij e*_i ^ e*_j written into slot p
+        acc: dict[tuple[int, ...], PolyScalar] = {}
         for idx, c in form.terms:
             for pos, k in enumerate(idx):
-                dk = self.d_dual_basis(k)
-                if dk.is_zero():
-                    continue
-                left = ExteriorForm.build(
-                    self.dual_names, {idx[:pos]: PolyScalar.const(GR_ONE)}
-                )
-                right = ExteriorForm.build(
-                    self.dual_names, {idx[pos + 1 :]: PolyScalar.const(GR_ONE)}
-                )
-                piece = left.wedge(dk).wedge(right).scale(c)
-                if pos % 2 == 1:
-                    piece = -piece
-                out = out + piece
-        return out
+                head, tail = idx[:pos], idx[pos + 1 :]
+                for (i, j), vec in self.table:
+                    if vec[k].is_zero():
+                        continue
+                    key = head + (i, j) + tail
+                    term = c.scale(vec[k] if pos % 2 else -vec[k])
+                    acc[key] = acc.get(key, PolyScalar.zero()) + term
+        return ExteriorForm.build(self.dual_names, acc)
 
 
 # ---------------------------------------------------------------------------

@@ -589,13 +589,13 @@ class PolyScalar:
 def render_sum(terms: Iterable[tuple[str, str]]) -> str:
     """Render (coefficient, label) pairs as one signed sum.
 
-    A coefficient containing a space is parenthesised; a coefficient of 1 or
-    -1 folds into its label; an empty label keeps the bare coefficient; the
-    empty sum is ``0``.
+    A coefficient that is itself a sum (a `` + `` or `` - `` outside its
+    parentheses) is parenthesised; a coefficient of 1 or -1 folds into its
+    label; an empty label keeps the bare coefficient; the empty sum is ``0``.
     """
     out = ""
     for cs, label in terms:
-        if " " in cs:
+        if _is_sum(cs):
             cs = f"({cs})"
         if not label:
             term = cs
@@ -612,6 +612,16 @@ def render_sum(terms: Iterable[tuple[str, str]]) -> str:
         else:
             out += " + " + term
     return out or "0"
+
+
+def _is_sum(text: str) -> bool:
+    depth = 0
+    for pos, ch in enumerate(text):
+        if ch in "()":
+            depth += 1 if ch == "(" else -1
+        elif not depth and text.startswith((" + ", " - "), pos):
+            return True
+    return False
 
 
 def poly(x: PolyLike) -> PolyScalar:
@@ -682,82 +692,37 @@ def solve_linear(system: Sequence[PolyScalar], unknowns: Sequence[Symbol]) -> Li
     solution set (``consistent=False``).
     """
     unknown_set = set(unknowns)
-    rows: list[tuple[dict[Symbol, GaussianRational], PolyScalar]] = []
+    position = {u: i for i, u in enumerate(unknowns)}
+
+    def coefficients(row: PolyScalar, among) -> dict[Symbol, GaussianRational]:
+        """The row's coefficients on the unknowns in ``among``."""
+        return {m.powers[0][0]: c for m, c in row.terms if m.degree() == 1 and m.powers[0][0] in among}
+
     residual: list[PolyScalar] = []
-
-    for p in system:
-        coeffs: dict[Symbol, GaussianRational] = {}
-        rest = PolyScalar.zero()
-        linear = True
-        for m, c in p.terms:
-            gens = m.generators()
-            hit = [g for g in gens if isinstance(g, Symbol) and g in unknown_set]
-            if not hit:
-                rest = rest + PolyScalar(((m, c),))
-            elif (
-                len(hit) == 1
-                and m.degree() == 1
-            ):
-                u = hit[0]
-                coeffs[u] = coeffs.get(u, GR_ZERO) + c
-            else:
-                linear = False
-                break
-        if not linear:
-            residual.append(p)
-            continue
-        coeffs = {u: c for u, c in coeffs.items() if not c.is_zero()}
-        if coeffs or not rest.is_zero():
-            rows.append((coeffs, rest))
-
-    # eliminate in reversed unknown order: latest unknowns become pivots
-    order = list(reversed(list(unknowns)))
-    pivots: dict[Symbol, tuple[dict[Symbol, GaussianRational], PolyScalar]] = {}
+    # each pivot row has coefficient 1 on its pivot and 0 on every other pivot
+    pivots: dict[Symbol, PolyScalar] = {}
     consistent = True
-    for coeffs, rest in rows:
-        coeffs = dict(coeffs)
-        rest = rest
-        for u in order:
-            if u in coeffs and u in pivots:
-                factor = coeffs.pop(u)
-                pcoeffs, prest = pivots[u]
-                for v, cv in pcoeffs.items():
-                    nv = coeffs.get(v, GR_ZERO) - factor * cv
-                    if nv.is_zero():
-                        coeffs.pop(v, None)
-                    else:
-                        coeffs[v] = nv
-                rest = rest - prest.scale(factor)
-        pivot_sym = next((u for u in order if u in coeffs), None)
-        if pivot_sym is None:
-            if not rest.is_zero():
-                consistent = False
+    for row in system:
+        # linear: each term is free of the unknowns or is one unknown to the first power
+        if any(m.degree() != 1 and not unknown_set.isdisjoint(m.generators()) for m, _ in row.terms):
+            residual.append(row)
             continue
-        lead = coeffs.pop(pivot_sym)
-        norm_coeffs = {v: c / lead for v, c in coeffs.items()}
-        norm_rest = rest.scale(GR_ONE / lead)
-        pivots[pivot_sym] = (norm_coeffs, norm_rest)
-        # re-reduce previously found pivots against the new one
-        for u, (pcoeffs, prest) in list(pivots.items()):
-            if u is pivot_sym or pivot_sym not in pcoeffs:
-                continue
-            f = pcoeffs.pop(pivot_sym)
-            for v, cv in norm_coeffs.items():
-                nv = pcoeffs.get(v, GR_ZERO) - f * cv
-                if nv.is_zero():
-                    pcoeffs.pop(v, None)
-                else:
-                    pcoeffs[v] = nv
-            pivots[u] = (pcoeffs, prest - norm_rest.scale(f))
+        for u, c in coefficients(row, pivots).items():
+            row = row - pivots[u].scale(c)
+        left = coefficients(row, unknown_set)
+        if not left:
+            consistent = consistent and row.is_zero()
+            continue
+        pivot = max(left, key=position.__getitem__)
+        row = row.scale(GR_ONE / left[pivot])
+        unit = Monomial.of(pivot)
+        for u, prow in pivots.items():
+            f = prow.coefficient(unit)
+            if f:
+                pivots[u] = prow - row.scale(f)
+        pivots[pivot] = row
 
-    bindings: dict[Symbol, PolyScalar] = {}
-    for u in unknowns:
-        if u in pivots:
-            pcoeffs, prest = pivots[u]
-            value = -prest
-            for v, cv in sorted(pcoeffs.items(), key=lambda vc: vc[0].sort_key()):
-                value = value - PolyScalar.of(v).scale(cv)
-            bindings[u] = value
+    bindings = {u: PolyScalar.of(u) - pivots[u] for u in unknowns if u in pivots}
     free = [u for u in unknowns if u not in pivots]
     return LinearSolution(bindings=bindings, free=free, residual=residual, consistent=consistent)
 

@@ -10,12 +10,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 import itertools
 from math import gcd
+from typing import Sequence
 import operator
 import random
 
 from gcdeform.courant import GenSection
 from gcdeform.frame import ComplexFrame, ExteriorForm
-from gcdeform.scalar import GaussianRational, PolyScalar
+from gcdeform.scalar import (
+    GR_ONE,
+    GR_ZERO,
+    GaussianRational,
+    LinearSolution,
+    PolyScalar,
+    Symbol,
+)
 
 
 def courant_oracle(frame: ComplexFrame, s1: GenSection, s2: GenSection) -> GenSection:
@@ -215,3 +223,128 @@ def small_binding(rng: random.Random) -> GaussianRational:
     return GaussianRational.of(
         Fraction(rng.randint(-1, 1), 8), Fraction(rng.randint(-1, 1), 8)
     )
+
+
+# The engine's elimination before each linear constraint became its own
+# polynomial row: rows as (unknown coefficients, rest) pairs, updated by hand.
+def reference_solve_linear(
+    system: Sequence[PolyScalar], unknowns: Sequence[Symbol]
+) -> LinearSolution:
+    """Gaussian elimination for the linear part of ``system`` in ``unknowns``.
+
+    Constraints that are genuinely nonlinear in the unknowns (or whose unknown
+    coefficients are themselves symbolic) are returned verbatim in the residual
+    list, unsolved.  When a constraint couples several unknowns the
+    latest-listed one is solved for, so earlier unknowns are preferred as free
+    coordinates.  An inconsistent linear system is reported as an empty
+    solution set (``consistent=False``).
+    """
+    unknown_set = set(unknowns)
+    rows: list[tuple[dict[Symbol, GaussianRational], PolyScalar]] = []
+    residual: list[PolyScalar] = []
+
+    for p in system:
+        coeffs: dict[Symbol, GaussianRational] = {}
+        rest = PolyScalar.zero()
+        linear = True
+        for m, c in p.terms:
+            gens = m.generators()
+            hit = [g for g in gens if isinstance(g, Symbol) and g in unknown_set]
+            if not hit:
+                rest = rest + PolyScalar(((m, c),))
+            elif (
+                len(hit) == 1
+                and m.degree() == 1
+            ):
+                u = hit[0]
+                coeffs[u] = coeffs.get(u, GR_ZERO) + c
+            else:
+                linear = False
+                break
+        if not linear:
+            residual.append(p)
+            continue
+        coeffs = {u: c for u, c in coeffs.items() if not c.is_zero()}
+        if coeffs or not rest.is_zero():
+            rows.append((coeffs, rest))
+
+    # eliminate in reversed unknown order: latest unknowns become pivots
+    order = list(reversed(list(unknowns)))
+    pivots: dict[Symbol, tuple[dict[Symbol, GaussianRational], PolyScalar]] = {}
+    consistent = True
+    for coeffs, rest in rows:
+        coeffs = dict(coeffs)
+        rest = rest
+        for u in order:
+            if u in coeffs and u in pivots:
+                factor = coeffs.pop(u)
+                pcoeffs, prest = pivots[u]
+                for v, cv in pcoeffs.items():
+                    nv = coeffs.get(v, GR_ZERO) - factor * cv
+                    if nv.is_zero():
+                        coeffs.pop(v, None)
+                    else:
+                        coeffs[v] = nv
+                rest = rest - prest.scale(factor)
+        pivot_sym = next((u for u in order if u in coeffs), None)
+        if pivot_sym is None:
+            if not rest.is_zero():
+                consistent = False
+            continue
+        lead = coeffs.pop(pivot_sym)
+        norm_coeffs = {v: c / lead for v, c in coeffs.items()}
+        norm_rest = rest.scale(GR_ONE / lead)
+        pivots[pivot_sym] = (norm_coeffs, norm_rest)
+        # re-reduce previously found pivots against the new one
+        for u, (pcoeffs, prest) in list(pivots.items()):
+            if u is pivot_sym or pivot_sym not in pcoeffs:
+                continue
+            f = pcoeffs.pop(pivot_sym)
+            for v, cv in norm_coeffs.items():
+                nv = pcoeffs.get(v, GR_ZERO) - f * cv
+                if nv.is_zero():
+                    pcoeffs.pop(v, None)
+                else:
+                    pcoeffs[v] = nv
+            pivots[u] = (pcoeffs, prest - norm_rest.scale(f))
+
+    bindings: dict[Symbol, PolyScalar] = {}
+    for u in unknowns:
+        if u in pivots:
+            pcoeffs, prest = pivots[u]
+            value = -prest
+            for v, cv in sorted(pcoeffs.items(), key=lambda vc: vc[0].sort_key()):
+                value = value - PolyScalar.of(v).scale(cv)
+            bindings[u] = value
+    free = [u for u in unknowns if u not in pivots]
+    return LinearSolution(bindings=bindings, free=free, residual=residual, consistent=consistent)
+
+
+def _wedge(f: ExteriorForm, g: ExteriorForm) -> ExteriorForm:
+    acc = {}
+    for i1, c1 in f.terms:
+        for i2, c2 in g.terms:
+            if set(i1) & set(i2):
+                continue
+            prev = acc.get(i1 + i2, PolyScalar.zero())
+            acc[i1 + i2] = prev + c1 * c2
+    return ExteriorForm.build(f.names, acc)
+
+
+def reference_ce_differential(algebra, form: ExteriorForm) -> ExteriorForm:
+    """d of an invariant form by wedging basis forms around d(e*_k).
+
+    This is the expansion the engine used before the Leibniz rule wrote each
+    d(e*_k) straight into its slot: sum over terms c*e*_I and positions p of
+    (-1)^p c e*_{I<p} ^ d(e*_{i_p}) ^ e*_{I>p}.
+    """
+    names = algebra.dual_names
+    one = PolyScalar.const(1)
+    out = ExteriorForm.zero(names)
+    for idx, c in form.terms:
+        for pos, k in enumerate(idx):
+            left = ExteriorForm.build(names, {idx[:pos]: one})
+            right = ExteriorForm.build(names, {idx[pos + 1 :]: one})
+            piece = _wedge(_wedge(left, algebra.d_dual_basis(k)), right).scale(c)
+            out = out + (-piece if pos % 2 else piece)
+    return out

@@ -344,6 +344,11 @@ KODAIRA_SYMPLECTIC = "basis X Y U V\nbracket X Y = U\nsymplectic X U = 1\nsymple
 ABELIAN6_SYMPLECTIC = "basis X1 Y1 X2 Y2 X3 Y3\n" + "".join(
     f"symplectic X{i} Y{i} = 1\n" for i in range(1, 4)
 )
+ABELIAN4_COMPLEX = "basis X Y U V\nJ X = Y\nJ Y = -X\nJ U = V\nJ V = -U\n"
+ABELIAN4_SYMPLECTIC = "basis X Y U V\nsymplectic X Y = 1\nsymplectic U V = 1\n"
+ABELIAN6_COMPLEX = "basis X1 Y1 X2 Y2 X3 Y3\n" + "".join(
+    f"J X{i} = Y{i}\nJ Y{i} = -X{i}\n" for i in range(1, 4)
+)
 
 
 @pytest.mark.parametrize(
@@ -354,8 +359,19 @@ ABELIAN6_SYMPLECTIC = "basis X1 Y1 X2 Y2 X3 Y3\n" + "".join(
         ("strata", KODAIRA_SYMPLECTIC, "kodaira_symplectic_strata.json"),
         # generic rank 6 and a refusal
         ("strata", ABELIAN6_SYMPLECTIC, "abelian6_symplectic_strata.json"),
+        ("report", ABELIAN4_COMPLEX, "abelian4_complex_report.json"),
+        ("report", ABELIAN4_SYMPLECTIC, "abelian4_symplectic_report.json"),
+        # 15 family parameters: the strata section refuses
+        ("report", ABELIAN6_COMPLEX, "abelian6_complex_report.json"),
     ],
-    ids=["kodaira-symplectic-report", "kodaira-symplectic-strata", "abelian6-symplectic-strata"],
+    ids=[
+        "kodaira-symplectic-report",
+        "kodaira-symplectic-strata",
+        "abelian6-symplectic-strata",
+        "abelian4-complex-report",
+        "abelian4-symplectic-report",
+        "abelian6-complex-report",
+    ],
 )
 def test_machine_output_matches_golden_file(tmp_path, capsys, command, text, golden):
     ws = tmp_path / "ws.ws"
@@ -382,6 +398,30 @@ def test_symplectic_form_whose_compatibility_solve_rereduces_a_pivot(tmp_path, c
         "t22 -> -2*i*LY*^LV*\n"
         "dropped: t14 (maurer-cartan)\n"
         "dropped: t31 (gauge)\n"
+    )
+
+
+def test_gauge_drop_keeps_the_family_off_the_gauge_span(tmp_path, capsys):
+    # t22 and t32 both touch the gauge element's leading slot LX*^LY*, but
+    # t32's direction is parallel to it: dropping t22, the first-named one
+    # touching that slot, would leave the family meeting the gauge span
+    ws = tmp_path / "ws.ws"
+    ws.write_text(
+        "basis X Y U V\nbracket X Y = U\n"
+        "symplectic X Y = 1\nsymplectic X U = 2\nsymplectic Y V = -1/3\n",
+        encoding="utf-8",
+    )
+    assert cli.main(["family", "--input", str(ws)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (
+        "reduced family: 4 free parameters\n"
+        "t22 -> -2*i*LX*^LY* + 2/3*i*LY*^LV*\n"
+        "t11 -> -4*i*LX*^LU*\n"
+        "t21 -> 2/3*i*LX*^LV*\n"
+        "t12 -> -4*i*LY*^LU*\n"
+        "dropped: t14 (maurer-cartan)\n"
+        "dropped: t32 (gauge)\n"
     )
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from gcdeform import deformation
-from gcdeform.algebroid import complex_eigenbundle
+from gcdeform.algebroid import build_symplectic_eigenbundle, complex_eigenbundle
 from gcdeform.courant import GenSection, pair
 from gcdeform.deformation import (
     CLASSICAL_COMPLEX,
@@ -506,3 +506,24 @@ def test_involutivity_agrees_with_mc_zero_set(kmap):
         assert structure.involutive == residual_zero
         t12_zero = bindings[t("t12")].is_zero()
         assert residual_zero == t12_zero
+
+
+def test_gauge_reduction_of_random_closed_kodaira_forms():
+    # every closed invariant 2-form on the Kodaira algebra has no U*^V* term;
+    # each nondegenerate one reduces to b2 = 4 parameters off the gauge span
+    g, _ = kodaira_preset()
+    slots = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
+    rng = random.Random(41)
+    done = 0
+    while done < 40:
+        values = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in slots]
+        w = ExteriorForm.build(g.dual_names, {ij: GR(v) for ij, v in zip(slots, values)})
+        xu, xv, yu, yv = values[1], values[2], values[3], values[4]
+        if xv * yu == xu * yv:
+            continue
+        _, sub = build_symplectic_eigenbundle(g, w)
+        emap, _ = constrain_map(sub)
+        family = reduce_family(mc_residual(emap))
+        assert len(family.free) == 4
+        assert len(family.dropped_gauge) == len(family.gauge_basis) == 1
+        done += 1

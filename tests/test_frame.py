@@ -14,7 +14,7 @@ from gcdeform.frame import (
     kodaira_preset,
 )
 from gcdeform.scalar import GR_ONE, GR_ZERO, GaussianRational, PolyScalar, function, parameter, poly
-from oracles import permutation_det, random_gaussian, random_poly
+from oracles import permutation_det, random_gaussian, random_poly, reference_ce_differential
 
 GR = GaussianRational.of
 
@@ -192,6 +192,38 @@ def test_ce_differential_squares_to_zero():
         form = ExteriorForm.build(alg.dual_names, data)
         df = alg.ce_differential(form)
         assert alg.ce_differential(df).is_zero()
+
+
+def _random_algebra(rng, n, upper):
+    """Random structure constants; ``upper`` keeps c^k_ij = 0 unless k > j > i."""
+    basis = [f"e{a}" for a in range(n)]
+    brackets = {}
+    for i, j in itertools.combinations(range(n), 2):
+        targets = range(j + 1, n) if upper else range(n)
+        rhs = {basis[k]: random_gaussian(rng, 2) for k in targets if rng.random() < 0.5}
+        if rhs:
+            brackets[(basis[i], basis[j])] = rhs
+    return FrameAlgebra.build(basis, brackets)
+
+
+def test_ce_differential_matches_wedge_expansion():
+    rng = random.Random(99)
+    symbols = [parameter("s"), parameter("t")]
+    algebras = [kodaira_frame().algebra, kodaira_preset()[0]]
+    algebras += [_random_algebra(rng, rng.randint(3, 6), upper=True) for _ in range(12)]
+    # constants c^k_ij with k in {i, j} put the slot's own index back in
+    algebras += [_random_algebra(rng, rng.randint(3, 5), upper=False) for _ in range(6)]
+    for alg in algebras:
+        n = alg.dim
+        for degree in range(4):
+            for _ in range(3):
+                data = {
+                    idx: random_poly(rng, symbols)
+                    for idx in itertools.combinations(range(n), degree)
+                    if rng.random() < 0.6
+                }
+                form = ExteriorForm.build(alg.dual_names, data)
+                assert alg.ce_differential(form) == reference_ce_differential(alg, form)
 
 
 def test_eigenframe_rejects_dimension_mismatch():

@@ -60,10 +60,12 @@ def test_polynomial_rendering(value, text):
                 (0, 2): T - S,
                 (1, 2): PolyScalar.const(ONE_I),
             },
-            "((1 + i)) + a - b - t*c + 1/2*i*a^b + (-s + t)*a^c + ((1 + i))*b^c",
+            "(1 + i) + a - b - t*c + 1/2*i*a^b + (-s + t)*a^c + (1 + i)*b^c",
         ),
         ({(): S + T, (1, 0): T}, "(s + t) - t*a^b"),
-        ({(): -1, (2,): T.scale(ONE_I)}, "-1 + ((1 + i)*t)*c"),
+        ({(): -1, (2,): T.scale(ONE_I)}, "-1 + (1 + i)*t*c"),
+        # a sum outside the parentheses of its complex coefficient
+        ({(0,): S.scale(ONE_I) - T}, "((1 + i)*s - t)*a"),
     ],
 )
 def test_exterior_form_rendering(data, text):
@@ -109,21 +111,21 @@ def test_jacobi_failure_message(tmp_path, capsys):
                 "U": PolyScalar.const(HALF_I),
                 "V": PolyScalar.const(ONE_I),
                 "X*": T - S,
-                "Y*": -T,
+                "Y*": T.scale(-2),
                 "V*": S.scale(HALF_I),
             },
-            "X - Y + 1/2*i*U + ((1 + i))*V + (-s + t)*X* - t*Y* + 1/2*i*s*V*",
+            "X - Y + 1/2*i*U + (1 + i)*V + (-s + t)*X* - 2*t*Y* + 1/2*i*s*V*",
         ),
-        ({"Y": -1, "U*": PolyScalar.const(ONE_I)}, "-Y + ((1 + i))*U*"),
+        ({"Y": -1, "U*": PolyScalar.const(ONE_I)}, "-Y + (1 + i)*U*"),
     ],
 )
 def test_section_rendering(entries, text):
     assert str(GenSection.make(FRAME, entries)) == text
 
 
-def test_generator_lines_keep_their_doubled_parentheses(tmp_path):
-    # a constant complex coefficient renders as "(1 + i)" and is then
-    # parenthesised once more as a section coefficient
+def test_generator_lines_parenthesise_a_complex_coefficient_once(tmp_path):
+    # a constant complex coefficient renders as "(1 + i)"; it is not a sum
+    # outside its parentheses, so a section coefficient adds none
     ws = (
         "basis X Y U V\n"
         "generator X + (1+i)*Y*\ngenerator Y - (1+i)*X*\n"
@@ -131,8 +133,8 @@ def test_generator_lines_keep_their_doubled_parentheses(tmp_path):
     )
     frame = cli.section_frame(cli.build_workspace(cli.parse_workspace(ws)))
     assert frame["subbundle"] == [
-        "G1 = X + ((1 + i))*Y*",
-        "G2 = Y + ((-1 - i))*X*",
+        "G1 = X + (1 + i)*Y*",
+        "G2 = Y + (-1 - i)*X*",
         "G3 = U + i*V*",
         "G4 = V - i*U*",
     ]

@@ -18,7 +18,7 @@ from gcdeform.scalar import (
     poly,
     solve_linear,
 )
-from oracles import gaussian_mismatches, random_gaussian, random_poly
+from oracles import gaussian_mismatches, random_gaussian, random_poly, reference_solve_linear
 
 
 GR = GaussianRational.of
@@ -300,3 +300,52 @@ def test_solve_linear_nonlinear_residual():
     sol = solve_linear([quad, poly(a)], [a, b])
     assert sol.residual == [quad]
     assert sol.bindings[a].is_zero()
+
+
+def _random_linear_system(rng, unknowns, params):
+    """Linear rows with parameter rests, plus duplicate, dependent,
+    inconsistent and nonlinear rows."""
+    rows = []
+    for _ in range(rng.randint(0, 6)):
+        kind = rng.random()
+        if rows and kind < 0.15:
+            rows.append(rng.choice(rows))
+        elif rows and kind < 0.35:
+            combo = PolyScalar.zero()
+            for r in rng.sample(rows, min(len(rows), 2)):
+                combo = combo + r.scale(random_gaussian(rng, 2))
+            if rng.random() < 0.5:
+                combo = combo + random_poly(rng, params, 2)
+            rows.append(combo)
+        elif kind < 0.45:
+            u = rng.choice(unknowns)
+            other = rng.choice(unknowns + params)
+            rows.append(poly(u) * poly(other) + poly(rng.choice(unknowns)))
+        else:
+            row = random_poly(rng, params, 2) if rng.random() < 0.7 else PolyScalar.zero()
+            for u in unknowns:
+                if rng.random() < 0.5:
+                    row = row + poly(u).scale(random_gaussian(rng, 2))
+            rows.append(row)
+    return rows
+
+
+def test_solve_linear_matches_reference():
+    rng = random.Random(2024)
+    unknowns = [parameter(f"x{i}") for i in range(5)]
+    params = [parameter("s"), parameter("t")]
+    kinds = {"consistent": 0, "inconsistent": 0, "residual": 0}
+    for _ in range(600):
+        order = rng.sample(unknowns, rng.randint(1, len(unknowns)))
+        system = _random_linear_system(rng, order, params)
+        got = solve_linear(system, order)
+        want = reference_solve_linear(system, order)
+        assert list(got.bindings.items()) == list(want.bindings.items())
+        assert (got.free, got.residual, got.consistent) == (
+            want.free,
+            want.residual,
+            want.consistent,
+        )
+        kinds["consistent" if got.consistent else "inconsistent"] += 1
+        kinds["residual"] += bool(got.residual)
+    assert min(kinds.values()) >= 50, kinds
