@@ -265,19 +265,18 @@ class IsotropicSubbundle:
 
     @cached_property
     def _schouten_table(self) -> dict[tuple[int, int], list[tuple[int, GaussianRational]]]:
+        # the bracket is skew and theta linear: build a < b, negate for b < a
         hs = self._theta_inverse
         table: dict[tuple[int, int], list[tuple[int, GaussianRational]]] = {}
-        for a in range(self.rank):
-            for b in range(self.rank):
-                if a == b:
-                    continue
-                br = courant_bracket(hs[a], hs[b])
-                if br.is_zero():
-                    continue
-                coeffs = self.theta(br)
-                entry = [(c, v) for c, v in enumerate(coeffs) if not v.is_zero()]
-                if entry:
-                    table[(a, b)] = entry
+        for a, b in itertools.combinations(range(self.rank), 2):
+            br = courant_bracket(hs[a], hs[b])
+            if br.is_zero():
+                continue
+            coeffs = self.theta(br)
+            entry = [(c, v) for c, v in enumerate(coeffs) if not v.is_zero()]
+            if entry:
+                table[(a, b)] = entry
+                table[(b, a)] = [(c, -v) for c, v in entry]
         return table
 
     def schouten_table(self) -> dict[tuple[int, int], list[tuple[int, GaussianRational]]]:

@@ -622,6 +622,8 @@ def run_type(ws: Workspace, at: str) -> dict:
         if name not in by_name:
             known = ", ".join(sorted(by_name))
             raise ParseError(1, f"unknown family parameter {name!r} (free: {known})")
+        if by_name[name] in bindings:
+            raise ParseError(1, f"{name} bound twice")
         try:
             bindings[by_name[name]] = parse_gaussian(value)
         except ScalarError as exc:
@@ -775,6 +777,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     text = fh.read()
             except OSError as exc:
                 print(f"error: {exc}", file=sys.stderr)
+                return 1
+            except UnicodeDecodeError:
+                print(f"error: {args.input}: not UTF-8 text", file=sys.stderr)
                 return 1
         else:
             print("error: need --preset or --input", file=sys.stderr)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .frame import ComplexFrame
-from .scalar import GR_HALF, GR_ONE, PolyLike, PolyScalar, poly, render_sum
+from .scalar import GR_HALF, GR_ONE, GR_ZERO, PolyLike, PolyScalar, poly, render_sum
 
 
 class CourantError(ValueError):
@@ -121,8 +121,13 @@ def _same_frame(a: GenSection, b: GenSection) -> None:
 def pair(s1: GenSection, s2: GenSection) -> PolyScalar:
     """Natural split-signature pairing: <X+s, Y+t> = (s(Y) + t(X)) / 2."""
     _same_frame(s1, s2)
+    d = s1.frame.dim
+    if s1.is_constant() and s2.is_constant():
+        x, y = s1.constant_vector(), s2.constant_vector()
+        value = sum((x[d + a] * y[a] + y[d + a] * x[a] for a in range(d)), GR_ZERO)
+        return PolyScalar.const(value * GR_HALF)
     total = PolyScalar.zero()
-    for a in range(s1.frame.dim):
+    for a in range(d):
         total = total + s1.cotangent[a] * s2.tangent[a] + s2.cotangent[a] * s1.tangent[a]
     return total.scale(GR_HALF)
 
@@ -201,10 +206,27 @@ def lie_derivative(x: GenSection, f: GenSection) -> GenSection:
 
 
 def courant_bracket(s1: GenSection, s2: GenSection) -> GenSection:
-    """Skew bracket [X+s, Y+t] = [X,Y] + L_X t - L_Y s - d(i_X t - i_Y s)/2."""
+    """Skew bracket [X+s, Y+t] = [X,Y] + L_X t - L_Y s - d(i_X t - i_Y s)/2.
+
+    Constant sections bracket bilinearly by the frame's ``courant_table``.
+    """
     _same_frame(s1, s2)
     frame = s1.frame
     d = frame.dim
+    if s1.is_constant() and s2.is_constant():
+        table = frame.courant_table
+        ys = [(b, w) for b, w in enumerate(s2.constant_vector()) if w]
+        out = [GR_ZERO] * (2 * d)
+        for a, v in enumerate(s1.constant_vector()):
+            if not v:
+                continue
+            for b, w in ys:
+                terms = table.get((a, b))
+                if terms:
+                    vw = v * w
+                    for k, c in terms:
+                        out[k] = out[k] + vw * c
+        return GenSection(frame, tuple(PolyScalar.const(c) for c in out))
     x, sig = list(s1.tangent), list(s1.cotangent)
     y, tau = list(s2.tangent), list(s2.cotangent)
 
@@ -227,4 +249,10 @@ def bracket_table(generators: Sequence[GenSection]) -> list[list[GenSection]]:
     for g in generators:
         if not g.is_constant():
             raise CourantError("bracket_table requires constant generators")
-    return [[courant_bracket(a, b) for b in generators] for a in generators]
+    n = len(generators)
+    table = [[GenSection.zero(g.frame)] * n for g in generators]
+    for a in range(n):  # the bracket is skew: [b, a] = -[a, b], [a, a] = 0
+        for b in range(a + 1, n):
+            table[a][b] = courant_bracket(generators[a], generators[b])
+            table[b][a] = -table[a][b]
+    return table

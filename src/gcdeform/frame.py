@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .scalar import (
@@ -372,6 +373,29 @@ class ComplexFrame:
     @property
     def cotangent_names(self) -> tuple[str, ...]:
         return self.algebra.dual_names
+
+    @cached_property
+    def courant_table(self) -> dict[tuple[int, int], list[tuple[int, GaussianRational]]]:
+        """Nonzero (slot, value) terms of [e_a, e_b] for constant basis sections.
+
+        Slots below ``dim`` are the frame, the rest the co-frame: [e_i, e_j] =
+        c^k_ij e_k, [e_i, e_k*] = i_{e_i} d e_k* = -c^k_iq e_q*, [e_k*, e_l*] = 0.
+        """
+        n = self.dim
+        table: dict[tuple[int, int], list[tuple[int, GaussianRational]]] = {}
+
+        def put(a: int, b: int, slot: int, c: GaussianRational) -> None:
+            # the bracket is skew: [e_b, e_a] gets the negative
+            table.setdefault((a, b), []).append((slot, c))
+            table.setdefault((b, a), []).append((slot, -c))
+
+        for (i, j), vec in self.algebra.table:
+            for k, c in enumerate(vec):
+                if c:
+                    put(i, j, k, c)
+                    put(i, n + k, n + j, -c)
+                    put(j, n + k, n + i, c)
+        return table
 
 
 def default_frame_names(m: int) -> tuple[list[str], list[str]]:

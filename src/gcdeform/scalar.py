@@ -345,6 +345,14 @@ class Monomial:
 
     powers: tuple[tuple[Generator, int], ...]
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # hashed once: dict lookups would otherwise re-hash the nested powers
+        return hash(self.powers)
+
     @staticmethod
     def of(*gens: Generator) -> "Monomial":
         counts: dict[Generator, int] = {}
@@ -434,24 +442,28 @@ class PolyScalar:
         other = poly(other)
         if not self.terms:
             return other
+        return self._merge(other, GaussianRational.__add__)
+
+    __radd__ = __add__
+
+    def __sub__(self, other: PolyLike) -> "PolyScalar":
+        return self._merge(poly(other), GaussianRational.__sub__)
+
+    def __rsub__(self, other: PolyLike) -> "PolyScalar":
+        return poly(other) - self
+
+    def _merge(self, other: "PolyScalar", op) -> "PolyScalar":
+        """``op`` (add or subtract) applied term by term, in one dict."""
         if not other.terms:
             return self
         d = dict(self.terms)
         for m, c in other.terms:
-            s = d.get(m, GR_ZERO) + c
+            s = op(d.get(m, GR_ZERO), c)
             if s.is_zero():
                 d.pop(m, None)
             else:
                 d[m] = s
         return PolyScalar.from_dict(d)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: PolyLike) -> "PolyScalar":
-        return self + (-poly(other))
-
-    def __rsub__(self, other: PolyLike) -> "PolyScalar":
-        return poly(other) + (-self)
 
     def __neg__(self) -> "PolyScalar":
         return PolyScalar(tuple((m, -c) for m, c in self.terms))

@@ -94,6 +94,23 @@ def test_type_command_requires_complete_bindings():
     assert "unbound" in result.stderr
 
 
+def test_type_command_rejects_a_parameter_bound_twice(capsys):
+    at = "t11=0,t22=0,t14=0,t32=0,t32=1"
+    assert cli.main(["type", "--preset", "kodaira", "--at", at]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 1: t32 bound twice\n"
+
+
+def test_non_utf8_input_is_an_input_error(tmp_path, capsys):
+    ws = tmp_path / "bad.ws"
+    ws.write_bytes(b"\xff\xfe basis X\n")
+    assert cli.main(["report", "--input", str(ws)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {ws}: not UTF-8 text\n"
+
+
 def test_strata_command():
     result = run_cli("strata", "--preset", "kodaira")
     assert result.returncode == 0

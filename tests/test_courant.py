@@ -1,18 +1,22 @@
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from gcdeform import cli, courant
+from gcdeform.cli import KODAIRA_WORKSPACE, build_workspace, parse_workspace
 from gcdeform.courant import (
     CourantError,
     GenSection,
     bracket_table,
+    contract,
     courant_bracket,
     lie_derivative,
     pair,
 )
-from gcdeform.frame import FrameAlgebra, eigenframe, kodaira_preset
+from gcdeform.frame import ComplexFrame, FrameAlgebra, eigenframe, kodaira_preset
 from gcdeform.scalar import (
     GR_HALF,
     GR_ONE,
@@ -21,9 +25,10 @@ from gcdeform.scalar import (
     GaussianRational,
     PolyScalar,
     function,
+    parameter,
     poly,
 )
-from oracles import courant_oracle, random_poly
+from oracles import courant_oracle, random_gaussian, random_poly
 
 GR = GaussianRational.of
 HALF_I = GR(0, Fraction(1, 2))
@@ -240,3 +245,95 @@ def test_conjugate_rejects_symbolic_sections(kframe):
     s = GenSection.make(kframe, {"T": function("u1")})
     with pytest.raises(ScalarError):
         s.conjugate()
+
+
+# ---------------------------------------------------------------------------
+# The constant-section structure table against the exterior-calculus oracle
+# ---------------------------------------------------------------------------
+
+CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
+
+IWASAWA = (
+    "basis X1 Y1 X2 Y2 X3 Y3\n"
+    "bracket X1 X2 = -X3\nbracket Y1 Y2 = X3\nbracket X1 Y2 = -Y3\nbracket Y1 X2 = -Y3\n"
+    "J X1 = Y1\nJ Y1 = -X1\nJ X2 = Y2\nJ Y2 = -X2\nJ X3 = Y3\nJ Y3 = -X3\n"
+)
+
+WORKSPACES = {
+    "kodaira": KODAIRA_WORKSPACE,
+    "iwasawa": IWASAWA,
+    **{path.stem: path.read_text(encoding="utf-8") for path in sorted(CORPUS.glob("*.ws"))},
+}
+
+
+def test_corpus_workspaces_are_all_present():
+    assert len(WORKSPACES) == 7
+
+
+@pytest.mark.parametrize("name", sorted(WORKSPACES))
+def test_constant_bracket_matches_oracle_on_every_basis_pair(name):
+    frame = build_workspace(parse_workspace(WORKSPACES[name])).frame
+    gens = _basis_sections(frame)
+    for a, b in itertools.product(range(len(gens)), repeat=2):
+        expected = courant_oracle(frame, gens[a], gens[b])
+        assert courant_bracket(gens[a], gens[b]) == expected, (name, a, b)
+
+
+def _random_two_step_nilpotent(rng, n):
+    """Strictly upper-triangular structure constants, brackets landing in the
+    last ``n - p`` basis elements, which are central; so Jacobi holds."""
+    p = rng.randint(2, n - 1)
+    basis = [f"e{k}" for k in range(n)]
+    brackets = {}
+    for i, j in itertools.combinations(range(p), 2):
+        rhs = {basis[k]: random_gaussian(rng, 2) for k in range(p, n) if rng.random() < 0.6}
+        if rhs:
+            brackets[(basis[i], basis[j])] = rhs
+    return FrameAlgebra.build(basis, brackets)
+
+
+def _random_constant_section(rng, frame):
+    return GenSection.make(
+        frame, {n: random_gaussian(rng, 3) for n in _names(frame) if rng.random() < 0.5}
+    )
+
+
+def test_constant_bracket_matches_oracle_on_random_nilpotent_algebras():
+    rng = random.Random(20261018)
+    t = parameter("t")
+    for _ in range(36):
+        g = _random_two_step_nilpotent(rng, rng.randint(3, 6))
+        assert g.validate_jacobi() == []
+        frame = ComplexFrame.complexified(g)
+        for _ in range(5):
+            s1 = _random_constant_section(rng, frame)
+            s2 = _random_constant_section(rng, frame)
+            table = courant_bracket(s1, s2)
+            assert table == courant_oracle(frame, s1, s2)
+            # a parameter coefficient sends the bracket down the derivative path
+            assert courant_bracket(s1.scale(t), s2) == table.scale(t)
+            pairing = (contract(s1.cotangent, s2.tangent) + contract(s2.cotangent, s1.tangent))
+            assert pair(s1, s2) == pairing.scale(GR_HALF)
+            assert pair(s1.scale(t), s2) == pairing.scale(GR_HALF) * poly(t)
+
+
+def test_report_brackets_only_through_the_table(monkeypatch, capsys):
+    calls = []
+    lie_cotangent = courant._lie_cotangent
+
+    def counted(*args):
+        calls.append(args)
+        return lie_cotangent(*args)
+
+    monkeypatch.setattr(courant, "_lie_cotangent", counted)
+    builds = []
+    table = ComplexFrame.__dict__["courant_table"]
+    build = table.func
+    monkeypatch.setattr(table, "func", lambda frame: builds.append(frame) or build(frame))
+    assert cli.main(["report", "--preset", "kodaira"]) == 0
+    capsys.readouterr()
+    assert calls == [] and len(builds) == 1
+    # the counter sees the derivative path of a section with a function coefficient
+    frame = builds[0]
+    courant_bracket(GenSection.make(frame, {"T": function("u")}), GenSection.basis(frame, "rho"))
+    assert len(calls) == 2
