@@ -13,15 +13,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .courant import GenSection, courant_bracket, directional, pair
+from .courant import GenSection, courant_bracket, directional, doubled_pair, pair
 from .frame import ComplexFrame, ComplexOp, ExteriorForm, FrameAlgebra, eigenframe
 from .scalar import (
     GR_I,
     GR_ONE,
     GR_ZERO,
     GaussianRational,
+    Matrix,
     PolyLike,
     PolyScalar,
     SingularMatrixError,
@@ -40,6 +41,73 @@ class InternalConsistencyError(RuntimeError):
     """An identity the engine relies on failed in exact arithmetic."""
 
 
+class Splitting:
+    """Constant sections g_j and their conjugates, read through the pairing.
+
+    ``pairing`` is P[j][k] = 2<g_j, conj(g_k)> and ``inverse`` is P^-1, or None
+    when P is singular.  Isotropic, independent sections span a maximal
+    isotropic L, and L = L^perp: v lies in L exactly when 2<g_c, v> = 0 for
+    every c, L meets its conjugate only in zero exactly when P is invertible,
+    and v in L has coordinates x_a = 2<h_a, v>, h_a = sum_i P^-1[i][a] conj(g_i).
+    """
+
+    def __init__(self, sections: Sequence[GenSection]):
+        self.sections = tuple(sections)
+        self.conjugates = tuple(g.conjugate() for g in self.sections)
+        self.vectors = [g.constant_vector() for g in self.sections]
+        self.conj_vectors = [c.constant_vector() for c in self.conjugates]
+        self.pairing = [[doubled_pair(v, c) for c in self.conj_vectors] for v in self.vectors]
+        try:
+            self.inverse: Optional[Matrix] = mat_inverse(self.pairing)
+        except SingularMatrixError:
+            self.inverse = None
+        self.separated = self.inverse is not None
+
+    @cached_property
+    def duals(self) -> Matrix:
+        """The vectors h_a, with 2<h_a, g_b> = delta_ab."""
+        slots = list(zip(*self.conj_vectors))
+        return [
+            [sum((row[a] * c for row, c in zip(self.inverse, slot)), GR_ZERO) for slot in slots]
+            for a in range(len(self.inverse))
+        ]
+
+    def brackets(self) -> Iterator[tuple[tuple[int, int], GenSection]]:
+        """((a, b), [g_a, g_b]) for a < b, computed as they are read."""
+        gs = self.sections
+        for a, b in itertools.combinations(range(len(gs)), 2):
+            yield (a, b), courant_bracket(gs[a], gs[b])
+
+    def non_isotropic_pair(self) -> Optional[tuple[int, int]]:
+        """The first (a, b), a <= b, with <g_a, g_b> != 0, or None."""
+        vs = self.vectors
+        pairs = itertools.combinations_with_replacement(range(len(vs)), 2)
+        return next(((a, b) for a, b in pairs if doubled_pair(vs[a], vs[b])), None)
+
+    def independent(self) -> bool:
+        # an invertible P certifies independence; the rank runs only without one
+        return self.separated or mat_rank(self.vectors) == len(self.vectors)
+
+    def contains(self, vector, zero=GR_ZERO) -> bool:
+        """Whether 2<g_c, v> = 0 for every c; ``zero`` is as for ``doubled_pair``."""
+        return not any(doubled_pair(g, vector, zero) for g in self.vectors)
+
+    def coordinates(self, vector, zero=GR_ZERO) -> Optional[list]:
+        """The x_a of a vector of L, or None outside L; needs separated sections."""
+        if not self.contains(vector, zero):
+            return None
+        return [doubled_pair(h, vector, zero) for h in self.duals]
+
+    def involutive(self) -> bool:
+        """Whether every [g_a, g_b] lies in L; needs L = L^perp."""
+        return all(self.contains(br.constant_vector()) for _, br in self.brackets())
+
+    def type_index(self) -> int:
+        """Codimension of the tangent projection in the complexified tangent."""
+        d = len(self.vectors[0]) // 2
+        return d - mat_rank([v[:d] for v in self.vectors])
+
+
 @dataclass(frozen=True)
 class IsotropicSubbundle:
     """Maximal isotropic, Courant-involutive subbundle with algebroid data.
@@ -48,19 +116,17 @@ class IsotropicSubbundle:
     cotangent-type when L arises from a complex structure; it powers the
     classical/non-classical labeling of deformations and is absent otherwise.
 
-    ``span`` is the generators' span with its left inverse, built once by
-    ``build``.  The other derived data (the conjugate span, the doubled
-    pairing, the theta-inverse sections and the Schouten table) is computed on
-    first use and kept on the instance.
+    ``splitting`` is the pair (L, L-bar) read through the pairing, built once
+    by ``build``; the theta-inverse sections and the Schouten table are
+    computed on first use and kept on the instance.
     """
 
     frame: ComplexFrame
     names: tuple[str, ...]
     generators: tuple[GenSection, ...]
-    conj_generators: tuple[GenSection, ...]
     anchor: tuple[tuple[GaussianRational, ...], ...]
     algebroid: FrameAlgebra
-    span: "Span" = field(compare=False, repr=False)
+    splitting: Splitting = field(compare=False, repr=False)
     split: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
 
     # -- construction ---------------------------------------------------------
@@ -82,39 +148,25 @@ class IsotropicSubbundle:
             if not g.is_constant():
                 raise AlgebroidError("generators must be constant sections")
 
-        for a, b in itertools.combinations_with_replacement(range(len(generators)), 2):
+        splitting = Splitting(generators)
+        bad = splitting.non_isotropic_pair()
+        if bad is not None:
+            a, b = bad
             p = pair(generators[a], generators[b])
-            if not p.is_zero():
-                raise AlgebroidError(
-                    f"not isotropic: <{names[a]}, {names[b]}> = {p}"
-                )
-
-        try:
-            span = Span(generators)
-        except SingularMatrixError:
-            raise AlgebroidError("generators are linearly dependent") from None
-
-        conj = tuple(g.conjugate() for g in generators)
-        stacked = [g.constant_vector() for g in generators + conj]
-        if mat_rank(stacked) != 2 * len(generators):
+            raise AlgebroidError(f"not isotropic: <{names[a]}, {names[b]}> = {p}")
+        if not splitting.separated:
+            if not splitting.independent():
+                raise AlgebroidError("generators are linearly dependent")
             raise AlgebroidError("L and its conjugate intersect (real index not zero)")
 
         brackets: dict[tuple[str, str], dict[str, GaussianRational]] = {}
-        for a in range(len(generators)):
-            for b in range(a + 1, len(generators)):
-                br = courant_bracket(generators[a], generators[b])
-                coeffs = span.express(br.constant_vector())
-                if coeffs is None:
-                    raise AlgebroidError(
-                        f"not involutive: [{names[a]}, {names[b]}] = {br}"
-                    )
-                rhs = {
-                    names[c]: coeffs[c].constant_value()
-                    for c in range(len(generators))
-                    if not coeffs[c].is_zero()
-                }
-                if rhs:
-                    brackets[(names[a], names[b])] = rhs
+        for (a, b), br in splitting.brackets():
+            coeffs = splitting.coordinates(br.constant_vector())
+            if coeffs is None:
+                raise AlgebroidError(f"not involutive: [{names[a]}, {names[b]}] = {br}")
+            rhs = {names[c]: v for c, v in enumerate(coeffs) if v}
+            if rhs:
+                brackets[(names[a], names[b])] = rhs
 
         algebroid = FrameAlgebra.build(names, brackets, tuple(f"{n}*" for n in names))
         anchor = tuple(
@@ -124,10 +176,9 @@ class IsotropicSubbundle:
             frame=frame,
             names=names,
             generators=generators,
-            conj_generators=conj,
             anchor=anchor,
             algebroid=algebroid,
-            span=span,
+            splitting=splitting,
             split=tuple(split) if split else None,
         )
 
@@ -146,7 +197,7 @@ class IsotropicSubbundle:
 
     def type_index(self) -> int:
         """Codimension of the tangent projection in the complexified tangent."""
-        return self.frame.dim - mat_rank([list(r) for r in self.anchor])
+        return self.splitting.type_index()
 
     def ambient_section(self, coeffs: Sequence[PolyLike]) -> GenSection:
         """Section given by generator coefficients, expanded in the ambient frame."""
@@ -155,47 +206,30 @@ class IsotropicSubbundle:
             out = out + g.scale(poly(c))
         return out
 
-    @cached_property
-    def conj_span(self) -> "Span":
-        return Span(self.conj_generators)
-
-    @cached_property
-    def doubled_pairing(self) -> tuple[tuple[GaussianRational, ...], ...]:
-        """``[j][i]`` is 2<g_j, conj(g_i)>, the matrix of theta on the conjugates."""
-        return tuple(
-            tuple(pair(g, c).constant_value() * 2 for c in self.conj_generators)
-            for g in self.generators
-        )
-
     def express(self, section: GenSection) -> Optional[list[PolyScalar]]:
         """Generator coefficients of an ambient section, or None if outside L."""
-        return self.span.express(section.coeffs)
+        return self.splitting.coordinates(section.coeffs, PolyScalar.zero())
 
     # -- theta identification ---------------------------------------------------
 
     @cached_property
     def _theta_inverse(self) -> tuple[GenSection, ...]:
-        try:
-            inverse = mat_inverse(self.doubled_pairing)
-        except SingularMatrixError:
-            raise AlgebroidError("degenerate pairing between L and its conjugate") from None
-        out = []
-        for a in range(self.rank):
-            h = GenSection.zero(self.frame)
-            for c, row in zip(self.conj_generators, inverse):
-                h = h + c.scale(PolyScalar.const(row[a]))
-            out.append(h)
-        return tuple(out)
+        return tuple(
+            GenSection(self.frame, tuple(PolyScalar.const(c) for c in h))
+            for h in self.splitting.duals
+        )
 
     def theta_inverse_sections(self) -> list[GenSection]:
         """Sections h_a of the conjugate span with 2<h_a, g_b> = delta_ab."""
         return list(self._theta_inverse)
 
     def theta(self, y: GenSection) -> list[GaussianRational]:
-        """Dual coefficients 2<y, g_a> of a constant section of the conjugate span."""
-        if self.conj_span.express(y.coeffs) is None:
+        """Dual coefficients 2<y, g_a> of a constant section of the conjugate
+        span, which is its own orthogonal: y pairs to zero with every conj(g_c)."""
+        vec = y.constant_vector()
+        if any(doubled_pair(c, vec) for c in self.splitting.conj_vectors):
             raise AlgebroidError("section is not in the conjugate span")
-        return [(pair(y, g).constant_value() * 2) for g in self.generators]
+        return [doubled_pair(g, vec) for g in self.splitting.vectors]
 
     # -- differentials -----------------------------------------------------------
 
@@ -318,43 +352,21 @@ class IsotropicSubbundle:
         return ExteriorForm.build(self.lform_names, acc)
 
 
-class Span:
-    """Constant sections as the columns of a matrix, with one left inverse.
-
-    Building a ``Span`` raises ``SingularMatrixError`` exactly when the
-    sections are linearly dependent.
-    """
-
-    def __init__(self, sections: Sequence[GenSection]):
-        vecs = [s.constant_vector() for s in sections]
-        self.columns = [[v[i] for v in vecs] for i in range(len(vecs[0]))]
-        self.left = mat_left_inverse(self.columns)
-
-    def express(self, vector: Sequence[PolyLike]) -> Optional[list[PolyScalar]]:
-        """Coefficients c with columns @ c = vector, or None if the vector is outside."""
-        vec = [poly(v) for v in vector]
-        coeffs = []
-        for row in self.left:
-            acc = PolyScalar.zero()
-            for c, v in zip(row, vec):
-                if not c.is_zero() and not v.is_zero():
-                    acc = acc + v.scale(c)
-            coeffs.append(acc)
-        for row, v in zip(self.columns, vec):
-            acc = PolyScalar.zero()
-            for c, x in zip(row, coeffs):
-                if not c.is_zero():
-                    acc = acc + x.scale(c)
-            if acc != v:
-                return None
-        return coeffs
-
-
 def express_in_span(
-    sections: Sequence[GenSection], vector: Sequence[PolyScalar]
+    sections: Sequence[GenSection], vector: Sequence[PolyLike]
 ) -> Optional[list[PolyScalar]]:
-    """Coefficients of a coefficient vector over constant sections, if inside."""
-    return Span(sections).express(vector)
+    """Coefficients of a coefficient vector over constant sections, if inside.
+
+    Raises ``SingularMatrixError`` when the sections are linearly dependent.
+    """
+    columns = [list(col) for col in zip(*(s.constant_vector() for s in sections))]
+    vec = [poly(v) for v in vector]
+
+    def times(row, xs):
+        return sum((x.scale(c) for c, x in zip(row, xs) if c), PolyScalar.zero())
+
+    coeffs = [times(row, vec) for row in mat_left_inverse(columns)]
+    return coeffs if all(times(row, coeffs) == v for row, v in zip(columns, vec)) else None
 
 
 # ---------------------------------------------------------------------------

@@ -756,14 +756,22 @@ def run_pipeline(spec: WorkspaceSpec, command: str, at: Optional[str] = None, fm
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # a usage error is an input error: exit 1, as a parse error does
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gcdeform",
         description="Exact deformations of invariant generalized complex structures.",
     )
     parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--preset", choices=["kodaira"], help="use a built-in workspace")
-    parser.add_argument("--input", help="workspace description file")
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--preset", choices=["kodaira"], help="use a built-in workspace")
+    source.add_argument("--input", help="workspace description file")
     parser.add_argument("--format", choices=["text", "machine"], default="text")
     parser.add_argument("--at", help="parameter bindings for the type command")
     args = parser.parse_args(argv)

@@ -118,13 +118,19 @@ def _same_frame(a: GenSection, b: GenSection) -> None:
 # ---------------------------------------------------------------------------
 
 
+def doubled_pair(x, y, zero=GR_ZERO):
+    """2<x, y> for a constant x: slot k of x meets slot k +- d of y (y[k - d]
+    counts from the end for k < d); y holds polynomials if ``zero`` is one."""
+    d = len(x) // 2
+    return sum((y[k - d] * c for k, c in enumerate(x) if c), zero)
+
+
 def pair(s1: GenSection, s2: GenSection) -> PolyScalar:
     """Natural split-signature pairing: <X+s, Y+t> = (s(Y) + t(X)) / 2."""
     _same_frame(s1, s2)
     d = s1.frame.dim
     if s1.is_constant() and s2.is_constant():
-        x, y = s1.constant_vector(), s2.constant_vector()
-        value = sum((x[d + a] * y[a] + y[d + a] * x[a] for a in range(d)), GR_ZERO)
+        value = doubled_pair(s1.constant_vector(), s2.constant_vector())
         return PolyScalar.const(value * GR_HALF)
     total = PolyScalar.zero()
     for a in range(d):

@@ -11,12 +11,12 @@ type of each deformed structure is classified by exact rank computations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
-from .algebroid import InternalConsistencyError, IsotropicSubbundle, Span
-from .courant import GenSection, courant_bracket, pair
+from .algebroid import InternalConsistencyError, IsotropicSubbundle, Splitting
+from .courant import GenSection
 from .frame import ExteriorForm
 from .scalar import (
     GR_HALF,
@@ -25,7 +25,6 @@ from .scalar import (
     GaussianRational,
     Monomial,
     PolyScalar,
-    SingularMatrixError,
     Symbol,
     mat_rank,
     mat_rref,
@@ -89,37 +88,17 @@ class DeformationMap:
         """Recover the map from a degree-2 element of the exterior square of L*."""
         if form.degrees() not in (set(), {2}):
             raise DeformationError("deformation form must be homogeneous of degree 2")
+        # eps(g_k) = -sum_a phi_a h_a with phi = form(g_k, .), and each
+        # h_a = sum_i P^-1[i][a] conj(g_i) is read off on the conjugates
         n = sub.rank
-        hs = sub.theta_inverse_sections()
-        h_coords = [h.constant_vector() for h in hs]
-        entries = [[PolyScalar.zero() for _ in range(n)] for _ in range(n)]
+        entries = [[PolyScalar.zero()] * n for _ in range(n)]
         for k in range(n):
-            unit = [
-                PolyScalar.const(GR_ONE if a == k else GR_ZERO) for a in range(n)
-            ]
-            phi = form.interior(unit)
-            amb = [PolyScalar.zero()] * (2 * sub.frame.dim)
-            for a in range(n):
-                c = phi.coefficient((a,))
-                if c.is_zero():
-                    continue
-                for slot, hv in enumerate(h_coords[a]):
-                    if not hv.is_zero():
-                        amb[slot] = amb[slot] - c.scale(hv)
-            coeffs = sub.conj_span.express(amb)
-            if coeffs is None:
-                raise DeformationError("form does not map into the conjugate span")
-            for i in range(n):
-                entries[i][k] = coeffs[i]
-        params = sorted(
-            {
-                g
-                for _, c in form.terms
-                for g in c.generators()
-                if isinstance(g, Symbol)
-            },
-            key=lambda s: s.sort_key(),
-        )
+            phi = form.interior([PolyScalar.const(GR_ONE if a == k else GR_ZERO) for a in range(n)])
+            coeffs = [(a, phi.coefficient((a,))) for a in range(n)]
+            for i, row in enumerate(sub.splitting.inverse):
+                entries[i][k] = -sum((c.scale(row[a]) for a, c in coeffs if c), PolyScalar.zero())
+        symbols = {g for _, c in form.terms for g in c.generators() if isinstance(g, Symbol)}
+        params = sorted(symbols, key=lambda s: s.sort_key())
         made = DeformationMap.from_entries(sub, entries, params)
         if made.form != form:
             raise InternalConsistencyError("form transport round-trip failed")
@@ -135,7 +114,7 @@ class DeformationMap:
     def image_section(self, j: int) -> GenSection:
         """eps applied to the j-th generator, as an ambient section."""
         out = GenSection.zero(self.sub.frame)
-        for i, conj in enumerate(self.sub.conj_generators):
+        for i, conj in enumerate(self.sub.splitting.conjugates):
             c = self.entries[i][j]
             if not c.is_zero():
                 out = out + conj.scale(c)
@@ -166,7 +145,7 @@ class DeformationMap:
 
 def _gram(sub: IsotropicSubbundle, entries) -> list[list[PolyScalar]]:
     """``[j][k]`` is 2<g_j, eps(g_k)> for the map with these entries."""
-    pair2 = sub.doubled_pairing
+    pair2 = sub.splitting.pairing
     n = sub.rank
     return [
         [
@@ -443,6 +422,7 @@ class DeformedStructure:
     involutive: bool
     separated: bool
     ground: DeformationMap  # the map at the ground parameter values
+    splitting: Splitting = field(compare=False, repr=False)
 
 
 def _ground(e: DeformationMap, bindings: Mapping[Symbol, GaussianRational]):
@@ -464,33 +444,22 @@ def deform_subbundle(
 
     Separation means the deformed span still intersects its conjugate only in
     zero, which is the exact invertibility condition for the deformed
-    structure to be generalized complex at these values.
+    structure to be generalized complex at these values.  The generators of a
+    compatible map are isotropic, and where independent they span a maximal
+    isotropic L = L^perp, so involutivity is decided even without separation.
     """
     ground = _ground(e, bindings)
     gens = [ground.deformed_generator(j) for j in range(e.sub.rank)]
-
-    isotropic = all(
-        pair(a, b).is_zero() for a, b in itertools.combinations_with_replacement(gens, 2)
-    )
-
-    try:
-        span = Span(gens)
-    except SingularMatrixError:
-        span = None
-    rows = [g.constant_vector() for g in gens]
-    conj_rows = [g.conjugate().constant_vector() for g in gens]
-    separated = span is not None and mat_rank(rows + conj_rows) == 2 * len(gens)
-    involutive = span is not None and all(
-        span.express(courant_bracket(a, b).coeffs) is not None
-        for a, b in itertools.combinations(gens, 2)
-    )
-
+    splitting = Splitting(gens)
+    isotropic = splitting.non_isotropic_pair() is None
+    involutive = isotropic and splitting.independent() and splitting.involutive()
     return DeformedStructure(
         generators=gens,
         isotropic=isotropic,
         involutive=involutive,
-        separated=separated,
+        separated=splitting.separated,
         ground=ground,
+        splitting=splitting,
     )
 
 
@@ -499,10 +468,7 @@ def _structure_type(structure: DeformedStructure) -> int:
         raise DeformationError(
             "not a generalized complex structure at these parameter values"
         )
-    rows = [
-        [c.constant_value() for c in g.tangent] for g in structure.generators
-    ]
-    return structure.ground.sub.frame.dim - mat_rank(rows)
+    return structure.splitting.type_index()
 
 
 def type_of(e: DeformationMap, bindings: Mapping[Symbol, GaussianRational]) -> int:

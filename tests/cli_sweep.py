@@ -1,0 +1,110 @@
+"""Print the exit code, stdout and stderr of every gcdeform command.
+
+Usage: ``python tests/cli_sweep.py [SRC]``, where SRC is the source directory
+to import gcdeform from (default: the ``src`` next to this file).  Run it on
+two source trees and diff the outputs to see every byte a change moves.
+
+The sweep covers each command in both formats on the built-in preset, on
+every ``bench/corpus/*.ws`` workspace (read only), on the Iwasawa frame, on a
+workspace given by subbundle generators and on one workspace per refusal of
+the subbundle build; then three ``type`` points and the usage errors.  Each
+workspace is written to a temporary directory under a fixed name, so the
+paths in the output do not depend on where the sweep runs.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+CORPUS = HERE.parent / "bench" / "corpus"
+
+WORKSPACES = {
+    "iwasawa.ws": (
+        "basis X1 Y1 X2 Y2 X3 Y3\n"
+        "bracket X1 X2 = -X3\nbracket Y1 Y2 = X3\nbracket X1 Y2 = -Y3\nbracket Y1 X2 = -Y3\n"
+        "J X1 = Y1\nJ Y1 = -X1\nJ X2 = Y2\nJ Y2 = -X2\nJ X3 = Y3\nJ Y3 = -X3\n"
+    ),
+    "kodaira_symplectic_generators.ws": (
+        "basis X Y U V\nbracket X Y = U\n"
+        "generator X - i*U*\ngenerator Y - i*V*\n"
+        "generator U + i*X*\ngenerator V + i*Y*\n"
+    ),
+    "refuse_dependent.ws": "basis X Y\ngenerator X\ngenerator X\n",
+    "refuse_intersect.ws": "basis X Y\ngenerator X\ngenerator Y\n",
+    "refuse_isotropic.ws": "basis X Y\ngenerator X + i*X*\ngenerator X + i*X*\n",
+    "refuse_involutive.ws": (
+        "basis X Y U V\nbracket X Y = U\nsymplectic X Y = 1\nsymplectic U V = 1\n"
+    ),
+}
+
+COMMANDS = ("validate", "brackets", "mc", "gauge", "family", "type", "strata", "report")
+
+TYPE_POINTS = (
+    "t14=1,t32=0,t11=0,t22=0",
+    "t14=0,t32=1,t11=0,t22=0",
+    "t14=0,t32=0,t11=1,t22=0",
+)
+
+USAGE_ERRORS = (
+    ("foo", "--preset", "kodaira"),
+    ("report", "--preset", "nope"),
+    ("report", "--preset", "kodaira", "--format", "xml"),
+    ("report", "--preset", "kodaira", "--input", "kodaira_symplectic.ws"),
+    ("report",),
+)
+
+
+def invocations(names):
+    sources = [("--preset", "kodaira")] + [("--input", name) for name in names]
+    for source in sources:
+        for command in COMMANDS:
+            for fmt in ("text", "machine"):
+                yield (command, *source, "--format", fmt)
+    for at in TYPE_POINTS:
+        for fmt in ("text", "machine"):
+            yield ("type", "--preset", "kodaira", "--at", at, "--format", fmt)
+    yield from USAGE_ERRORS
+
+
+def run(main, argv) -> tuple[str, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # a traceback is a finding, not a crash of the sweep
+            code = f"uncaught {type(exc).__name__}: {exc}"
+    return str(code), out.getvalue(), err.getvalue()
+
+
+def main() -> int:
+    src = Path(sys.argv[1]).resolve() if len(sys.argv) > 1 else HERE.parent / "src"
+    sys.path.insert(0, str(src))
+    from gcdeform.cli import main as gcdeform_main
+
+    texts = {path.name: path.read_text(encoding="utf-8") for path in sorted(CORPUS.glob("*.ws"))}
+    texts.update(WORKSPACES)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in texts.items():
+            Path(tmp, name).write_text(text, encoding="utf-8")
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            for argv in invocations(sorted(texts)):
+                code, out, err = run(gcdeform_main, argv)
+                print(f"$ gcdeform {' '.join(argv)}\nexit {code}")
+                print(f"--- stdout\n{out}--- stderr\n{err}--- end")
+        finally:
+            os.chdir(cwd)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,19 +10,27 @@ from dataclasses import dataclass
 from fractions import Fraction
 import itertools
 from math import gcd
-from typing import Sequence
+from typing import Optional, Sequence
 import operator
 import random
 
-from gcdeform.courant import GenSection
+from gcdeform.algebroid import AlgebroidError
+from gcdeform.courant import GenSection, courant_bracket, pair
+from gcdeform.deformation import DeformationError
 from gcdeform.frame import ComplexFrame, ExteriorForm
 from gcdeform.scalar import (
     GR_ONE,
     GR_ZERO,
     GaussianRational,
     LinearSolution,
+    PolyLike,
     PolyScalar,
+    SingularMatrixError,
     Symbol,
+    mat_inverse,
+    mat_left_inverse,
+    mat_rank,
+    poly,
 )
 
 
@@ -348,3 +356,114 @@ def reference_ce_differential(algebra, form: ExteriorForm) -> ExteriorForm:
             piece = _wedge(_wedge(left, algebra.d_dual_basis(k)), right).scale(c)
             out = out + (-piece if pos % 2 else piece)
     return out
+
+
+# The engine's linear algebra of a subbundle before the pairing with the
+# conjugate decided it: a span with one left inverse per generator set and per
+# conjugate set, and the verdicts ``deform_subbundle`` drew from it.
+class Span:
+    """Constant sections as the columns of a matrix, with one left inverse.
+
+    Building a ``Span`` raises ``SingularMatrixError`` exactly when the
+    sections are linearly dependent.
+    """
+
+    def __init__(self, sections: Sequence[GenSection]):
+        vecs = [s.constant_vector() for s in sections]
+        self.columns = [[v[i] for v in vecs] for i in range(len(vecs[0]))]
+        self.left = mat_left_inverse(self.columns)
+
+    def express(self, vector: Sequence[PolyLike]) -> Optional[list[PolyScalar]]:
+        """Coefficients c with columns @ c = vector, or None if the vector is outside."""
+        vec = [poly(v) for v in vector]
+        coeffs = []
+        for row in self.left:
+            acc = PolyScalar.zero()
+            for c, v in zip(row, vec):
+                if not c.is_zero() and not v.is_zero():
+                    acc = acc + v.scale(c)
+            coeffs.append(acc)
+        for row, v in zip(self.columns, vec):
+            acc = PolyScalar.zero()
+            for c, x in zip(row, coeffs):
+                if not c.is_zero():
+                    acc = acc + x.scale(c)
+            if acc != v:
+                return None
+        return coeffs
+
+
+def reference_verdicts(gens: Sequence[GenSection]) -> tuple[bool, bool, bool]:
+    """(isotropic, involutive, separated) of constant generators, by spans."""
+    isotropic = all(
+        pair(a, b).is_zero() for a, b in itertools.combinations_with_replacement(gens, 2)
+    )
+
+    try:
+        span = Span(gens)
+    except SingularMatrixError:
+        span = None
+    rows = [g.constant_vector() for g in gens]
+    conj_rows = [g.conjugate().constant_vector() for g in gens]
+    separated = span is not None and mat_rank(rows + conj_rows) == 2 * len(gens)
+    involutive = span is not None and all(
+        span.express(courant_bracket(a, b).coeffs) is not None
+        for a, b in itertools.combinations(gens, 2)
+    )
+    return isotropic, involutive, separated
+
+
+def reference_express(sub, section: GenSection) -> Optional[list[PolyScalar]]:
+    """Generator coefficients of an ambient section, or None if outside L."""
+    return Span(sub.generators).express(section.coeffs)
+
+
+def reference_theta(sub, y: GenSection) -> list[GaussianRational]:
+    """Dual coefficients 2<y, g_a> of a constant section of the conjugate span."""
+    if Span(sub.splitting.conjugates).express(y.coeffs) is None:
+        raise AlgebroidError("section is not in the conjugate span")
+    return [(pair(y, g).constant_value() * 2) for g in sub.generators]
+
+
+def reference_theta_inverse(sub) -> tuple[GenSection, ...]:
+    """Sections h_a of the conjugate span with 2<h_a, g_b> = delta_ab."""
+    doubled_pairing = tuple(
+        tuple(pair(g, c).constant_value() * 2 for c in sub.splitting.conjugates)
+        for g in sub.generators
+    )
+    inverse = mat_inverse(doubled_pairing)
+    out = []
+    for a in range(sub.rank):
+        h = GenSection.zero(sub.frame)
+        for c, row in zip(sub.splitting.conjugates, inverse):
+            h = h + c.scale(PolyScalar.const(row[a]))
+        out.append(h)
+    return tuple(out)
+
+
+def reference_form_entries(sub, form: ExteriorForm) -> list[list[PolyScalar]]:
+    """Entries of the map eps: L -> L-bar whose transported 2-form is ``form``."""
+    n = sub.rank
+    hs = reference_theta_inverse(sub)
+    h_coords = [h.constant_vector() for h in hs]
+    conj_span = Span(sub.splitting.conjugates)
+    entries = [[PolyScalar.zero() for _ in range(n)] for _ in range(n)]
+    for k in range(n):
+        unit = [
+            PolyScalar.const(GR_ONE if a == k else GR_ZERO) for a in range(n)
+        ]
+        phi = form.interior(unit)
+        amb = [PolyScalar.zero()] * (2 * sub.frame.dim)
+        for a in range(n):
+            c = phi.coefficient((a,))
+            if c.is_zero():
+                continue
+            for slot, hv in enumerate(h_coords[a]):
+                if not hv.is_zero():
+                    amb[slot] = amb[slot] - c.scale(hv)
+        coeffs = conj_span.express(amb)
+        if coeffs is None:
+            raise DeformationError("form does not map into the conjugate span")
+        for i in range(n):
+            entries[i][k] = coeffs[i]
+    return entries

@@ -223,6 +223,70 @@ def test_subbundle_real_span_rejected(tmp_path):
     assert result.returncode == 2
 
 
+NON_CLOSED_SYMPLECTIC = (
+    "basis X Y U V\nbracket X Y = U\nsymplectic X Y = 1\nsymplectic U V = 1\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("basis X Y\ngenerator X\ngenerator X\n", "generators are linearly dependent"),
+        (
+            "basis X Y\ngenerator X\ngenerator Y\n",
+            "L and its conjugate intersect (real index not zero)",
+        ),
+        # dependent as well: isotropy is checked before independence
+        (
+            "basis X Y\ngenerator X + i*X*\ngenerator X + i*X*\n",
+            "not isotropic: <G1, G1> = i",
+        ),
+        (NON_CLOSED_SYMPLECTIC, "not involutive: [LX, LY] = U"),
+    ],
+    ids=["dependent", "intersect", "not-isotropic", "not-involutive"],
+)
+def test_subbundle_refusals_exit_2(tmp_path, capsys, text, message):
+    ws = tmp_path / "bad.ws"
+    ws.write_text(text, encoding="utf-8")
+    assert cli.main(["validate", "--input", str(ws)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["foo", "--preset", "kodaira"], "argument command: invalid choice: 'foo'"),
+        (["report", "--preset", "nope"], "argument --preset: invalid choice: 'nope'"),
+        (
+            ["report", "--preset", "kodaira", "--format", "xml"],
+            "argument --format: invalid choice: 'xml'",
+        ),
+        (
+            ["report", "--preset", "kodaira", "--input", "my.ws"],
+            "argument --input: not allowed with argument --preset",
+        ),
+    ],
+    ids=["command", "preset", "format", "preset-and-input"],
+)
+def test_usage_errors_exit_1(capsys, argv, reason):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: gcdeform ")
+    assert f"gcdeform: error: {reason}" in captured.err
+
+
+def test_neither_preset_nor_input_is_an_input_error(capsys):
+    assert cli.main(["report"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need --preset or --input\n"
+
+
 def test_missing_structure_rejected():
     with pytest.raises(ParseError, match="exactly one structure"):
         parse_workspace("basis X Y\n")
@@ -366,6 +430,12 @@ ABELIAN4_SYMPLECTIC = "basis X Y U V\nsymplectic X Y = 1\nsymplectic U V = 1\n"
 ABELIAN6_COMPLEX = "basis X1 Y1 X2 Y2 X3 Y3\n" + "".join(
     f"J X{i} = Y{i}\nJ Y{i} = -X{i}\n" for i in range(1, 4)
 )
+# Kodaira symplectic entered as subbundle generators X - i*w(X)
+KODAIRA_SYMPLECTIC_GENERATORS = (
+    "basis X Y U V\nbracket X Y = U\n"
+    "generator X - i*U*\ngenerator Y - i*V*\n"
+    "generator U + i*X*\ngenerator V + i*Y*\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -380,6 +450,7 @@ ABELIAN6_COMPLEX = "basis X1 Y1 X2 Y2 X3 Y3\n" + "".join(
         ("report", ABELIAN4_SYMPLECTIC, "abelian4_symplectic_report.json"),
         # 15 family parameters: the strata section refuses
         ("report", ABELIAN6_COMPLEX, "abelian6_complex_report.json"),
+        ("report", KODAIRA_SYMPLECTIC_GENERATORS, "kodaira_symplectic_generators_report.json"),
     ],
     ids=[
         "kodaira-symplectic-report",
@@ -388,6 +459,7 @@ ABELIAN6_COMPLEX = "basis X1 Y1 X2 Y2 X3 Y3\n" + "".join(
         "abelian4-complex-report",
         "abelian4-symplectic-report",
         "abelian6-complex-report",
+        "kodaira-symplectic-generators-report",
     ],
 )
 def test_machine_output_matches_golden_file(tmp_path, capsys, command, text, golden):
