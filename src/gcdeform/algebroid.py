@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
-from .courant import GenSection, courant_bracket, directional, doubled_pair, pair
+from .courant import GenSection, bracket_vectors, conjugate_vector, courant_bracket
+from .courant import directional, doubled_pair, pair
 from .frame import ComplexFrame, ComplexOp, ExteriorForm, FrameAlgebra, eigenframe
 from .scalar import (
     GR_I,
@@ -42,7 +43,7 @@ class InternalConsistencyError(RuntimeError):
 
 
 class Splitting:
-    """Constant sections g_j and their conjugates, read through the pairing.
+    """Constant vectors g_j and their conjugates, read through the pairing.
 
     ``pairing`` is P[j][k] = 2<g_j, conj(g_k)> and ``inverse`` is P^-1, or None
     when P is singular.  Isotropic, independent sections span a maximal
@@ -51,17 +52,20 @@ class Splitting:
     and v in L has coordinates x_a = 2<h_a, v>, h_a = sum_i P^-1[i][a] conj(g_i).
     """
 
-    def __init__(self, sections: Sequence[GenSection]):
-        self.sections = tuple(sections)
-        self.conjugates = tuple(g.conjugate() for g in self.sections)
-        self.vectors = [g.constant_vector() for g in self.sections]
-        self.conj_vectors = [c.constant_vector() for c in self.conjugates]
+    def __init__(self, frame: ComplexFrame, vectors: Sequence[list]):
+        self.frame = frame
+        self.vectors = list(vectors)
+        self.conj_vectors = [conjugate_vector(frame, v) for v in self.vectors]
         self.pairing = [[doubled_pair(v, c) for c in self.conj_vectors] for v in self.vectors]
         try:
             self.inverse: Optional[Matrix] = mat_inverse(self.pairing)
         except SingularMatrixError:
             self.inverse = None
         self.separated = self.inverse is not None
+
+    @cached_property
+    def conjugates(self) -> tuple[GenSection, ...]:
+        return tuple(GenSection.constant(self.frame, c) for c in self.conj_vectors)
 
     @cached_property
     def duals(self) -> Matrix:
@@ -72,11 +76,11 @@ class Splitting:
             for a in range(len(self.inverse))
         ]
 
-    def brackets(self) -> Iterator[tuple[tuple[int, int], GenSection]]:
-        """((a, b), [g_a, g_b]) for a < b, computed as they are read."""
-        gs = self.sections
-        for a, b in itertools.combinations(range(len(gs)), 2):
-            yield (a, b), courant_bracket(gs[a], gs[b])
+    def brackets(self) -> Iterator[tuple[tuple[int, int], list]]:
+        """((a, b), [g_a, g_b]) as vectors for a < b, computed as they are read."""
+        vs = self.vectors
+        for a, b in itertools.combinations(range(len(vs)), 2):
+            yield (a, b), bracket_vectors(self.frame, vs[a], vs[b])
 
     def non_isotropic_pair(self) -> Optional[tuple[int, int]]:
         """The first (a, b), a <= b, with <g_a, g_b> != 0, or None."""
@@ -100,7 +104,7 @@ class Splitting:
 
     def involutive(self) -> bool:
         """Whether every [g_a, g_b] lies in L; needs L = L^perp."""
-        return all(self.contains(br.constant_vector()) for _, br in self.brackets())
+        return all(self.contains(br) for _, br in self.brackets())
 
     def type_index(self) -> int:
         """Codimension of the tangent projection in the complexified tangent."""
@@ -148,7 +152,7 @@ class IsotropicSubbundle:
             if not g.is_constant():
                 raise AlgebroidError("generators must be constant sections")
 
-        splitting = Splitting(generators)
+        splitting = Splitting(frame, [g.constant_vector() for g in generators])
         bad = splitting.non_isotropic_pair()
         if bad is not None:
             a, b = bad
@@ -161,17 +165,16 @@ class IsotropicSubbundle:
 
         brackets: dict[tuple[str, str], dict[str, GaussianRational]] = {}
         for (a, b), br in splitting.brackets():
-            coeffs = splitting.coordinates(br.constant_vector())
+            coeffs = splitting.coordinates(br)
             if coeffs is None:
-                raise AlgebroidError(f"not involutive: [{names[a]}, {names[b]}] = {br}")
+                shown = GenSection.constant(frame, br)
+                raise AlgebroidError(f"not involutive: [{names[a]}, {names[b]}] = {shown}")
             rhs = {names[c]: v for c, v in enumerate(coeffs) if v}
             if rhs:
                 brackets[(names[a], names[b])] = rhs
 
         algebroid = FrameAlgebra.build(names, brackets, tuple(f"{n}*" for n in names))
-        anchor = tuple(
-            tuple(c.constant_value() for c in g.tangent) for g in generators
-        )
+        anchor = tuple(tuple(v[: frame.dim]) for v in splitting.vectors)
         return IsotropicSubbundle(
             frame=frame,
             names=names,
@@ -214,10 +217,7 @@ class IsotropicSubbundle:
 
     @cached_property
     def _theta_inverse(self) -> tuple[GenSection, ...]:
-        return tuple(
-            GenSection(self.frame, tuple(PolyScalar.const(c) for c in h))
-            for h in self.splitting.duals
-        )
+        return tuple(GenSection.constant(self.frame, h) for h in self.splitting.duals)
 
     def theta_inverse_sections(self) -> list[GenSection]:
         """Sections h_a of the conjugate span with 2<h_a, g_b> = delta_ab."""

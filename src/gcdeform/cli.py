@@ -775,6 +775,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--format", choices=["text", "machine"], default="text")
     parser.add_argument("--at", help="parameter bindings for the type command")
     args = parser.parse_args(argv)
+    if args.at is not None and args.command != "type":
+        parser.error("argument --at: only the type command takes bindings")
 
     try:
         if args.preset:

@@ -46,6 +46,11 @@ class GenSection:
     def basis(frame: ComplexFrame, name: str) -> "GenSection":
         return GenSection.make(frame, {name: PolyScalar.const(GR_ONE)})
 
+    @staticmethod
+    def constant(frame: ComplexFrame, vector) -> "GenSection":
+        """The constant section with a Gaussian-rational coefficient vector."""
+        return GenSection(frame, tuple(PolyScalar.const(c) for c in vector))
+
     @property
     def tangent(self) -> tuple[PolyScalar, ...]:
         return self.coeffs[: self.frame.dim]
@@ -82,13 +87,7 @@ class GenSection:
         return GenSection(self.frame, tuple(c * k for k in self.coeffs))
 
     def conjugate(self) -> "GenSection":
-        """Conjugate a constant section: bar the labels, conjugate the values."""
-        d = self.frame.dim
-        out = [PolyScalar.zero()] * (2 * d)
-        for a in range(d):
-            out[self.frame.conj[a]] = self.coeffs[a].conjugate_constant()
-            out[d + self.frame.conj[a]] = self.coeffs[d + a].conjugate_constant()
-        return GenSection(self.frame, tuple(out))
+        return GenSection.constant(self.frame, conjugate_vector(self.frame, self.constant_vector()))
 
     def constant_vector(self):
         return [c.constant_value() for c in self.coeffs]
@@ -98,6 +97,15 @@ class GenSection:
         return render_sum(
             (str(c), name) for name, c in zip(names, self.coeffs) if not c.is_zero()
         )
+
+
+def conjugate_vector(frame: ComplexFrame, vector) -> list:
+    """Conjugate a constant coefficient vector: bar the labels, conjugate the values."""
+    d = frame.dim
+    out = [GR_ZERO] * (2 * d)
+    for a, b in enumerate(frame.conj):
+        out[b], out[d + b] = vector[a].conjugate(), vector[d + a].conjugate()
+    return out
 
 
 def _slot(frame: ComplexFrame, name: str) -> int:
@@ -122,7 +130,7 @@ def doubled_pair(x, y, zero=GR_ZERO):
     """2<x, y> for a constant x: slot k of x meets slot k +- d of y (y[k - d]
     counts from the end for k < d); y holds polynomials if ``zero`` is one."""
     d = len(x) // 2
-    return sum((y[k - d] * c for k, c in enumerate(x) if c), zero)
+    return sum((y[k - d] * c for k, c in enumerate(x) if c and y[k - d]), zero)
 
 
 def pair(s1: GenSection, s2: GenSection) -> PolyScalar:
@@ -211,6 +219,23 @@ def lie_derivative(x: GenSection, f: GenSection) -> GenSection:
     return GenSection(x.frame, tuple(zero + out))
 
 
+def bracket_vectors(frame: ComplexFrame, x, y) -> list:
+    """[x, y] of constant coefficient vectors, bilinear by the frame's ``courant_table``."""
+    table = frame.courant_table
+    ys = [(b, w) for b, w in enumerate(y) if w]
+    out = [GR_ZERO] * len(x)
+    for a, v in enumerate(x):
+        if not v:
+            continue
+        for b, w in ys:
+            terms = table.get((a, b))
+            if terms:
+                vw = v * w
+                for k, c in terms:
+                    out[k] = out[k] + vw * c
+    return out
+
+
 def courant_bracket(s1: GenSection, s2: GenSection) -> GenSection:
     """Skew bracket [X+s, Y+t] = [X,Y] + L_X t - L_Y s - d(i_X t - i_Y s)/2.
 
@@ -220,19 +245,8 @@ def courant_bracket(s1: GenSection, s2: GenSection) -> GenSection:
     frame = s1.frame
     d = frame.dim
     if s1.is_constant() and s2.is_constant():
-        table = frame.courant_table
-        ys = [(b, w) for b, w in enumerate(s2.constant_vector()) if w]
-        out = [GR_ZERO] * (2 * d)
-        for a, v in enumerate(s1.constant_vector()):
-            if not v:
-                continue
-            for b, w in ys:
-                terms = table.get((a, b))
-                if terms:
-                    vw = v * w
-                    for k, c in terms:
-                        out[k] = out[k] + vw * c
-        return GenSection(frame, tuple(PolyScalar.const(c) for c in out))
+        x, y = s1.constant_vector(), s2.constant_vector()
+        return GenSection.constant(frame, bracket_vectors(frame, x, y))
     x, sig = list(s1.tangent), list(s1.cotangent)
     y, tau = list(s2.tangent), list(s2.cotangent)
 

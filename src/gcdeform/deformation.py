@@ -23,6 +23,7 @@ from .scalar import (
     GR_ONE,
     GR_ZERO,
     GaussianRational,
+    Matrix,
     Monomial,
     PolyScalar,
     Symbol,
@@ -111,17 +112,13 @@ class DeformationMap:
         remaining = tuple(p for p in self.parameters if p not in bindings)
         return DeformationMap.from_entries(self.sub, entries, remaining)
 
-    def image_section(self, j: int) -> GenSection:
-        """eps applied to the j-th generator, as an ambient section."""
-        out = GenSection.zero(self.sub.frame)
-        for i, conj in enumerate(self.sub.splitting.conjugates):
-            c = self.entries[i][j]
-            if not c.is_zero():
-                out = out + conj.scale(c)
-        return out
-
     def deformed_generator(self, j: int) -> GenSection:
-        return self.sub.generators[j] + self.image_section(j)
+        """(1 + eps)(g_j) as an ambient section."""
+        out = self.sub.generators[j]
+        for row, conj in zip(self.entries, self.sub.splitting.conjugates):
+            if not row[j].is_zero():
+                out = out + conj.scale(row[j])
+        return out
 
     def mixed_block_entries(self) -> list[PolyScalar]:
         """Entries mixing tangent-type and cotangent-type generators.
@@ -130,17 +127,15 @@ class DeformationMap:
         deformation of the underlying complex structure.  Needs the
         tangent/cotangent split of the subbundle.
         """
-        if self.sub.split is None:
-            raise DeformationError("subbundle carries no tangent/cotangent split")
-        tangent, cotangent = self.sub.split
-        out = []
-        for i in cotangent:
-            for j in tangent:
-                out.append(self.entries[i][j])
-        for i in tangent:
-            for j in cotangent:
-                out.append(self.entries[i][j])
-        return out
+        return [self.entries[i][j] for i, j in _mixed_block(self.sub)]
+
+
+def _mixed_block(sub: IsotropicSubbundle) -> list[tuple[int, int]]:
+    """Indices (i, j) of the entries mixing tangent- and cotangent-type generators."""
+    if sub.split is None:
+        raise DeformationError("subbundle carries no tangent/cotangent split")
+    tangent, cotangent = sub.split
+    return list(itertools.product(cotangent, tangent)) + list(itertools.product(tangent, cotangent))
 
 
 def _gram(sub: IsotropicSubbundle, entries) -> list[list[PolyScalar]]:
@@ -417,15 +412,27 @@ def reduce_family(
 
 @dataclass
 class DeformedStructure:
-    generators: list[GenSection]
+    """Verdicts at one ground point of ``family``, whose entries evaluate to
+    ``values``; the generators and the ground map are built on first read."""
+
+    family: DeformationMap
+    values: Matrix
     isotropic: bool
     involutive: bool
     separated: bool
-    ground: DeformationMap  # the map at the ground parameter values
     splitting: Splitting = field(compare=False, repr=False)
 
+    @cached_property
+    def generators(self) -> list[GenSection]:
+        return [GenSection.constant(self.family.sub.frame, v) for v in self.splitting.vectors]
 
-def _ground(e: DeformationMap, bindings: Mapping[Symbol, GaussianRational]):
+    @cached_property
+    def ground(self) -> DeformationMap:
+        return DeformationMap.from_entries(self.family.sub, self.values)
+
+
+def _ground(e: DeformationMap, bindings: Mapping[Symbol, GaussianRational]) -> Matrix:
+    """The entries of ``e`` evaluated at the bindings, which bind every parameter."""
     missing = [p for p in e.parameters if p not in bindings]
     if missing:
         names = ", ".join(p.name for p in missing)
@@ -434,7 +441,7 @@ def _ground(e: DeformationMap, bindings: Mapping[Symbol, GaussianRational]):
     if unknown:
         names = ", ".join(s.name for s in unknown)
         raise DeformationError(f"bindings for unknown parameters: {names}")
-    return e.substitute({p: PolyScalar.const(v) for p, v in bindings.items()})
+    return [[c.evaluate(bindings) for c in row] for row in e.entries]
 
 
 def deform_subbundle(
@@ -442,23 +449,29 @@ def deform_subbundle(
 ) -> DeformedStructure:
     """Generators (1 + eps)(g) at ground parameter values, with verdicts.
 
+    The point is evaluated once into a Gaussian-rational matrix E, and the
+    j-th deformed generator is the constant vector g_j + sum_i E[i][j] conj(g_i).
     Separation means the deformed span still intersects its conjugate only in
     zero, which is the exact invertibility condition for the deformed
     structure to be generalized complex at these values.  The generators of a
     compatible map are isotropic, and where independent they span a maximal
     isotropic L = L^perp, so involutivity is decided even without separation.
     """
-    ground = _ground(e, bindings)
-    gens = [ground.deformed_generator(j) for j in range(e.sub.rank)]
-    splitting = Splitting(gens)
+    values = _ground(e, bindings)
+    vectors = [list(g) for g in e.sub.splitting.vectors]
+    for row, conj in zip(values, e.sub.splitting.conj_vectors):
+        for j, c in enumerate(row):
+            if c:
+                vectors[j] = [x + c * w if w else x for x, w in zip(vectors[j], conj)]
+    splitting = Splitting(e.sub.frame, vectors)
     isotropic = splitting.non_isotropic_pair() is None
     involutive = isotropic and splitting.independent() and splitting.involutive()
     return DeformedStructure(
-        generators=gens,
+        family=e,
+        values=values,
         isotropic=isotropic,
         involutive=involutive,
         separated=splitting.separated,
-        ground=ground,
         splitting=splitting,
     )
 
@@ -500,8 +513,8 @@ def classify(
     k = _structure_type(structure)
     label = _label(k, e.sub.frame.dim)
     if label == COMPLEX and e.sub.split is not None:
-        mixed = structure.ground.mixed_block_entries()
-        return k, CLASSICAL_COMPLEX if all(c.is_zero() for c in mixed) else COMPLEX_NONCLASSICAL
+        mixed = any(structure.values[i][j] for i, j in _mixed_block(e.sub))
+        return k, COMPLEX_NONCLASSICAL if mixed else CLASSICAL_COMPLEX
     return k, label
 
 

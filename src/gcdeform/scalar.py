@@ -589,11 +589,6 @@ class PolyScalar:
             total = total + v
         return total
 
-    def conjugate_constant(self) -> "PolyScalar":
-        """Complex-conjugate a symbol-free polynomial (ground values only)."""
-        c = self.constant_value()
-        return PolyScalar.const(c.conjugate())
-
     def __str__(self) -> str:
         return render_sum((str(c), str(m) if m != MONOMIAL_ONE else "") for m, c in self.terms)
 

@@ -7,15 +7,19 @@ two source trees and diff the outputs to see every byte a change moves.
 The sweep covers each command in both formats on the built-in preset, on
 every ``bench/corpus/*.ws`` workspace (read only), on the Iwasawa frame, on a
 workspace given by subbundle generators and on one workspace per refusal of
-the subbundle build; then three ``type`` points and the usage errors.  Each
-workspace is written to a temporary directory under a fixed name, so the
-paths in the output do not depend on where the sweep runs.
+the subbundle build; then three ``type`` points on the preset, two on the
+reduced family of every ``--input`` workspace that has one (every parameter 0,
+and every parameter 1/7 + i/9; the names are read from ``family --format
+machine``) and the usage errors.  Each workspace is written to a temporary
+directory under a fixed name, so the paths in the output do not depend on
+where the sweep runs.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -57,10 +61,14 @@ USAGE_ERRORS = (
     ("report", "--preset", "kodaira", "--format", "xml"),
     ("report", "--preset", "kodaira", "--input", "kodaira_symplectic.ws"),
     ("report",),
+    ("report", "--preset", "kodaira", "--at", "t14=1"),
 )
 
+# every parameter of a reduced family at once
+FAMILY_VALUES = ("0", "1/7+i/9")
 
-def invocations(names):
+
+def invocations(names, main):
     sources = [("--preset", "kodaira")] + [("--input", name) for name in names]
     for source in sources:
         for command in COMMANDS:
@@ -69,6 +77,13 @@ def invocations(names):
     for at in TYPE_POINTS:
         for fmt in ("text", "machine"):
             yield ("type", "--preset", "kodaira", "--at", at, "--format", fmt)
+    for name in names:
+        code, out, _ = run(main, ("family", "--input", name, "--format", "machine"))
+        params = json.loads(out)["free"] if code == "0" else []
+        for value in FAMILY_VALUES if params else ():
+            at = ",".join(f"{p}={value}" for p in params)
+            for fmt in ("text", "machine"):
+                yield ("type", "--input", name, "--at", at, "--format", fmt)
     yield from USAGE_ERRORS
 
 
@@ -97,7 +112,7 @@ def main() -> int:
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
-            for argv in invocations(sorted(texts)):
+            for argv in invocations(sorted(texts), gcdeform_main):
                 code, out, err = run(gcdeform_main, argv)
                 print(f"$ gcdeform {' '.join(argv)}\nexit {code}")
                 print(f"--- stdout\n{out}--- stderr\n{err}--- end")

@@ -16,7 +16,15 @@ import random
 
 from gcdeform.algebroid import AlgebroidError
 from gcdeform.courant import GenSection, courant_bracket, pair
-from gcdeform.deformation import DeformationError
+from gcdeform.deformation import (
+    CLASSICAL_COMPLEX,
+    COMPLEX,
+    COMPLEX_NONCLASSICAL,
+    OTHER,
+    SYMPLECTIC,
+    DeformationError,
+    DeformationMap,
+)
 from gcdeform.frame import ComplexFrame, ExteriorForm
 from gcdeform.scalar import (
     GR_ONE,
@@ -467,3 +475,91 @@ def reference_form_entries(sub, form: ExteriorForm) -> list[list[PolyScalar]]:
         for i in range(n):
             entries[i][k] = coeffs[i]
     return entries
+
+
+# ``deform_subbundle`` before it worked on Gaussian-rational vectors: the map
+# grounded by substitution, the deformed generators built as sections, and the
+# verdicts of the pairing with the conjugates.  Conjugation and the brackets
+# are taken independently of ``conjugate_vector`` and ``bracket_vectors``.
+@dataclass
+class ReferenceStructure:
+    generators: list[GenSection]
+    brackets: list[list[GaussianRational]]
+    isotropic: bool
+    involutive: bool
+    separated: bool
+    ground: DeformationMap
+
+
+def reference_conjugate(s: GenSection) -> GenSection:
+    """Conjugate a constant section: bar the labels, conjugate the values."""
+    d = s.frame.dim
+    out = [PolyScalar.zero()] * (2 * d)
+    for a in range(d):
+        out[s.frame.conj[a]] = PolyScalar.const(s.coeffs[a].constant_value().conjugate())
+        out[d + s.frame.conj[a]] = PolyScalar.const(s.coeffs[d + a].constant_value().conjugate())
+    return GenSection(s.frame, tuple(out))
+
+
+def reference_deform(e: DeformationMap, bindings) -> ReferenceStructure:
+    missing = [p for p in e.parameters if p not in bindings]
+    if missing:
+        names = ", ".join(p.name for p in missing)
+        raise DeformationError(f"unbound parameters: {names}")
+    unknown = [s for s in bindings if s not in e.parameters]
+    if unknown:
+        names = ", ".join(s.name for s in unknown)
+        raise DeformationError(f"bindings for unknown parameters: {names}")
+    ground = e.substitute({p: PolyScalar.const(v) for p, v in bindings.items()})
+    conjugates = [reference_conjugate(g) for g in e.sub.generators]
+    gens = []
+    for j, g in enumerate(e.sub.generators):
+        out = GenSection.zero(e.sub.frame)
+        for i, conj in enumerate(conjugates):
+            c = ground.entries[i][j]
+            if not c.is_zero():
+                out = out + conj.scale(c)
+        gens.append(g + out)
+
+    def doubled(x, y):
+        return (pair(x, y) * 2).constant_value()
+
+    pairs = itertools.combinations_with_replacement(range(len(gens)), 2)
+    isotropic = next(((a, b) for a, b in pairs if doubled(gens[a], gens[b])), None) is None
+    pairing = [[doubled(g, reference_conjugate(h)) for h in gens] for g in gens]
+    try:
+        mat_inverse(pairing)
+        separated = True
+    except SingularMatrixError:
+        separated = False
+    independent = separated or mat_rank([g.constant_vector() for g in gens]) == len(gens)
+    brackets = [
+        courant_oracle(e.sub.frame, gens[a], gens[b])
+        for a, b in itertools.combinations(range(len(gens)), 2)
+    ]
+    involutive = isotropic and independent and all(
+        not any(doubled(g, br) for g in gens) for br in brackets
+    )
+    return ReferenceStructure(
+        generators=gens,
+        brackets=[br.constant_vector() for br in brackets],
+        isotropic=isotropic,
+        involutive=involutive,
+        separated=separated,
+        ground=ground,
+    )
+
+
+def reference_classify(e: DeformationMap, bindings) -> tuple[int, str]:
+    """``classify`` on ``reference_deform``: the rank of the tangent rows of the
+    generators and the mixed block of the map grounded by substitution."""
+    structure = reference_deform(e, bindings)
+    if not structure.separated:
+        raise DeformationError("not a generalized complex structure at these parameter values")
+    d = e.sub.frame.dim
+    k = d - mat_rank([[c.constant_value() for c in g.tangent] for g in structure.generators])
+    label = SYMPLECTIC if k == 0 else COMPLEX if k == d // 2 else OTHER
+    if label == COMPLEX and e.sub.split is not None:
+        mixed = structure.ground.mixed_block_entries()
+        return k, CLASSICAL_COMPLEX if all(c.is_zero() for c in mixed) else COMPLEX_NONCLASSICAL
+    return k, label

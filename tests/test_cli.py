@@ -267,8 +267,12 @@ def test_subbundle_refusals_exit_2(tmp_path, capsys, text, message):
             ["report", "--preset", "kodaira", "--input", "my.ws"],
             "argument --input: not allowed with argument --preset",
         ),
+        (
+            ["report", "--preset", "kodaira", "--at", "t14=1"],
+            "argument --at: only the type command takes bindings",
+        ),
     ],
-    ids=["command", "preset", "format", "preset-and-input"],
+    ids=["command", "preset", "format", "preset-and-input", "at-without-type"],
 )
 def test_usage_errors_exit_1(capsys, argv, reason):
     with pytest.raises(SystemExit) as exc:

@@ -1,10 +1,11 @@
+import collections
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from gcdeform import deformation
+from gcdeform import algebroid, courant, deformation
 from gcdeform.algebroid import build_symplectic_eigenbundle, complex_eigenbundle
 from gcdeform.courant import GenSection, pair
 from gcdeform.deformation import (
@@ -325,6 +326,42 @@ def test_classify_grounds_once(kfamily, monkeypatch):
     monkeypatch.setattr(deformation, "_ground", counted)
     assert classify(red, bind_all(red, t32=GR(1, 1))) == (2, COMPLEX_NONCLASSICAL)
     assert len(calls) == 1
+
+
+def test_classify_works_on_vectors(ksub, kfamily, monkeypatch):
+    """A classify evaluates the point once: it substitutes no polynomial,
+    builds no map and brackets no section; reading ``ground`` builds one map."""
+    red = kfamily.reduced_map
+    point = bind_all(red, t32=GR(1, 1), t11=GR(Fraction(1, 3)))
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(PolyScalar, "substitute", counted("substitute", PolyScalar.substitute))
+    monkeypatch.setattr(
+        DeformationMap, "from_entries",
+        staticmethod(counted("from_entries", DeformationMap.from_entries)),
+    )
+    bracket = counted("courant_bracket", courant.courant_bracket)
+    for module in (courant, algebroid, deformation):
+        if hasattr(module, "courant_bracket"):
+            monkeypatch.setattr(module, "courant_bracket", bracket)
+
+    assert classify(red, point) == (2, COMPLEX_NONCLASSICAL)
+    assert classify(red, bind_all(red, t14=1)) == (0, SYMPLECTIC)
+    assert not calls
+    # positive controls: each patched name is the one the engine reaches
+    structure = deform_subbundle(red, point)
+    assert structure.ground is structure.ground
+    assert calls == {"from_entries": 1}
+    courant.bracket_table(ksub.generators[:2])
+    red.substitute({})
+    assert calls["courant_bracket"] == 1 and calls["substitute"] > 0
 
 
 def _random_matrix(rng, symbols, rows, cols):

@@ -3,8 +3,11 @@
 ``Splitting`` decides membership in L, coordinates on L, separation and
 involutivity by pairings against the generators and their conjugates; the
 references in ``oracles`` decide the same facts with a left inverse per span
-and a rank of the stacked generators.  Both run on the preset, the corpus
-workspaces and a workspace given by generators, at seeded points.
+and a rank of the stacked generators.  ``deform_subbundle`` and ``classify``,
+which evaluate a ground point once and work on Gaussian-rational vectors, are
+compared with ``reference_deform``, which grounds the map by substitution and
+builds the deformed generators as sections.  All run on the preset, the
+corpus workspaces and a workspace given by generators, at seeded points.
 """
 
 import random
@@ -16,11 +19,22 @@ import pytest
 from gcdeform.algebroid import AlgebroidError, Splitting
 from gcdeform.cli import KODAIRA_WORKSPACE, build_workspace, parse_workspace
 from gcdeform.courant import GenSection
-from gcdeform.deformation import DeformationMap, deform_subbundle, type_of
+from gcdeform.deformation import (
+    CLASSICAL_COMPLEX,
+    COMPLEX_NONCLASSICAL,
+    SYMPLECTIC,
+    DeformationError,
+    DeformationMap,
+    classify,
+    deform_subbundle,
+    type_of,
+)
 from gcdeform.frame import ExteriorForm
 from gcdeform.scalar import GaussianRational, function, mat_rank, parameter
 from oracles import (
     random_gaussian,
+    reference_classify,
+    reference_deform,
     random_poly,
     reference_express,
     reference_form_entries,
@@ -158,9 +172,55 @@ def test_verdicts_match_span_reference(workspaces, name):
 
 def test_dependent_generators_are_neither_separated_nor_independent(workspaces):
     sub = workspaces["kodaira"].sub
-    gens = list(sub.generators)
-    splitting = Splitting(gens[:-1] + gens[:1])
-    assert reference_verdicts(splitting.sections) == (True, False, False)
+    gens = sub.generators[:-1] + sub.generators[:1]
+    splitting = Splitting(sub.frame, [g.constant_vector() for g in gens])
+    assert reference_verdicts(gens) == (True, False, False)
     assert splitting.non_isotropic_pair() is None
     assert not splitting.separated and not splitting.independent()
 
+
+
+def _classified(emap, point):
+    try:
+        return classify(emap, point)
+    except DeformationError as exc:
+        return f"DeformationError: {exc}"
+
+
+def _reference_classified(emap, point):
+    try:
+        return reference_classify(emap, point)
+    except DeformationError as exc:
+        return f"DeformationError: {exc}"
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_deform_matches_substitution_reference(workspaces, name):
+    ws = workspaces[name]
+    rng = random.Random(f"deform-{name}")
+    pinned = {
+        # t12 != 0 leaves the MC zero set: not involutive
+        "pencil": [{"t12": GR(1)}],
+        # t11 = 1 puts L on its conjugate: not separated; t14 = t32 = 0 is classical
+        "family": [{"t11": GR(1)}, {"t11": GR(Fraction(1, 2)), "t22": GR(0, Fraction(1, 3))}],
+    } if name == "kodaira" else {}
+    seen = set()
+    for label, emap in (("pencil", ws.pencil[0]), ("family", ws.family.reduced_map)):
+        for point in _points(emap.parameters, rng, 50, pinned.get(label, ())):
+            structure = deform_subbundle(emap, point)
+            ref = reference_deform(emap, point)
+            where = (label, {p.name: str(v) for p, v in point.items()})
+            assert [g.coeffs for g in structure.generators] == [g.coeffs for g in ref.generators], where
+            assert [br for _, br in structure.splitting.brackets()] == ref.brackets, where
+            verdicts = (structure.isotropic, structure.involutive, structure.separated)
+            assert verdicts == (ref.isotropic, ref.involutive, ref.separated), where
+            assert structure.ground.entries == ref.ground.entries, where
+            assert structure.ground.form == ref.ground.form, where
+            verdict = _classified(emap, point)
+            assert verdict == _reference_classified(emap, point), where
+            seen.add((label, verdicts, verdict if isinstance(verdict, tuple) else "refused"))
+    if name == "kodaira":
+        assert ("pencil", (True, False, True), (2, COMPLEX_NONCLASSICAL)) in seen
+        assert ("family", (True, True, False), "refused") in seen
+        for kind in ((0, SYMPLECTIC), (2, CLASSICAL_COMPLEX), (2, COMPLEX_NONCLASSICAL)):
+            assert ("family", (True, True, True), kind) in seen
