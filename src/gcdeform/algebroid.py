@@ -64,10 +64,6 @@ class Splitting:
         self.separated = self.inverse is not None
 
     @cached_property
-    def conjugates(self) -> tuple[GenSection, ...]:
-        return tuple(GenSection.constant(self.frame, c) for c in self.conj_vectors)
-
-    @cached_property
     def duals(self) -> Matrix:
         """The vectors h_a, with 2<h_a, g_b> = delta_ab."""
         slots = list(zip(*self.conj_vectors))
@@ -121,8 +117,8 @@ class IsotropicSubbundle:
     classical/non-classical labeling of deformations and is absent otherwise.
 
     ``splitting`` is the pair (L, L-bar) read through the pairing, built once
-    by ``build``; the theta-inverse sections and the Schouten table are
-    computed on first use and kept on the instance.
+    by ``build``; it keeps the theta-inverse vectors, and the Schouten table
+    is computed on first use and kept on the instance.
     """
 
     frame: ComplexFrame
@@ -215,21 +211,12 @@ class IsotropicSubbundle:
 
     # -- theta identification ---------------------------------------------------
 
-    @cached_property
-    def _theta_inverse(self) -> tuple[GenSection, ...]:
-        return tuple(GenSection.constant(self.frame, h) for h in self.splitting.duals)
-
-    def theta_inverse_sections(self) -> list[GenSection]:
-        """Sections h_a of the conjugate span with 2<h_a, g_b> = delta_ab."""
-        return list(self._theta_inverse)
-
-    def theta(self, y: GenSection) -> list[GaussianRational]:
-        """Dual coefficients 2<y, g_a> of a constant section of the conjugate
+    def theta(self, y) -> list[GaussianRational]:
+        """Dual coefficients 2<y, g_a> of a constant vector of the conjugate
         span, which is its own orthogonal: y pairs to zero with every conj(g_c)."""
-        vec = y.constant_vector()
-        if any(doubled_pair(c, vec) for c in self.splitting.conj_vectors):
+        if any(doubled_pair(c, y) for c in self.splitting.conj_vectors):
             raise AlgebroidError("section is not in the conjugate span")
-        return [doubled_pair(g, vec) for g in self.splitting.vectors]
+        return [doubled_pair(g, y) for g in self.splitting.vectors]
 
     # -- differentials -----------------------------------------------------------
 
@@ -300,14 +287,13 @@ class IsotropicSubbundle:
     @cached_property
     def _schouten_table(self) -> dict[tuple[int, int], list[tuple[int, GaussianRational]]]:
         # the bracket is skew and theta linear: build a < b, negate for b < a
-        hs = self._theta_inverse
+        hs = self.splitting.duals
         table: dict[tuple[int, int], list[tuple[int, GaussianRational]]] = {}
         for a, b in itertools.combinations(range(self.rank), 2):
-            br = courant_bracket(hs[a], hs[b])
-            if br.is_zero():
+            br = bracket_vectors(self.frame, hs[a], hs[b])
+            if not any(br):
                 continue
-            coeffs = self.theta(br)
-            entry = [(c, v) for c, v in enumerate(coeffs) if not v.is_zero()]
+            entry = [(c, v) for c, v in enumerate(self.theta(br)) if v]
             if entry:
                 table[(a, b)] = entry
                 table[(b, a)] = [(c, -v) for c, v in entry]

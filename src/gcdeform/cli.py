@@ -705,6 +705,7 @@ def _lines_strata(d: dict) -> list[str]:
             else:
                 out.append(f"  {sub['label']}")
     if d.get("refused"):
+        out.append(f"generic rank: {d['generic_rank']}")
         out.append(f"refused: {d['refused']}")
     return out
 

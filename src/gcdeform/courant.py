@@ -265,14 +265,20 @@ def courant_bracket(s1: GenSection, s2: GenSection) -> GenSection:
 
 
 def bracket_table(generators: Sequence[GenSection]) -> list[list[GenSection]]:
-    """Full pairwise Courant table of constant sections, in the given order."""
+    """Full pairwise Courant table of constant sections, in the given order.
+
+    The brackets are taken on the coefficient vectors (``bracket_vectors``);
+    only a nonzero one is wrapped as a section again."""
     for g in generators:
         if not g.is_constant():
             raise CourantError("bracket_table requires constant generators")
     n = len(generators)
+    vectors = [g.constant_vector() for g in generators]
     table = [[GenSection.zero(g.frame)] * n for g in generators]
-    for a in range(n):  # the bracket is skew: [b, a] = -[a, b], [a, a] = 0
+    for a, g in enumerate(generators):  # the bracket is skew: [b, a] = -[a, b], [a, a] = 0
         for b in range(a + 1, n):
-            table[a][b] = courant_bracket(generators[a], generators[b])
-            table[b][a] = -table[a][b]
+            br = bracket_vectors(g.frame, vectors[a], vectors[b])
+            if any(br):
+                table[a][b] = GenSection.constant(g.frame, br)
+                table[b][a] = GenSection.constant(g.frame, [-c for c in br])
     return table

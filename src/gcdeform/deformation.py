@@ -11,8 +11,10 @@ type of each deformed structure is classified by exact rank computations.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from fractions import Fraction
+from functools import cache, cached_property
 from typing import Mapping, Optional, Sequence
 
 from .algebroid import InternalConsistencyError, IsotropicSubbundle, Splitting
@@ -111,14 +113,6 @@ class DeformationMap:
         )
         remaining = tuple(p for p in self.parameters if p not in bindings)
         return DeformationMap.from_entries(self.sub, entries, remaining)
-
-    def deformed_generator(self, j: int) -> GenSection:
-        """(1 + eps)(g_j) as an ambient section."""
-        out = self.sub.generators[j]
-        for row, conj in zip(self.entries, self.sub.splitting.conjugates):
-            if not row[j].is_zero():
-                out = out + conj.scale(row[j])
-        return out
 
     def mixed_block_entries(self) -> list[PolyScalar]:
         """Entries mixing tangent-type and cotangent-type generators.
@@ -559,9 +553,15 @@ def _normalize_minor(p: PolyScalar) -> PolyScalar:
 
 
 def _projection_matrix(e: DeformationMap) -> list[list[PolyScalar]]:
-    return [
-        list(e.deformed_generator(j).tangent) for j in range(e.sub.rank)
-    ]
+    """Tangent rows of the deformed generators g_j + sum_i eps[i][j] conj(g_i)."""
+    d = e.sub.frame.dim
+    splitting = e.sub.splitting
+    rows = [[PolyScalar.const(x) for x in g[:d]] for g in splitting.vectors]
+    for eps, conj in zip(e.entries, splitting.conj_vectors):
+        for j, c in enumerate(eps):
+            if c:
+                rows[j] = [x + c.scale(w) if w else x for x, w in zip(rows[j], conj[:d])]
+    return rows
 
 
 def _distinct_normalized(polys) -> list[PolyScalar]:
@@ -578,37 +578,91 @@ def _nonzero_minors(matrix, r: int, table: dict) -> list[PolyScalar]:
     )
 
 
-def _rank_and_minors(e: DeformationMap) -> tuple[int, list[PolyScalar]]:
-    """Generic rank of the tangent projection and its nonzero top minors.
+# seeds of the Gaussian-rational points, after the origin, at which
+# ``_generic_rank`` takes the rank of the projection
+_RANK_POINT_SEEDS = (1, 2)
 
-    One minor table serves every size tried, from the largest down.
+
+@cache
+def _point_values(seed: int, n: int) -> tuple[GaussianRational, ...]:
+    rng = random.Random(seed)
+    part = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    return tuple(GaussianRational(part(), part()) for _ in range(n))
+
+
+def _rank_points(symbols: Sequence[Symbol]):
+    """The origin, then one seeded point per ``_RANK_POINT_SEEDS`` entry."""
+    yield {s: GR_ZERO for s in symbols}
+    for seed in _RANK_POINT_SEEDS:
+        yield dict(zip(symbols, _point_values(seed, len(symbols))))
+
+
+def _generic_rank(matrix, table: dict) -> int:
+    """Generic rank of a polynomial matrix, certified with few minors.
+
+    The rank at an exact point is a lower bound.  It is taken at the origin
+    and at the seeded points, every symbol of the entries bound, until it
+    reaches min(rows, cols), where it is the generic rank.  Below that, a
+    nonzero (r+1) x (r+1) minor from ``table`` raises the bound to r+1, and
+    when every one of them vanishes the bound r is the generic rank.
     """
+    rows, cols = len(matrix), len(matrix[0])
+    full = min(rows, cols)
+    symbols = sorted(
+        {g for row in matrix for c in row for g in c.generators()}, key=lambda g: g.sort_key()
+    )
+    rank = 0
+    for point in _rank_points(symbols):
+        rank = max(rank, mat_rank([[c.evaluate(point) for c in row] for row in matrix]))
+        if rank == full:
+            return rank
+    while rank < full and any(
+        not minor(matrix, rsel, csel, table).is_zero()
+        for rsel in itertools.combinations(range(rows), rank + 1)
+        for csel in itertools.combinations(range(cols), rank + 1)
+    ):
+        rank += 1
+    return rank
+
+
+def _rank_and_minors(e: DeformationMap) -> tuple[int, list[PolyScalar]]:
+    """Certified generic rank r of the tangent projection and its distinct
+    nonzero r x r minors, read from one minor table."""
     matrix = _projection_matrix(e)
     table: dict = {}
-    for r in range(min(len(matrix), len(matrix[0])), 0, -1):
-        minors = _nonzero_minors(matrix, r, table)
-        if minors:
-            return r, minors
-    return 0, []
+    r = _generic_rank(matrix, table)
+    return r, _nonzero_minors(matrix, r, table) if r else []
 
 
 def stratify_type(e: DeformationMap) -> Stratification:
     """Enumerate type strata of a parameter family by exact minor vanishing.
 
-    Each descent node finds the rank of its tangent projection and the
-    nonzero minors of that size in one pass over a minor table of its own:
-    every minor is a Laplace expansion along its last row into minors of the
-    rows before it, each computed once and shared across all sizes; the
-    root's rank is the reported generic rank.  Rank boundaries whose minors
-    are monomials are descended exactly through minimal hitting sets of
-    their variable supports; a non-monomial boundary stops the descent with
-    an explicit refusal note, and more than eight parameters refuse
-    stratification outright (the generic rank is still reported).
+    Each descent node certifies the rank r of its tangent projection with
+    ``_generic_rank`` (the rank at exact points, raised by (r+1)-minors only
+    while it is below full) and reads the nonzero r x r minors from the same
+    minor table: every minor is a Laplace expansion along its last row into
+    minors of the rows before it, each computed once and shared across all
+    sizes; the root's rank is the reported generic rank.  Rank boundaries
+    whose minors are monomials are descended exactly through minimal hitting
+    sets of their variable supports; a non-monomial boundary stops the
+    descent with an explicit refusal note.  More than eight parameters
+    refuse stratification outright; the generic rank is still certified,
+    and no minor is built where a point has full rank.
+
+    The limit stays at eight (measured on 2 vCPUs, Python 3.11): the
+    15-parameter abelian-6 families would descend in 0.006 s (complex) and
+    0.06 s (symplectic), only to stop at a non-monomial boundary, which
+    changes their printed strata; symplectic abelian-8 (28 parameters)
+    would take 4.5 s, nearly all of it in its 8 x 8 top minor.
     """
     dim = e.sub.frame.dim
-    grank, root_minors = _rank_and_minors(e)
     if len(e.parameters) > 8:
-        return Stratification(strata=[], generic_rank=grank, refused="too many parameters")
+        return Stratification(
+            strata=[],
+            generic_rank=_generic_rank(_projection_matrix(e), {}),
+            refused="too many parameters",
+        )
+    grank, root_minors = _rank_and_minors(e)
 
     strata: dict[frozenset[str], TypeStratum] = {}
     refusal: list[str] = []

@@ -7,10 +7,11 @@ two source trees and diff the outputs to see every byte a change moves.
 The sweep covers each command in both formats on the built-in preset, on
 every ``bench/corpus/*.ws`` workspace (read only), on the Iwasawa frame, on a
 workspace given by subbundle generators and on one workspace per refusal of
-the subbundle build; then three ``type`` points on the preset, two on the
-reduced family of every ``--input`` workspace that has one (every parameter 0,
-and every parameter 1/7 + i/9; the names are read from ``family --format
-machine``) and the usage errors.  Each workspace is written to a temporary
+the subbundle build; then ``strata`` alone on symplectic abelian-8, three
+``type`` points on the preset, two on the reduced family of every
+``--input`` workspace that has one (every parameter 0, and every parameter
+1/7 + i/9; the names are read from ``family --format machine``) and the
+usage errors.  Each workspace is written to a temporary
 directory under a fixed name, so the paths in the output do not depend on
 where the sweep runs.
 """
@@ -47,6 +48,13 @@ WORKSPACES = {
     ),
 }
 
+# workspaces swept with ``strata`` alone: symplectic abelian-8 is refused
+# stratification for its 28 parameters and reports its generic rank
+STRATA_ONLY = {
+    "abelian8_symplectic.ws": "basis X1 Y1 X2 Y2 X3 Y3 X4 Y4\n"
+    + "".join(f"symplectic X{i} Y{i} = 1\n" for i in range(1, 5)),
+}
+
 COMMANDS = ("validate", "brackets", "mc", "gauge", "family", "type", "strata", "report")
 
 TYPE_POINTS = (
@@ -77,6 +85,9 @@ def invocations(names, main):
     for at in TYPE_POINTS:
         for fmt in ("text", "machine"):
             yield ("type", "--preset", "kodaira", "--at", at, "--format", fmt)
+    for name in STRATA_ONLY:
+        for fmt in ("text", "machine"):
+            yield ("strata", "--input", name, "--format", fmt)
     for name in names:
         code, out, _ = run(main, ("family", "--input", name, "--format", "machine"))
         params = json.loads(out)["free"] if code == "0" else []
@@ -107,7 +118,7 @@ def main() -> int:
     texts = {path.name: path.read_text(encoding="utf-8") for path in sorted(CORPUS.glob("*.ws"))}
     texts.update(WORKSPACES)
     with tempfile.TemporaryDirectory() as tmp:
-        for name, text in texts.items():
+        for name, text in {**texts, **STRATA_ONLY}.items():
             Path(tmp, name).write_text(text, encoding="utf-8")
         cwd = os.getcwd()
         os.chdir(tmp)

@@ -38,6 +38,7 @@ from gcdeform.scalar import (
     mat_inverse,
     mat_left_inverse,
     mat_rank,
+    minor,
     poly,
 )
 
@@ -421,6 +422,11 @@ def reference_verdicts(gens: Sequence[GenSection]) -> tuple[bool, bool, bool]:
     return isotropic, involutive, separated
 
 
+def _conjugate_sections(sub) -> list[GenSection]:
+    """The splitting's conjugate vectors conj(g_j), as sections."""
+    return [GenSection.constant(sub.frame, c) for c in sub.splitting.conj_vectors]
+
+
 def reference_express(sub, section: GenSection) -> Optional[list[PolyScalar]]:
     """Generator coefficients of an ambient section, or None if outside L."""
     return Span(sub.generators).express(section.coeffs)
@@ -428,7 +434,7 @@ def reference_express(sub, section: GenSection) -> Optional[list[PolyScalar]]:
 
 def reference_theta(sub, y: GenSection) -> list[GaussianRational]:
     """Dual coefficients 2<y, g_a> of a constant section of the conjugate span."""
-    if Span(sub.splitting.conjugates).express(y.coeffs) is None:
+    if Span(_conjugate_sections(sub)).express(y.coeffs) is None:
         raise AlgebroidError("section is not in the conjugate span")
     return [(pair(y, g).constant_value() * 2) for g in sub.generators]
 
@@ -436,14 +442,14 @@ def reference_theta(sub, y: GenSection) -> list[GaussianRational]:
 def reference_theta_inverse(sub) -> tuple[GenSection, ...]:
     """Sections h_a of the conjugate span with 2<h_a, g_b> = delta_ab."""
     doubled_pairing = tuple(
-        tuple(pair(g, c).constant_value() * 2 for c in sub.splitting.conjugates)
+        tuple(pair(g, c).constant_value() * 2 for c in _conjugate_sections(sub))
         for g in sub.generators
     )
     inverse = mat_inverse(doubled_pairing)
     out = []
     for a in range(sub.rank):
         h = GenSection.zero(sub.frame)
-        for c, row in zip(sub.splitting.conjugates, inverse):
+        for c, row in zip(_conjugate_sections(sub), inverse):
             h = h + c.scale(PolyScalar.const(row[a]))
         out.append(h)
     return tuple(out)
@@ -454,7 +460,7 @@ def reference_form_entries(sub, form: ExteriorForm) -> list[list[PolyScalar]]:
     n = sub.rank
     hs = reference_theta_inverse(sub)
     h_coords = [h.constant_vector() for h in hs]
-    conj_span = Span(sub.splitting.conjugates)
+    conj_span = Span(_conjugate_sections(sub))
     entries = [[PolyScalar.zero() for _ in range(n)] for _ in range(n)]
     for k in range(n):
         unit = [
@@ -563,3 +569,30 @@ def reference_classify(e: DeformationMap, bindings) -> tuple[int, str]:
         mixed = structure.ground.mixed_block_entries()
         return k, CLASSICAL_COMPLEX if all(c.is_zero() for c in mixed) else COMPLEX_NONCLASSICAL
     return k, label
+
+
+def reference_generic_rank(e: DeformationMap) -> int:
+    """Generic rank of the tangent projection, read top-down from the minors.
+
+    Every r x r minor of the projection is expanded, from the largest r down,
+    until one is nonzero: the search that ``stratify_type`` made before the
+    rank was certified at exact points.  The deformed generators are built
+    from ``reference_conjugate``, not from the splitting's conjugates.
+    """
+    conjugates = [reference_conjugate(g) for g in e.sub.generators]
+    matrix = []
+    for j, g in enumerate(e.sub.generators):
+        for i, conj in enumerate(conjugates):
+            if not e.entries[i][j].is_zero():
+                g = g + conj.scale(e.entries[i][j])
+        matrix.append(list(g.tangent))
+    table: dict = {}
+    rows, cols = len(matrix), len(matrix[0])
+    for r in range(min(rows, cols), 0, -1):
+        if any(
+            not minor(matrix, rsel, csel, table).is_zero()
+            for rsel in itertools.combinations(range(rows), r)
+            for csel in itertools.combinations(range(cols), r)
+        ):
+            return r
+    return 0

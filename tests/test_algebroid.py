@@ -134,22 +134,21 @@ def test_theta_table(ksub, kframe):
     w = GenSection.basis(kframe, "W")
     omegabar = GenSection.basis(kframe, "omegabar")
     rhobar = GenSection.basis(kframe, "rhobar")
-    assert ksub.theta(t) == [GR_ZERO, GR_ZERO, GR_ONE, GR_ZERO]
-    assert ksub.theta(w) == [GR_ZERO, GR_ZERO, GR_ZERO, GR_ONE]
-    assert ksub.theta(omegabar) == [GR_ONE, GR_ZERO, GR_ZERO, GR_ZERO]
-    assert ksub.theta(rhobar) == [GR_ZERO, GR_ONE, GR_ZERO, GR_ZERO]
+    assert ksub.theta(t.constant_vector()) == [GR_ZERO, GR_ZERO, GR_ONE, GR_ZERO]
+    assert ksub.theta(w.constant_vector()) == [GR_ZERO, GR_ZERO, GR_ZERO, GR_ONE]
+    assert ksub.theta(omegabar.constant_vector()) == [GR_ONE, GR_ZERO, GR_ZERO, GR_ZERO]
+    assert ksub.theta(rhobar.constant_vector()) == [GR_ZERO, GR_ONE, GR_ZERO, GR_ZERO]
 
 
 def test_theta_inverse_round_trip(ksub):
-    hs = ksub.theta_inverse_sections()
-    for a, h in enumerate(hs):
+    for a, h in enumerate(ksub.splitting.duals):
         coeffs = ksub.theta(h)
         assert coeffs == [GR_ONE if k == a else GR_ZERO for k in range(4)]
 
 
 def test_theta_rejects_sections_outside_conjugate_span(ksub, kframe):
     with pytest.raises(AlgebroidError):
-        ksub.theta(GenSection.basis(kframe, "Tbar"))
+        ksub.theta(GenSection.basis(kframe, "Tbar").constant_vector())
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +276,10 @@ def test_schouten_table_matches_oracle(ksub):
     # d(rho) = d(rhobar) = -(i/2) omega^omegabar.  Theta sends Wbar* to rhobar
     # and omega* to T, so [rhobar, T] = -i_T d(rhobar) = (i/2) omegabar and
     # the one generator bracket on L* is [Wbar*, omega*] = (i/2) Tbar*.
-    hs = ksub.theta_inverse_sections()
+    hs = [GenSection.constant(ksub.frame, h) for h in ksub.splitting.duals]
     table = {}
     for a, b in itertools.product(range(ksub.rank), repeat=2):
-        coeffs = ksub.theta(courant_oracle(ksub.frame, hs[a], hs[b]))
+        coeffs = ksub.theta(courant_oracle(ksub.frame, hs[a], hs[b]).constant_vector())
         entry = [(c, v) for c, v in enumerate(coeffs) if not v.is_zero()]
         if entry:
             table[(a, b)] = entry

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from gcdeform import cli, deformation
-from gcdeform.algebroid import IsotropicSubbundle
+from gcdeform.algebroid import IsotropicSubbundle, Splitting
 from gcdeform.cli import (
     KODAIRA_WORKSPACE,
     ParseError,
@@ -415,8 +415,8 @@ ABELIAN8_SYMPLECTIC = "basis X1 Y1 X2 Y2 X3 Y3 X4 Y4\n" + "".join(
 
 
 def test_strata_symplectic_abelian8_refuses_with_generic_rank(tmp_path, capsys):
-    # an 8x8 tangent projection of two-term entries: its generic rank needs
-    # the full 8x8 minor, and its 28 family parameters refuse the descent
+    # an 8x8 tangent projection of full rank at the origin, which certifies
+    # the generic rank; its 28 family parameters refuse the descent
     ws = tmp_path / "abelian8.ws"
     ws.write_text(ABELIAN8_SYMPLECTIC, encoding="utf-8")
     assert cli.main(["strata", "--format", "machine", "--input", str(ws)]) == 0
@@ -531,8 +531,8 @@ def test_report_runs_each_stage_once(monkeypatch, capsys):
     for name in ("constrain_map", "mc_residual", "reduce_family", "gauge_image"):
         for module in (cli, deformation):
             monkeypatch.setattr(module, name, _counted(counts, name, getattr(module, name)))
-    for attr in ("_theta_inverse", "_schouten_table"):
-        cached = IsotropicSubbundle.__dict__[attr]
+    for cls, attr in ((Splitting, "duals"), (IsotropicSubbundle, "_schouten_table")):
+        cached = cls.__dict__[attr]
         monkeypatch.setattr(cached, "func", _counted(counts, attr, cached.func))
 
     per_call, outputs = [], []
@@ -543,14 +543,15 @@ def test_report_runs_each_stage_once(monkeypatch, capsys):
         per_call.append(dict(counts))
 
     # one pencil, one reduction, one gauge image (shared by the gauge section
-    # and the reduction), one theta inverse and one Schouten table;
+    # and the reduction), one set of theta-inverse vectors (the duals of the
+    # splitting) and one Schouten table;
     # mc_residual runs for the pencil and for the reduced-family certificate
     assert per_call[0] == {
         "constrain_map": 1,
         "mc_residual": 2,
         "reduce_family": 1,
         "gauge_image": 1,
-        "_theta_inverse": 1,
+        "duals": 1,
         "_schouten_table": 1,
     }
     # a second call recomputes everything: nothing is cached across calls

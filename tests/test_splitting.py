@@ -89,7 +89,8 @@ def test_express_matches_span_reference(workspaces, name):
     for _ in range(15):
         # constant sections inside L, pushed off L, and anywhere
         inside = combination(sub.generators, [random_gaussian(rng) for _ in range(n)])
-        off = sub.splitting.conjugates[rng.randrange(n)].scale(random_gaussian(rng) or 1)
+        conj = GenSection.constant(frame, sub.splitting.conj_vectors[rng.randrange(n)])
+        off = conj.scale(random_gaussian(rng) or 1)
         anywhere = combination(basis, [random_gaussian(rng) for _ in basis])
         sections += [inside, inside + off, anywhere]
         # parameter and function coefficients, inside L and pushed off it
@@ -105,13 +106,14 @@ def test_express_matches_span_reference(workspaces, name):
 def test_theta_matches_span_reference(workspaces, name):
     sub = workspaces[name].sub
     rng = random.Random(f"theta-{name}")
-    assert tuple(sub.theta_inverse_sections()) == reference_theta_inverse(sub)
-    conj = sub.splitting.conjugates
+    hs = tuple(GenSection.constant(sub.frame, h) for h in sub.splitting.duals)
+    assert hs == reference_theta_inverse(sub)
+    conj = [GenSection.constant(sub.frame, c) for c in sub.splitting.conj_vectors]
     for _ in range(20):
         y = combination(conj, [random_gaussian(rng) for _ in conj])
-        assert sub.theta(y) == reference_theta(sub, y)
+        assert sub.theta(y.constant_vector()) == reference_theta(sub, y)
         z = y + sub.generators[rng.randrange(sub.rank)].scale(random_gaussian(rng) or 1)
-        for theta in (sub.theta, lambda s: reference_theta(sub, s)):
+        for theta in (lambda s: sub.theta(s.constant_vector()), lambda s: reference_theta(sub, s)):
             with pytest.raises(AlgebroidError, match="not in the conjugate span"):
                 theta(z)
 
