@@ -117,8 +117,8 @@ class IsotropicSubbundle:
     classical/non-classical labeling of deformations and is absent otherwise.
 
     ``splitting`` is the pair (L, L-bar) read through the pairing, built once
-    by ``build``; it keeps the theta-inverse vectors, and the Schouten table
-    is computed on first use and kept on the instance.
+    by ``build``; its ``duals`` (theta-inverse of the dual basis) and the
+    Schouten table are computed on first use and kept.
     """
 
     frame: ComplexFrame

@@ -7,7 +7,7 @@ Input format (line oriented, ``#`` starts a comment):
     J X = Y                    # complex structure, one line per basis vector
     symplectic X Y = 1         # or: invariant 2-form coefficients
     generator U + i*X*         # or: explicit subbundle generators (X* is dual to X)
-    names eigen T W            # optional naming overrides
+    names eigen T W            # optional, once each; eigen and duals only with J
     names duals omega rho
     names params t
 
@@ -34,7 +34,7 @@ from .algebroid import (
     build_symplectic_eigenbundle,
     complex_eigenbundle,
 )
-from .courant import GenSection, bracket_table
+from .courant import GenSection
 from .deformation import (
     ConstraintReport,
     DeformationError,
@@ -283,18 +283,19 @@ def parse_workspace(text: str) -> WorkspaceSpec:
                 raise ParseError(lineno, "names line needs a kind")
             kind = tokens[1]
             rest = tokens[2:]
+            if kind not in ("eigen", "duals", "params"):
+                raise ParseError(lineno, f"unknown names kind {kind!r}")
+            if kind in names_lines:
+                raise ParseError(lineno, f"duplicate names {kind} line")
+            names_lines[kind] = lineno
             if kind == "eigen":
                 names_eigen = tuple(rest)
-                names_lines[kind] = lineno
             elif kind == "duals":
                 names_duals = tuple(rest)
-                names_lines[kind] = lineno
-            elif kind == "params":
+            else:
                 if len(rest) != 1 or not _NAME_RE.match(rest[0]):
                     raise ParseError(lineno, "names params needs one identifier")
                 param_prefix = rest[0]
-            else:
-                raise ParseError(lineno, f"unknown names kind {kind!r}")
 
         else:
             raise ParseError(lineno, f"unknown directive {keyword!r}")
@@ -312,15 +313,19 @@ def parse_workspace(text: str) -> WorkspaceSpec:
     if structure == "complex" and set(jmap) != set(basis):
         missing = ", ".join(sorted(set(basis) - set(jmap)))
         raise ParseError(1, f"J is missing on: {missing}")
+    # only a complex structure has an eigenframe to name
+    frame_lines = sorted((line, kind) for kind, line in names_lines.items() if kind != "params")
+    if frame_lines and structure != "complex":
+        line, kind = frame_lines[0]
+        raise ParseError(line, f"names {kind} applies only to a complex structure (J lines)")
     # eigenframe and co-frame names, with their bar forms, must differ from
     # each other and from the basis, or the printed labels are ambiguous; a
     # kind left unnamed takes eigenframe's default names
     taken = set(basis)
-    if structure == "complex":
-        for kind, default in zip(("eigen", "duals"), default_frame_names(len(basis) // 2)):
-            if kind not in names_lines:
-                taken.update([*default, *(f"{n}bar" for n in default)])
-    for kind, line in sorted(names_lines.items(), key=lambda kl: kl[1]):
+    for kind, default in zip(("eigen", "duals"), default_frame_names(len(basis) // 2)):
+        if kind not in names_lines:
+            taken.update([*default, *(f"{n}bar" for n in default)])
+    for line, kind in frame_lines:
         chosen = names_eigen if kind == "eigen" else names_duals
         if len(chosen) != len(basis) // 2:
             raise ParseError(line, f"names {kind} needs one name per complex plane")
@@ -533,16 +538,16 @@ def section_frame(ws: Workspace) -> dict:
 
 
 def section_brackets(ws: Workspace) -> dict:
+    # the frame's structure table is the bracket of constant basis sections
     names = list(ws.frame.tangent_names) + list(ws.frame.cotangent_names)
-    gens = [GenSection.basis(ws.frame, n) for n in names]
-    table = bracket_table(gens)
     lines = []
     for a, b in itertools.product(range(len(names)), repeat=2):
-        if a == b:
-            continue
-        value = table[a][b]
-        if not value.is_zero():
-            lines.append(f"[{names[a]}, {names[b]}] = {value}")
+        combo: dict[str, GaussianRational] = {}
+        for k, c in ws.frame.courant_table.get((a, b), ()):
+            combo[names[k]] = combo.get(names[k], GR_ZERO) + c
+        if any(combo.values()):
+            shown = _render_combo({n: c for n, c in combo.items() if c}, names)
+            lines.append(f"[{names[a]}, {names[b]}] = {shown}")
     return {"nonzero": lines or ["all pairs vanish"], "note": "all other pairs vanish"}
 
 

@@ -1,14 +1,17 @@
 """Sections of the complexified generalized tangent space and their brackets.
 
-A ``GenSection`` is a coefficient vector over the 2n tangent plus 2n cotangent
-basis elements of a complexified frame.  Coefficients are exact polynomials,
-possibly in coefficient-function symbols; derivatives of those functions are
-emitted as formal first-order derivation symbols, which is all the supported
-invariant computations ever need.
+A ``GenSection`` is a coefficient vector over the frame and the co-frame of a
+complexified frame.  Coefficients are exact polynomials in parameters and
+coefficient-function symbols; a derivative of a function is a formal
+first-order derivation symbol, which is all the supported invariant
+computations ever need.  The Courant bracket is one formula for every
+coefficient ring: the frame's structure table applied bilinearly, plus the
+Leibniz terms that differentiate coefficient functions.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -122,13 +125,13 @@ def _same_frame(a: GenSection, b: GenSection) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Pairing and contractions
+# Pairing and bracket
 # ---------------------------------------------------------------------------
 
 
 def doubled_pair(x, y, zero=GR_ZERO):
-    """2<x, y> for a constant x: slot k of x meets slot k +- d of y (y[k - d]
-    counts from the end for k < d); y holds polynomials if ``zero`` is one."""
+    """2<x, y>: slot k of x meets slot k +- d of y (y[k - d] counts from the end
+    for k < d); with ``zero`` a polynomial, y holds polynomials and x either."""
     d = len(x) // 2
     return sum((y[k - d] * c for k, c in enumerate(x) if c and y[k - d]), zero)
 
@@ -136,22 +139,7 @@ def doubled_pair(x, y, zero=GR_ZERO):
 def pair(s1: GenSection, s2: GenSection) -> PolyScalar:
     """Natural split-signature pairing: <X+s, Y+t> = (s(Y) + t(X)) / 2."""
     _same_frame(s1, s2)
-    d = s1.frame.dim
-    if s1.is_constant() and s2.is_constant():
-        value = doubled_pair(s1.constant_vector(), s2.constant_vector())
-        return PolyScalar.const(value * GR_HALF)
-    total = PolyScalar.zero()
-    for a in range(d):
-        total = total + s1.cotangent[a] * s2.tangent[a] + s2.cotangent[a] * s1.tangent[a]
-    return total.scale(GR_HALF)
-
-
-def contract(cot: Sequence[PolyScalar], tan: Sequence[PolyScalar]) -> PolyScalar:
-    """Evaluate a co-frame coefficient vector on a tangent coefficient vector."""
-    total = PolyScalar.zero()
-    for c, t in zip(cot, tan):
-        total = total + c * t
-    return total
+    return doubled_pair(s1.coeffs, s2.coeffs, PolyScalar.zero()).scale(GR_HALF)
 
 
 def directional(frame: ComplexFrame, tan: Sequence[PolyScalar], h: PolyScalar) -> PolyScalar:
@@ -171,59 +159,12 @@ def _grad(frame: ComplexFrame, h: PolyScalar) -> list[PolyScalar]:
     return [h.differentiate(name) for name in frame.tangent_names]
 
 
-def _lie_cotangent(
-    frame: ComplexFrame, x: Sequence[PolyScalar], f: Sequence[PolyScalar]
-) -> list[PolyScalar]:
-    """Lie derivative of a co-frame coefficient vector along a tangent vector.
-
-    Expands L_X = i_X d + d i_X with the invariant part of d supplied by the
-    frame's structure constants and function derivatives emitted as derivation
-    symbols.
-    """
-    d = frame.dim
-    out = [PolyScalar.zero()] * d
-    for k in range(d):
-        if not f[k].is_zero():
-            out[k] = out[k] + directional(frame, x, f[k])
-    for k in range(d):
-        fk = f[k]
-        if fk.is_zero():
-            continue
-        dk = frame.algebra.d_dual_basis(k)
-        for (i, j), c in ((idx, c) for idx, c in dk.terms):
-            # i_{e_a} of c * e_i* ^ e_j* contributes c*e_j* at a=i, -c*e_i* at a=j
-            if not x[i].is_zero():
-                out[j] = out[j] + fk * x[i] * c
-            if not x[j].is_zero():
-                out[i] = out[i] - fk * x[j] * c
-    for a in range(d):
-        fa = f[a]
-        if fa.is_zero():
-            continue
-        grad = _grad(frame, x[a])
-        for b in range(d):
-            if not grad[b].is_zero():
-                out[b] = out[b] + fa * grad[b]
-    return out
-
-
-def lie_derivative(x: GenSection, f: GenSection) -> GenSection:
-    """L_X f for a tangent-only section X and an invariant co-frame 1-form f."""
-    if not x.is_tangent_only():
-        raise CourantError("lie_derivative direction must be tangent-only")
-    if not f.is_cotangent_only():
-        raise CourantError("lie_derivative argument must be a 1-form")
-    _same_frame(x, f)
-    out = _lie_cotangent(x.frame, x.tangent, f.cotangent)
-    zero = [PolyScalar.zero()] * x.frame.dim
-    return GenSection(x.frame, tuple(zero + out))
-
-
-def bracket_vectors(frame: ComplexFrame, x, y) -> list:
-    """[x, y] of constant coefficient vectors, bilinear by the frame's ``courant_table``."""
+def bracket_vectors(frame: ComplexFrame, x, y, zero=GR_ZERO) -> list:
+    """The part of [x, y] bilinear in the coefficients, by the frame's
+    ``courant_table``; ``zero`` is as for ``doubled_pair``."""
     table = frame.courant_table
     ys = [(b, w) for b, w in enumerate(y) if w]
-    out = [GR_ZERO] * len(x)
+    out = [zero] * len(x)
     for a, v in enumerate(x):
         if not v:
             continue
@@ -239,46 +180,48 @@ def bracket_vectors(frame: ComplexFrame, x, y) -> list:
 def courant_bracket(s1: GenSection, s2: GenSection) -> GenSection:
     """Skew bracket [X+s, Y+t] = [X,Y] + L_X t - L_Y s - d(i_X t - i_Y s)/2.
 
-    Constant sections bracket bilinearly by the frame's ``courant_table``.
+    The ``bracket_vectors`` sum plus the Leibniz terms, which vanish unless a
+    coefficient holds a function.  With d_b the derivative along the b-th
+    frame vector, frame slot k gains X(y_k) - Y(x_k) and co-frame slot b gains
+    X(t_b) - Y(s_b) + (1/2) sum_a (t_a d_b x_a - x_a d_b t_a - s_a d_b y_a + y_a d_b s_a).
     """
     _same_frame(s1, s2)
     frame = s1.frame
     d = frame.dim
-    if s1.is_constant() and s2.is_constant():
-        x, y = s1.constant_vector(), s2.constant_vector()
-        return GenSection.constant(frame, bracket_vectors(frame, x, y))
-    x, sig = list(s1.tangent), list(s1.cotangent)
-    y, tau = list(s2.tangent), list(s2.cotangent)
-
-    tang = frame.algebra.bracket_vectors(x, y)
+    x, sig, y, tau = s1.tangent, s1.cotangent, s2.tangent, s2.cotangent
+    out = bracket_vectors(frame, s1.coeffs, s2.coeffs, PolyScalar.zero())
     for k in range(d):
-        tang[k] = tang[k] + directional(frame, x, y[k]) - directional(frame, y, x[k])
+        out[k] += directional(frame, x, y[k]) - directional(frame, y, x[k])
+        out[d + k] += directional(frame, x, tau[k]) - directional(frame, y, sig[k])
+    for a in range(d):
+        for c, h in ((tau[a], x[a]), (-x[a], tau[a]), (-sig[a], y[a]), (y[a], sig[a])):
+            if c:  # c * dh / 2, differentiating h only where c is nonzero
+                for b, dh in enumerate(_grad(frame, h)):
+                    if dh:
+                        out[d + b] += (c * dh).scale(GR_HALF)
+    return GenSection(frame, tuple(out))
 
-    cot = _lie_cotangent(frame, x, tau)
-    ly = _lie_cotangent(frame, y, sig)
-    anomaly = contract(tau, x) - contract(sig, y)
-    grad = _grad(frame, anomaly)
-    for b in range(d):
-        cot[b] = cot[b] - ly[b] - grad[b].scale(GR_HALF)
 
-    return GenSection(frame, tuple(tang + cot))
+def lie_derivative(x: GenSection, f: GenSection) -> GenSection:
+    """L_X f = [X, f] + d(f(X))/2 for a tangent-only X and a 1-form f."""
+    if not x.is_tangent_only():
+        raise CourantError("lie_derivative direction must be tangent-only")
+    if not f.is_cotangent_only():
+        raise CourantError("lie_derivative argument must be a 1-form")
+    bracket = courant_bracket(x, f)
+    fx = doubled_pair(x.coeffs, f.coeffs, PolyScalar.zero())
+    exact = [PolyScalar.zero()] * x.frame.dim + [g.scale(GR_HALF) for g in _grad(x.frame, fx)]
+    return bracket + GenSection(x.frame, tuple(exact))
 
 
 def bracket_table(generators: Sequence[GenSection]) -> list[list[GenSection]]:
-    """Full pairwise Courant table of constant sections, in the given order.
-
-    The brackets are taken on the coefficient vectors (``bracket_vectors``);
-    only a nonzero one is wrapped as a section again."""
+    """Full pairwise Courant table of constant sections, in the given order."""
     for g in generators:
         if not g.is_constant():
             raise CourantError("bracket_table requires constant generators")
     n = len(generators)
-    vectors = [g.constant_vector() for g in generators]
     table = [[GenSection.zero(g.frame)] * n for g in generators]
-    for a, g in enumerate(generators):  # the bracket is skew: [b, a] = -[a, b], [a, a] = 0
-        for b in range(a + 1, n):
-            br = bracket_vectors(g.frame, vectors[a], vectors[b])
-            if any(br):
-                table[a][b] = GenSection.constant(g.frame, br)
-                table[b][a] = GenSection.constant(g.frame, [-c for c in br])
+    for a, b in itertools.combinations(range(n), 2):  # skew: [b, a] = -[a, b], [a, a] = 0
+        table[a][b] = courant_bracket(generators[a], generators[b])
+        table[b][a] = -table[a][b]
     return table

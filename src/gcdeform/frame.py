@@ -236,35 +236,31 @@ class FrameAlgebra:
     def index(self, name: str) -> int:
         return self.basis.index(name)
 
-    def bracket_vectors(
-        self, v: Sequence[PolyScalar], w: Sequence[PolyScalar]
-    ) -> list[PolyScalar]:
-        """Bilinear bracket of coefficient vectors (no Leibniz terms)."""
-        out = [PolyScalar.zero() for _ in range(self.dim)]
+    def bracket_vectors(self, v, w, zero=PolyScalar.zero()) -> list:
+        """Bilinear bracket of coefficient vectors (no Leibniz terms); ``zero``
+        is the ring's zero, GR_ZERO for Gaussian-rational vectors."""
+        out = [zero] * self.dim
         for (i, j), vec in self.table:
             factor = v[i] * w[j] - v[j] * w[i]
-            if factor.is_zero():
+            if not factor:
                 continue
             for k, c in enumerate(vec):
-                if not c.is_zero():
-                    out[k] = out[k] + factor.scale(c)
+                if c:
+                    out[k] = out[k] + factor * c
         return out
 
     def validate_jacobi(self) -> list[JacobiViolation]:
         violations = []
         n = self.dim
-        unit = [
-            [PolyScalar.const(GR_ONE) if a == b else PolyScalar.zero() for b in range(n)]
-            for a in range(n)
-        ]
+        unit = [[GR_ONE if a == b else GR_ZERO for b in range(n)] for a in range(n)]
         for i, j, k in itertools.combinations(range(n), 3):
-            total = [PolyScalar.zero()] * n
+            total = [GR_ZERO] * n
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                inner = self.bracket_vectors(unit[a], unit[b])
-                outer = self.bracket_vectors(inner, unit[c])
+                inner = self.bracket_vectors(unit[a], unit[b], GR_ZERO)
+                outer = self.bracket_vectors(inner, unit[c], GR_ZERO)
                 total = [t + o for t, o in zip(total, outer)]
-            if any(not t.is_zero() for t in total):
-                defect = tuple(t.constant_value() for t in total)
+            if any(total):
+                defect = tuple(total)
                 violations.append(
                     JacobiViolation(
                         (self.basis[i], self.basis[j], self.basis[k]), defect, self.basis
@@ -466,9 +462,9 @@ def eigenframe(
     brackets: dict[tuple[str, str], dict[str, GaussianRational]] = {}
     for a in range(g.dim):
         for b in range(a + 1, g.dim):
-            va = [PolyScalar.const(P[i][a]) for i in range(g.dim)]
-            vb = [PolyScalar.const(P[i][b]) for i in range(g.dim)]
-            old = [c.constant_value() for c in g.bracket_vectors(va, vb)]
+            va = [P[i][a] for i in range(g.dim)]
+            vb = [P[i][b] for i in range(g.dim)]
+            old = g.bracket_vectors(va, vb, GR_ZERO)
             new = [
                 sum((Pinv[k][i] * old[i] for i in range(g.dim)), GR_ZERO)
                 for k in range(g.dim)

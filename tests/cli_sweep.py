@@ -6,8 +6,8 @@ two source trees and diff the outputs to see every byte a change moves.
 
 The sweep covers each command in both formats on the built-in preset, on
 every ``bench/corpus/*.ws`` workspace (read only), on the Iwasawa frame, on a
-workspace given by subbundle generators and on one workspace per refusal of
-the subbundle build; then ``strata`` alone on symplectic abelian-8, three
+workspace given by subbundle generators, on one workspace per refusal of the
+subbundle build and on two workspaces with a misplaced ``names`` line; then ``strata`` alone on symplectic abelian-8, three
 ``type`` points on the preset, two on the reduced family of every
 ``--input`` workspace that has one (every parameter 0, and every parameter
 1/7 + i/9; the names are read from ``family --format machine``) and the
@@ -45,6 +45,11 @@ WORKSPACES = {
     "refuse_isotropic.ws": "basis X Y\ngenerator X + i*X*\ngenerator X + i*X*\n",
     "refuse_involutive.ws": (
         "basis X Y U V\nbracket X Y = U\nsymplectic X Y = 1\nsymplectic U V = 1\n"
+    ),
+    "names_repeated.ws": "basis X Y\nJ X = Y\nJ Y = -X\nnames eigen A\nnames eigen B\n",
+    "names_eigen_symplectic.ws": (
+        "basis X Y U V\nbracket X Y = U\nsymplectic X U = 1\nsymplectic Y V = 1\n"
+        "names eigen A B\n"
     ),
 }
 

@@ -15,7 +15,7 @@ import operator
 import random
 
 from gcdeform.algebroid import AlgebroidError
-from gcdeform.courant import GenSection, courant_bracket, pair
+from gcdeform.courant import GenSection, bracket_vectors, courant_bracket, doubled_pair, pair
 from gcdeform.deformation import (
     CLASSICAL_COMPLEX,
     COMPLEX,
@@ -27,6 +27,7 @@ from gcdeform.deformation import (
 )
 from gcdeform.frame import ComplexFrame, ExteriorForm
 from gcdeform.scalar import (
+    GR_HALF,
     GR_ONE,
     GR_ZERO,
     GaussianRational,
@@ -65,6 +66,119 @@ def courant_oracle(frame: ComplexFrame, s1: GenSection, s2: GenSection) -> GenSe
         out[k] = form.coefficient((k,)) - ly.coefficient((k,))
     # the d(i_x tau - i_y sigma)/2 term differentiates a constant: zero
     return GenSection(frame, tuple(tangent + out))
+
+
+# ``courant_bracket``, ``pair`` and ``lie_derivative`` before the bracket was
+# one formula: constant sections through the structure table, every other
+# section through the Lie derivative of the co-frame part, expanded with the
+# frame's d e_k* and contracted by hand.  Copied unchanged, helpers included.
+
+
+def contract(cot: Sequence[PolyScalar], tan: Sequence[PolyScalar]) -> PolyScalar:
+    """Evaluate a co-frame coefficient vector on a tangent coefficient vector."""
+    total = PolyScalar.zero()
+    for c, t in zip(cot, tan):
+        total = total + c * t
+    return total
+
+
+def directional(frame: ComplexFrame, tan: Sequence[PolyScalar], h: PolyScalar) -> PolyScalar:
+    """Derivative of a scalar along a tangent coefficient vector."""
+    out = PolyScalar.zero()
+    for a, x in enumerate(tan):
+        if x.is_zero():
+            continue
+        dh = h.differentiate(frame.tangent_names[a])
+        if not dh.is_zero():
+            out = out + x * dh
+    return out
+
+
+def _grad(frame: ComplexFrame, h: PolyScalar) -> list[PolyScalar]:
+    """Differential of a scalar as a co-frame coefficient vector."""
+    return [h.differentiate(name) for name in frame.tangent_names]
+
+
+def _lie_cotangent(
+    frame: ComplexFrame, x: Sequence[PolyScalar], f: Sequence[PolyScalar]
+) -> list[PolyScalar]:
+    """Lie derivative of a co-frame coefficient vector along a tangent vector.
+
+    Expands L_X = i_X d + d i_X with the invariant part of d supplied by the
+    frame's structure constants and function derivatives emitted as derivation
+    symbols.
+    """
+    d = frame.dim
+    out = [PolyScalar.zero()] * d
+    for k in range(d):
+        if not f[k].is_zero():
+            out[k] = out[k] + directional(frame, x, f[k])
+    for k in range(d):
+        fk = f[k]
+        if fk.is_zero():
+            continue
+        dk = frame.algebra.d_dual_basis(k)
+        for (i, j), c in ((idx, c) for idx, c in dk.terms):
+            # i_{e_a} of c * e_i* ^ e_j* contributes c*e_j* at a=i, -c*e_i* at a=j
+            if not x[i].is_zero():
+                out[j] = out[j] + fk * x[i] * c
+            if not x[j].is_zero():
+                out[i] = out[i] - fk * x[j] * c
+    for a in range(d):
+        fa = f[a]
+        if fa.is_zero():
+            continue
+        grad = _grad(frame, x[a])
+        for b in range(d):
+            if not grad[b].is_zero():
+                out[b] = out[b] + fa * grad[b]
+    return out
+
+
+def reference_pair(s1: GenSection, s2: GenSection) -> PolyScalar:
+    """Natural split-signature pairing: <X+s, Y+t> = (s(Y) + t(X)) / 2."""
+    d = s1.frame.dim
+    if s1.is_constant() and s2.is_constant():
+        value = doubled_pair(s1.constant_vector(), s2.constant_vector())
+        return PolyScalar.const(value * GR_HALF)
+    total = PolyScalar.zero()
+    for a in range(d):
+        total = total + s1.cotangent[a] * s2.tangent[a] + s2.cotangent[a] * s1.tangent[a]
+    return total.scale(GR_HALF)
+
+
+def reference_lie_derivative(x: GenSection, f: GenSection) -> GenSection:
+    """L_X f for a tangent-only section X and an invariant co-frame 1-form f."""
+    out = _lie_cotangent(x.frame, x.tangent, f.cotangent)
+    zero = [PolyScalar.zero()] * x.frame.dim
+    return GenSection(x.frame, tuple(zero + out))
+
+
+def reference_courant_bracket(s1: GenSection, s2: GenSection) -> GenSection:
+    """Skew bracket [X+s, Y+t] = [X,Y] + L_X t - L_Y s - d(i_X t - i_Y s)/2.
+
+    Constant sections bracket bilinearly by the frame's ``courant_table``.
+    """
+    frame = s1.frame
+    d = frame.dim
+    if s1.is_constant() and s2.is_constant():
+        x, y = s1.constant_vector(), s2.constant_vector()
+        return GenSection.constant(frame, bracket_vectors(frame, x, y))
+    x, sig = list(s1.tangent), list(s1.cotangent)
+    y, tau = list(s2.tangent), list(s2.cotangent)
+
+    tang = frame.algebra.bracket_vectors(x, y)
+    for k in range(d):
+        tang[k] = tang[k] + directional(frame, x, y[k]) - directional(frame, y, x[k])
+
+    cot = _lie_cotangent(frame, x, tau)
+    ly = _lie_cotangent(frame, y, sig)
+    anomaly = contract(tau, x) - contract(sig, y)
+    grad = _grad(frame, anomaly)
+    for b in range(d):
+        cot[b] = cot[b] - ly[b] - grad[b].scale(GR_HALF)
+
+    return GenSection(frame, tuple(tang + cot))
 
 
 def permutation_det(matrix) -> PolyScalar:

@@ -362,6 +362,11 @@ KODAIRA_J = "basis X Y U V\nbracket X Y = U\nJ X = Y\nJ Y = -X\nJ U = V\nJ V = -
         (KODAIRA_J + "names eigen z1 z2\n", 7),
         # co-frame names equal to the default eigenframe names Z1 Z2
         (KODAIRA_J + "names params s\nnames duals Z1 Z2\n", 8),
+        # a repeated names line would silently keep the last one
+        ("basis X Y\nJ X = Y\nJ Y = -X\nnames eigen A\nnames eigen B\n", 5),
+        # a symplectic structure has no eigenframe to name
+        ("basis X Y U V\nbracket X Y = U\nsymplectic X U = 1\nsymplectic Y V = 1\n"
+         "names eigen A B\n", 5),
     ],
     ids=[
         "eigen-repeat",
@@ -371,6 +376,8 @@ KODAIRA_J = "basis X Y U V\nbracket X Y = U\nJ X = Y\nJ Y = -X\nJ U = V\nJ V = -
         "duals-count",
         "eigen-default-duals",
         "duals-default-eigen",
+        "names-repeat",
+        "eigen-symplectic",
     ],
 )
 def test_input_errors_cite_their_line(tmp_path, capsys, text, line):
@@ -378,6 +385,23 @@ def test_input_errors_cite_their_line(tmp_path, capsys, text, line):
     ws.write_text(text, encoding="utf-8")
     assert cli.main(["validate", "--input", str(ws)]) == 1
     assert capsys.readouterr().err.startswith(f"error: line {line}: ")
+
+
+def test_names_lines_are_single_and_frame_names_need_j(tmp_path, capsys):
+    ws = tmp_path / "ws.ws"
+    generators = "basis X Y\ngenerator X + i*Y*\ngenerator Y - i*X*\n"
+    for text, message in (
+        (KODAIRA_J + "names params s\nnames params u\n", "line 8: duplicate names params line"),
+        (generators + "names duals a\n", "line 4: names duals applies only to a "
+         "complex structure (J lines)"),
+    ):
+        ws.write_text(text, encoding="utf-8")
+        assert cli.main(["validate", "--input", str(ws)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    # the parameter prefix applies to every structure
+    ws.write_text(generators + "names params s\n", encoding="utf-8")
+    assert cli.main(["mc", "--input", str(ws), "--format", "machine"]) == 0
+    assert json.loads(capsys.readouterr().out)["free_after_compatibility"][0].startswith("s")
 
 
 SIX_DIM = (

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -11,7 +12,6 @@ from gcdeform.courant import (
     CourantError,
     GenSection,
     bracket_table,
-    contract,
     courant_bracket,
     lie_derivative,
     pair,
@@ -21,6 +21,7 @@ from gcdeform.scalar import (
     GR_HALF,
     GR_ONE,
     GR_ZERO,
+    DerivationDepthError,
     DerivationSymbol,
     GaussianRational,
     PolyScalar,
@@ -28,7 +29,15 @@ from gcdeform.scalar import (
     parameter,
     poly,
 )
-from oracles import courant_oracle, random_gaussian, random_poly
+from oracles import (
+    contract,
+    courant_oracle,
+    random_gaussian,
+    random_poly,
+    reference_courant_bracket,
+    reference_lie_derivative,
+    reference_pair,
+)
 
 GR = GaussianRational.of
 HALF_I = GR(0, Fraction(1, 2))
@@ -310,7 +319,7 @@ def test_constant_bracket_matches_oracle_on_random_nilpotent_algebras():
             s2 = _random_constant_section(rng, frame)
             table = courant_bracket(s1, s2)
             assert table == courant_oracle(frame, s1, s2)
-            # a parameter coefficient sends the bracket down the derivative path
+            # a parameter coefficient is carried bilinearly: it has no derivative
             assert courant_bracket(s1.scale(t), s2) == table.scale(t)
             pairing = (contract(s1.cotangent, s2.tangent) + contract(s2.cotangent, s1.tangent))
             assert pair(s1, s2) == pairing.scale(GR_HALF)
@@ -319,13 +328,13 @@ def test_constant_bracket_matches_oracle_on_random_nilpotent_algebras():
 
 def test_report_brackets_only_through_the_table(monkeypatch, capsys):
     calls = []
-    lie_cotangent = courant._lie_cotangent
+    derivative = courant.directional
 
     def counted(*args):
         calls.append(args)
-        return lie_cotangent(*args)
+        return derivative(*args)
 
-    monkeypatch.setattr(courant, "_lie_cotangent", counted)
+    monkeypatch.setattr(courant, "directional", counted)
     builds = []
     table = ComplexFrame.__dict__["courant_table"]
     build = table.func
@@ -333,7 +342,76 @@ def test_report_brackets_only_through_the_table(monkeypatch, capsys):
     assert cli.main(["report", "--preset", "kodaira"]) == 0
     capsys.readouterr()
     assert calls == [] and len(builds) == 1
-    # the counter sees the derivative path of a section with a function coefficient
+    # the counter sees the Leibniz terms of a section with a function coefficient
     frame = builds[0]
     courant_bracket(GenSection.make(frame, {"T": function("u")}), GenSection.basis(frame, "rho"))
-    assert len(calls) == 2
+    assert calls
+
+
+# ---------------------------------------------------------------------------
+# The one bracket formula against the two-path reference
+# ---------------------------------------------------------------------------
+
+NILPOTENT_SEEDS = range(20261019, 20261025)
+
+
+def _frame(name):
+    if name in WORKSPACES:
+        return build_workspace(parse_workspace(WORKSPACES[name])).frame
+    g = _random_two_step_nilpotent(random.Random(int(name.split("-")[1])), 6)
+    assert g.validate_jacobi() == []
+    return ComplexFrame.complexified(g)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DerivationDepthError:
+        return DerivationDepthError
+
+
+def _random_section(rng, frame, symbols):
+    """About half the slots set, each to a Gaussian rational or, with symbols,
+    more often to a small polynomial in them."""
+    return GenSection.make(frame, {
+        n: random_poly(rng, symbols, 2) if symbols and rng.random() < 0.6
+        else random_gaussian(rng, 3)
+        for n in _names(frame) if rng.random() < 0.5
+    })
+
+
+@pytest.mark.parametrize(
+    "name", sorted(WORKSPACES) + [f"nilpotent-{seed}" for seed in NILPOTENT_SEEDS]
+)
+def test_one_formula_matches_the_two_path_reference(name):
+    frame = _frame(name)
+    zeros = (PolyScalar.zero(),) * frame.dim
+    rng = random.Random(f"one formula {name}")
+    u, v = function("u"), function("v")
+    kinds = {
+        "constant": [],
+        "parameter": [parameter("s"), parameter("t")],
+        "function": [parameter("t"), u, v],
+        "derivative": [parameter("t"), u, DerivationSymbol(frame.tangent_names[-1], u)],
+    }
+    seen = collections.Counter()
+    for kind, symbols in kinds.items():
+        for _ in range(12):
+            s1, s2 = _random_section(rng, frame, symbols), _random_section(rng, frame, symbols)
+            x, f = GenSection(frame, s1.tangent + zeros), GenSection(frame, zeros + s2.cotangent)
+            for new, old, args in (
+                (courant_bracket, reference_courant_bracket, (s1, s2)),
+                (pair, reference_pair, (s1, s2)),
+                (lie_derivative, reference_lie_derivative, (x, f)),
+            ):
+                got = _outcome(new, *args)
+                assert got == _outcome(old, *args), (kind, new.__name__, args)
+                if got is DerivationDepthError:
+                    seen[kind, new.__name__, "refused"] += 1
+                elif new is courant_bracket and any(c.has_derivations() for c in got.coeffs):
+                    seen[kind, "leibniz"] += 1
+    # positive controls: functions bring Leibniz terms, and a derivative
+    # symbol that would be differentiated again is refused
+    assert seen["function", "leibniz"] > 0
+    assert seen["derivative", "courant_bracket", "refused"] > 0
+    assert seen["derivative", "lie_derivative", "refused"] > 0
