@@ -5,7 +5,7 @@ projection as anchor and the restricted Courant bracket as algebroid bracket.
 The dual L* is identified with the conjugate span through the doubled pairing
 theta(x) = 2<x, .>, the differential d_L acts on exterior elements over L*,
 and the Schouten bracket extends the transported generator brackets as a
-biderivation.
+biderivation; on constant forms both are the matrices of a ``CochainComplex``.
 """
 
 from __future__ import annotations
@@ -109,6 +109,20 @@ class Splitting:
 
 
 @dataclass(frozen=True)
+class CochainComplex:
+    """d_L and the Schouten bracket on constant forms over L*, as matrices on the
+    lexicographic basis slots: row a of ``d1`` (row s of ``d2``) is d_L of the
+    a-th basis 1-form (s-th basis 2-form), and ``schouten[(s, u)]`` lists the
+    nonzero (3-slot, value) of the bracket of the s-th and u-th basis 2-forms."""
+
+    slots2: tuple[tuple[int, ...], ...]
+    slots3: tuple[tuple[int, ...], ...]
+    d1: Matrix
+    d2: Matrix
+    schouten: dict[tuple[int, int], list[tuple[int, GaussianRational]]]
+
+
+@dataclass(frozen=True)
 class IsotropicSubbundle:
     """Maximal isotropic, Courant-involutive subbundle with algebroid data.
 
@@ -117,8 +131,9 @@ class IsotropicSubbundle:
     classical/non-classical labeling of deformations and is absent otherwise.
 
     ``splitting`` is the pair (L, L-bar) read through the pairing, built once
-    by ``build``; its ``duals`` (theta-inverse of the dual basis) and the
-    Schouten table are computed on first use and kept.
+    by ``build``; its ``duals`` (theta-inverse of the dual basis), the
+    Schouten table and the constant ``cochains`` are computed on first use
+    and kept.
     """
 
     frame: ComplexFrame
@@ -191,9 +206,6 @@ class IsotropicSubbundle:
     def lform_names(self) -> tuple[str, ...]:
         return self.algebroid.dual_names
 
-    def lform(self, data) -> ExteriorForm:
-        return ExteriorForm.build(self.lform_names, data)
-
     def type_index(self) -> int:
         """Codimension of the tangent projection in the complexified tangent."""
         return self.splitting.type_index()
@@ -258,23 +270,16 @@ class IsotropicSubbundle:
                 raise AlgebroidError("bracket of sections left the subbundle")
             return coeffs
 
-        if p == 1:
-            x0, x1 = xs
-            result = (
-                anchor_apply(x0, f.evaluate([x1]))
-                - anchor_apply(x1, f.evaluate([x0]))
-                - f.evaluate([bracket(x0, x1)])
-            )
-        else:
-            x0, x1, x2 = xs
-            result = (
-                anchor_apply(x0, f.evaluate([x1, x2]))
-                - anchor_apply(x1, f.evaluate([x0, x2]))
-                + anchor_apply(x2, f.evaluate([x0, x1]))
-                - f.evaluate([bracket(x0, x1), x2])
-                + f.evaluate([bracket(x0, x2), x1])
-                - f.evaluate([bracket(x1, x2), x0])
-            )
+        # sum_i (-1)^i rho(x_i) f(..., no x_i, ...)
+        #   + sum_{i<j} (-1)^(i+j) f([x_i, x_j], ..., no x_i or x_j, ...)
+        result = PolyScalar.zero()
+        for i, x in enumerate(xs):
+            term = anchor_apply(x, f.evaluate(xs[:i] + xs[i + 1 :]))
+            result = result + (-term if i % 2 else term)
+        for i, j in itertools.combinations(range(p + 1), 2):
+            rest = [x for k, x in enumerate(xs) if k not in (i, j)]
+            term = f.evaluate([bracket(xs[i], xs[j]), *rest])
+            result = result + (-term if (i + j) % 2 else term)
 
         if not any(c.has_functions() for _, c in f.terms) and result.has_derivations():
             raise InternalConsistencyError(
@@ -303,39 +308,52 @@ class IsotropicSubbundle:
         """Generator-level bracket on L* transported through theta."""
         return {key: list(entry) for key, entry in self._schouten_table.items()}
 
-    def schouten_bracket(self, f1: ExteriorForm, f2: ExteriorForm) -> ExteriorForm:
-        """Graded bracket on exterior elements over L*, degrees at most 2.
+    def _schouten_terms(self, idx1, idx2) -> Iterator[tuple[tuple[int, ...], GaussianRational]]:
+        """(unsorted index, value) terms of the bracket of basis elements of degree
+        at most 2 from the transported table, as the decomposables expand:
+        [a1^a2, b1^b2] = [a1,b1]^a2^b2 - [a1,b2]^a2^b1 - [a2,b1]^a1^b2 + [a2,b2]^a1^b1."""
+        table = self._schouten_table
+        for s, i_gen in enumerate(idx1):
+            for t, j_gen in enumerate(idx2):
+                for c_idx, v in table.get((i_gen, j_gen), ()):
+                    rest = idx1[:s] + idx1[s + 1 :] + idx2[:t] + idx2[t + 1 :]
+                    yield (c_idx,) + rest, -v if (s + t) % 2 else v
 
-        Decomposables expand as
-        [a1^a2, b1^b2] = [a1,b1]^a2^b2 - [a1,b2]^a2^b1 - [a2,b1]^a1^b2 + [a2,b2]^a1^b1
-        with the generator brackets taken from the transported table.
-        """
+    def schouten_bracket(self, f1: ExteriorForm, f2: ExteriorForm) -> ExteriorForm:
+        """Graded bracket on exterior elements over L*, degrees at most 2,
+        extending the basis brackets of ``_schouten_terms`` bilinearly."""
         for f in (f1, f2):
             if f.degrees() and max(f.degrees()) > 2:
                 raise AlgebroidError("schouten_bracket supports degrees at most 2")
-            for _, c in f.terms:
-                if c.has_functions():
-                    raise AlgebroidError("schouten_bracket needs parameter-only coefficients")
-        table = self._schouten_table
+            if any(c.has_functions() for _, c in f.terms):
+                raise AlgebroidError("schouten_bracket needs parameter-only coefficients")
         acc: dict[tuple[int, ...], PolyScalar] = {}
-        for idx1, c1 in f1.terms:
-            for idx2, c2 in f2.terms:
-                hits = [
-                    (s, t, entry)
-                    for s, i_gen in enumerate(idx1)
-                    for t, j_gen in enumerate(idx2)
-                    if (entry := table.get((i_gen, j_gen)))
-                ]
-                if not hits:
-                    continue
-                coeff = c1 * c2
-                for s, t, entry in hits:
-                    rest = idx1[:s] + idx1[s + 1 :] + idx2[:t] + idx2[t + 1 :]
-                    for c_idx, v in entry:
-                        term = coeff.scale(-v if (s + t) % 2 else v)
-                        key = (c_idx,) + rest
-                        acc[key] = acc.get(key, PolyScalar.zero()) + term
+        for (idx1, c1), (idx2, c2) in itertools.product(f1.terms, f2.terms):
+            for key, v in self._schouten_terms(idx1, idx2):
+                acc[key] = acc.get(key, PolyScalar.zero()) + (c1 * c2).scale(v)
         return ExteriorForm.build(self.lform_names, acc)
+
+    # -- the constant cochain complex -------------------------------------------------
+
+    @cached_property
+    def cochains(self) -> CochainComplex:
+        """d_L on degrees 1 and 2 and the Schouten bracket of 2-forms as constant
+        matrices, built once from ``d_L_invariant`` and the Schouten table."""
+        names = self.lform_names
+        slots = [list(itertools.combinations(range(self.rank), p)) for p in range(4)]
+        d1, d2 = (
+            [self.d_L_invariant(ExteriorForm.basis(names, i)).vector(slots[p + 1]) for i in slots[p]]
+            for p in (1, 2)
+        )
+        schouten = {}
+        for (s, a), (u, b) in itertools.combinations_with_replacement(enumerate(slots[2]), 2):
+            # the terms of one pair of basis forms have distinct raw indices
+            bracket = ExteriorForm.build(names, dict(self._schouten_terms(a, b)))
+            if bracket.terms:
+                # 2-forms bracket symmetrically, for the transported table is skew
+                entry = [(r, v) for r, v in enumerate(bracket.vector(slots[3])) if v]
+                schouten[(s, u)] = schouten[(u, s)] = entry
+        return CochainComplex(tuple(slots[2]), tuple(slots[3]), d1, d2, schouten)
 
 
 def express_in_span(
@@ -372,14 +390,8 @@ def build_complex_eigenbundle(
     if frame.real is None:
         raise AlgebroidError("need an eigenframe built from a real frame and J")
     m = frame.dim // 2
-    gens = []
-    names = []
-    for a in range(m, 2 * m):
-        gens.append(GenSection.basis(frame, frame.tangent_names[a]))
-        names.append(frame.tangent_names[a])
-    for a in range(m):
-        gens.append(GenSection.basis(frame, frame.cotangent_names[a]))
-        names.append(frame.cotangent_names[a])
+    names = frame.tangent_names[m:] + frame.cotangent_names[:m]
+    gens = [GenSection.basis(frame, name) for name in names]
     split = (tuple(range(m)), tuple(range(m, 2 * m)))
     return IsotropicSubbundle.build(frame, gens, names, split=split)
 
@@ -414,36 +426,24 @@ def build_symplectic_eigenbundle(
         raise AlgebroidError("degenerate 2-form")
 
     frame = ComplexFrame.complexified(g)
-    unit = lambda a: [
-        PolyScalar.const(GR_ONE if k == a else GR_ZERO) for k in range(n)
+    # the generator L_a is e_a - i sum_b w(e_a, e_b) e_b*
+    gens = [
+        GenSection(frame, tuple(PolyScalar.const(GR_ONE if k == a else GR_ZERO) for k in range(n))
+                   + tuple(PolyScalar.const(-GR_I * x) for x in gram[a]))
+        for a in range(n)
     ]
-    gens = []
-    names = []
-    for a in range(n):
-        ixw = w.interior(unit(a))
-        coeffs = [PolyScalar.zero()] * (2 * n)
-        coeffs[a] = PolyScalar.const(GR_ONE)
-        for b in range(n):
-            c = ixw.coefficient((b,))
-            if not c.is_zero():
-                coeffs[n + b] = c.scale(-GR_I)
-        gens.append(GenSection(frame, tuple(coeffs)))
-        names.append(f"L{g.basis[a]}")
+    names = [f"L{name}" for name in g.basis]
 
-    dw = g.ce_differential(w)
+    closed = g.ce_differential(w).is_zero()
     try:
         sub = IsotropicSubbundle.build(frame, gens, names)
-        involutive = True
-        failure = None
     except AlgebroidError as exc:
-        if "not involutive" not in str(exc):
+        # a generator pair fails involutivity: consistent only with a form not closed
+        if "not involutive" not in str(exc) or not closed:
             raise
-        involutive = False
-        failure = exc
-    if involutive != dw.is_zero():
+        sub = None
+    if (sub is not None) != closed:
         raise InternalConsistencyError(
             "involutivity of the symplectic eigenbundle disagrees with closedness"
         )
-    if not involutive:
-        raise failure
     return frame, sub

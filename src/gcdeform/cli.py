@@ -522,11 +522,8 @@ def section_frame(ws: Workspace) -> dict:
     for (i, j), vec in alg.table:
         combo = {alg.basis[k]: c for k, c in enumerate(vec) if not c.is_zero()}
         table.append(f"[{alg.basis[i]}, {alg.basis[j]}] = {_render_combo(combo, alg.basis)}")
-    basis_sections = {
-        str(GenSection.basis(ws.frame, n))
-        for n in ws.frame.tangent_names + ws.frame.cotangent_names
-    }
-    if all(str(g) in basis_sections for g in ws.sub.generators):
+    # a generator is a basis section exactly when its constant vector is a unit vector
+    if all([x for x in v if x] == [GR_ONE] for v in ws.sub.splitting.vectors):
         gens = ["L generated by: " + ", ".join(ws.sub.names)]
     else:
         gens = [f"{n} = {g}" for n, g in zip(ws.sub.names, ws.sub.generators)]
@@ -610,6 +607,14 @@ def section_strata(ws: Workspace) -> dict:
     if strat.refused:
         out["refused"] = strat.refused
     return out
+
+
+def _parameterless(ws: Workspace) -> bool:
+    """Whether ``type`` needs no bindings: the reduced family has no parameters."""
+    try:
+        return not ws.family.free
+    except DeformationError:
+        return False
 
 
 def run_type(ws: Workspace, at: str) -> dict:
@@ -745,9 +750,9 @@ def run_pipeline(spec: WorkspaceSpec, command: str, at: Optional[str] = None, fm
         return "\n".join(chunks)
 
     if command == "type":
-        if not at:
+        if not at and not _parameterless(ws):
             raise ParseError(1, "type needs --at name=value,...")
-        data = run_type(ws, at)
+        data = run_type(ws, at or "")
         liner = _lines_type
     else:
         builder, liner = {cmd: (b, lines) for _, cmd, b, lines in _SECTIONS}[command]

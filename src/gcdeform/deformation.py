@@ -1,11 +1,13 @@
 """Deformations of an invariant maximal isotropic subbundle.
 
 The deformation parameter space is carved out of a fresh square matrix of
-parameters by the pairing-compatibility constraint, the Maurer-Cartan system
-is assembled from the algebroid differential and the Schouten bracket, gauge
-directions (the image of d_L on degree one) are quotiented out by coordinate
-dropping, deformed subbundles are built at ground parameter values, and the
-type of each deformed structure is classified by exact rank computations.
+parameters by the pairing-compatibility constraint; its transported 2-form is
+A t, A constant.  On the subbundle's constant complex, the Maurer-Cartan
+system is D2 A t + 1/2 sum t_p t_q S(A_p, A_q) (d_L matrix D2, Schouten
+tensor S), and the gauge directions, the rref of the degree-1 d_L matrix, are
+quotiented out by coordinate dropping.  Deformed subbundles are built at
+ground parameter values, and the type of each deformed structure is
+classified by exact rank computations.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .scalar import (
     GaussianRational,
     Matrix,
     Monomial,
+    PolyLike,
     PolyScalar,
     Symbol,
     mat_rank,
@@ -72,34 +75,26 @@ class DeformationMap:
         entries = tuple(tuple(poly(c) for c in row) for row in entries)
         if len(entries) != n or any(len(r) != n for r in entries):
             raise DeformationError("entry matrix has wrong shape")
-        gram = _gram(sub, entries)
-        for j in range(n):
-            for k in range(j, n):
-                if not (gram[j][k] + gram[k][j]).is_zero():
-                    raise DeformationError(
-                        "pairing compatibility fails at "
-                        f"({sub.names[j]}, {sub.names[k]})"
-                    )
-        data = {
-            (j, k): gram[j][k] for j in range(n) for k in range(j + 1, n)
-        }
-        form = ExteriorForm.build(sub.lform_names, data)
-        return DeformationMap(sub, entries, form, tuple(parameters))
+        for j, k in itertools.combinations_with_replacement(range(n), 2):
+            # 2<g_j, eps(g_k)> + 2<g_k, eps(g_j)> = 0
+            if any(_pairing(sub, entries, k, j, _pairing(sub, entries, j, k)).values()):
+                pair = f"({sub.names[j]}, {sub.names[k]})"
+                raise DeformationError(f"pairing compatibility fails at {pair}")
+        return DeformationMap(sub, entries, _transported_form(sub, entries), tuple(parameters))
 
     @staticmethod
     def from_form(sub: IsotropicSubbundle, form: ExteriorForm) -> "DeformationMap":
         """Recover the map from a degree-2 element of the exterior square of L*."""
         if form.degrees() not in (set(), {2}):
             raise DeformationError("deformation form must be homogeneous of degree 2")
-        # eps(g_k) = -sum_a phi_a h_a with phi = form(g_k, .), and each
+        # eps(g_k) = -sum_a form(g_k, g_a) h_a, and each
         # h_a = sum_i P^-1[i][a] conj(g_i) is read off on the conjugates
         n = sub.rank
-        entries = [[PolyScalar.zero()] * n for _ in range(n)]
-        for k in range(n):
-            phi = form.interior([PolyScalar.const(GR_ONE if a == k else GR_ZERO) for a in range(n)])
-            coeffs = [(a, phi.coefficient((a,))) for a in range(n)]
-            for i, row in enumerate(sub.splitting.inverse):
-                entries[i][k] = -sum((c.scale(row[a]) for a, c in coeffs if c), PolyScalar.zero())
+        entries = [
+            [-sum((form.coefficient((k, a)).scale(x) for a, x in enumerate(row)), PolyScalar.zero())
+             for k in range(n)]
+            for row in sub.splitting.inverse
+        ]
         symbols = {g for _, c in form.terms for g in c.generators() if isinstance(g, Symbol)}
         params = sorted(symbols, key=lambda s: s.sort_key())
         made = DeformationMap.from_entries(sub, entries, params)
@@ -107,12 +102,17 @@ class DeformationMap:
             raise InternalConsistencyError("form transport round-trip failed")
         return made
 
-    def substitute(self, bindings: Mapping[Symbol, object]) -> "DeformationMap":
+    def substitute(self, bindings: Mapping[Symbol, PolyLike]) -> "DeformationMap":
+        """Bind parameters in the entries and in the form's coefficients.  The
+        form is a constant linear map of the entries and substitution is a ring
+        homomorphism, so they stay compatible and nothing is re-proved."""
         entries = tuple(
             tuple(c.substitute(bindings) for c in row) for row in self.entries
         )
+        data = {idx: c.substitute(bindings) for idx, c in self.form.terms}
+        form = ExteriorForm.build(self.form.names, data)
         remaining = tuple(p for p in self.parameters if p not in bindings)
-        return DeformationMap.from_entries(self.sub, entries, remaining)
+        return DeformationMap(self.sub, entries, form, remaining)
 
     def mixed_block_entries(self) -> list[PolyScalar]:
         """Entries mixing tangent-type and cotangent-type generators.
@@ -132,17 +132,23 @@ def _mixed_block(sub: IsotropicSubbundle) -> list[tuple[int, int]]:
     return list(itertools.product(cotangent, tangent)) + list(itertools.product(tangent, cotangent))
 
 
-def _gram(sub: IsotropicSubbundle, entries) -> list[list[PolyScalar]]:
-    """``[j][k]`` is 2<g_j, eps(g_k)> for the map with these entries."""
-    pair2 = sub.splitting.pairing
-    n = sub.rank
-    return [
-        [
-            sum((entries[i][k].scale(pair2[j][i]) for i in range(n)), PolyScalar.zero())
-            for k in range(n)
-        ]
-        for j in range(n)
-    ]
+def _pairing(sub: IsotropicSubbundle, entries, j: int, k: int, acc=None) -> dict:
+    """The terms of 2<g_j, eps(g_k)> = sum_i P[j][i] entries[i][k] by monomial,
+    added to ``acc`` when given."""
+    acc = {} if acc is None else acc
+    for p, row in zip(sub.splitting.pairing[j], entries):
+        if p:
+            for m, c in row[k].terms:
+                acc[m] = acc.get(m, GR_ZERO) + p * c
+    return acc
+
+
+def _transported_form(sub: IsotropicSubbundle, entries) -> ExteriorForm:
+    """eps~ = sum_{j<k} 2<g_j, eps(g_k)> e*_j ^ e*_k.  The pairing is constant,
+    so on a pencil linear in parameters t the form is A t, A a constant matrix."""
+    pairs = itertools.combinations(range(sub.rank), 2)
+    data = {(j, k): PolyScalar.from_dict(_pairing(sub, entries, j, k)) for j, k in pairs}
+    return ExteriorForm.build(sub.lform_names, data)
 
 
 @dataclass
@@ -177,16 +183,16 @@ def constrain_map(
     if len(set(symbols)) != n * n:
         raise DeformationError("raw parameters must be distinct fresh symbols")
     # 2<g_j, eps(g_k)> + 2<g_k, eps(g_j)> = 0 for every pair j <= k
-    gram = _gram(sub, [[PolyScalar.of(s) for s in row] for row in raw])
-    system = [gram[j][k] + gram[k][j] for j in range(n) for k in range(j, n)]
+    unknowns = [[PolyScalar.of(s) for s in row] for row in raw]
+    system = [PolyScalar.from_dict(_pairing(sub, unknowns, k, j, _pairing(sub, unknowns, j, k)))
+              for j, k in itertools.combinations_with_replacement(range(n), 2)]
     solution = solve_linear(system, symbols)
     if solution.residual or not solution.consistent:
         raise InternalConsistencyError("compatibility constraint is not linear")
-    entries = [
-        [PolyScalar.of(raw[i][j]).substitute(solution.bindings) for j in range(n)]
-        for i in range(n)
-    ]
-    emap = DeformationMap.from_entries(sub, entries, tuple(solution.free))
+    entries = tuple(
+        tuple(solution.bindings.get(s, x) for s, x in zip(*rows)) for rows in zip(raw, unknowns)
+    )
+    emap = DeformationMap(sub, entries, _transported_form(sub, entries), tuple(solution.free))
     return emap, ConstraintReport(eliminated=solution.bindings, free=solution.free)
 
 
@@ -200,7 +206,6 @@ class MCSystem:
     """Coefficients of d_L(eps~) + [eps~, eps~]/2 on the degree-3 basis."""
 
     deformation: DeformationMap
-    residual_form: ExteriorForm
     constraints: list[tuple[tuple[int, int, int], PolyScalar]]
 
     def nonzero(self) -> list[tuple[tuple[int, int, int], PolyScalar]]:
@@ -216,34 +221,44 @@ class MCSystem:
 
 
 def mc_residual(e: DeformationMap) -> MCSystem:
-    sub = e.sub
-    residual = sub.d_L_invariant(e.form) + sub.schouten_bracket(e.form, e.form).scale(
-        GR_HALF
-    )
-    constraints = [
-        (idx, residual.coefficient(idx))
-        for idx in itertools.combinations(range(sub.rank), 3)
-    ]
-    return MCSystem(
-        deformation=e,
-        residual_form=residual,
-        constraints=constraints,
-    )
+    """d_L(eps~) + [eps~, eps~]/2 on the degree-3 slots, read off the constant
+    complex: with the form as sum_m m F_m (on a pencil, F_m are the columns of
+    A), the constraint on slot r is
+    sum_m m (D2 F_m)_r + 1/2 sum_{m, m'} m m' S(F_m, F_m')_r."""
+    if any(c.has_functions() for _, c in e.form.terms):
+        raise DeformationError("the Maurer-Cartan system needs parameter-only coefficients")
+    cx = e.sub.cochains
+    columns = [(m, list(col.items())) for m, col in _columns(e.form, cx.slots2).items()]
+    terms = [(m, r, v * w) for m, col in columns for s, v in col for r, w in enumerate(cx.d2[s]) if w]
+    for (m1, col1), (m2, col2) in itertools.product(columns, repeat=2):
+        halves = [(r, GR_HALF * v1 * v2 * w) for s1, v1 in col1 for s2, v2 in col2
+                  for r, w in cx.schouten.get((s1, s2), ())]
+        if halves:
+            m = m1 * m2
+            terms += [(m, r, v) for r, v in halves]
+    acc: list[dict[Monomial, GaussianRational]] = [{} for _ in cx.slots3]
+    for m, r, v in terms:
+        acc[r][m] = acc[r].get(m, GR_ZERO) + v
+    return MCSystem(e, [(idx, PolyScalar.from_dict(a)) for idx, a in zip(cx.slots3, acc)])
+
+
+def _columns(form: ExteriorForm, slots) -> dict[Monomial, dict[int, GaussianRational]]:
+    """The form as sum_m m F_m over the monomials m of its coefficients, each
+    F_m a constant vector given as {position in ``slots``: nonzero value}."""
+    position = {idx: s for s, idx in enumerate(slots)}
+    columns: dict[Monomial, dict[int, GaussianRational]] = {}
+    for idx, c in form.terms:
+        for m, v in c.terms:
+            columns.setdefault(m, {})[position[idx]] = v
+    return columns
 
 
 def gauge_image(sub: IsotropicSubbundle) -> list[ExteriorForm]:
-    """Echelon basis of the image of d_L from degree 1 to degree 2."""
-    slots = list(itertools.combinations(range(sub.rank), 2))
-    vectors = []
-    for a in range(sub.rank):
-        df = sub.d_L_invariant(ExteriorForm.basis(sub.lform_names, (a,)))
-        vectors.append([df.coefficient(idx).constant_value() for idx in slots])
-    rows, pivots = mat_rref(vectors)
-    basis = []
-    for r in range(len(pivots)):
-        data = {slots[c]: PolyScalar.const(rows[r][c]) for c in range(len(slots))}
-        basis.append(ExteriorForm.build(sub.lform_names, data))
-    return basis
+    """Echelon basis of the image of d_L from degree 1 to degree 2: the rows
+    of the rref of the degree-1 matrix."""
+    rows, pivots = mat_rref(sub.cochains.d1)
+    slots = sub.cochains.slots2
+    return [ExteriorForm.build(sub.lform_names, dict(zip(slots, row))) for row in rows[: len(pivots)]]
 
 
 # ---------------------------------------------------------------------------
@@ -262,19 +277,6 @@ class DeformationFamily:
     free: list[Symbol]
     reduced_basis: list[ExteriorForm]
     reduced_map: DeformationMap
-
-
-def _direction(form: ExteriorForm, param: Symbol) -> ExteriorForm:
-    """Derivative of a parameter-linear form along one parameter."""
-    mono = Monomial.of(param)
-    data = {}
-    for idx, c in form.terms:
-        data[idx] = PolyScalar.const(c.coefficient(mono))
-    return ExteriorForm.build(form.names, data)
-
-
-def _form_vector(form: ExteriorForm, slots) -> list[GaussianRational]:
-    return [form.coefficient(idx).constant_value() for idx in slots]
 
 
 def solve_mc_system(
@@ -297,15 +299,11 @@ def solve_mc_system(
             raise DeformationError("empty solution set")
         new: dict[Symbol, PolyScalar] = dict(solution.bindings)
         if not new:
-            for p in solution.residual:
-                if len(p.terms) != 1:
-                    continue
-                gens = set(p.terms[0][0].generators())
-                if len(gens) == 1:
-                    (g,) = gens
-                    if isinstance(g, Symbol) and g in remaining:
-                        new[g] = PolyScalar.zero()
-                        break
+            # the first single-term constraint c * t^k in one remaining unknown t
+            singles = (p.terms[0][0].generators() for p in solution.residual if len(p.terms) == 1)
+            g = next((gens[0] for gens in singles if len(gens) == 1 and gens[0] in remaining), None)
+            if g is not None:
+                new[g] = PolyScalar.zero()
         if not new:
             return bindings, remaining, solution.residual
         bindings = {k: v.substitute(new) for k, v in bindings.items()}
@@ -335,11 +333,16 @@ def reduce_family(
         raise DeformationError(f"nonlinear constraints block reduction: {rendered}")
 
     solved_map = e.substitute(solved)
-    slots = list(itertools.combinations(range(sub.rank), 2))
-
-    directions = {p: _direction(solved_map.form, p) for p in free_syms}
+    # the direction of each parameter is its constant column of the solved form
+    slots = sub.cochains.slots2
+    columns = _columns(solved_map.form, slots)
+    directions = {
+        p: [columns.get(Monomial.of(p), {}).get(s, GR_ZERO) for s in range(len(slots))]
+        for p in free_syms
+    }
     if gauge is None:
         gauge = gauge_image(sub)
+    gauge_vecs = [g.vector(slots) for g in gauge]
 
     # Steinitz exchange: each gauge element replaces a kept direction of
     # nonzero weight in its expansion over the placed gauge elements and the
@@ -348,41 +351,31 @@ def reduce_family(
     # element lies outside the span
     dropped: list[Symbol] = []
     kept = sorted(free_syms, key=lambda s: s.name)
-    placed: list[list[GaussianRational]] = []
-    for g in gauge:
-        gvec = _form_vector(g, slots)
-        basis = placed + [_form_vector(directions[p], slots) for p in kept]
+    for placed, (g, gvec) in enumerate(zip(gauge, gauge_vecs)):
+        basis = gauge_vecs[:placed] + [directions[p] for p in kept]
         rows, pivots = mat_rref(list(zip(*basis, gvec)))
         weights = {c: row[-1] for row, c in zip(rows, pivots)}
-        hit = [p for a, p in enumerate(kept, len(placed)) if weights.get(a)]
+        hit = [p for a, p in enumerate(kept, placed) if weights.get(a)]
         if not hit:
             raise DeformationError(
                 f"gauge direction {g} not expressible in solution coordinates"
             )
         kept.remove(hit[0])
         dropped.append(hit[0])
-        placed.append(gvec)
 
-    def slot_order_key(p: Symbol):
-        vec = directions[p]
-        for rank_idx, idx in enumerate(slots):
-            if not vec.coefficient(idx).is_zero():
-                return rank_idx
-        return len(slots)
-
-    free = sorted((p for p in free_syms if p not in dropped), key=slot_order_key)
+    # ordered by the first slot of each direction
+    first_slot = lambda p: next((s for s, x in enumerate(directions[p]) if x), len(slots))
+    free = sorted((p for p in free_syms if p not in dropped), key=first_slot)
     reduced_map = solved_map.substitute({p: PolyScalar.zero() for p in dropped})
-    reduced_basis = [directions[p] for p in free]
+    reduced_basis = [ExteriorForm.build(sub.lform_names, dict(zip(slots, directions[p])))
+                     for p in free]
 
     # the reduced directions and the gauge span must recover the full
     # solution tangent space and intersect trivially
-    all_vecs = [_form_vector(directions[p], slots) for p in free_syms]
-    red_vecs = [_form_vector(f, slots) for f in reduced_basis]
-    gauge_vecs = [_form_vector(g, slots) for g in gauge]
-    full_rank = mat_rank(all_vecs + gauge_vecs)
-    if mat_rank(red_vecs + gauge_vecs) != len(red_vecs) + len(gauge_vecs):
+    size = len(free) + len(gauge_vecs)
+    if mat_rank([directions[p] for p in free] + gauge_vecs) != size:
         raise InternalConsistencyError("reduced family meets the gauge span")
-    if full_rank != len(red_vecs) + len(gauge_vecs):
+    if mat_rank([directions[p] for p in free_syms] + gauge_vecs) != size:
         raise InternalConsistencyError("reduced family plus gauge span is too small")
 
     if not mc_residual(reduced_map).is_trivial():

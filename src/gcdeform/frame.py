@@ -88,6 +88,11 @@ class ExteriorForm:
                 return c if sign > 0 else -c
         return PolyScalar.zero()
 
+    def vector(self, slots: Sequence[tuple[int, ...]]) -> list[GaussianRational]:
+        """The constant coefficients on ``slots``, each a sorted index tuple."""
+        terms = dict(self.terms)
+        return [terms[idx].constant_value() if idx in terms else GR_ZERO for idx in slots]
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -148,6 +153,8 @@ class ExteriorForm:
 
 def _sort_index(idx: tuple[int, ...]):
     """The sorted index with the sign of its sorting permutation, or (None, 0)."""
+    if all(a < b for a, b in zip(idx, idx[1:])):
+        return idx, 1
     if len(set(idx)) != len(idx):
         return None, 0
     inversions = sum(a > b for a, b in itertools.combinations(idx, 2))
@@ -269,14 +276,6 @@ class FrameAlgebra:
         return violations
 
     # -- Chevalley-Eilenberg differential ------------------------------------
-
-    def d_dual_basis(self, k: int) -> ExteriorForm:
-        """d of the k-th dual 1-form: (d e_k*)(e_i, e_j) = -c^k_ij."""
-        data = {}
-        for (i, j), vec in self.table:
-            if not vec[k].is_zero():
-                data[(i, j)] = PolyScalar.const(-vec[k])
-        return ExteriorForm.build(self.dual_names, data)
 
     def ce_differential(self, form: ExteriorForm) -> ExteriorForm:
         """Differential of an invariant form; raised degree by one.

@@ -538,15 +538,17 @@ class PolyScalar:
             if sym.kind != PARAMETER:
                 raise SubstitutionError(f"cannot bind {sym.kind} symbol {sym.name!r}")
         values = {s: poly(v) for s, v in bindings.items()}
+        if not any(g in values for m, _ in self.terms for g, _ in m.powers):
+            return self
         out = PolyScalar.zero()
         for m, c in self.terms:
-            term = PolyScalar.const(c)
+            # the unbound factors keep their order; each bound one multiplies in
+            kept = Monomial(tuple((g, e) for g, e in m.powers if g not in values))
+            term = PolyScalar(((kept, c),))
             for g, e in m.powers:
-                if isinstance(g, Symbol) and g in values:
+                if g in values:
                     for _ in range(e):
                         term = term * values[g]
-                else:
-                    term = term * PolyScalar(((Monomial.from_counts({g: e}), GR_ONE),))
             out = out + term
         return out
 

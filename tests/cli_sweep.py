@@ -6,14 +6,16 @@ two source trees and diff the outputs to see every byte a change moves.
 
 The sweep covers each command in both formats on the built-in preset, on
 every ``bench/corpus/*.ws`` workspace (read only), on the Iwasawa frame, on a
-workspace given by subbundle generators, on one workspace per refusal of the
-subbundle build and on two workspaces with a misplaced ``names`` line; then ``strata`` alone on symplectic abelian-8, three
+workspace given by subbundle generators, on the two-dimensional non-abelian
+algebra with its area form (a reduced family without parameters), on one
+workspace per refusal of the subbundle build and on two workspaces with a
+misplaced ``names`` line; then ``strata`` alone on symplectic abelian-8, three
 ``type`` points on the preset, two on the reduced family of every
 ``--input`` workspace that has one (every parameter 0, and every parameter
-1/7 + i/9; the names are read from ``family --format machine``) and the
-usage errors.  Each workspace is written to a temporary
-directory under a fixed name, so the paths in the output do not depend on
-where the sweep runs.
+1/7 + i/9; the names are read from ``family --format machine``), or one with
+an empty ``--at`` where that family has no parameters, and the usage errors.
+Each workspace is written to a temporary directory under a fixed name, so the
+paths in the output do not depend on where the sweep runs.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ WORKSPACES = {
         "generator X - i*U*\ngenerator Y - i*V*\n"
         "generator U + i*X*\ngenerator V + i*Y*\n"
     ),
+    "r2.ws": "basis X Y\nbracket X Y = Y\nsymplectic X Y = 1\n",
     "refuse_dependent.ws": "basis X Y\ngenerator X\ngenerator X\n",
     "refuse_intersect.ws": "basis X Y\ngenerator X\ngenerator Y\n",
     "refuse_isotropic.ws": "basis X Y\ngenerator X + i*X*\ngenerator X + i*X*\n",
@@ -95,8 +98,11 @@ def invocations(names, main):
             yield ("strata", "--input", name, "--format", fmt)
     for name in names:
         code, out, _ = run(main, ("family", "--input", name, "--format", "machine"))
-        params = json.loads(out)["free"] if code == "0" else []
-        for value in FAMILY_VALUES if params else ():
+        if code != "0":
+            continue
+        params = json.loads(out)["free"]
+        # a family without parameters is classified once, with an empty --at
+        for value in FAMILY_VALUES if params else ("",):
             at = ",".join(f"{p}={value}" for p in params)
             for fmt in ("text", "machine"):
                 yield ("type", "--input", name, "--at", at, "--format", fmt)

@@ -25,7 +25,7 @@ from gcdeform.deformation import (
     DeformationError,
     DeformationMap,
 )
-from gcdeform.frame import ComplexFrame, ExteriorForm
+from gcdeform.frame import ComplexFrame, ExteriorForm, FrameAlgebra
 from gcdeform.scalar import (
     GR_HALF,
     GR_ONE,
@@ -42,6 +42,15 @@ from gcdeform.scalar import (
     minor,
     poly,
 )
+
+
+def d_dual_basis(algebra: FrameAlgebra, k: int) -> ExteriorForm:
+    """d of the k-th dual 1-form: (d e_k*)(e_i, e_j) = -c^k_ij."""
+    data = {}
+    for (i, j), vec in algebra.table:
+        if not vec[k].is_zero():
+            data[(i, j)] = PolyScalar.const(-vec[k])
+    return ExteriorForm.build(algebra.dual_names, data)
 
 
 def courant_oracle(frame: ComplexFrame, s1: GenSection, s2: GenSection) -> GenSection:
@@ -117,7 +126,7 @@ def _lie_cotangent(
         fk = f[k]
         if fk.is_zero():
             continue
-        dk = frame.algebra.d_dual_basis(k)
+        dk = d_dual_basis(frame.algebra, k)
         for (i, j), c in ((idx, c) for idx, c in dk.terms):
             # i_{e_a} of c * e_i* ^ e_j* contributes c*e_j* at a=i, -c*e_i* at a=j
             if not x[i].is_zero():
@@ -476,9 +485,18 @@ def reference_ce_differential(algebra, form: ExteriorForm) -> ExteriorForm:
         for pos, k in enumerate(idx):
             left = ExteriorForm.build(names, {idx[:pos]: one})
             right = ExteriorForm.build(names, {idx[pos + 1 :]: one})
-            piece = _wedge(_wedge(left, algebra.d_dual_basis(k)), right).scale(c)
+            piece = _wedge(_wedge(left, d_dual_basis(algebra, k)), right).scale(c)
             out = out + (-piece if pos % 2 else piece)
     return out
+
+
+def reference_mc_constraints(e: DeformationMap) -> list[tuple[tuple[int, ...], PolyScalar]]:
+    """The Maurer-Cartan constraints as the engine assembled them before the
+    constant complex: d_L of the form plus half its Schouten self-bracket, on
+    forms with polynomial coefficients, read on the degree-3 basis."""
+    sub = e.sub
+    residual = sub.d_L_invariant(e.form) + sub.schouten_bracket(e.form, e.form).scale(GR_HALF)
+    return [(idx, residual.coefficient(idx)) for idx in itertools.combinations(range(sub.rank), 3)]
 
 
 # The engine's linear algebra of a subbundle before the pairing with the

@@ -316,6 +316,25 @@ def test_type_without_at_is_input_error():
     assert "--at" in result.stderr
 
 
+@pytest.mark.parametrize("at", [[], ["--at", ""]])
+def test_type_on_a_family_without_parameters_needs_no_bindings(tmp_path, capsys, at):
+    # the reduced family of the two-dimensional non-abelian algebra with its
+    # area form has no free parameter: its one direction t11 is gauge
+    ws = tmp_path / "r2.ws"
+    ws.write_text("basis X Y\nbracket X Y = Y\nsymplectic X Y = 1\n", encoding="utf-8")
+    assert cli.main(["family", "--input", str(ws)]) == 0
+    assert capsys.readouterr().out == (
+        "reduced family: 0 free parameters\ndropped: t11 (gauge)\n"
+    )
+    assert cli.main(["type", "--input", str(ws), *at]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "k = 0 (symplectic type)\n"
+    assert captured.err == ""
+    # a family with parameters still asks for them, with --at empty too
+    assert cli.main(["type", "--preset", "kodaira", *at]) == 1
+    assert capsys.readouterr().err == "error: line 1: type needs --at name=value,...\n"
+
+
 def test_machine_format_single_command():
     result = run_cli("gauge", "--preset", "kodaira", "--format", "machine")
     assert result.returncode == 0
@@ -555,9 +574,23 @@ def test_report_runs_each_stage_once(monkeypatch, capsys):
     for name in ("constrain_map", "mc_residual", "reduce_family", "gauge_image"):
         for module in (cli, deformation):
             monkeypatch.setattr(module, name, _counted(counts, name, getattr(module, name)))
-    for cls, attr in ((Splitting, "duals"), (IsotropicSubbundle, "_schouten_table")):
+    for cls, attr in (
+        (Splitting, "duals"),
+        (IsotropicSubbundle, "_schouten_table"),
+        (IsotropicSubbundle, "cochains"),
+    ):
         cached = cls.__dict__[attr]
         monkeypatch.setattr(cached, "func", _counted(counts, attr, cached.func))
+    bracket = IsotropicSubbundle.schouten_bracket
+    monkeypatch.setattr(
+        IsotropicSubbundle, "schouten_bracket", _counted(counts, "schouten_bracket", bracket)
+    )
+    from_entries = deformation.DeformationMap.from_entries
+    monkeypatch.setattr(
+        deformation.DeformationMap,
+        "from_entries",
+        staticmethod(_counted(counts, "from_entries", from_entries)),
+    )
 
     per_call, outputs = [], []
     for _ in range(2):
@@ -568,8 +601,11 @@ def test_report_runs_each_stage_once(monkeypatch, capsys):
 
     # one pencil, one reduction, one gauge image (shared by the gauge section
     # and the reduction), one set of theta-inverse vectors (the duals of the
-    # splitting) and one Schouten table;
-    # mc_residual runs for the pencil and for the reduced-family certificate
+    # splitting), one Schouten table and one constant cochain complex;
+    # mc_residual runs for the pencil and for the reduced-family certificate,
+    # both read off the complex; schouten_bracket and from_entries, absent
+    # here, are called 0 times: no Schouten bracket of forms and no map
+    # rebuilt from its entries
     assert per_call[0] == {
         "constrain_map": 1,
         "mc_residual": 2,
@@ -577,10 +613,27 @@ def test_report_runs_each_stage_once(monkeypatch, capsys):
         "gauge_image": 1,
         "duals": 1,
         "_schouten_table": 1,
+        "cochains": 1,
     }
     # a second call recomputes everything: nothing is cached across calls
     assert per_call[1] == per_call[0]
     assert outputs[0] == outputs[1] == GOLDEN.read_text(encoding="utf-8")
+
+    # positive control: the same counters see direct calls
+    counts.clear()
+    ws = build_workspace(parse_workspace(KODAIRA_WORKSPACE))
+    pencil = ws.pencil[0]
+    ws.sub.schouten_bracket(pencil.form, pencil.form)
+    deformation.DeformationMap.from_entries(ws.sub, pencil.entries, pencil.parameters)
+    assert ws.sub.cochains is ws.sub.cochains
+    assert counts == {
+        "constrain_map": 1,
+        "duals": 1,
+        "_schouten_table": 1,
+        "schouten_bracket": 1,
+        "from_entries": 1,
+        "cochains": 1,
+    }
 
 
 def test_internal_consistency_failure_exit_code(monkeypatch, capsys):

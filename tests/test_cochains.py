@@ -1,0 +1,145 @@
+"""The linear stage on constant matrices against the assembly it replaced.
+
+Each subbundle keeps one ``CochainComplex``: the d_L matrices of degrees 1
+and 2 and the Schouten tensor on pairs of 2-form slots.  ``mc_residual``
+reads the Maurer-Cartan constraints off them, and is compared here with
+``reference_mc_constraints``, which applies d_L and the Schouten bracket to
+the form itself.  ``DeformationMap.substitute`` substitutes into the entries
+and the form without proving compatibility again, and is compared with
+``from_entries`` on the substituted entries.  All run on the preset, the
+corpus workspaces and a workspace given by generators; the MC comparison also
+runs on the Iwasawa frame, whose constraints are not all linear.
+"""
+
+import itertools
+import random
+from pathlib import Path
+
+import pytest
+
+from gcdeform.cli import KODAIRA_WORKSPACE, build_workspace, parse_workspace
+from gcdeform.deformation import DeformationError, DeformationMap, mc_residual
+from gcdeform.frame import ExteriorForm
+from gcdeform.scalar import GR_ZERO, PolyScalar, function, mat_mul, parameter
+from oracles import random_gaussian, random_poly, reference_mc_constraints
+
+CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
+GENERATORS = (
+    "basis X Y U V\nbracket X Y = U\n"
+    "generator X - i*U*\ngenerator Y - i*V*\n"
+    "generator U + i*X*\ngenerator V + i*Y*\n"
+)
+IWASAWA = (
+    "basis X1 Y1 X2 Y2 X3 Y3\n"
+    "bracket X1 X2 = -X3\nbracket Y1 Y2 = X3\nbracket X1 Y2 = -Y3\nbracket Y1 X2 = -Y3\n"
+    "J X1 = Y1\nJ Y1 = -X1\nJ X2 = Y2\nJ Y2 = -X2\nJ X3 = Y3\nJ Y3 = -X3\n"
+)
+WORKSPACES = {
+    "kodaira": KODAIRA_WORKSPACE,
+    "kodaira_symplectic_generators": GENERATORS,
+    **{path.stem: path.read_text(encoding="utf-8") for path in sorted(CORPUS.glob("*.ws"))},
+}
+NAMES = sorted(WORKSPACES)
+S, U = parameter("s"), parameter("u")
+
+
+@pytest.fixture(scope="module")
+def workspaces():
+    texts = {**WORKSPACES, "iwasawa": IWASAWA}
+    return {name: build_workspace(parse_workspace(text)) for name, text in texts.items()}
+
+
+def _maps(ws, name):
+    """The pencil, and the reduced family where one exists."""
+    pencil = ws.pencil[0]
+    return [pencil] if name == "iwasawa" else [pencil, ws.family.reduced_map]
+
+
+def _bindings(rng, params):
+    """Seeded bindings of a nonempty subset of ``params``: constants, zero and
+    the polynomials s^2 and s*u + 1 in fresh parameters."""
+    values = [
+        lambda: PolyScalar.const(random_gaussian(rng)),
+        lambda: PolyScalar.zero(),
+        lambda: PolyScalar.of(S) * PolyScalar.of(S),
+        lambda: PolyScalar.of(S) * PolyScalar.of(U) + 1,
+    ]
+    chosen = rng.sample(params, rng.randint(1, len(params)))
+    return {p: rng.choice(values)() for p in chosen}
+
+
+def test_workspaces_are_all_present():
+    assert len(WORKSPACES) == 7
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_substitute_matches_from_entries(workspaces, name):
+    sub = workspaces[name].sub
+    rng = random.Random(f"substitute-{name}")
+    for emap in _maps(workspaces[name], name):
+        params = list(emap.parameters)
+        cases = [{p: PolyScalar.of(S) * PolyScalar.of(S) for p in params},
+                 {p: PolyScalar.of(S) * PolyScalar.of(U) + 1 for p in params}]
+        cases += [_bindings(rng, params) for _ in range(12)]
+        for bindings in cases:
+            made = emap.substitute(bindings)
+            entries = [[c.substitute(bindings) for c in row] for row in emap.entries]
+            remaining = [p for p in emap.parameters if p not in bindings]
+            assert made == DeformationMap.from_entries(sub, entries, remaining)
+
+
+@pytest.mark.parametrize("name", NAMES + ["iwasawa"])
+def test_mc_constraints_match_reference(workspaces, name):
+    rng = random.Random(f"mc-{name}")
+    maps = _maps(workspaces[name], name)
+    pencil = maps[0]
+    maps += [pencil.substitute(_bindings(rng, list(pencil.parameters))) for _ in range(4)]
+    for emap in maps:
+        assert mc_residual(emap).constraints == reference_mc_constraints(emap)
+
+
+@pytest.mark.parametrize("name", NAMES + ["iwasawa"])
+def test_mc_constraints_match_reference_on_random_forms(workspaces, name):
+    sub = workspaces[name].sub
+    rng = random.Random(f"mc-forms-{name}")
+    slots = list(itertools.combinations(range(sub.rank), 2))
+    symbols = [parameter("p1"), parameter("p2")]
+    for trial in range(12):
+        # constant coefficients, then polynomial ones in two parameters
+        coefficient = (lambda: random_gaussian(rng)) if trial < 8 else (lambda: random_poly(rng, symbols))
+        data = {idx: coefficient() for idx in slots if rng.random() < 0.6}
+        emap = DeformationMap.from_form(sub, ExteriorForm.build(sub.lform_names, data))
+        assert mc_residual(emap).constraints == reference_mc_constraints(emap)
+
+
+def test_mc_residual_refuses_function_coefficients(workspaces):
+    # the constant complex is d_L on constant forms only
+    sub = workspaces["kodaira"].sub
+    form = ExteriorForm.build(sub.lform_names, {(0, 1): PolyScalar.of(function("f"))})
+    with pytest.raises(DeformationError, match="parameter-only coefficients"):
+        mc_residual(DeformationMap.from_form(sub, form))
+
+
+@pytest.mark.parametrize("name", NAMES + ["iwasawa"])
+def test_cochain_matrices(workspaces, name):
+    sub = workspaces[name].sub
+    cx = sub.cochains
+    assert cx.slots2 == tuple(itertools.combinations(range(sub.rank), 2))
+    assert cx.slots3 == tuple(itertools.combinations(range(sub.rank), 3))
+    # d_L squares to zero
+    assert all(x == GR_ZERO for row in mat_mul(cx.d1, cx.d2) for x in row)
+    # each row is d_L of a basis form, each tensor entry the bracket of two
+    def basis(idx):
+        return ExteriorForm.basis(sub.lform_names, idx)
+
+    degree1 = [(a,) for a in range(sub.rank)]
+    for sources, targets, matrix in ((degree1, cx.slots2, cx.d1), (cx.slots2, cx.slots3, cx.d2)):
+        assert len(matrix) == len(sources)
+        for idx, row in zip(sources, matrix):
+            image = sub.d_L_invariant(basis(idx))
+            assert row == [image.coefficient(t).constant_value() for t in targets]
+    for (s, a), (u, b) in itertools.product(enumerate(cx.slots2), repeat=2):
+        bracket = sub.schouten_bracket(basis(a), basis(b))
+        expected = [(r, c) for r, idx in enumerate(cx.slots3)
+                    if (c := bracket.coefficient(idx).constant_value())]
+        assert cx.schouten.get((s, u), []) == expected
