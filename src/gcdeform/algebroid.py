@@ -45,23 +45,33 @@ class InternalConsistencyError(RuntimeError):
 class Splitting:
     """Constant vectors g_j and their conjugates, read through the pairing.
 
-    ``pairing`` is P[j][k] = 2<g_j, conj(g_k)> and ``inverse`` is P^-1, or None
-    when P is singular.  Isotropic, independent sections span a maximal
-    isotropic L, and L = L^perp: v lies in L exactly when 2<g_c, v> = 0 for
-    every c, L meets its conjugate only in zero exactly when P is invertible,
+    ``pairing`` is P[j][k] = 2<g_j, conj(g_k)>, given or paired out of the
+    conjugates, and ``inverse`` is P^-1, or None when P is singular; only P is
+    computed eagerly.  Isotropic, independent sections span a maximal isotropic
+    L, and L = L^perp: v lies in L exactly when 2<g_c, v> = 0 for every c, L
+    meets its conjugate only in zero exactly when P has full rank (``separated``),
     and v in L has coordinates x_a = 2<h_a, v>, h_a = sum_i P^-1[i][a] conj(g_i).
     """
 
-    def __init__(self, frame: ComplexFrame, vectors: Sequence[list]):
+    def __init__(self, frame: ComplexFrame, vectors: Sequence[list], pairing: Optional[Matrix] = None):
         self.frame = frame
         self.vectors = list(vectors)
-        self.conj_vectors = [conjugate_vector(frame, v) for v in self.vectors]
-        self.pairing = [[doubled_pair(v, c) for c in self.conj_vectors] for v in self.vectors]
+        self.pairing = pairing or [[doubled_pair(v, c) for c in self.conj_vectors] for v in self.vectors]
+
+    @cached_property
+    def conj_vectors(self) -> list:
+        return [conjugate_vector(self.frame, v) for v in self.vectors]
+
+    @cached_property
+    def inverse(self) -> Optional[Matrix]:
         try:
-            self.inverse: Optional[Matrix] = mat_inverse(self.pairing)
+            return mat_inverse(self.pairing)
         except SingularMatrixError:
-            self.inverse = None
-        self.separated = self.inverse is not None
+            return None
+
+    @cached_property
+    def separated(self) -> bool:
+        return mat_rank(self.pairing) == len(self.vectors)
 
     @cached_property
     def duals(self) -> Matrix:
@@ -85,7 +95,7 @@ class Splitting:
         return next(((a, b) for a, b in pairs if doubled_pair(vs[a], vs[b])), None)
 
     def independent(self) -> bool:
-        # an invertible P certifies independence; the rank runs only without one
+        # a full-rank P certifies independence; the rank runs only without one
         return self.separated or mat_rank(self.vectors) == len(self.vectors)
 
     def contains(self, vector, zero=GR_ZERO) -> bool:
@@ -169,7 +179,7 @@ class IsotropicSubbundle:
             a, b = bad
             p = pair(generators[a], generators[b])
             raise AlgebroidError(f"not isotropic: <{names[a]}, {names[b]}> = {p}")
-        if not splitting.separated:
+        if splitting.inverse is None:  # the coordinates need P^-1 anyway
             if not splitting.independent():
                 raise AlgebroidError("generators are linearly dependent")
             raise AlgebroidError("L and its conjugate intersect (real index not zero)")

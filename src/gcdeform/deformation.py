@@ -5,9 +5,9 @@ parameters by the pairing-compatibility constraint; its transported 2-form is
 A t, A constant.  On the subbundle's constant complex, the Maurer-Cartan
 system is D2 A t + 1/2 sum t_p t_q S(A_p, A_q) (d_L matrix D2, Schouten
 tensor S), and the gauge directions, the rref of the degree-1 d_L matrix, are
-quotiented out by coordinate dropping.  Deformed subbundles are built at
-ground parameter values, and the type of each deformed structure is
-classified by exact rank computations.
+quotiented out by coordinate dropping.  At ground parameter values, the
+deformed pairing in closed form and the tangent rows classify a deformed
+structure by exact ranks; its isotropy and involutivity are decided on read.
 """
 
 from __future__ import annotations
@@ -400,14 +400,21 @@ def reduce_family(
 @dataclass
 class DeformedStructure:
     """Verdicts at one ground point of ``family``, whose entries evaluate to
-    ``values``; the generators and the ground map are built on first read."""
+    ``values``; all but separation are decided or built on first read."""
 
     family: DeformationMap
     values: Matrix
-    isotropic: bool
-    involutive: bool
     separated: bool
     splitting: Splitting = field(compare=False, repr=False)
+
+    @cached_property
+    def isotropic(self) -> bool:
+        return self.splitting.non_isotropic_pair() is None
+
+    @cached_property
+    def involutive(self) -> bool:
+        # independent isotropic generators span L = L^perp, separated or not
+        return self.isotropic and self.splitting.independent() and self.splitting.involutive()
 
     @cached_property
     def generators(self) -> list[GenSection]:
@@ -434,46 +441,40 @@ def _ground(e: DeformationMap, bindings: Mapping[Symbol, GaussianRational]) -> M
 def deform_subbundle(
     e: DeformationMap, bindings: Mapping[Symbol, GaussianRational]
 ) -> DeformedStructure:
-    """Generators (1 + eps)(g) at ground parameter values, with verdicts.
+    """Generators (1 + eps)(g) at ground parameter values, with their pairing.
 
     The point is evaluated once into a Gaussian-rational matrix E, and the
     j-th deformed generator is the constant vector g_j + sum_i E[i][j] conj(g_i).
-    Separation means the deformed span still intersects its conjugate only in
-    zero, which is the exact invertibility condition for the deformed
-    structure to be generalized complex at these values.  The generators of a
-    compatible map are isotropic, and where independent they span a maximal
-    isotropic L = L^perp, so involutivity is decided even without separation.
+    Separation, the exact condition for a generalized complex structure at
+    these values, means the deformed span meets its conjugate only in zero:
+    its pairing with the conjugates has full rank.  That pairing is
+    P + E^T P^T conj(E), P the subbundle's, with the zeros of E and P skipped:
+    L and its conjugate are isotropic, so the cross terms vanish for every E.
     """
     values = _ground(e, bindings)
-    vectors = [list(g) for g in e.sub.splitting.vectors]
-    for row, conj in zip(values, e.sub.splitting.conj_vectors):
+    base = e.sub.splitting
+    vectors = [list(g) for g in base.vectors]
+    for row, conj in zip(values, base.conj_vectors):
         for j, c in enumerate(row):
             if c:
                 vectors[j] = [x + c * w if w else x for x, w in zip(vectors[j], conj)]
-    splitting = Splitting(e.sub.frame, vectors)
-    isotropic = splitting.non_isotropic_pair() is None
-    involutive = isotropic and splitting.independent() and splitting.involutive()
-    return DeformedStructure(
-        family=e,
-        values=values,
-        isotropic=isotropic,
-        involutive=involutive,
-        separated=splitting.separated,
-        splitting=splitting,
-    )
-
-
-def _structure_type(structure: DeformedStructure) -> int:
-    if not structure.separated:
-        raise DeformationError(
-            "not a generalized complex structure at these parameter values"
-        )
-    return structure.splitting.type_index()
+    # entry (j, k) of the pairing gains E[i][j] P[l][i] conj(E[l][k])
+    pairing = [list(row) for row in base.pairing]
+    bars = [[(k, c.conjugate()) for k, c in enumerate(row) if c] for row in values]
+    for bar, p in zip(bars, base.pairing):
+        for pi, row in ((pi, row) for pi, row in zip(p, values) if pi):
+            for j, x in enumerate(row):
+                if x:
+                    xp, acc = x * pi, pairing[j]
+                    for k, y in bar:
+                        acc[k] = acc[k] + xp * y
+    splitting = Splitting(e.sub.frame, vectors, pairing)
+    return DeformedStructure(e, values, splitting.separated, splitting)
 
 
 def type_of(e: DeformationMap, bindings: Mapping[Symbol, GaussianRational]) -> int:
     """Type k: corank of the tangent projection of the deformed generators."""
-    return _structure_type(deform_subbundle(e, bindings))
+    return classify(e, bindings)[0]
 
 
 SYMPLECTIC = "symplectic type"
@@ -492,12 +493,12 @@ def _label(k: int, dim: int) -> str:
     return OTHER
 
 
-def classify(
-    e: DeformationMap, bindings: Mapping[Symbol, GaussianRational]
-) -> tuple[int, str]:
+def classify(e: DeformationMap, bindings: Mapping[Symbol, GaussianRational]) -> tuple[int, str]:
     """Type together with its stratum label at ground parameter values."""
     structure = deform_subbundle(e, bindings)
-    k = _structure_type(structure)
+    if not structure.separated:
+        raise DeformationError("not a generalized complex structure at these parameter values")
+    k = structure.splitting.type_index()
     label = _label(k, e.sub.frame.dim)
     if label == COMPLEX and e.sub.split is not None:
         mixed = any(structure.values[i][j] for i, j in _mixed_block(e.sub))

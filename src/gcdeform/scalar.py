@@ -289,6 +289,10 @@ class Symbol:
     def __post_init__(self) -> None:
         if self.kind not in (PARAMETER, FUNCTION):
             raise ScalarError(f"unknown symbol kind {self.kind!r}")
+        object.__setattr__(self, "_hash", hash((self.name, self.kind)))  # the dataclass's hash, once
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def sort_key(self) -> tuple[str, str]:
         return (self.name, "")
@@ -434,7 +438,7 @@ class PolyScalar:
 
     @staticmethod
     def of(gen: Generator) -> "PolyScalar":
-        return PolyScalar(((Monomial.of(gen), GR_ONE),))
+        return PolyScalar(((Monomial(((gen, 1),)), GR_ONE),))
 
     # -- ring operations ----------------------------------------------------
 

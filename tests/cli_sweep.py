@@ -9,7 +9,7 @@ every ``bench/corpus/*.ws`` workspace (read only), on the Iwasawa frame, on a
 workspace given by subbundle generators, on the two-dimensional non-abelian
 algebra with its area form (a reduced family without parameters), on one
 workspace per refusal of the subbundle build and on two workspaces with a
-misplaced ``names`` line; then ``strata`` alone on symplectic abelian-8, three
+misplaced ``names`` line; then ``strata`` alone on symplectic abelian-8, seven
 ``type`` points on the preset, two on the reduced family of every
 ``--input`` workspace that has one (every parameter 0, and every parameter
 1/7 + i/9; the names are read from ``family --format machine``), or one with
@@ -65,10 +65,15 @@ STRATA_ONLY = {
 
 COMMANDS = ("validate", "brackets", "mc", "gauge", "family", "type", "strata", "report")
 
+# the last four pin the separation locus |t11| = 1 from both sides
 TYPE_POINTS = (
     "t14=1,t32=0,t11=0,t22=0",
     "t14=0,t32=1,t11=0,t22=0",
     "t14=0,t32=0,t11=1,t22=0",
+    "t14=0,t32=0,t11=i,t22=0",
+    "t14=0,t32=0,t11=3/5+4*i/5,t22=0",
+    "t14=0,t32=0,t11=99/100,t22=0",
+    "t14=0,t32=0,t11=1+i,t22=0",
 )
 
 USAGE_ERRORS = (

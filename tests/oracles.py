@@ -617,12 +617,14 @@ def reference_form_entries(sub, form: ExteriorForm) -> list[list[PolyScalar]]:
 
 # ``deform_subbundle`` before it worked on Gaussian-rational vectors: the map
 # grounded by substitution, the deformed generators built as sections, and the
-# verdicts of the pairing with the conjugates.  Conjugation and the brackets
-# are taken independently of ``conjugate_vector`` and ``bracket_vectors``.
+# verdicts of the pairing with the conjugates, ``pairing`` P[j][k] =
+# 2<g_j, conj(g_k)> paired slot by slot.  Conjugation and the brackets are
+# taken independently of ``conjugate_vector`` and ``bracket_vectors``.
 @dataclass
 class ReferenceStructure:
     generators: list[GenSection]
     brackets: list[list[GaussianRational]]
+    pairing: list[list[GaussianRational]]
     isotropic: bool
     involutive: bool
     separated: bool
@@ -681,6 +683,7 @@ def reference_deform(e: DeformationMap, bindings) -> ReferenceStructure:
     return ReferenceStructure(
         generators=gens,
         brackets=[br.constant_vector() for br in brackets],
+        pairing=pairing,
         isotropic=isotropic,
         involutive=involutive,
         separated=separated,

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from gcdeform import algebroid, courant, deformation
-from gcdeform.algebroid import build_symplectic_eigenbundle, complex_eigenbundle
+from gcdeform import algebroid, courant, deformation, scalar
+from gcdeform.algebroid import Splitting, build_symplectic_eigenbundle, complex_eigenbundle
 from gcdeform.courant import GenSection, pair
 from gcdeform.deformation import (
     CLASSICAL_COMPLEX,
@@ -330,7 +330,9 @@ def test_classify_grounds_once(kfamily, monkeypatch):
 
 def test_classify_works_on_vectors(ksub, kfamily, monkeypatch):
     """A classify evaluates the point once: it substitutes no polynomial,
-    builds no map and brackets no section; reading ``ground`` builds one map."""
+    builds no map and brackets no section; reading ``ground`` builds one map.
+    It decides separation from the closed-form pairing, so it pairs no
+    vectors, inverts nothing and leaves isotropy and involutivity unread."""
     red = kfamily.reduced_map
     point = bind_all(red, t32=GR(1, 1), t11=GR(Fraction(1, 3)))
     calls = collections.Counter()
@@ -347,10 +349,15 @@ def test_classify_works_on_vectors(ksub, kfamily, monkeypatch):
         DeformationMap, "from_entries",
         staticmethod(counted("from_entries", DeformationMap.from_entries)),
     )
-    bracket = counted("courant_bracket", courant.courant_bracket)
-    for module in (courant, algebroid, deformation):
-        if hasattr(module, "courant_bracket"):
-            monkeypatch.setattr(module, "courant_bracket", bracket)
+    # each is rebound wherever it is imported by name
+    for home, name in ((courant, "courant_bracket"), (courant, "doubled_pair"),
+                       (courant, "bracket_vectors"), (scalar, "mat_inverse")):
+        wrapped = counted(name, getattr(home, name))
+        for module in (scalar, courant, algebroid, deformation):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapped)
+    for name in ("non_isotropic_pair", "involutive"):
+        monkeypatch.setattr(Splitting, name, counted(name, getattr(Splitting, name)))
 
     assert classify(red, point) == (2, COMPLEX_NONCLASSICAL)
     assert classify(red, bind_all(red, t14=1)) == (0, SYMPLECTIC)
@@ -359,6 +366,13 @@ def test_classify_works_on_vectors(ksub, kfamily, monkeypatch):
     structure = deform_subbundle(red, point)
     assert structure.ground is structure.ground
     assert calls == {"from_entries": 1}
+    calls.clear()
+    assert structure.involutive
+    read = dict(calls)
+    assert set(read) == {"doubled_pair", "bracket_vectors", "non_isotropic_pair", "involutive"}
+    assert structure.involutive and structure.isotropic and calls == read
+    assert structure.splitting.duals is structure.splitting.duals
+    assert calls["mat_inverse"] == 1
     # d_L of a 1-form on two sections brackets them once, as sections
     unit = lambda a: [GR_ONE if k == a else GR_ZERO for k in range(ksub.rank)]
     ksub.d_L_general(ExteriorForm.basis(ksub.lform_names, (0,)), [unit(0), unit(1)])

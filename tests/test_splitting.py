@@ -154,8 +154,10 @@ def test_verdicts_match_span_reference(workspaces, name):
     pinned = {
         # t12 != 0 leaves the MC zero set: not involutive
         "pencil": [{"t12": GR(1)}, {"t12": GR(0, 1), "t11": GR(1)}],
-        # t11 = 1 puts L on its conjugate: not separated, still involutive
-        "family": [{"t11": GR(1)}, {"t11": GR(1), "t14": GR(1)}],
+        # |t11| = 1 puts L on its conjugate: not separated, still involutive
+        "family": [{"t11": GR(1)}, {"t11": GR(1), "t14": GR(1)}, {"t11": GR(0, 1)},
+                   {"t11": GR(Fraction(3, 5), Fraction(4, 5))}, {"t11": GR(Fraction(99, 100))},
+                   {"t11": GR(1, 1)}],
     } if name == "kodaira" else {}
     seen = set()
     for label, emap in (("pencil", ws.pencil[0]), ("family", ws.family.reduced_map)):
@@ -170,6 +172,27 @@ def test_verdicts_match_span_reference(workspaces, name):
         assert ("pencil", (True, False, True)) in seen
         assert ("family", (True, True, False)) in seen
         assert ("family", (True, True, True)) in seen
+
+
+@pytest.mark.parametrize("t11, verdict", [
+    (GR(1), "refused"),
+    (GR(0, 1), "refused"),
+    (GR(Fraction(3, 5), Fraction(4, 5)), "refused"),
+    (GR(Fraction(99, 100)), (2, CLASSICAL_COMPLEX)),
+    (GR(1, 1), (2, CLASSICAL_COMPLEX)),
+], ids=["1", "i", "0.6+0.8i", "0.99", "1+i"])
+def test_separation_locus_on_the_t11_axis(workspaces, t11, verdict):
+    """The preset family leaves the generalized complex structures on |t11| = 1,
+    every other parameter 0; the points just off that circle stay separated."""
+    family = workspaces["kodaira"].family.reduced_map
+    point = {p: t11 if p.name == "t11" else GR(0) for p in family.parameters}
+    structure = deform_subbundle(family, point)
+    assert structure.separated == (verdict != "refused")
+    if verdict == "refused":
+        with pytest.raises(DeformationError, match="not a generalized complex structure"):
+            classify(family, point)
+    else:
+        assert classify(family, point) == verdict
 
 
 def test_dependent_generators_are_neither_separated_nor_independent(workspaces):
@@ -203,8 +226,11 @@ def test_deform_matches_substitution_reference(workspaces, name):
     pinned = {
         # t12 != 0 leaves the MC zero set: not involutive
         "pencil": [{"t12": GR(1)}],
-        # t11 = 1 puts L on its conjugate: not separated; t14 = t32 = 0 is classical
-        "family": [{"t11": GR(1)}, {"t11": GR(Fraction(1, 2)), "t22": GR(0, Fraction(1, 3))}],
+        # |t11| = 1 puts L on its conjugate: not separated; t14 = t32 = 0 is
+        # classical, and t11 = 99/100 and 1 + i pin the separated side
+        "family": [{"t11": GR(1)}, {"t11": GR(0, 1)}, {"t11": GR(Fraction(3, 5), Fraction(4, 5))},
+                   {"t11": GR(Fraction(99, 100))}, {"t11": GR(1, 1)},
+                   {"t11": GR(Fraction(1, 2)), "t22": GR(0, Fraction(1, 3))}],
     } if name == "kodaira" else {}
     seen = set()
     for label, emap in (("pencil", ws.pencil[0]), ("family", ws.family.reduced_map)):
@@ -212,6 +238,8 @@ def test_deform_matches_substitution_reference(workspaces, name):
             structure = deform_subbundle(emap, point)
             ref = reference_deform(emap, point)
             where = (label, {p.name: str(v) for p, v in point.items()})
+            # the closed form P + E^T P^T conj(E) against the pairing of the sections
+            assert structure.splitting.pairing == ref.pairing, where
             assert [g.coeffs for g in structure.generators] == [g.coeffs for g in ref.generators], where
             assert [br for _, br in structure.splitting.brackets()] == ref.brackets, where
             verdicts = (structure.isotropic, structure.involutive, structure.separated)
