@@ -30,6 +30,7 @@ from .scalar import (
     mat_inverse,
     mat_left_inverse,
     mat_rank,
+    mat_rref,
     poly,
 )
 
@@ -112,11 +113,6 @@ class Splitting:
         """Whether every [g_a, g_b] lies in L; needs L = L^perp."""
         return all(self.contains(br) for _, br in self.brackets())
 
-    def type_index(self) -> int:
-        """Codimension of the tangent projection in the complexified tangent."""
-        d = len(self.vectors[0]) // 2
-        return d - mat_rank([v[:d] for v in self.vectors])
-
 
 @dataclass(frozen=True)
 class CochainComplex:
@@ -130,6 +126,12 @@ class CochainComplex:
     d1: Matrix
     d2: Matrix
     schouten: dict[tuple[int, int], list[tuple[int, GaussianRational]]]
+
+    @cached_property
+    def gauge(self) -> Matrix:
+        """Echelon basis of the image of ``d1``: the nonzero rows of its rref."""
+        rows, pivots = mat_rref(self.d1)
+        return rows[: len(pivots)]
 
 
 @dataclass(frozen=True)
@@ -218,7 +220,7 @@ class IsotropicSubbundle:
 
     def type_index(self) -> int:
         """Codimension of the tangent projection in the complexified tangent."""
-        return self.splitting.type_index()
+        return self.frame.dim - mat_rank(self.anchor)
 
     def ambient_section(self, coeffs: Sequence[PolyLike]) -> GenSection:
         """Section given by generator coefficients, expanded in the ambient frame."""

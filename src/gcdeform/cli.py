@@ -418,7 +418,7 @@ class Workspace:
 
     @cached_property
     def family(self) -> DeformationFamily:
-        return reduce_family(self.mc, self.gauge)
+        return reduce_family(self.mc)
 
     @cached_property
     def strata(self) -> Stratification:
@@ -768,6 +768,13 @@ def run_pipeline(spec: WorkspaceSpec, command: str, at: Optional[str] = None, fm
 
 
 class _Parser(argparse.ArgumentParser):
+    def _check_value(self, action, value):
+        # the choices quoted on every Python version: newer argparse releases
+        # print them bare, older ones as reprs
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(action, f"invalid choice: {value!r} (choose from {choices})")
+
     def error(self, message: str):
         # a usage error is an input error: exit 1, as a parse error does
         self.print_usage(sys.stderr)

@@ -1,20 +1,21 @@
 """Deformations of an invariant maximal isotropic subbundle.
 
-The deformation parameter space is carved out of a fresh square matrix of
-parameters by the pairing-compatibility constraint; its transported 2-form is
-A t, A constant.  On the subbundle's constant complex, the Maurer-Cartan
-system is D2 A t + 1/2 sum t_p t_q S(A_p, A_q) (d_L matrix D2, Schouten
-tensor S), and the gauge directions, the rref of the degree-1 d_L matrix, are
-quotiented out by coordinate dropping.  At ground parameter values, the
-deformed pairing in closed form and the tangent rows classify a deformed
-structure by exact ranks; its isotropy and involutivity are decided on read.
+A deformation map is its entries; its transported 2-form (A t, A constant, on
+the pencil that pairing compatibility carves out of a fresh parameter matrix),
+the form's constant columns, the deformed generators and their tangent rows
+are views built on first read.  On the subbundle's constant complex, the
+Maurer-Cartan system is D2 A t + 1/2 sum t_p t_q S(A_p, A_q) (d_L matrix D2,
+Schouten tensor S), and the gauge directions, the rref of the degree-1 d_L
+matrix, are quotiented out by coordinate dropping.  At ground parameter
+values, the deformed pairing in closed form and the tangent rows classify a
+deformed structure by exact ranks; its generators are built on read.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from typing import Mapping, Optional, Sequence
@@ -52,17 +53,19 @@ class DeformationError(ValueError):
 
 @dataclass(frozen=True)
 class DeformationMap:
-    """Map eps: L -> L-bar with its transported 2-form over L*.
+    """Map eps: L -> L-bar, stored as its entries.
 
     ``entries[i][j]`` is the coefficient of the i-th conjugate generator in
-    the image of the j-th generator.  The transport convention is fixed once:
-    the associated bilinear form pairs the first slot against the image of the
-    second, eps~(x, y) = 2<x, eps(y)>.
+    the image of the j-th generator.  Everything else is a view of the
+    entries, computed on first read and kept: the transported 2-form
+    ``form``, its constant ``columns``, the deformed generators ``vectors``
+    and their tangent rows ``projection``.  The transport convention is fixed
+    once: the associated bilinear form pairs the first slot against the image
+    of the second, eps~(x, y) = 2<x, eps(y)>.
     """
 
     sub: IsotropicSubbundle
     entries: tuple[tuple[PolyScalar, ...], ...]
-    form: ExteriorForm
     parameters: tuple[Symbol, ...]
 
     @staticmethod
@@ -80,7 +83,7 @@ class DeformationMap:
             if any(_pairing(sub, entries, k, j, _pairing(sub, entries, j, k)).values()):
                 pair = f"({sub.names[j]}, {sub.names[k]})"
                 raise DeformationError(f"pairing compatibility fails at {pair}")
-        return DeformationMap(sub, entries, _transported_form(sub, entries), tuple(parameters))
+        return DeformationMap(sub, entries, tuple(parameters))
 
     @staticmethod
     def from_form(sub: IsotropicSubbundle, form: ExteriorForm) -> "DeformationMap":
@@ -103,16 +106,51 @@ class DeformationMap:
         return made
 
     def substitute(self, bindings: Mapping[Symbol, PolyLike]) -> "DeformationMap":
-        """Bind parameters in the entries and in the form's coefficients.  The
-        form is a constant linear map of the entries and substitution is a ring
-        homomorphism, so they stay compatible and nothing is re-proved."""
-        entries = tuple(
-            tuple(c.substitute(bindings) for c in row) for row in self.entries
-        )
-        data = {idx: c.substitute(bindings) for idx, c in self.form.terms}
-        form = ExteriorForm.build(self.form.names, data)
+        """Bind parameters in the entries.  Substitution is a ring homomorphism,
+        so the entries stay compatible and nothing is re-proved."""
+        entries = tuple(tuple(c.substitute(bindings) for c in row) for row in self.entries)
         remaining = tuple(p for p in self.parameters if p not in bindings)
-        return DeformationMap(self.sub, entries, form, remaining)
+        return DeformationMap(self.sub, entries, remaining)
+
+    @cached_property
+    def form(self) -> ExteriorForm:
+        """eps~ = sum_{j<k} 2<g_j, eps(g_k)> e*_j ^ e*_k.  The pairing is constant,
+        so on a pencil linear in parameters t the form is A t, A a constant matrix."""
+        pairs = itertools.combinations(range(self.sub.rank), 2)
+        data = {(j, k): PolyScalar.from_dict(_pairing(self.sub, self.entries, j, k)) for j, k in pairs}
+        return ExteriorForm.build(self.sub.lform_names, data)
+
+    @cached_property
+    def columns(self) -> dict[Monomial, dict[int, GaussianRational]]:
+        """The form as sum_m m F_m over the monomials m of its coefficients, each
+        F_m a constant vector {position in ``sub.cochains.slots2``: nonzero
+        value}; on a pencil, the F_t are the columns of A."""
+        columns: dict[Monomial, dict[int, GaussianRational]] = {}
+        for s, (j, k) in enumerate(itertools.combinations(range(self.sub.rank), 2)):
+            for m, v in _pairing(self.sub, self.entries, j, k).items():
+                if v:
+                    columns.setdefault(m, {})[s] = v
+        return columns
+
+    @cached_property
+    def vectors(self) -> list[list[PolyScalar]]:
+        """The deformed generators g_j + sum_i eps[i][j] conj(g_i), on all 2n slots."""
+        return self._deformed(2 * self.sub.frame.dim)
+
+    @cached_property
+    def projection(self) -> list[list[PolyScalar]]:
+        """The tangent rows of ``vectors``."""
+        return self._deformed(self.sub.frame.dim)
+
+    def _deformed(self, size: int) -> list[list[PolyScalar]]:
+        """The first ``size`` slots of the deformed generators."""
+        splitting = self.sub.splitting
+        rows = [[PolyScalar.const(x) for x in g[:size]] for g in splitting.vectors]
+        for eps, conj in zip(self.entries, splitting.conj_vectors):
+            for j, c in enumerate(eps):
+                if c:
+                    rows[j] = [x + c.scale(w) if w else x for x, w in zip(rows[j], conj[:size])]
+        return rows
 
     def mixed_block_entries(self) -> list[PolyScalar]:
         """Entries mixing tangent-type and cotangent-type generators.
@@ -141,14 +179,6 @@ def _pairing(sub: IsotropicSubbundle, entries, j: int, k: int, acc=None) -> dict
             for m, c in row[k].terms:
                 acc[m] = acc.get(m, GR_ZERO) + p * c
     return acc
-
-
-def _transported_form(sub: IsotropicSubbundle, entries) -> ExteriorForm:
-    """eps~ = sum_{j<k} 2<g_j, eps(g_k)> e*_j ^ e*_k.  The pairing is constant,
-    so on a pencil linear in parameters t the form is A t, A a constant matrix."""
-    pairs = itertools.combinations(range(sub.rank), 2)
-    data = {(j, k): PolyScalar.from_dict(_pairing(sub, entries, j, k)) for j, k in pairs}
-    return ExteriorForm.build(sub.lform_names, data)
 
 
 @dataclass
@@ -192,7 +222,7 @@ def constrain_map(
     entries = tuple(
         tuple(solution.bindings.get(s, x) for s, x in zip(*rows)) for rows in zip(raw, unknowns)
     )
-    emap = DeformationMap(sub, entries, _transported_form(sub, entries), tuple(solution.free))
+    emap = DeformationMap(sub, entries, tuple(solution.free))
     return emap, ConstraintReport(eliminated=solution.bindings, free=solution.free)
 
 
@@ -222,13 +252,13 @@ class MCSystem:
 
 def mc_residual(e: DeformationMap) -> MCSystem:
     """d_L(eps~) + [eps~, eps~]/2 on the degree-3 slots, read off the constant
-    complex: with the form as sum_m m F_m (on a pencil, F_m are the columns of
-    A), the constraint on slot r is
+    complex: with the form as sum_m m F_m (``e.columns``; on a pencil, F_m are
+    the columns of A), the constraint on slot r is
     sum_m m (D2 F_m)_r + 1/2 sum_{m, m'} m m' S(F_m, F_m')_r."""
-    if any(c.has_functions() for _, c in e.form.terms):
+    if any(c.has_functions() for row in e.entries for c in row):
         raise DeformationError("the Maurer-Cartan system needs parameter-only coefficients")
     cx = e.sub.cochains
-    columns = [(m, list(col.items())) for m, col in _columns(e.form, cx.slots2).items()]
+    columns = [(m, list(col.items())) for m, col in e.columns.items()]
     terms = [(m, r, v * w) for m, col in columns for s, v in col for r, w in enumerate(cx.d2[s]) if w]
     for (m1, col1), (m2, col2) in itertools.product(columns, repeat=2):
         halves = [(r, GR_HALF * v1 * v2 * w) for s1, v1 in col1 for s2, v2 in col2
@@ -242,23 +272,11 @@ def mc_residual(e: DeformationMap) -> MCSystem:
     return MCSystem(e, [(idx, PolyScalar.from_dict(a)) for idx, a in zip(cx.slots3, acc)])
 
 
-def _columns(form: ExteriorForm, slots) -> dict[Monomial, dict[int, GaussianRational]]:
-    """The form as sum_m m F_m over the monomials m of its coefficients, each
-    F_m a constant vector given as {position in ``slots``: nonzero value}."""
-    position = {idx: s for s, idx in enumerate(slots)}
-    columns: dict[Monomial, dict[int, GaussianRational]] = {}
-    for idx, c in form.terms:
-        for m, v in c.terms:
-            columns.setdefault(m, {})[position[idx]] = v
-    return columns
-
-
 def gauge_image(sub: IsotropicSubbundle) -> list[ExteriorForm]:
     """Echelon basis of the image of d_L from degree 1 to degree 2: the rows
-    of the rref of the degree-1 matrix."""
-    rows, pivots = mat_rref(sub.cochains.d1)
-    slots = sub.cochains.slots2
-    return [ExteriorForm.build(sub.lform_names, dict(zip(slots, row))) for row in rows[: len(pivots)]]
+    of the rref of the degree-1 matrix, kept on the subbundle's complex."""
+    cx = sub.cochains
+    return [ExteriorForm.build(sub.lform_names, dict(zip(cx.slots2, row))) for row in cx.gauge]
 
 
 # ---------------------------------------------------------------------------
@@ -314,16 +332,13 @@ def solve_mc_system(
     return bindings, free, []
 
 
-def reduce_family(
-    mc: MCSystem, gauge: Optional[list[ExteriorForm]] = None
-) -> DeformationFamily:
+def reduce_family(mc: MCSystem) -> DeformationFamily:
     """Solve the Maurer-Cartan system and quotient by the gauge directions.
 
     The gauge quotient drops, per gauge basis element in echelon order, the
     first-named kept solution coordinate whose direction has nonzero weight
     when that element is written over the gauge elements already placed and
-    the kept directions.  ``gauge`` is the subbundle's ``gauge_image`` when
-    the caller already has it; otherwise it is computed here.
+    the kept directions.
     """
     e = mc.deformation
     sub = e.sub
@@ -335,14 +350,12 @@ def reduce_family(
     solved_map = e.substitute(solved)
     # the direction of each parameter is its constant column of the solved form
     slots = sub.cochains.slots2
-    columns = _columns(solved_map.form, slots)
-    directions = {
-        p: [columns.get(Monomial.of(p), {}).get(s, GR_ZERO) for s in range(len(slots))]
-        for p in free_syms
-    }
-    if gauge is None:
-        gauge = gauge_image(sub)
-    gauge_vecs = [g.vector(slots) for g in gauge]
+    directions = {}
+    for p in free_syms:
+        column = solved_map.columns.get(Monomial.of(p), {})
+        directions[p] = [column.get(s, GR_ZERO) for s in range(len(slots))]
+    gauge = gauge_image(sub)
+    gauge_vecs = sub.cochains.gauge
 
     # Steinitz exchange: each gauge element replaces a kept direction of
     # nonzero weight in its expansion over the placed gauge elements and the
@@ -399,13 +412,27 @@ def reduce_family(
 
 @dataclass
 class DeformedStructure:
-    """Verdicts at one ground point of ``family``, whose entries evaluate to
-    ``values``; all but separation are decided or built on first read."""
+    """Verdicts at the ground point ``bindings`` of ``family``, whose entries
+    evaluate to ``values`` and whose deformed pairing is ``pairing``; all but
+    separation are decided or built on first read."""
 
     family: DeformationMap
+    bindings: Mapping[Symbol, GaussianRational]
     values: Matrix
+    pairing: Matrix
     separated: bool
-    splitting: Splitting = field(compare=False, repr=False)
+
+    @cached_property
+    def type_index(self) -> int:
+        """Corank of the tangent projection at the point: the type k."""
+        rows = [[c.evaluate(self.bindings) for c in row] for row in self.family.projection]
+        return self.family.sub.frame.dim - mat_rank(rows)
+
+    @cached_property
+    def splitting(self) -> Splitting:
+        """The deformed generators at the point, read through ``pairing``."""
+        vectors = [[c.evaluate(self.bindings) for c in v] for v in self.family.vectors]
+        return Splitting(self.family.sub.frame, vectors, self.pairing)
 
     @cached_property
     def isotropic(self) -> bool:
@@ -427,14 +454,12 @@ class DeformedStructure:
 
 def _ground(e: DeformationMap, bindings: Mapping[Symbol, GaussianRational]) -> Matrix:
     """The entries of ``e`` evaluated at the bindings, which bind every parameter."""
-    missing = [p for p in e.parameters if p not in bindings]
+    missing = [p.name for p in e.parameters if p not in bindings]
     if missing:
-        names = ", ".join(p.name for p in missing)
-        raise DeformationError(f"unbound parameters: {names}")
-    unknown = [s for s in bindings if s not in e.parameters]
+        raise DeformationError(f"unbound parameters: {', '.join(missing)}")
+    unknown = [s.name for s in bindings if s not in e.parameters]
     if unknown:
-        names = ", ".join(s.name for s in unknown)
-        raise DeformationError(f"bindings for unknown parameters: {names}")
+        raise DeformationError(f"bindings for unknown parameters: {', '.join(unknown)}")
     return [[c.evaluate(bindings) for c in row] for row in e.entries]
 
 
@@ -443,21 +468,17 @@ def deform_subbundle(
 ) -> DeformedStructure:
     """Generators (1 + eps)(g) at ground parameter values, with their pairing.
 
-    The point is evaluated once into a Gaussian-rational matrix E, and the
-    j-th deformed generator is the constant vector g_j + sum_i E[i][j] conj(g_i).
+    The entries are evaluated once into a Gaussian-rational matrix E.
     Separation, the exact condition for a generalized complex structure at
     these values, means the deformed span meets its conjugate only in zero:
     its pairing with the conjugates has full rank.  That pairing is
     P + E^T P^T conj(E), P the subbundle's, with the zeros of E and P skipped:
     L and its conjugate are isotropic, so the cross terms vanish for every E.
+    The type evaluates the map's ``projection`` at the point, and the deformed
+    generators, ``e.vectors`` evaluated there, are built only when read.
     """
     values = _ground(e, bindings)
     base = e.sub.splitting
-    vectors = [list(g) for g in base.vectors]
-    for row, conj in zip(values, base.conj_vectors):
-        for j, c in enumerate(row):
-            if c:
-                vectors[j] = [x + c * w if w else x for x, w in zip(vectors[j], conj)]
     # entry (j, k) of the pairing gains E[i][j] P[l][i] conj(E[l][k])
     pairing = [list(row) for row in base.pairing]
     bars = [[(k, c.conjugate()) for k, c in enumerate(row) if c] for row in values]
@@ -468,8 +489,7 @@ def deform_subbundle(
                     xp, acc = x * pi, pairing[j]
                     for k, y in bar:
                         acc[k] = acc[k] + xp * y
-    splitting = Splitting(e.sub.frame, vectors, pairing)
-    return DeformedStructure(e, values, splitting.separated, splitting)
+    return DeformedStructure(e, bindings, values, pairing, mat_rank(pairing) == len(pairing))
 
 
 def type_of(e: DeformationMap, bindings: Mapping[Symbol, GaussianRational]) -> int:
@@ -498,7 +518,7 @@ def classify(e: DeformationMap, bindings: Mapping[Symbol, GaussianRational]) -> 
     structure = deform_subbundle(e, bindings)
     if not structure.separated:
         raise DeformationError("not a generalized complex structure at these parameter values")
-    k = structure.splitting.type_index()
+    k = structure.type_index
     label = _label(k, e.sub.frame.dim)
     if label == COMPLEX and e.sub.split is not None:
         mixed = any(structure.values[i][j] for i, j in _mixed_block(e.sub))
@@ -544,18 +564,6 @@ def _normalize_minor(p: PolyScalar) -> PolyScalar:
         gens = sorted(set(mono.generators()), key=lambda g: g.sort_key())
         return PolyScalar.from_dict({Monomial.of(*gens): GR_ONE})
     return p
-
-
-def _projection_matrix(e: DeformationMap) -> list[list[PolyScalar]]:
-    """Tangent rows of the deformed generators g_j + sum_i eps[i][j] conj(g_i)."""
-    d = e.sub.frame.dim
-    splitting = e.sub.splitting
-    rows = [[PolyScalar.const(x) for x in g[:d]] for g in splitting.vectors]
-    for eps, conj in zip(e.entries, splitting.conj_vectors):
-        for j, c in enumerate(eps):
-            if c:
-                rows[j] = [x + c.scale(w) if w else x for x, w in zip(rows[j], conj[:d])]
-    return rows
 
 
 def _distinct_normalized(polys) -> list[PolyScalar]:
@@ -622,7 +630,7 @@ def _generic_rank(matrix, table: dict) -> int:
 def _rank_and_minors(e: DeformationMap) -> tuple[int, list[PolyScalar]]:
     """Certified generic rank r of the tangent projection and its distinct
     nonzero r x r minors, read from one minor table."""
-    matrix = _projection_matrix(e)
+    matrix = e.projection
     table: dict = {}
     r = _generic_rank(matrix, table)
     return r, _nonzero_minors(matrix, r, table) if r else []
@@ -651,11 +659,7 @@ def stratify_type(e: DeformationMap) -> Stratification:
     """
     dim = e.sub.frame.dim
     if len(e.parameters) > 8:
-        return Stratification(
-            strata=[],
-            generic_rank=_generic_rank(_projection_matrix(e), {}),
-            refused="too many parameters",
-        )
+        return Stratification([], _generic_rank(e.projection, {}), "too many parameters")
     grank, root_minors = _rank_and_minors(e)
 
     strata: dict[frozenset[str], TypeStratum] = {}
@@ -669,10 +673,7 @@ def stratify_type(e: DeformationMap) -> Stratification:
             return ((CLASSICAL_COMPLEX, ""),)
         conditions = ", ".join(f"{m} = 0" for m in mixed)
         anti = ", ".join(f"{m} != 0" for m in mixed)
-        return (
-            (CLASSICAL_COMPLEX, conditions),
-            (COMPLEX_NONCLASSICAL, anti),
-        )
+        return ((CLASSICAL_COMPLEX, conditions), (COMPLEX_NONCLASSICAL, anti))
 
     def key_of(zeroed: tuple[Symbol, ...]) -> frozenset[str]:
         return frozenset(s.name for s in zeroed)
@@ -695,13 +696,7 @@ def stratify_type(e: DeformationMap) -> Stratification:
             if len(p.terms) != 1:
                 refusal.append(f"non-monomial rank boundary {p}")
                 return
-            supports.append(
-                tuple(
-                    g
-                    for g in p.terms[0][0].generators()
-                    if isinstance(g, Symbol)
-                )
-            )
+            supports.append(tuple(g for g in p.terms[0][0].generators() if isinstance(g, Symbol)))
         for hitting in _minimal_hitting_sets(supports):
             below = zeroed + tuple(hitting)
             if key_of(below) in strata:
@@ -710,14 +705,8 @@ def stratify_type(e: DeformationMap) -> Stratification:
             descend(child, below, *_rank_and_minors(child))
 
     descend(e, (), grank, root_minors)
-    ordered = sorted(
-        strata.values(), key=lambda s: (len(s.zero), [str(p) for p in s.zero])
-    )
-    return Stratification(
-        strata=ordered,
-        generic_rank=grank,
-        refused="; ".join(refusal) if refusal else None,
-    )
+    ordered = sorted(strata.values(), key=lambda s: (len(s.zero), [str(p) for p in s.zero]))
+    return Stratification(ordered, grank, "; ".join(refusal) if refusal else None)
 
 
 def _minimal_hitting_sets(supports: Sequence[tuple[Symbol, ...]]):

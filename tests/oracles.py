@@ -615,6 +615,57 @@ def reference_form_entries(sub, form: ExteriorForm) -> list[list[PolyScalar]]:
     return entries
 
 
+# The views of a deformation map as the engine built them while the map stored
+# its transported form beside its entries: the form summed as polynomials, its
+# constant columns read back off the form, the tangent rows of the deformed
+# generators built on their own, and the deformed generators of a ground point
+# built eagerly on all 2n slots from the evaluated entries.
+def reference_transported_form(sub, entries) -> ExteriorForm:
+    """eps~ = sum_{j<k} 2<g_j, eps(g_k)> e*_j ^ e*_k, where
+    2<g_j, eps(g_k)> = sum_i P[j][i] entries[i][k]."""
+    pairing = sub.splitting.pairing
+    data = {
+        (j, k): sum((entries[i][k].scale(pairing[j][i]) for i in range(sub.rank)), PolyScalar.zero())
+        for j, k in itertools.combinations(range(sub.rank), 2)
+    }
+    return ExteriorForm.build(sub.lform_names, data)
+
+
+def reference_columns(form: ExteriorForm, slots) -> dict:
+    """The form as sum_m m F_m over the monomials m of its coefficients, each
+    F_m a constant vector given as {position in ``slots``: nonzero value}."""
+    position = {idx: s for s, idx in enumerate(slots)}
+    columns: dict = {}
+    for idx, c in form.terms:
+        for m, v in c.terms:
+            columns.setdefault(m, {})[position[idx]] = v
+    return columns
+
+
+def reference_projection_matrix(e: DeformationMap) -> list[list[PolyScalar]]:
+    """Tangent rows of the deformed generators g_j + sum_i eps[i][j] conj(g_i)."""
+    d = e.sub.frame.dim
+    splitting = e.sub.splitting
+    rows = [[PolyScalar.const(x) for x in g[:d]] for g in splitting.vectors]
+    for eps, conj in zip(e.entries, splitting.conj_vectors):
+        for j, c in enumerate(eps):
+            if c:
+                rows[j] = [x + c.scale(w) if w else x for x, w in zip(rows[j], conj[:d])]
+    return rows
+
+
+def reference_vectors(e: DeformationMap, values) -> list[list[GaussianRational]]:
+    """The deformed generators g_j + sum_i E[i][j] conj(g_i) at a ground point
+    whose entries evaluate to the matrix E = ``values``, on all 2n slots."""
+    base = e.sub.splitting
+    vectors = [list(g) for g in base.vectors]
+    for row, conj in zip(values, base.conj_vectors):
+        for j, c in enumerate(row):
+            if c:
+                vectors[j] = [x + c * w if w else x for x, w in zip(vectors[j], conj)]
+    return vectors
+
+
 # ``deform_subbundle`` before it worked on Gaussian-rational vectors: the map
 # grounded by substitution, the deformed generators built as sections, and the
 # verdicts of the pairing with the conjugates, ``pairing`` P[j][k] =

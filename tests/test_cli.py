@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from gcdeform import cli, deformation
+from gcdeform import algebroid, cli, deformation, scalar
 from gcdeform.algebroid import IsotropicSubbundle, Splitting
 from gcdeform.cli import (
     KODAIRA_WORKSPACE,
@@ -574,13 +574,27 @@ def test_report_runs_each_stage_once(monkeypatch, capsys):
     for name in ("constrain_map", "mc_residual", "reduce_family", "gauge_image"):
         for module in (cli, deformation):
             monkeypatch.setattr(module, name, _counted(counts, name, getattr(module, name)))
-    for cls, attr in (
-        (Splitting, "duals"),
-        (IsotropicSubbundle, "_schouten_table"),
-        (IsotropicSubbundle, "cochains"),
-    ):
+    for cls, attr in ((Splitting, "duals"), (IsotropicSubbundle, "_schouten_table")):
         cached = cls.__dict__[attr]
         monkeypatch.setattr(cached, "func", _counted(counts, attr, cached.func))
+    # the complexes built, so that an rref of a degree-1 d_L matrix is told apart
+    complexes = []
+    cochains = IsotropicSubbundle.__dict__["cochains"]
+    build = cochains.func
+
+    def kept(sub):
+        complexes.append(build(sub))
+        return complexes[-1]
+
+    monkeypatch.setattr(cochains, "func", _counted(counts, "cochains", kept))
+
+    def rref(matrix):
+        if any(matrix is cx.d1 for cx in complexes):
+            counts["mat_rref(d1)"] += 1
+        return scalar.mat_rref(matrix)
+
+    for module in (algebroid, deformation):
+        monkeypatch.setattr(module, "mat_rref", rref)
     bracket = IsotropicSubbundle.schouten_bracket
     monkeypatch.setattr(
         IsotropicSubbundle, "schouten_bracket", _counted(counts, "schouten_bracket", bracket)
@@ -599,18 +613,20 @@ def test_report_runs_each_stage_once(monkeypatch, capsys):
         outputs.append(capsys.readouterr().out)
         per_call.append(dict(counts))
 
-    # one pencil, one reduction, one gauge image (shared by the gauge section
-    # and the reduction), one set of theta-inverse vectors (the duals of the
-    # splitting), one Schouten table and one constant cochain complex;
-    # mc_residual runs for the pencil and for the reduced-family certificate,
-    # both read off the complex; schouten_bracket and from_entries, absent
-    # here, are called 0 times: no Schouten bracket of forms and no map
-    # rebuilt from its entries
+    # one pencil, one reduction, one set of theta-inverse vectors (the duals
+    # of the splitting), one Schouten table and one constant cochain complex;
+    # the gauge section and the reduction each read the gauge image, and the
+    # rref of the degree-1 d_L matrix behind it runs once, kept on the
+    # complex; mc_residual runs for the pencil and for the reduced-family
+    # certificate, both read off the complex; schouten_bracket and
+    # from_entries, absent here, are called 0 times: no Schouten bracket of
+    # forms and no map rebuilt from its entries
     assert per_call[0] == {
         "constrain_map": 1,
         "mc_residual": 2,
         "reduce_family": 1,
-        "gauge_image": 1,
+        "gauge_image": 2,
+        "mat_rref(d1)": 1,
         "duals": 1,
         "_schouten_table": 1,
         "cochains": 1,
@@ -626,6 +642,7 @@ def test_report_runs_each_stage_once(monkeypatch, capsys):
     ws.sub.schouten_bracket(pencil.form, pencil.form)
     deformation.DeformationMap.from_entries(ws.sub, pencil.entries, pencil.parameters)
     assert ws.sub.cochains is ws.sub.cochains
+    assert ws.sub.cochains.gauge is ws.sub.cochains.gauge
     assert counts == {
         "constrain_map": 1,
         "duals": 1,
@@ -633,7 +650,57 @@ def test_report_runs_each_stage_once(monkeypatch, capsys):
         "schouten_bracket": 1,
         "from_entries": 1,
         "cochains": 1,
+        "mat_rref(d1)": 1,
     }
+
+
+def test_map_views_are_built_only_when_read(monkeypatch, capsys):
+    """A report and a strata read a map's columns and tangent rows, never its
+    form; a classify evaluates the tangent rows, built once per map, and
+    builds no deformed generator on all 2n slots."""
+    counts = collections.Counter()
+    for cls, attr in (
+        (deformation.DeformationMap, "form"),
+        (deformation.DeformationMap, "vectors"),
+        (deformation.DeformationMap, "projection"),
+        (deformation.DeformedStructure, "splitting"),
+    ):
+        cached = cls.__dict__[attr]
+        monkeypatch.setattr(cached, "func", _counted(counts, attr, cached.func))
+
+    assert cli.main(["report", "--preset", "kodaira"]) == 0
+    assert cli.main(["strata", "--preset", "kodaira"]) == 0
+    capsys.readouterr()
+    assert set(counts) == {"projection"}
+
+    counts.clear()
+    red = build_workspace(parse_workspace(KODAIRA_WORKSPACE)).family.reduced_map
+    one = scalar.GaussianRational.of(1)
+    points = [{p: one if p.name == name else scalar.GR_ZERO for p in red.parameters}
+              for name in ("t14", "t32")]
+    assert [deformation.classify(red, point) for point in points] == [
+        (0, deformation.SYMPLECTIC), (2, deformation.COMPLEX_NONCLASSICAL)]
+    assert counts == {"projection": 1}
+
+    # positive controls: a first read builds each view once, a second none
+    assert red.form is red.form
+    assert counts == {"projection": 1, "form": 1}
+    structures = [deformation.deform_subbundle(red, point) for point in points]
+    assert structures[0].involutive and structures[0].involutive
+    assert counts == {"projection": 1, "form": 1, "vectors": 1, "splitting": 1}
+    assert structures[1].involutive
+    assert counts == {"projection": 1, "form": 1, "vectors": 1, "splitting": 2}
+
+
+def test_cli_sweep_matches_golden():
+    """Every exit code, stdout and stderr of ``tests/cli_sweep.py``, byte for byte."""
+    here = Path(__file__).resolve().parent
+    sweep = subprocess.run(
+        [sys.executable, str(here / "cli_sweep.py"), str(here.parent / "src")],
+        capture_output=True,
+    )
+    assert sweep.returncode == 0 and sweep.stderr == b""
+    assert sweep.stdout == (here / "golden" / "cli_sweep.txt").read_bytes()
 
 
 def test_internal_consistency_failure_exit_code(monkeypatch, capsys):

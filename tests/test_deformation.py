@@ -484,9 +484,7 @@ def test_stratify_agrees_with_type_at_sample_points(kfamily):
 def test_stratify_refuses_too_many_parameters(ksub, kmap):
     emap, _ = kmap
     extra = [parameter(f"q{k}") for k in range(9)]
-    padded = DeformationMap(
-        sub=emap.sub, entries=emap.entries, form=emap.form, parameters=tuple(extra)
-    )
+    padded = DeformationMap(sub=emap.sub, entries=emap.entries, parameters=tuple(extra))
     result = stratify_type(padded)
     assert result.refused == "too many parameters"
     assert result.generic_rank == 4

@@ -44,7 +44,7 @@ def _symplectic_abelian(dim: int) -> str:
 
 
 def generic_rank(e: DeformationMap) -> int:
-    return deformation._generic_rank(deformation._projection_matrix(e), {})
+    return deformation._generic_rank(e.projection, {})
 
 
 @pytest.mark.parametrize("seeds", [deformation._RANK_POINT_SEEDS, ()], ids=["points", "origin"])
@@ -67,7 +67,7 @@ def test_generic_rank_climbs_from_the_origin_through_minors(monkeypatch):
     monkeypatch.setattr(deformation, "_RANK_POINT_SEEDS", ())
     text = (CORPUS / "abelian6_complex.ws").read_text(encoding="utf-8")
     e = build_workspace(parse_workspace(text)).pencil[0]
-    matrix = deformation._projection_matrix(e)
+    matrix = e.projection
     origin = {g: GR_ZERO for row in matrix for c in row for g in c.generators()}
     assert scalar.mat_rank([[c.evaluate(origin) for c in row] for row in matrix]) == 3
     sizes = collections.Counter()
@@ -87,7 +87,7 @@ def test_generic_rank_binds_symbols_outside_the_parameters(ksub, kmap):
     # own symbols are not among the parameters
     emap, _ = kmap
     padded = DeformationMap(
-        sub=ksub, entries=emap.entries, form=emap.form,
+        sub=ksub, entries=emap.entries,
         parameters=tuple(parameter(f"q{k}") for k in range(9)),
     )
     assert generic_rank(padded) == reference_generic_rank(padded) == 4

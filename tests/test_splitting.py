@@ -6,8 +6,10 @@ references in ``oracles`` decide the same facts with a left inverse per span
 and a rank of the stacked generators.  ``deform_subbundle`` and ``classify``,
 which evaluate a ground point once and work on Gaussian-rational vectors, are
 compared with ``reference_deform``, which grounds the map by substitution and
-builds the deformed generators as sections.  All run on the preset, the
-corpus workspaces and a workspace given by generators, at seeded points.
+builds the deformed generators as sections.  The views of a deformation map
+(its form, columns, deformed generators and tangent rows, all read off the
+entries) are compared with the builders they replaced.  All run on the preset,
+the corpus workspaces and a workspace given by generators, at seeded points.
 """
 
 import random
@@ -30,16 +32,20 @@ from gcdeform.deformation import (
     type_of,
 )
 from gcdeform.frame import ExteriorForm
-from gcdeform.scalar import GaussianRational, function, mat_rank, parameter
+from gcdeform.scalar import GaussianRational, PolyScalar, function, mat_rank, parameter, poly
 from oracles import (
     random_gaussian,
     reference_classify,
+    reference_columns,
     reference_deform,
     random_poly,
     reference_express,
     reference_form_entries,
+    reference_projection_matrix,
     reference_theta,
     reference_theta_inverse,
+    reference_transported_form,
+    reference_vectors,
     reference_verdicts,
 )
 
@@ -254,3 +260,50 @@ def test_deform_matches_substitution_reference(workspaces, name):
         assert ("family", (True, True, False), "refused") in seen
         for kind in ((0, SYMPLECTIC), (2, CLASSICAL_COMPLEX), (2, COMPLEX_NONCLASSICAL)):
             assert ("family", (True, True, True), kind) in seen
+
+
+def _substituted(emap, rng):
+    """The map itself, then one seeded parameter t bound to 0, to s^2 and to
+    s*u + 1, with the fresh s and u added to the parameters."""
+    yield "as built", emap
+    if not emap.parameters:
+        return
+    t = rng.choice(emap.parameters)
+    s, u = parameter("s"), parameter("u")
+    for label, value, fresh in (
+        ("0", PolyScalar.zero(), ()),
+        ("s^2", poly(s) * poly(s), (s,)),
+        ("s*u + 1", poly(s) * poly(u) + 1, (s, u)),
+    ):
+        bound = emap.substitute({t: value})
+        yield f"{t.name} -> {label}", DeformationMap(bound.sub, bound.entries, bound.parameters + fresh)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_map_views_match_their_builders(workspaces, name):
+    """The form, columns, deformed generators and tangent rows of a map are
+    views of its entries; each equals the builder it replaced, and the type
+    read off the tangent rows at a point equals the rank of the eagerly built
+    generators there."""
+    ws = workspaces[name]
+    rng = random.Random(f"views-{name}")
+    d = ws.sub.frame.dim
+    classified = 0
+    for family, base in (("pencil", ws.pencil[0]), ("family", ws.family.reduced_map)):
+        for label, emap in _substituted(base, rng):
+            where = (family, label)
+            form = reference_transported_form(emap.sub, emap.entries)
+            assert emap.form == form, where
+            assert emap.columns == reference_columns(form, emap.sub.cochains.slots2), where
+            assert emap.projection == reference_projection_matrix(emap), where
+            assert [v[:d] for v in emap.vectors] == emap.projection, where
+            for point in _points(emap.parameters, rng, 8):
+                structure = deform_subbundle(emap, point)
+                vectors = reference_vectors(emap, structure.values)
+                assert structure.splitting.vectors == vectors, (where, point)
+                k = d - mat_rank([v[:d] for v in vectors])
+                assert structure.type_index == k, (where, point)
+                if structure.separated:
+                    assert classify(emap, point)[0] == k, (where, point)
+                    classified += 1
+    assert classified
