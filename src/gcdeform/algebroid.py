@@ -99,15 +99,16 @@ class Splitting:
         # a full-rank P certifies independence; the rank runs only without one
         return self.separated or mat_rank(self.vectors) == len(self.vectors)
 
-    def contains(self, vector, zero=GR_ZERO) -> bool:
-        """Whether 2<g_c, v> = 0 for every c; ``zero`` is as for ``doubled_pair``."""
-        return not any(doubled_pair(g, vector, zero) for g in self.vectors)
+    def contains(self, vector) -> bool:
+        """Whether 2<g_c, v> = 0 for every c."""
+        return not any(doubled_pair(g, vector) for g in self.vectors)
 
-    def coordinates(self, vector, zero=GR_ZERO) -> Optional[list]:
-        """The x_a of a vector of L, or None outside L; needs separated sections."""
-        if not self.contains(vector, zero):
+    def coordinates(self, vector) -> Optional[list]:
+        """The x_a of a vector of L, in the ring of the vector, or None outside
+        L; needs separated sections."""
+        if not self.contains(vector):
             return None
-        return [doubled_pair(h, vector, zero) for h in self.duals]
+        return [doubled_pair(h, vector) for h in self.duals]
 
     def involutive(self) -> bool:
         """Whether every [g_a, g_b] lies in L; needs L = L^perp."""
@@ -151,7 +152,6 @@ class IsotropicSubbundle:
     frame: ComplexFrame
     names: tuple[str, ...]
     generators: tuple[GenSection, ...]
-    anchor: tuple[tuple[GaussianRational, ...], ...]
     algebroid: FrameAlgebra
     splitting: Splitting = field(compare=False, repr=False)
     split: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
@@ -197,12 +197,10 @@ class IsotropicSubbundle:
                 brackets[(names[a], names[b])] = rhs
 
         algebroid = FrameAlgebra.build(names, brackets, tuple(f"{n}*" for n in names))
-        anchor = tuple(tuple(v[: frame.dim]) for v in splitting.vectors)
         return IsotropicSubbundle(
             frame=frame,
             names=names,
             generators=generators,
-            anchor=anchor,
             algebroid=algebroid,
             splitting=splitting,
             split=tuple(split) if split else None,
@@ -218,6 +216,11 @@ class IsotropicSubbundle:
     def lform_names(self) -> tuple[str, ...]:
         return self.algebroid.dual_names
 
+    @property
+    def anchor(self) -> list[list[GaussianRational]]:
+        """The tangent projections of the generators, as rows."""
+        return [v[: self.frame.dim] for v in self.splitting.vectors]
+
     def type_index(self) -> int:
         """Codimension of the tangent projection in the complexified tangent."""
         return self.frame.dim - mat_rank(self.anchor)
@@ -231,7 +234,7 @@ class IsotropicSubbundle:
 
     def express(self, section: GenSection) -> Optional[list[PolyScalar]]:
         """Generator coefficients of an ambient section, or None if outside L."""
-        return self.splitting.coordinates(section.coeffs, PolyScalar.zero())
+        return self.splitting.coordinates(section.coeffs)
 
     # -- theta identification ---------------------------------------------------
 

@@ -44,7 +44,6 @@ from .deformation import (
     Stratification,
     classify,
     constrain_map,
-    fresh_parameter_matrix,
     gauge_image,
     mc_residual,
     reduce_family,
@@ -404,9 +403,7 @@ class Workspace:
 
     @cached_property
     def pencil(self) -> tuple[DeformationMap, ConstraintReport]:
-        prefix = self.spec.param_prefix
-        raw = None if prefix == "t" else fresh_parameter_matrix(self.sub, prefix)
-        return constrain_map(self.sub, raw=raw)
+        return constrain_map(self.sub, self.spec.param_prefix)
 
     @cached_property
     def mc(self) -> MCSystem:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .frame import ComplexFrame
-from .scalar import GR_HALF, GR_ONE, GR_ZERO, PolyLike, PolyScalar, poly, render_sum
+from .scalar import GR_HALF, GR_ONE, GR_ZERO, PolyLike, PolyScalar, poly, render_sum, zero_of
 
 
 class CourantError(ValueError):
@@ -129,17 +129,17 @@ def _same_frame(a: GenSection, b: GenSection) -> None:
 # ---------------------------------------------------------------------------
 
 
-def doubled_pair(x, y, zero=GR_ZERO):
+def doubled_pair(x, y):
     """2<x, y>: slot k of x meets slot k +- d of y (y[k - d] counts from the end
-    for k < d); with ``zero`` a polynomial, y holds polynomials and x either."""
+    for k < d).  The value lies in the ring of y; x is constant or in that ring."""
     d = len(x) // 2
-    return sum((y[k - d] * c for k, c in enumerate(x) if c and y[k - d]), zero)
+    return sum((y[k - d] * c for k, c in enumerate(x) if c and y[k - d]), zero_of(y[0]))
 
 
 def pair(s1: GenSection, s2: GenSection) -> PolyScalar:
     """Natural split-signature pairing: <X+s, Y+t> = (s(Y) + t(X)) / 2."""
     _same_frame(s1, s2)
-    return doubled_pair(s1.coeffs, s2.coeffs, PolyScalar.zero()).scale(GR_HALF)
+    return doubled_pair(s1.coeffs, s2.coeffs).scale(GR_HALF)
 
 
 def directional(frame: ComplexFrame, tan: Sequence[PolyScalar], h: PolyScalar) -> PolyScalar:
@@ -159,19 +159,19 @@ def _grad(frame: ComplexFrame, h: PolyScalar) -> list[PolyScalar]:
     return [h.differentiate(name) for name in frame.tangent_names]
 
 
-def bracket_vectors(frame: ComplexFrame, x, y, zero=GR_ZERO) -> list:
+def bracket_vectors(frame: ComplexFrame, x, y) -> list:
     """The part of [x, y] bilinear in the coefficients, by the frame's
-    ``courant_table``; ``zero`` is as for ``doubled_pair``."""
+    ``courant_table``; the rings are as for ``doubled_pair``."""
     table = frame.courant_table
     ys = [(b, w) for b, w in enumerate(y) if w]
-    out = [zero] * len(x)
+    out = [zero_of(y[0])] * len(x)
     for a, v in enumerate(x):
         if not v:
             continue
         for b, w in ys:
             terms = table.get((a, b))
             if terms:
-                vw = v * w
+                vw = w * v
                 for k, c in terms:
                     out[k] = out[k] + vw * c
     return out
@@ -189,7 +189,7 @@ def courant_bracket(s1: GenSection, s2: GenSection) -> GenSection:
     frame = s1.frame
     d = frame.dim
     x, sig, y, tau = s1.tangent, s1.cotangent, s2.tangent, s2.cotangent
-    out = bracket_vectors(frame, s1.coeffs, s2.coeffs, PolyScalar.zero())
+    out = bracket_vectors(frame, s1.coeffs, s2.coeffs)
     for k in range(d):
         out[k] += directional(frame, x, y[k]) - directional(frame, y, x[k])
         out[d + k] += directional(frame, x, tau[k]) - directional(frame, y, sig[k])
@@ -209,7 +209,7 @@ def lie_derivative(x: GenSection, f: GenSection) -> GenSection:
     if not f.is_cotangent_only():
         raise CourantError("lie_derivative argument must be a 1-form")
     bracket = courant_bracket(x, f)
-    fx = doubled_pair(x.coeffs, f.coeffs, PolyScalar.zero())
+    fx = doubled_pair(x.coeffs, f.coeffs)
     exact = [PolyScalar.zero()] * x.frame.dim + [g.scale(GR_HALF) for g in _grad(x.frame, fx)]
     return bracket + GenSection(x.frame, tuple(exact))
 

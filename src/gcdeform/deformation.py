@@ -78,11 +78,10 @@ class DeformationMap:
         entries = tuple(tuple(poly(c) for c in row) for row in entries)
         if len(entries) != n or any(len(r) != n for r in entries):
             raise DeformationError("entry matrix has wrong shape")
-        for j, k in itertools.combinations_with_replacement(range(n), 2):
-            # 2<g_j, eps(g_k)> + 2<g_k, eps(g_j)> = 0
-            if any(_pairing(sub, entries, k, j, _pairing(sub, entries, j, k)).values()):
-                pair = f"({sub.names[j]}, {sub.names[k]})"
-                raise DeformationError(f"pairing compatibility fails at {pair}")
+        bad = next((jk for jk, c in _compatibility(sub, entries).items() if c), None)
+        if bad is not None:
+            pair = f"({sub.names[bad[0]]}, {sub.names[bad[1]]})"
+            raise DeformationError(f"pairing compatibility fails at {pair}")
         return DeformationMap(sub, entries, tuple(parameters))
 
     @staticmethod
@@ -187,36 +186,30 @@ class ConstraintReport:
     free: list[Symbol]
 
 
-def fresh_parameter_matrix(
-    sub: IsotropicSubbundle, prefix: str = "t"
-) -> list[list[Symbol]]:
-    n = sub.rank
-    sep = "" if n <= 9 else "_"
-    return [
-        [parameter(f"{prefix}{i + 1}{sep}{j + 1}") for j in range(n)]
-        for i in range(n)
-    ]
+def _compatibility(sub: IsotropicSubbundle, entries) -> dict[tuple[int, int], PolyScalar]:
+    """2<g_j, eps(g_k)> + 2<g_k, eps(g_j)> for every pair j <= k; a map is
+    compatible with the pairing exactly when all of them vanish."""
+    pairs = itertools.combinations_with_replacement(range(sub.rank), 2)
+    return {(j, k): PolyScalar.from_dict(_pairing(sub, entries, k, j, _pairing(sub, entries, j, k)))
+            for j, k in pairs}
 
 
 def constrain_map(
-    sub: IsotropicSubbundle, raw: Optional[Sequence[Sequence[Symbol]]] = None
+    sub: IsotropicSubbundle, prefix: str = "t"
 ) -> tuple[DeformationMap, ConstraintReport]:
     """Impose the pairing-compatibility constraint on a fresh parameter matrix.
 
-    Returns the constrained map together with the eliminated parameters and
-    the surviving free ones.
+    Entry (i, j) of the matrix is the parameter ``prefix`` i j, indices from
+    1 (t11, t12, ...); from rank 10 on, ``_`` separates them (t1_1, ...,
+    t10_10), so every name is distinct.  Returns the constrained map together
+    with the eliminated parameters and the surviving free ones.
     """
-    if raw is None:
-        raw = fresh_parameter_matrix(sub)
     n = sub.rank
-    symbols = [s for row in raw for s in row]
-    if len(set(symbols)) != n * n:
-        raise DeformationError("raw parameters must be distinct fresh symbols")
-    # 2<g_j, eps(g_k)> + 2<g_k, eps(g_j)> = 0 for every pair j <= k
+    sep = "" if n <= 9 else "_"
+    raw = [[parameter(f"{prefix}{i + 1}{sep}{j + 1}") for j in range(n)] for i in range(n)]
     unknowns = [[PolyScalar.of(s) for s in row] for row in raw]
-    system = [PolyScalar.from_dict(_pairing(sub, unknowns, k, j, _pairing(sub, unknowns, j, k)))
-              for j, k in itertools.combinations_with_replacement(range(n), 2)]
-    solution = solve_linear(system, symbols)
+    system = list(_compatibility(sub, unknowns).values())
+    solution = solve_linear(system, [s for row in raw for s in row])
     if solution.residual or not solution.consistent:
         raise InternalConsistencyError("compatibility constraint is not linear")
     entries = tuple(
@@ -288,9 +281,7 @@ def gauge_image(sub: IsotropicSubbundle) -> list[ExteriorForm]:
 class DeformationFamily:
     """Solved Maurer-Cartan family after gauge reduction."""
 
-    deformation: DeformationMap
     solved: dict[Symbol, PolyScalar]
-    gauge_basis: list[ExteriorForm]
     dropped_gauge: list[Symbol]
     free: list[Symbol]
     reduced_basis: list[ExteriorForm]
@@ -354,7 +345,6 @@ def reduce_family(mc: MCSystem) -> DeformationFamily:
     for p in free_syms:
         column = solved_map.columns.get(Monomial.of(p), {})
         directions[p] = [column.get(s, GR_ZERO) for s in range(len(slots))]
-    gauge = gauge_image(sub)
     gauge_vecs = sub.cochains.gauge
 
     # Steinitz exchange: each gauge element replaces a kept direction of
@@ -364,15 +354,14 @@ def reduce_family(mc: MCSystem) -> DeformationFamily:
     # element lies outside the span
     dropped: list[Symbol] = []
     kept = sorted(free_syms, key=lambda s: s.name)
-    for placed, (g, gvec) in enumerate(zip(gauge, gauge_vecs)):
+    for placed, gvec in enumerate(gauge_vecs):
         basis = gauge_vecs[:placed] + [directions[p] for p in kept]
         rows, pivots = mat_rref(list(zip(*basis, gvec)))
         weights = {c: row[-1] for row, c in zip(rows, pivots)}
         hit = [p for a, p in enumerate(kept, placed) if weights.get(a)]
         if not hit:
-            raise DeformationError(
-                f"gauge direction {g} not expressible in solution coordinates"
-            )
+            shown = gauge_image(sub)[placed]
+            raise DeformationError(f"gauge direction {shown} not expressible in solution coordinates")
         kept.remove(hit[0])
         dropped.append(hit[0])
 
@@ -395,9 +384,7 @@ def reduce_family(mc: MCSystem) -> DeformationFamily:
         raise InternalConsistencyError("reduced family fails its own constraint system")
 
     return DeformationFamily(
-        deformation=e,
         solved=solved,
-        gauge_basis=gauge,
         dropped_gauge=dropped,
         free=free,
         reduced_basis=reduced_basis,
@@ -440,8 +427,10 @@ class DeformedStructure:
 
     @cached_property
     def involutive(self) -> bool:
-        # independent isotropic generators span L = L^perp, separated or not
-        return self.isotropic and self.splitting.independent() and self.splitting.involutive()
+        # independent isotropic generators span L = L^perp, separated or not;
+        # a separated point is independent by the rank already taken of P(E)
+        independent = self.separated or self.splitting.independent()
+        return self.isotropic and independent and self.splitting.involutive()
 
     @cached_property
     def generators(self) -> list[GenSection]:

@@ -29,6 +29,7 @@ from .scalar import (
     minor,
     poly,
     render_sum,
+    zero_of,
 )
 
 
@@ -243,12 +244,12 @@ class FrameAlgebra:
     def index(self, name: str) -> int:
         return self.basis.index(name)
 
-    def bracket_vectors(self, v, w, zero=PolyScalar.zero()) -> list:
-        """Bilinear bracket of coefficient vectors (no Leibniz terms); ``zero``
-        is the ring's zero, GR_ZERO for Gaussian-rational vectors."""
-        out = [zero] * self.dim
+    def bracket_vectors(self, v, w) -> list:
+        """Bilinear bracket of coefficient vectors (no Leibniz terms), in the
+        ring of w; v is constant or in that ring."""
+        out = [zero_of(w[0])] * self.dim
         for (i, j), vec in self.table:
-            factor = v[i] * w[j] - v[j] * w[i]
+            factor = w[j] * v[i] - w[i] * v[j]
             if not factor:
                 continue
             for k, c in enumerate(vec):
@@ -263,8 +264,8 @@ class FrameAlgebra:
         for i, j, k in itertools.combinations(range(n), 3):
             total = [GR_ZERO] * n
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                inner = self.bracket_vectors(unit[a], unit[b], GR_ZERO)
-                outer = self.bracket_vectors(inner, unit[c], GR_ZERO)
+                inner = self.bracket_vectors(unit[a], unit[b])
+                outer = self.bracket_vectors(inner, unit[c])
                 total = [t + o for t, o in zip(total, outer)]
             if any(total):
                 defect = tuple(total)
@@ -463,7 +464,7 @@ def eigenframe(
         for b in range(a + 1, g.dim):
             va = [P[i][a] for i in range(g.dim)]
             vb = [P[i][b] for i in range(g.dim)]
-            old = g.bracket_vectors(va, vb, GR_ZERO)
+            old = g.bracket_vectors(va, vb)
             new = [
                 sum((Pinv[k][i] * old[i] for i in range(g.dim)), GR_ZERO)
                 for k in range(g.dim)

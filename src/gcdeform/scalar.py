@@ -649,6 +649,11 @@ P_ZERO = PolyScalar(())
 P_ONE = PolyScalar.const(GR_ONE)
 
 
+def zero_of(x) -> Union[GaussianRational, PolyScalar]:
+    """The zero of the ring of ``x``: ``P_ZERO`` for a polynomial, else ``GR_ZERO``."""
+    return P_ZERO if x.__class__ is PolyScalar else GR_ZERO
+
+
 def minor(matrix, rows: tuple[int, ...], cols: tuple[int, ...], table: dict) -> PolyScalar:
     """Determinant of the ``rows`` x ``cols`` submatrix, memoized in ``table``.
 

@@ -304,6 +304,27 @@ def test_param_prefix_override(tmp_path):
     assert "s32 -> Tbar*^Wbar*" in result.stdout
 
 
+def test_constrain_map_names_its_parameters_by_prefix():
+    """``constrain_map(sub, "s")`` is the pencil of a ``names params s``
+    workspace, and the default pencil with every t renamed to s."""
+    sub = build_workspace(parse_workspace(KODAIRA_WORKSPACE)).sub
+    pencil, report = deformation.constrain_map(sub, "s")
+    s_text = KODAIRA_WORKSPACE.replace("names params t", "names params s")
+    via_cli, cli_report = build_workspace(parse_workspace(s_text)).pencil
+    t_pencil, t_report = deformation.constrain_map(sub)
+    rename = {p: scalar.PolyScalar.of(scalar.parameter("s" + p.name[1:])) for p in t_report.free}
+
+    assert [p.name for p in report.free] == [p.name for p in cli_report.free] == [
+        "s" + p.name[1:] for p in t_report.free
+    ]
+    assert len(report.eliminated) == len(cli_report.eliminated) == len(t_report.eliminated) == 10
+    assert {p.name: v for p, v in report.eliminated.items()} == {
+        "s" + p.name[1:]: v.substitute(rename) for p, v in t_report.eliminated.items()
+    }
+    assert pencil.entries == via_cli.entries == t_pencil.substitute(rename).entries
+    assert pencil.parameters == via_cli.parameters == tuple(report.free)
+
+
 def test_run_pipeline_in_process():
     spec = parse_workspace(KODAIRA_WORKSPACE)
     out = run_pipeline(spec, "gauge")
@@ -615,9 +636,9 @@ def test_report_runs_each_stage_once(monkeypatch, capsys):
 
     # one pencil, one reduction, one set of theta-inverse vectors (the duals
     # of the splitting), one Schouten table and one constant cochain complex;
-    # the gauge section and the reduction each read the gauge image, and the
-    # rref of the degree-1 d_L matrix behind it runs once, kept on the
-    # complex; mc_residual runs for the pencil and for the reduced-family
+    # the gauge section builds the gauge image once, the reduction exchanges
+    # on the echelon rows behind it, and the rref of the degree-1 d_L matrix
+    # runs once, kept on the complex; mc_residual runs for the pencil and for the reduced-family
     # certificate, both read off the complex; schouten_bracket and
     # from_entries, absent here, are called 0 times: no Schouten bracket of
     # forms and no map rebuilt from its entries
@@ -625,7 +646,7 @@ def test_report_runs_each_stage_once(monkeypatch, capsys):
         "constrain_map": 1,
         "mc_residual": 2,
         "reduce_family": 1,
-        "gauge_image": 2,
+        "gauge_image": 1,
         "mat_rref(d1)": 1,
         "duals": 1,
         "_schouten_table": 1,

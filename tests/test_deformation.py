@@ -219,7 +219,7 @@ def test_reduce_family_trivial_gauge():
 
 def test_gauge_directions_are_flat(ksub, kfamily):
     s = parameter("s")
-    shifted = kfamily.reduced_map.form + kfamily.gauge_basis[0].scale(poly(s))
+    shifted = kfamily.reduced_map.form + gauge_image(ksub)[0].scale(poly(s))
     shifted_map = DeformationMap.from_form(ksub, shifted)
     assert mc_residual(shifted_map).is_trivial()
 
@@ -559,6 +559,24 @@ def test_involutivity_agrees_with_mc_zero_set(kmap):
         assert residual_zero == t12_zero
 
 
+def test_involutive_at_a_separated_point_ranks_the_pairing_once(monkeypatch, kfamily):
+    """``deform_subbundle`` ranks P(E) for separation; reading ``involutive``
+    at a separated point takes independence from that rank, not a second one."""
+    ranked = []
+
+    def rank(matrix):
+        ranked.append(matrix)
+        return scalar.mat_rank(matrix)
+
+    for module in (algebroid, deformation):
+        monkeypatch.setattr(module, "mat_rank", rank)
+    red = kfamily.reduced_map
+    structure = deform_subbundle(red, bind_all(red, t32=1))
+    assert structure.separated and structure.involutive
+    assert len(ranked) == 1 and ranked[0] is structure.pairing
+    assert len(structure.pairing) == len(structure.pairing[0]) == 4
+
+
 def test_gauge_reduction_of_random_closed_kodaira_forms():
     # every closed invariant 2-form on the Kodaira algebra has no U*^V* term;
     # each nondegenerate one reduces to b2 = 4 parameters off the gauge span
@@ -576,5 +594,5 @@ def test_gauge_reduction_of_random_closed_kodaira_forms():
         emap, _ = constrain_map(sub)
         family = reduce_family(mc_residual(emap))
         assert len(family.free) == 4
-        assert len(family.dropped_gauge) == len(family.gauge_basis) == 1
+        assert len(family.dropped_gauge) == len(gauge_image(sub)) == 1
         done += 1

@@ -156,6 +156,14 @@ def test_strata_refuses_symplectic_abelian10_with_generic_rank(tmp_path, capsys)
     assert data == {"generic_rank": 10, "strata": [], "refused": "too many parameters"}
 
 
+def test_constrain_map_separates_indices_from_rank_ten():
+    sub = build_workspace(parse_workspace(_symplectic_abelian(10))).sub
+    _, report = constrain_map(sub)
+    assert len(report.free) == 45 and report.free[0].name == "t1_1"
+    names = {p.name for p in [*report.free, *report.eliminated]}
+    assert names == {f"t{i}_{j}" for i in range(1, 11) for j in range(1, 11)}
+
+
 def test_refused_family_builds_no_minor(monkeypatch):
     calls = []
     counted_minor = scalar.minor
