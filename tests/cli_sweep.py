@@ -8,12 +8,14 @@ The sweep covers each command in both formats on the built-in preset, on
 every ``bench/corpus/*.ws`` workspace (read only), on the Iwasawa frame, on a
 workspace given by subbundle generators, on the two-dimensional non-abelian
 algebra with its area form (a reduced family without parameters), on one
-workspace per refusal of the subbundle build and on two workspaces with a
-misplaced ``names`` line; then ``strata`` alone on symplectic abelian-8, seven
-``type`` points on the preset, two on the reduced family of every
-``--input`` workspace that has one (every parameter 0, and every parameter
-1/7 + i/9; the names are read from ``family --format machine``), or one with
-an empty ``--at`` where that family has no parameters, and the usage errors.
+workspace per refusal of the workspace build (a failed Jacobi identity,
+J^2 != -1, a non-integrable J, a degenerate 2-form and each refusal of the
+subbundle build) and on two workspaces with a misplaced ``names`` line; then
+``strata`` alone on symplectic abelian-8, seven ``type`` points on the
+preset, two on the reduced family of every ``--input`` workspace that has one
+(every parameter 0, and every parameter 1/7 + i/9; the names are read from
+``family --format machine``), or one with an empty ``--at`` where that family
+has no parameters, and the usage errors.
 Each workspace is written to a temporary directory under a fixed name, so the
 paths in the output do not depend on where the sweep runs.
 """
@@ -48,6 +50,15 @@ WORKSPACES = {
     "refuse_isotropic.ws": "basis X Y\ngenerator X + i*X*\ngenerator X + i*X*\n",
     "refuse_involutive.ws": (
         "basis X Y U V\nbracket X Y = U\nsymplectic X Y = 1\nsymplectic U V = 1\n"
+    ),
+    "refuse_integrable.ws": (
+        "basis X Y U V\nbracket X Y = U\nJ X = U\nJ U = -X\nJ Y = V\nJ V = -Y\n"
+    ),
+    "refuse_square.ws": "basis X Y\nJ X = Y\nJ Y = X\n",
+    "refuse_degenerate.ws": "basis X Y U V\nsymplectic X Y = 1\n",
+    "refuse_jacobi.ws": (
+        "basis X Y U V\nbracket X Y = U\nbracket X U = X\n"
+        "bracket Y V = 1/2*Y - i/3*U\nJ X = Y\nJ Y = -X\nJ U = V\nJ V = -U\n"
     ),
     "names_repeated.ws": "basis X Y\nJ X = Y\nJ Y = -X\nnames eigen A\nnames eigen B\n",
     "names_eigen_symplectic.ws": (
