@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from .courant import GenSection, bracket_vectors, conjugate_vector, courant_bracket
-from .courant import directional, doubled_pair, pair
+from .courant import directional, doubled_pair, pair, pairings
 from .frame import ComplexFrame, ComplexOp, ExteriorForm, FrameAlgebra, eigenframe
 from .scalar import (
     GR_I,
@@ -29,6 +29,7 @@ from .scalar import (
     SingularMatrixError,
     mat_inverse,
     mat_left_inverse,
+    mat_mul,
     mat_rank,
     mat_rref,
     poly,
@@ -46,18 +47,21 @@ class InternalConsistencyError(RuntimeError):
 class Splitting:
     """Constant vectors g_j and their conjugates, read through the pairing.
 
-    ``pairing`` is P[j][k] = 2<g_j, conj(g_k)>, given or paired out of the
-    conjugates, and ``inverse`` is P^-1, or None when P is singular; only P is
-    computed eagerly.  Isotropic, independent sections span a maximal isotropic
-    L, and L = L^perp: v lies in L exactly when 2<g_c, v> = 0 for every c, L
-    meets its conjugate only in zero exactly when P has full rank (``separated``),
-    and v in L has coordinates x_a = 2<h_a, v>, h_a = sum_i P^-1[i][a] conj(g_i).
+    ``pairing`` is P[j][k] = 2<g_j, conj(g_k)>, given or taken by one
+    ``pairings`` product, and ``inverse`` is P^-1, or None when P is singular;
+    only P is computed eagerly.  Isotropic, independent sections span a
+    maximal isotropic L, and L = L^perp: v lies in L exactly when
+    2<g_c, v> = 0 for every c, L meets its conjugate only in zero exactly when
+    P has full rank (``separated``), and v in L has coordinates
+    x_a = 2<h_a, v>, h_a = sum_i P^-1[i][a] conj(g_i), the rows of ``duals``.
+    Whole lists of constant vectors are paired by ``pairings``; ``contains``
+    and ``coordinates`` take one vector, constant or polynomial.
     """
 
     def __init__(self, frame: ComplexFrame, vectors: Sequence[list], pairing: Optional[Matrix] = None):
         self.frame = frame
         self.vectors = list(vectors)
-        self.pairing = pairing or [[doubled_pair(v, c) for c in self.conj_vectors] for v in self.vectors]
+        self.pairing = pairing or pairings(self.vectors, self.conj_vectors)
 
     @cached_property
     def conj_vectors(self) -> list:
@@ -76,12 +80,8 @@ class Splitting:
 
     @cached_property
     def duals(self) -> Matrix:
-        """The vectors h_a, with 2<h_a, g_b> = delta_ab."""
-        slots = list(zip(*self.conj_vectors))
-        return [
-            [sum((row[a] * c for row, c in zip(self.inverse, slot)), GR_ZERO) for slot in slots]
-            for a in range(len(self.inverse))
-        ]
+        """The vectors h_a, with 2<h_a, g_b> = delta_ab: the product P^-T conj(g)."""
+        return mat_mul([list(col) for col in zip(*self.inverse)], self.conj_vectors)
 
     def brackets(self) -> Iterator[tuple[tuple[int, int], list]]:
         """((a, b), [g_a, g_b]) as vectors for a < b, computed as they are read."""
@@ -91,9 +91,9 @@ class Splitting:
 
     def non_isotropic_pair(self) -> Optional[tuple[int, int]]:
         """The first (a, b), a <= b, with <g_a, g_b> != 0, or None."""
-        vs = self.vectors
-        pairs = itertools.combinations_with_replacement(range(len(vs)), 2)
-        return next(((a, b) for a, b in pairs if doubled_pair(vs[a], vs[b])), None)
+        table = pairings(self.vectors, self.vectors)
+        pairs = itertools.combinations_with_replacement(range(len(table)), 2)
+        return next(((a, b) for a, b in pairs if table[a][b]), None)
 
     def independent(self) -> bool:
         # a full-rank P certifies independence; the rank runs only without one
@@ -186,13 +186,17 @@ class IsotropicSubbundle:
                 raise AlgebroidError("generators are linearly dependent")
             raise AlgebroidError("L and its conjugate intersect (real index not zero)")
 
+        # 2<[g_a, g_b], .> against the generators (zero exactly when the
+        # bracket lies in L) and then against the duals (its coordinates)
+        rank = len(generators)
+        brs = list(splitting.brackets())
+        table = pairings([br for _, br in brs], splitting.vectors + splitting.duals)
         brackets: dict[tuple[str, str], dict[str, GaussianRational]] = {}
-        for (a, b), br in splitting.brackets():
-            coeffs = splitting.coordinates(br)
-            if coeffs is None:
+        for ((a, b), br), row in zip(brs, table):
+            if any(row[:rank]):
                 shown = GenSection.constant(frame, br)
                 raise AlgebroidError(f"not involutive: [{names[a]}, {names[b]}] = {shown}")
-            rhs = {names[c]: v for c, v in enumerate(coeffs) if v}
+            rhs = {names[c]: v for c, v in enumerate(row[rank:]) if v}
             if rhs:
                 brackets[(names[a], names[b])] = rhs
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .frame import ComplexFrame
-from .scalar import GR_HALF, GR_ONE, GR_ZERO, PolyLike, PolyScalar, poly, render_sum, zero_of
+from .scalar import GR_HALF, GR_ONE, GR_ZERO, PolyLike, PolyScalar, mat_mul, poly, render_sum, zero_of
 
 
 class CourantError(ValueError):
@@ -134,6 +134,13 @@ def doubled_pair(x, y):
     for k < d).  The value lies in the ring of y; x is constant or in that ring."""
     d = len(x) // 2
     return sum((y[k - d] * c for k, c in enumerate(x) if c and y[k - d]), zero_of(y[0]))
+
+
+def pairings(xs, ys):
+    """The matrix of 2<x, y> over lists of constant vectors: one ``mat_mul`` of
+    the rows xs against the columns ys with their halves swapped, so a zero
+    slot on either side costs nothing.  Entry by entry it is ``doubled_pair``."""
+    return mat_mul(xs, list(zip(*(y[len(y) // 2 :] + y[: len(y) // 2] for y in ys))))
 
 
 def pair(s1: GenSection, s2: GenSection) -> PolyScalar:

@@ -377,7 +377,8 @@ def reduce_family(mc: MCSystem) -> DeformationFamily:
     size = len(free) + len(gauge_vecs)
     if mat_rank([directions[p] for p in free] + gauge_vecs) != size:
         raise InternalConsistencyError("reduced family meets the gauge span")
-    if mat_rank([directions[p] for p in free_syms] + gauge_vecs) != size:
+    # with nothing dropped, the kept directions are all of them
+    if dropped and mat_rank([directions[p] for p in free_syms] + gauge_vecs) != size:
         raise InternalConsistencyError("reduced family plus gauge span is too small")
 
     if not mc_residual(reduced_map).is_trivial():
@@ -588,16 +589,16 @@ def _rank_points(symbols: Sequence[Symbol]):
         yield dict(zip(symbols, _point_values(seed, len(symbols))))
 
 
-def _generic_rank(matrix, table: dict) -> int:
+def _generic_rank(matrix) -> int:
     """Generic rank of a polynomial matrix, certified with few minors.
 
     The rank at an exact point is a lower bound.  It is taken at the origin
     and at the seeded points, every symbol of the entries bound, until it
     reaches min(rows, cols), where it is the generic rank.  Below that, a
-    nonzero (r+1) x (r+1) minor from ``table`` raises the bound to r+1, and
-    when every one of them vanishes the bound r is the generic rank.
+    nonzero (r+1) x (r+1) minor raises the bound to r+1, and when every one
+    of them vanishes the bound r is the generic rank.
     """
-    rows, cols = len(matrix), len(matrix[0])
+    rows, cols, table = len(matrix), len(matrix[0]), {}
     full = min(rows, cols)
     symbols = sorted(
         {g for row in matrix for c in row for g in c.generators()}, key=lambda g: g.sort_key()
@@ -617,28 +618,29 @@ def _generic_rank(matrix, table: dict) -> int:
 
 
 def _rank_and_minors(e: DeformationMap) -> tuple[int, list[PolyScalar]]:
-    """Certified generic rank r of the tangent projection and its distinct
-    nonzero r x r minors, read from one minor table."""
-    matrix = e.projection
-    table: dict = {}
-    r = _generic_rank(matrix, table)
-    return r, _nonzero_minors(matrix, r, table) if r else []
+    """Generic rank r of the tangent projection, the largest size with a
+    nonzero minor, and its distinct nonzero r x r minors, read top-down from
+    one minor table."""
+    matrix, table = e.projection, {}
+    sizes = range(min(len(matrix), len(matrix[0])), 0, -1)
+    found = ((r, _nonzero_minors(matrix, r, table)) for r in sizes)
+    return next(((r, minors) for r, minors in found if minors), (0, []))
 
 
 def stratify_type(e: DeformationMap) -> Stratification:
     """Enumerate type strata of a parameter family by exact minor vanishing.
 
-    Each descent node certifies the rank r of its tangent projection with
-    ``_generic_rank`` (the rank at exact points, raised by (r+1)-minors only
-    while it is below full) and reads the nonzero r x r minors from the same
-    minor table: every minor is a Laplace expansion along its last row into
-    minors of the rows before it, each computed once and shared across all
-    sizes; the root's rank is the reported generic rank.  Rank boundaries
-    whose minors are monomials are descended exactly through minimal hitting
-    sets of their variable supports; a non-monomial boundary stops the
-    descent with an explicit refusal note.  More than eight parameters
-    refuse stratification outright; the generic rank is still certified,
-    and no minor is built where a point has full rank.
+    Each descent node takes the rank r of its tangent projection as the
+    largest size with a nonzero minor, and those r x r minors are the ones it
+    reads, from one minor table: every minor is a Laplace expansion along its
+    last row into minors of the rows before it, each computed once and shared
+    across all sizes; the root's rank is the reported generic rank.  Rank
+    boundaries whose minors are monomials are descended exactly through
+    minimal hitting sets of their variable supports; a non-monomial boundary
+    stops the descent with an explicit refusal note.  More than eight
+    parameters refuse stratification outright; the generic rank is still
+    certified, by ``_generic_rank`` at exact points, and no minor is built
+    where a point has full rank.
 
     The limit stays at eight (measured on 2 vCPUs, Python 3.11): the
     15-parameter abelian-6 families would descend in 0.006 s (complex) and
@@ -648,7 +650,7 @@ def stratify_type(e: DeformationMap) -> Stratification:
     """
     dim = e.sub.frame.dim
     if len(e.parameters) > 8:
-        return Stratification([], _generic_rank(e.projection, {}), "too many parameters")
+        return Stratification([], _generic_rank(e.projection), "too many parameters")
     grank, root_minors = _rank_and_minors(e)
 
     strata: dict[frozenset[str], TypeStratum] = {}

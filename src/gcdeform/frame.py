@@ -258,15 +258,19 @@ class FrameAlgebra:
         return out
 
     def validate_jacobi(self) -> list[JacobiViolation]:
+        """The triples i < j < k whose cyclic sum of [[e_a, e_b], e_c] is not
+        zero, with every bracket read from ``table``, negated for b < a."""
+        table = dict(self.table)
+        table.update({(j, i): [-c for c in vec] for (i, j), vec in self.table})
         violations = []
         n = self.dim
-        unit = [[GR_ONE if a == b else GR_ZERO for b in range(n)] for a in range(n)]
         for i, j, k in itertools.combinations(range(n), 3):
             total = [GR_ZERO] * n
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                inner = self.bracket_vectors(unit[a], unit[b])
-                outer = self.bracket_vectors(inner, unit[c])
-                total = [t + o for t, o in zip(total, outer)]
+                for m, x in enumerate(table.get((a, b), ())):  # a zero pair is skipped
+                    for q, y in enumerate(table.get((m, c), ()) if x else ()):
+                        if y:
+                            total[q] = total[q] + x * y
             if any(total):
                 defect = tuple(total)
                 violations.append(
@@ -321,12 +325,10 @@ class ComplexOp:
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise FrameError("J matrix is not square")
-        sq = mat_mul([list(r) for r in rows], [list(r) for r in rows])
-        for i in range(n):
-            for j in range(n):
-                want = GaussianRational.of(-1) if i == j else GR_ZERO
-                if sq[i][j] != want:
-                    raise FrameError("J^2 != -identity")
+        minus_one = -GR_ONE
+        for i, row in enumerate(mat_mul(rows, rows)):
+            if any(x != (minus_one if i == j else GR_ZERO) for j, x in enumerate(row)):
+                raise FrameError("J^2 != -identity")
         return ComplexOp(rows)
 
     @property
@@ -334,10 +336,7 @@ class ComplexOp:
         return len(self.matrix)
 
     def apply(self, vector: Sequence[GaussianRational]) -> list[GaussianRational]:
-        return [
-            sum((self.matrix[i][j] * vector[j] for j in range(self.dim)), GR_ZERO)
-            for i in range(self.dim)
-        ]
+        return [row[0] for row in mat_mul(self.matrix, [[c] for c in vector])]
 
 
 @dataclass(frozen=True)
@@ -407,22 +406,24 @@ def eigenframe(
 ) -> ComplexFrame:
     """Complexified frame of +i/-i eigenvectors of J.
 
-    Each +i generator is (e - i*Je)/2 for a greedily chosen seed e; the barred
-    partners are the conjugates and carry eigenvalue -i.  Structure constants
-    are recomputed exactly in the new basis.
+    Each +i generator is (e - i*Je)/2 for a greedily chosen basis vector e,
+    so Je is a column of J; the barred partners are the conjugates and carry
+    eigenvalue -i.  A bracket v of two columns of P, the new basis in the old
+    coordinates, is P^-1 v in the new: the nonzero ones, as rows, are taken
+    times P^-T in one ``mat_mul``, and a zero one is never transformed.
     """
     if J.dim != g.dim:
         raise FrameError("J dimension mismatch")
     if g.dim % 2 != 0:
         raise FrameError("odd-dimensional frame has no complex eigensplit")
-    m = g.dim // 2
+    n, m = g.dim, g.dim // 2
+    unit = lambda s: [GR_ONE if k == s else GR_ZERO for k in range(n)]
+    column = lambda s: [row[s] for row in J.matrix]
 
     seeds: list[int] = []
     chosen_rows: list[list[GaussianRational]] = []
-    for a in range(g.dim):
-        e = [GR_ONE if k == a else GR_ZERO for k in range(g.dim)]
-        je = J.apply(e)
-        trial = chosen_rows + [e, je]
+    for a in range(n):
+        trial = chosen_rows + [unit(a), column(a)]
         if mat_rank(trial) == len(trial):
             seeds.append(a)
             chosen_rows = trial
@@ -436,42 +437,29 @@ def eigenframe(
     dual_names = list(default_duals if dual_names is None else dual_names)
     if len(tangent_names) != m or len(dual_names) != m:
         raise FrameError("need one eigenvector name and one dual name per plane")
-    names = tangent_names + [f"{n}bar" for n in tangent_names]
-    duals = dual_names + [f"{n}bar" for n in dual_names]
+    names = tangent_names + [f"{t}bar" for t in tangent_names]
+    duals = dual_names + [f"{t}bar" for t in dual_names]
     if len(set(names) | set(duals)) != 2 * len(names):
         raise FrameError("eigenframe name collision")
 
-    # columns of P are the new basis vectors in the old coordinates
-    cols: list[list[GaussianRational]] = []
-    for s in seeds:
-        e = [GR_ONE if k == s else GR_ZERO for k in range(g.dim)]
-        je = J.apply(e)
-        cols.append([GR_HALF * (ev - GR_I * jv) for ev, jv in zip(e, je)])
-    for vec in list(cols):
-        cols.append([c.conjugate() for c in vec])
-    P = [[cols[j][i] for j in range(g.dim)] for i in range(g.dim)]
-    Pinv = mat_inverse(P)
+    # the new basis vectors in the old coordinates: the columns of P, rows of P^T
+    cols = [[GR_HALF * (e - GR_I * je) for e, je in zip(unit(s), column(s))] for s in seeds]
+    cols += [[c.conjugate() for c in vec] for vec in cols]
+    P = [list(row) for row in zip(*cols)]
 
     # eigenvalue check: J (e - iJe)/2 = +i (e - iJe)/2
-    for a in range(m):
-        jv = J.apply([P[i][a] for i in range(g.dim)])
-        for i in range(g.dim):
-            if jv[i] != GR_I * P[i][a]:
-                raise FrameError("eigenvector relation failed")
+    for col in cols[:m]:
+        if J.apply(col) != [GR_I * c for c in col]:
+            raise FrameError("eigenvector relation failed")
 
-    brackets: dict[tuple[str, str], dict[str, GaussianRational]] = {}
-    for a in range(g.dim):
-        for b in range(a + 1, g.dim):
-            va = [P[i][a] for i in range(g.dim)]
-            vb = [P[i][b] for i in range(g.dim)]
-            old = g.bracket_vectors(va, vb)
-            new = [
-                sum((Pinv[k][i] * old[i] for i in range(g.dim)), GR_ZERO)
-                for k in range(g.dim)
-            ]
-            rhs = {names[k]: new[k] for k in range(g.dim) if not new[k].is_zero()}
-            if rhs:
-                brackets[(names[a], names[b])] = rhs
+    pairs = itertools.combinations(range(n), 2)
+    old = [((a, b), g.bracket_vectors(cols[a], cols[b])) for a, b in pairs]
+    old = [(ab, vec) for ab, vec in old if any(vec)]
+    new = mat_mul([vec for _, vec in old], mat_inverse(cols)) if old else []
+    brackets = {
+        (names[a], names[b]): {names[k]: c for k, c in enumerate(row) if c}
+        for ((a, b), _), row in zip(old, new)
+    }
 
     algebra = FrameAlgebra.build(names, brackets, duals)
     conj = tuple(list(range(m, 2 * m)) + list(range(m)))

@@ -86,6 +86,8 @@ class GaussianRational:
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
         if other.__class__ is not GaussianRational:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = _coerce_gr(other)
         d, f = self._d, other._d
         if d == f:
@@ -100,6 +102,8 @@ class GaussianRational:
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
         if other.__class__ is not GaussianRational:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = _coerce_gr(other)
         d, f = self._d, other._d
         if d == f:
@@ -118,6 +122,8 @@ class GaussianRational:
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
         if other.__class__ is not GaussianRational:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = _coerce_gr(other)
         a, b, c, e = self._a, self._b, other._a, other._b
         return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
@@ -126,6 +132,8 @@ class GaussianRational:
 
     def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
         if other.__class__ is not GaussianRational:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = _coerce_gr(other)
         a, b, c, e, f = self._a, self._b, other._a, other._b, other._d
         n = c * c + e * e
@@ -862,13 +870,20 @@ def mat_inverse(matrix: Sequence[Sequence[GaussianRational]]) -> Matrix:
 
 
 def mat_mul(a: Sequence[Sequence[GaussianRational]], b: Sequence[Sequence[GaussianRational]]) -> Matrix:
-    return [
-        [
-            sum((a[i][k] * b[k][j] for k in range(len(b))), GR_ZERO)
-            for j in range(len(b[0]))
-        ]
-        for i in range(len(a))
-    ]
+    """The product a b of constant matrices, one product per pair of nonzero
+    factors: a nonzero a[i][k] meets only the nonzero entries of row k of b.
+    An empty b has no columns, so every row of the product is empty."""
+    width = len(b[0]) if b else 0
+    nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [GR_ZERO] * width
+        for x, terms in zip(row, nonzero):
+            if x:
+                for j, y in terms:
+                    acc[j] = acc[j] + x * y
+        out.append(acc)
+    return out
 
 
 def mat_left_inverse(matrix: Sequence[Sequence[GaussianRational]]) -> Matrix:

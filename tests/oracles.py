@@ -25,9 +25,18 @@ from gcdeform.deformation import (
     DeformationError,
     DeformationMap,
 )
-from gcdeform.frame import ComplexFrame, ExteriorForm, FrameAlgebra
+from gcdeform.frame import (
+    ComplexFrame,
+    ComplexOp,
+    ExteriorForm,
+    FrameAlgebra,
+    FrameError,
+    JacobiViolation,
+    default_frame_names,
+)
 from gcdeform.scalar import (
     GR_HALF,
+    GR_I,
     GR_ONE,
     GR_ZERO,
     GaussianRational,
@@ -782,3 +791,98 @@ def reference_generic_rank(e: DeformationMap) -> int:
         ):
             return r
     return 0
+
+
+# The construction stage before every constant product went through the
+# zero-skipping ``scalar.mat_mul``: dense sums over every entry.
+def reference_mat_mul(a, b):
+    """The product a b as a dense sum over every k, zero factors included."""
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), GR_ZERO) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+def reference_validate_jacobi(g: FrameAlgebra) -> list[JacobiViolation]:
+    """The Jacobi defects by brackets of unit vectors, every pair bracketed."""
+    violations = []
+    n = g.dim
+    unit = [[GR_ONE if a == b else GR_ZERO for b in range(n)] for a in range(n)]
+    for i, j, k in itertools.combinations(range(n), 3):
+        total = [GR_ZERO] * n
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            inner = g.bracket_vectors(unit[a], unit[b])
+            outer = g.bracket_vectors(inner, unit[c])
+            total = [t + o for t, o in zip(total, outer)]
+        if any(total):
+            triple = (g.basis[i], g.basis[j], g.basis[k])
+            violations.append(JacobiViolation(triple, tuple(total), g.basis))
+    return violations
+
+
+def reference_eigenframe(g: FrameAlgebra, J: ComplexOp, tangent_names=None, dual_names=None):
+    """The eigenframe with J applied to dense unit vectors and every bracket of
+    two new basis vectors transformed by P^-1, zero or not."""
+    if J.dim != g.dim:
+        raise FrameError("J dimension mismatch")
+    if g.dim % 2 != 0:
+        raise FrameError("odd-dimensional frame has no complex eigensplit")
+    n, m = g.dim, g.dim // 2
+    apply = lambda v: [sum((J.matrix[i][j] * v[j] for j in range(n)), GR_ZERO) for i in range(n)]
+    unit = lambda s: [GR_ONE if k == s else GR_ZERO for k in range(n)]
+    seeds, chosen = [], []
+    for a in range(n):
+        trial = chosen + [unit(a), apply(unit(a))]
+        if mat_rank(trial) == len(trial):
+            seeds.append(a)
+            chosen = trial
+        if len(seeds) == m:
+            break
+    if len(seeds) != m:
+        raise FrameError("could not split the frame into J-stable planes")
+    default_tangent, default_duals = default_frame_names(m)
+    tangent_names = list(default_tangent if tangent_names is None else tangent_names)
+    dual_names = list(default_duals if dual_names is None else dual_names)
+    names = tangent_names + [f"{t}bar" for t in tangent_names]
+    duals = dual_names + [f"{t}bar" for t in dual_names]
+    cols = [[GR_HALF * (e - GR_I * je) for e, je in zip(unit(s), apply(unit(s)))] for s in seeds]
+    cols += [[c.conjugate() for c in vec] for vec in cols]
+    P = [[cols[j][i] for j in range(n)] for i in range(n)]
+    Pinv = mat_inverse(P)
+    for a in range(m):
+        jv = apply([P[i][a] for i in range(n)])
+        if any(jv[i] != GR_I * P[i][a] for i in range(n)):
+            raise FrameError("eigenvector relation failed")
+    brackets = {}
+    for a, b in itertools.combinations(range(n), 2):
+        old = g.bracket_vectors(cols[a], cols[b])
+        new = [sum((Pinv[k][i] * old[i] for i in range(n)), GR_ZERO) for k in range(n)]
+        rhs = {names[k]: new[k] for k in range(n) if not new[k].is_zero()}
+        if rhs:
+            brackets[(names[a], names[b])] = rhs
+    conj = tuple(list(range(m, 2 * m)) + list(range(m)))
+    algebra = FrameAlgebra.build(names, brackets, duals)
+    return ComplexFrame(algebra, conj, g, tuple(tuple(row) for row in P))
+
+
+def reference_duals(splitting) -> list[list[GaussianRational]]:
+    """h_a = sum_i P^-1[i][a] conj(g_i), a dense n x 2n x n sum."""
+    slots = list(zip(*splitting.conj_vectors))
+    inverse = splitting.inverse
+    return [
+        [sum((row[a] * c for row, c in zip(inverse, slot)), GR_ZERO) for slot in slots]
+        for a in range(len(inverse))
+    ]
+
+
+def random_two_step_nilpotent(rng, n):
+    """Strictly upper-triangular structure constants, brackets landing in the
+    last ``n - p`` basis elements, which are central; so Jacobi holds."""
+    p = rng.randint(2, n - 1)
+    basis = [f"e{k}" for k in range(n)]
+    brackets = {}
+    for i, j in itertools.combinations(range(p), 2):
+        rhs = {basis[k]: random_gaussian(rng, 2) for k in range(p, n) if rng.random() < 0.6}
+        if rhs:
+            brackets[(basis[i], basis[j])] = rhs
+    return FrameAlgebra.build(basis, brackets)

@@ -34,6 +34,7 @@ from oracles import (
     courant_oracle,
     random_gaussian,
     random_poly,
+    random_two_step_nilpotent,
     reference_courant_bracket,
     reference_lie_derivative,
     reference_pair,
@@ -288,19 +289,6 @@ def test_constant_bracket_matches_oracle_on_every_basis_pair(name):
         assert courant_bracket(gens[a], gens[b]) == expected, (name, a, b)
 
 
-def _random_two_step_nilpotent(rng, n):
-    """Strictly upper-triangular structure constants, brackets landing in the
-    last ``n - p`` basis elements, which are central; so Jacobi holds."""
-    p = rng.randint(2, n - 1)
-    basis = [f"e{k}" for k in range(n)]
-    brackets = {}
-    for i, j in itertools.combinations(range(p), 2):
-        rhs = {basis[k]: random_gaussian(rng, 2) for k in range(p, n) if rng.random() < 0.6}
-        if rhs:
-            brackets[(basis[i], basis[j])] = rhs
-    return FrameAlgebra.build(basis, brackets)
-
-
 def _random_constant_section(rng, frame):
     return GenSection.make(
         frame, {n: random_gaussian(rng, 3) for n in _names(frame) if rng.random() < 0.5}
@@ -311,7 +299,7 @@ def test_constant_bracket_matches_oracle_on_random_nilpotent_algebras():
     rng = random.Random(20261018)
     t = parameter("t")
     for _ in range(36):
-        g = _random_two_step_nilpotent(rng, rng.randint(3, 6))
+        g = random_two_step_nilpotent(rng, rng.randint(3, 6))
         assert g.validate_jacobi() == []
         frame = ComplexFrame.complexified(g)
         for _ in range(5):
@@ -358,7 +346,7 @@ NILPOTENT_SEEDS = range(20261019, 20261025)
 def _frame(name):
     if name in WORKSPACES:
         return build_workspace(parse_workspace(WORKSPACES[name])).frame
-    g = _random_two_step_nilpotent(random.Random(int(name.split("-")[1])), 6)
+    g = random_two_step_nilpotent(random.Random(int(name.split("-")[1])), 6)
     assert g.validate_jacobi() == []
     return ComplexFrame.complexified(g)
 

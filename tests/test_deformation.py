@@ -2,11 +2,13 @@ import collections
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from gcdeform import algebroid, courant, deformation, scalar
 from gcdeform.algebroid import Splitting, build_symplectic_eigenbundle, complex_eigenbundle
+from gcdeform.cli import KODAIRA_WORKSPACE, build_workspace, parse_workspace
 from gcdeform.courant import GenSection, pair
 from gcdeform.deformation import (
     CLASSICAL_COMPLEX,
@@ -40,6 +42,7 @@ from gcdeform.scalar import (
 )
 from oracles import permutation_det, random_poly, small_binding
 
+CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
 GR = GaussianRational.of
 HALF_I = GR(0, Fraction(1, 2))
 
@@ -378,6 +381,24 @@ def test_classify_works_on_vectors(ksub, kfamily, monkeypatch):
     ksub.d_L_general(ExteriorForm.basis(ksub.lform_names, (0,)), [unit(0), unit(1)])
     red.substitute({})
     assert calls["courant_bracket"] == 1 and calls["substitute"] > 0
+
+
+@pytest.mark.parametrize("name, ranks", [("abelian4_complex", 1), ("kodaira", 2)])
+def test_reduce_family_ranks_the_full_span_only_after_a_drop(monkeypatch, name, ranks):
+    """With no gauge direction dropped (abelian-4 has d1 = 0) the kept
+    directions are all of them, so the two rank checks would see one matrix."""
+    text = KODAIRA_WORKSPACE if name == "kodaira" else (CORPUS / f"{name}.ws").read_text()
+    mc = build_workspace(parse_workspace(text)).mc
+    mc.solution, mc.deformation.sub.cochains.gauge  # built before counting
+    ranked = []
+
+    def rank(matrix):
+        ranked.append(matrix)
+        return scalar.mat_rank(matrix)
+
+    monkeypatch.setattr(deformation, "mat_rank", rank)
+    family = deformation.reduce_family(mc)
+    assert len(ranked) == ranks and bool(family.dropped_gauge) == (ranks == 2)
 
 
 def _random_matrix(rng, symbols, rows, cols):

@@ -1,11 +1,13 @@
-"""The generic rank of the tangent projection, certified at exact points.
+"""The generic rank of the tangent projection.
 
-``_generic_rank`` takes the rank at the origin and at seeded points, and
-expands minors only while that bound is below min(rows, cols); it is compared
-with ``reference_generic_rank``, which expands every minor from the largest
-size down.  A family with more than eight parameters is refused
-stratification but still gets its generic rank, with no minor built when a
-point reaches the full rank.
+A family with more than eight parameters is refused stratification but still
+gets its generic rank from ``_generic_rank``, which takes the rank at the
+origin and at seeded points and expands minors only while that bound is below
+min(rows, cols), so no minor is built when a point reaches the full rank.  A
+stratified descent node reads its r x r minors anyway, so it takes r top-down
+as the largest size with a nonzero minor and evaluates no point.  Both are
+compared with ``reference_generic_rank``, which expands every minor from the
+largest size down.
 """
 
 import collections
@@ -44,7 +46,7 @@ def _symplectic_abelian(dim: int) -> str:
 
 
 def generic_rank(e: DeformationMap) -> int:
-    return deformation._generic_rank(e.projection, {})
+    return deformation._generic_rank(e.projection)
 
 
 @pytest.mark.parametrize("seeds", [deformation._RANK_POINT_SEEDS, ()], ids=["points", "origin"])
@@ -78,7 +80,7 @@ def test_generic_rank_climbs_from_the_origin_through_minors(monkeypatch):
         return counted_minor(matrix, rows, cols, table)
 
     monkeypatch.setattr(deformation, "minor", counted)
-    assert deformation._generic_rank(matrix, {}) == reference_generic_rank(e) == 5
+    assert deformation._generic_rank(matrix) == reference_generic_rank(e) == 5
     assert set(sizes) == {4, 5, 6}
 
 
@@ -188,3 +190,43 @@ def test_refused_strata_text_prints_the_generic_rank(tmp_path, capsys):
     ws.write_text(_symplectic_abelian(6), encoding="utf-8")
     assert cli.main(["strata", "--input", str(ws)]) == 0
     assert capsys.readouterr().out == "generic rank: 6\nrefused: too many parameters\n"
+
+
+def test_stratified_nodes_evaluate_no_point(monkeypatch):
+    """A stratified node takes its rank from its minors, so stratifying the
+    preset evaluates no entry at a point; the refused branch does."""
+    calls = collections.Counter()
+    evaluate = scalar.PolyScalar.evaluate
+
+    def counted(self, point):
+        calls["evaluate"] += 1
+        return evaluate(self, point)
+
+    monkeypatch.setattr(scalar.PolyScalar, "evaluate", counted)
+    family = build_workspace(parse_workspace(KODAIRA_WORKSPACE)).family
+    strata = stratify_type(family.reduced_map)
+    assert strata.strata and calls["evaluate"] == 0
+    # positive control: the points of ``_generic_rank`` go through the name
+    assert generic_rank(family.reduced_map) == strata.generic_rank
+    assert calls["evaluate"] > 0
+
+
+@pytest.mark.parametrize("name", sorted(WORKSPACES))
+def test_every_descent_node_has_the_reference_rank(monkeypatch, name):
+    nodes = []
+    rank_and_minors = deformation._rank_and_minors
+
+    def recorded(e):
+        r, minors = rank_and_minors(e)
+        nodes.append((e, r))
+        return r, minors
+
+    monkeypatch.setattr(deformation, "_rank_and_minors", recorded)
+    ws = build_workspace(parse_workspace(WORKSPACES[name]))
+    strata = stratify_type(ws.family.reduced_map)
+    if strata.refused == "too many parameters":
+        assert nodes == []
+        return
+    assert len(nodes) == len(strata.strata) and nodes[0][1] == strata.generic_rank
+    for e, r in nodes:
+        assert r == reference_generic_rank(e), name

@@ -80,6 +80,25 @@ def test_gaussian_rational_is_immutable_and_exact():
     assert repr(x) == "GaussianRational(re=Fraction(1, 2), im=Fraction(3, 1))"
 
 
+def test_gaussian_rational_defers_to_a_polynomial_operand():
+    """A Gaussian rational returns ``NotImplemented`` on an operand it cannot
+    coerce, so a polynomial answers through its reflected method."""
+    rng = random.Random("mixed operands")
+    t, s = parameter("t"), parameter("s")
+    for _ in range(30):
+        c, p = random_gaussian(rng), random_poly(rng, [t, s])
+        assert c + p == p + c == poly(c) + p
+        assert c - p == -(p - c) == poly(c) - p
+        assert c * p == p * c == poly(c) * p
+    assert GR_ONE * poly(t) == poly(t) and (GR_ONE + poly(t)) - poly(t) == poly(GR_ONE)
+    # integers and fractions still coerce; floats and division by a polynomial do not
+    assert GR(1, 1) * 2 == 2 * GR(1, 1) == GR(2, 2) and GR(1) - Fraction(1, 2) == GR(Fraction(1, 2))
+    with pytest.raises(TypeError):
+        GR(1) * 0.5
+    with pytest.raises(TypeError):
+        GR(1) / poly(t)
+
+
 def test_gaussian_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         GR(1) / GR(0)
