@@ -81,7 +81,7 @@ class Splitting:
     @cached_property
     def duals(self) -> Matrix:
         """The vectors h_a, with 2<h_a, g_b> = delta_ab: the product P^-T conj(g)."""
-        return mat_mul([list(col) for col in zip(*self.inverse)], self.conj_vectors)
+        return mat_mul(list(zip(*self.inverse)), self.conj_vectors)
 
     def brackets(self) -> Iterator[tuple[tuple[int, int], list]]:
         """((a, b), [g_a, g_b]) as vectors for a < b, computed as they are read."""
