@@ -5,12 +5,14 @@ to import gcdeform from (default: the ``src`` next to this file).  Run it on
 two source trees and diff the outputs to see every byte a change moves.
 
 The sweep covers each command in both formats on the built-in preset, on
-every ``bench/corpus/*.ws`` workspace (read only), on the Iwasawa frame, on a
-workspace given by subbundle generators, on the two-dimensional non-abelian
-algebra with its area form (a reduced family without parameters), on one
-workspace per refusal of the workspace build (a failed Jacobi identity,
-J^2 != -1, a non-integrable J, a degenerate 2-form and each refusal of the
-subbundle build) and on two workspaces with a misplaced ``names`` line; then
+every ``bench/corpus/*.ws`` workspace (read only), on the Iwasawa frame, on
+Kodaira x Kodaira (a rank-8 subbundle with a nonzero Schouten table and a
+64-unknown compatibility pencil), on a workspace given by subbundle
+generators, on the two-dimensional non-abelian algebra with its area form (a
+reduced family without parameters), on one workspace per refusal of the
+workspace build (a failed Jacobi identity, J^2 != -1, a non-integrable J, a
+degenerate 2-form and each refusal of the subbundle build) and on two
+workspaces with a misplaced ``names`` line; then
 ``strata`` alone on symplectic abelian-8, seven ``type`` points on the
 preset, two on the reduced family of every ``--input`` workspace that has one
 (every parameter 0, and every parameter 1/7 + i/9; the names are read from
@@ -43,6 +45,11 @@ WORKSPACES = {
         "basis X Y U V\nbracket X Y = U\n"
         "generator X - i*U*\ngenerator Y - i*V*\n"
         "generator U + i*X*\ngenerator V + i*Y*\n"
+    ),
+    "kodaira_x_kodaira.ws": (
+        "basis X Y U V X2 Y2 U2 V2\nbracket X Y = U\nbracket X2 Y2 = U2\n"
+        "J X = Y\nJ Y = -X\nJ U = V\nJ V = -U\n"
+        "J X2 = Y2\nJ Y2 = -X2\nJ U2 = V2\nJ V2 = -U2\n"
     ),
     "r2.ws": "basis X Y\nbracket X Y = Y\nsymplectic X Y = 1\n",
     "refuse_dependent.ws": "basis X Y\ngenerator X\ngenerator X\n",
