@@ -17,7 +17,7 @@ from typing import Iterator, Optional, Sequence
 
 from .courant import GenSection, bracket_vectors, conjugate_vector, courant_bracket
 from .courant import directional, doubled_pair, pair, pairings
-from .frame import ComplexFrame, ComplexOp, ExteriorForm, FrameAlgebra, eigenframe
+from .frame import ComplexFrame, ComplexOp, ExteriorForm, FrameAlgebra, _sort_index, eigenframe
 from .scalar import (
     GR_I,
     GR_ONE,
@@ -118,14 +118,15 @@ class Splitting:
 @dataclass(frozen=True)
 class CochainComplex:
     """d_L and the Schouten bracket on constant forms over L*, as matrices on the
-    lexicographic basis slots: row a of ``d1`` (row s of ``d2``) is d_L of the
-    a-th basis 1-form (s-th basis 2-form), and ``schouten[(s, u)]`` lists the
-    nonzero (3-slot, value) of the bracket of the s-th and u-th basis 2-forms."""
+    lexicographic basis slots: row a of ``d1`` is d_L of the a-th basis
+    1-form; ``d2[s]`` lists the nonzero (3-slot, value) of d_L of the s-th
+    basis 2-form, and ``schouten[(s, u)]`` those of the bracket of the s-th
+    and u-th basis 2-forms."""
 
     slots2: tuple[tuple[int, ...], ...]
     slots3: tuple[tuple[int, ...], ...]
     d1: Matrix
-    d2: Matrix
+    d2: list[list[tuple[int, GaussianRational]]]
     schouten: dict[tuple[int, int], list[tuple[int, GaussianRational]]]
 
     @cached_property
@@ -357,22 +358,36 @@ class IsotropicSubbundle:
     @cached_property
     def cochains(self) -> CochainComplex:
         """d_L on degrees 1 and 2 and the Schouten bracket of 2-forms as constant
-        matrices, built once from ``d_L_invariant`` and the Schouten table."""
-        names = self.lform_names
+        matrices, summed into slot positions straight from the algebroid's
+        structure constants (``ce_terms``) and the Schouten table."""
         slots = [list(itertools.combinations(range(self.rank), p)) for p in range(4)]
-        d1, d2 = (
-            [self.d_L_invariant(ExteriorForm.basis(names, i)).vector(slots[p + 1]) for i in slots[p]]
-            for p in (1, 2)
-        )
+        at2, at3 = ({idx: r for r, idx in enumerate(slots[p])} for p in (2, 3))
+        d1 = [[GR_ZERO] * len(at2) for _ in slots[1]]
+        for row, idx in zip(d1, slots[1]):
+            for r, v in _collect(self.algebroid.ce_terms(idx), at2):
+                row[r] = v
+        d2 = [_collect(self.algebroid.ce_terms(idx), at3) for idx in slots[2]]
         schouten = {}
-        for (s, a), (u, b) in itertools.combinations_with_replacement(enumerate(slots[2]), 2):
-            # the terms of one pair of basis forms have distinct raw indices
-            bracket = ExteriorForm.build(names, dict(self._schouten_terms(a, b)))
-            if bracket.terms:
-                # 2-forms bracket symmetrically, for the transported table is skew
-                entry = [(r, v) for r, v in enumerate(bracket.vector(slots[3])) if v]
-                schouten[(s, u)] = schouten[(u, s)] = entry
+        if self._schouten_table:  # empty on an abelian algebra: no pair is read
+            for (s, a), (u, b) in itertools.combinations_with_replacement(enumerate(slots[2]), 2):
+                entry = _collect(self._schouten_terms(a, b), at3)
+                if entry:
+                    # 2-forms bracket symmetrically, for the transported table is skew
+                    schouten[(s, u)] = schouten[(u, s)] = entry
         return CochainComplex(tuple(slots[2]), tuple(slots[3]), d1, d2, schouten)
+
+
+def _collect(terms, at: dict[tuple[int, ...], int]) -> list[tuple[int, GaussianRational]]:
+    """The nonzero (position, value) of a sum of (unsorted index, value) terms,
+    each index sorted with the sign of ``_sort_index`` and placed by ``at``;
+    an index that repeats a slot is zero."""
+    acc: dict[int, GaussianRational] = {}
+    for idx, v in terms:
+        key, sign = _sort_index(idx)
+        if key is not None:
+            r = at[key]
+            acc[r] = acc.get(r, GR_ZERO) + (v if sign > 0 else -v)
+    return [(r, acc[r]) for r in sorted(acc) if acc[r]]
 
 
 def express_in_span(

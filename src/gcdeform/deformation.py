@@ -252,7 +252,7 @@ def mc_residual(e: DeformationMap) -> MCSystem:
         raise DeformationError("the Maurer-Cartan system needs parameter-only coefficients")
     cx = e.sub.cochains
     columns = [(m, list(col.items())) for m, col in e.columns.items()]
-    terms = [(m, r, v * w) for m, col in columns for s, v in col for r, w in enumerate(cx.d2[s]) if w]
+    terms = [(m, r, v * w) for m, col in columns for s, v in col for r, w in cx.d2[s]]
     for (m1, col1), (m2, col2) in itertools.product(columns, repeat=2):
         halves = [(r, GR_HALF * v1 * v2 * w) for s1, v1 in col1 for s2, v2 in col2
                   for r, w in cx.schouten.get((s1, s2), ())]
@@ -279,13 +279,21 @@ def gauge_image(sub: IsotropicSubbundle) -> list[ExteriorForm]:
 
 @dataclass
 class DeformationFamily:
-    """Solved Maurer-Cartan family after gauge reduction."""
+    """Solved Maurer-Cartan family after gauge reduction.  ``directions`` holds
+    the constant vector of each free parameter on ``sub.cochains.slots2``;
+    ``reduced_basis``, the same directions as 2-forms, is built on first read."""
 
     solved: dict[Symbol, PolyScalar]
     dropped_gauge: list[Symbol]
     free: list[Symbol]
-    reduced_basis: list[ExteriorForm]
+    directions: list[list[GaussianRational]]
     reduced_map: DeformationMap
+
+    @cached_property
+    def reduced_basis(self) -> list[ExteriorForm]:
+        sub = self.reduced_map.sub
+        return [ExteriorForm.build(sub.lform_names, dict(zip(sub.cochains.slots2, d)))
+                for d in self.directions]
 
 
 def solve_mc_system(
@@ -369,13 +377,12 @@ def reduce_family(mc: MCSystem) -> DeformationFamily:
     first_slot = lambda p: next((s for s, x in enumerate(directions[p]) if x), len(slots))
     free = sorted((p for p in free_syms if p not in dropped), key=first_slot)
     reduced_map = solved_map.substitute({p: PolyScalar.zero() for p in dropped})
-    reduced_basis = [ExteriorForm.build(sub.lform_names, dict(zip(slots, directions[p])))
-                     for p in free]
+    reduced = [directions[p] for p in free]
 
     # the reduced directions and the gauge span must recover the full
     # solution tangent space and intersect trivially
     size = len(free) + len(gauge_vecs)
-    if mat_rank([directions[p] for p in free] + gauge_vecs) != size:
+    if mat_rank(reduced + gauge_vecs) != size:
         raise InternalConsistencyError("reduced family meets the gauge span")
     # with nothing dropped, the kept directions are all of them
     if dropped and mat_rank([directions[p] for p in free_syms] + gauge_vecs) != size:
@@ -388,7 +395,7 @@ def reduce_family(mc: MCSystem) -> DeformationFamily:
         solved=solved,
         dropped_gauge=dropped,
         free=free,
-        reduced_basis=reduced_basis,
+        directions=reduced,
         reduced_map=reduced_map,
     )
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .scalar import (
     GR_HALF,
@@ -88,11 +88,6 @@ class ExteriorForm:
             if i == sorted_idx:
                 return c if sign > 0 else -c
         return PolyScalar.zero()
-
-    def vector(self, slots: Sequence[tuple[int, ...]]) -> list[GaussianRational]:
-        """The constant coefficients on ``slots``, each a sorted index tuple."""
-        terms = dict(self.terms)
-        return [terms[idx].constant_value() if idx in terms else GR_ZERO for idx in slots]
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -282,6 +277,17 @@ class FrameAlgebra:
 
     # -- Chevalley-Eilenberg differential ------------------------------------
 
+    def ce_terms(self, idx: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], GaussianRational]]:
+        """(unsorted index, value) terms of d of the basis form e*_idx by the
+        Leibniz rule, d e*_I = sum_p (-1)^p e*_{I<p} ^ d(e*_{i_p}) ^ e*_{I>p},
+        with d(e*_k) = -sum_{i<j} c^k_ij e*_i ^ e*_j read off ``table`` and
+        written into slot p; an index may repeat a slot."""
+        for pos, k in enumerate(idx):
+            head, tail = idx[:pos], idx[pos + 1 :]
+            for ij, vec in self.table:
+                if vec[k]:
+                    yield head + ij + tail, vec[k] if pos % 2 else -vec[k]
+
     def ce_differential(self, form: ExteriorForm) -> ExteriorForm:
         """Differential of an invariant form; raised degree by one.
 
@@ -293,18 +299,10 @@ class FrameAlgebra:
         for _, c in form.terms:
             if c.has_functions():
                 raise FrameError("non-constant coefficients in invariant differential")
-        # Leibniz rule: d(c e*_I) = sum_p (-1)^p c e*_{I<p} ^ d(e*_{i_p}) ^ e*_{I>p},
-        # with d(e*_k) = -sum_{i<j} c^k_ij e*_i ^ e*_j written into slot p
         acc: dict[tuple[int, ...], PolyScalar] = {}
         for idx, c in form.terms:
-            for pos, k in enumerate(idx):
-                head, tail = idx[:pos], idx[pos + 1 :]
-                for (i, j), vec in self.table:
-                    if vec[k].is_zero():
-                        continue
-                    key = head + (i, j) + tail
-                    term = c.scale(vec[k] if pos % 2 else -vec[k])
-                    acc[key] = acc.get(key, PolyScalar.zero()) + term
+            for key, v in self.ce_terms(idx):
+                acc[key] = acc.get(key, PolyScalar.zero()) + c.scale(v)
         return ExteriorForm.build(self.dual_names, acc)
 
 

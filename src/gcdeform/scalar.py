@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 
 class ScalarError(ValueError):
@@ -715,42 +715,58 @@ def solve_linear(system: Sequence[PolyScalar], unknowns: Sequence[Symbol]) -> Li
     list, unsolved.  When a constraint couples several unknowns the
     latest-listed one is solved for, so earlier unknowns are preferred as free
     coordinates.  An inconsistent linear system is reported as an empty
-    solution set (``consistent=False``).
+    solution set (``consistent=False``).  Rows are eliminated as
+    {monomial: coefficient} dicts; a polynomial is made only for each binding.
     """
     unknown_set = set(unknowns)
     position = {u: i for i, u in enumerate(unknowns)}
 
-    def coefficients(row: PolyScalar, among) -> dict[Symbol, GaussianRational]:
-        """The row's coefficients on the unknowns in ``among``."""
-        return {m.powers[0][0]: c for m, c in row.terms if m.degree() == 1 and m.powers[0][0] in among}
+    def unknown(m: Monomial) -> Optional[Symbol]:
+        """The unknown u when m is the monomial u, else None."""
+        p = m.powers
+        return p[0][0] if len(p) == 1 and p[0][1] == 1 and p[0][0] in unknown_set else None
 
     residual: list[PolyScalar] = []
     # each pivot row has coefficient 1 on its pivot and 0 on every other pivot
-    pivots: dict[Symbol, PolyScalar] = {}
+    pivots: dict[Symbol, dict[Monomial, GaussianRational]] = {}
     consistent = True
-    for row in system:
+    for poly_row in system:
         # linear: each term is free of the unknowns or is one unknown to the first power
-        if any(m.degree() != 1 and not unknown_set.isdisjoint(m.generators()) for m, _ in row.terms):
-            residual.append(row)
+        if any(m.degree() != 1 and not unknown_set.isdisjoint(m.generators()) for m, _ in poly_row.terms):
+            residual.append(poly_row)
             continue
-        for u, c in coefficients(row, pivots).items():
-            row = row - pivots[u].scale(c)
-        left = coefficients(row, unknown_set)
+        row = dict(poly_row.terms)
+        for u, c in [(u, c) for m, c in row.items() if (u := unknown(m)) in pivots]:
+            _subtract(row, pivots[u], c)
+        left = {u: (m, c) for m, c in row.items() if (u := unknown(m)) is not None}
         if not left:
-            consistent = consistent and row.is_zero()
+            consistent = consistent and not row
             continue
         pivot = max(left, key=position.__getitem__)
-        row = row.scale(GR_ONE / left[pivot])
-        unit = Monomial.of(pivot)
-        for u, prow in pivots.items():
-            f = prow.coefficient(unit)
+        unit, lead = left[pivot]
+        inverse = GR_ONE / lead
+        row = {m: c * inverse for m, c in row.items()}
+        for prow in pivots.values():
+            f = prow.get(unit)
             if f:
-                pivots[u] = prow - row.scale(f)
+                _subtract(prow, row, f)
         pivots[pivot] = row
 
-    bindings = {u: PolyScalar.of(u) - pivots[u] for u in unknowns if u in pivots}
+    # u minus its pivot row, in which u has coefficient 1
+    bindings = {u: PolyScalar.from_dict({m: -c for m, c in pivots[u].items() if unknown(m) is not u})
+                for u in unknowns if u in pivots}
     free = [u for u in unknowns if u not in pivots]
     return LinearSolution(bindings=bindings, free=free, residual=residual, consistent=consistent)
+
+
+def _subtract(row: dict, other: Mapping, f: GaussianRational) -> None:
+    """row -= f * other, in place, dropping the terms that cancel."""
+    for m, c in other.items():
+        s = row.get(m, GR_ZERO) - c * f
+        if s:
+            row[m] = s
+        else:
+            row.pop(m, None)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import operator
 import random
 
-from gcdeform.algebroid import AlgebroidError
+from gcdeform.algebroid import AlgebroidError, CochainComplex
 from gcdeform.courant import GenSection, bracket_vectors, courant_bracket, doubled_pair, pair
 from gcdeform.deformation import (
     CLASSICAL_COMPLEX,
@@ -506,6 +506,34 @@ def reference_mc_constraints(e: DeformationMap) -> list[tuple[tuple[int, ...], P
     sub = e.sub
     residual = sub.d_L_invariant(e.form) + sub.schouten_bracket(e.form, e.form).scale(GR_HALF)
     return [(idx, residual.coefficient(idx)) for idx in itertools.combinations(range(sub.rank), 3)]
+
+
+def form_vector(form: ExteriorForm, slots) -> list[GaussianRational]:
+    """The constant coefficients of a form on ``slots``, each a sorted index tuple."""
+    terms = dict(form.terms)
+    return [terms[idx].constant_value() if idx in terms else GR_ZERO for idx in slots]
+
+
+# The engine's constant complex before it summed the structure constants into
+# slot positions: one exterior form per basis form and per pair of them.
+def reference_cochains(sub) -> CochainComplex:
+    """d_L of each basis 1- and 2-form through ``d_L_invariant``, read on the
+    basis slots, and the Schouten tensor from one ``ExteriorForm`` per pair of
+    basis 2-forms; ``d2`` is dense here, one list per row."""
+    names = sub.lform_names
+    slots = [list(itertools.combinations(range(sub.rank), p)) for p in range(4)]
+    d1, d2 = (
+        [form_vector(sub.d_L_invariant(ExteriorForm.basis(names, i)), slots[p + 1]) for i in slots[p]]
+        for p in (1, 2)
+    )
+    schouten = {}
+    for (s, a), (u, b) in itertools.combinations_with_replacement(enumerate(slots[2]), 2):
+        # the terms of one pair of basis forms have distinct raw indices
+        bracket = ExteriorForm.build(names, dict(sub._schouten_terms(a, b)))
+        if bracket.terms:
+            entry = [(r, v) for r, v in enumerate(form_vector(bracket, slots[3])) if v]
+            schouten[(s, u)] = schouten[(u, s)] = entry
+    return CochainComplex(tuple(slots[2]), tuple(slots[3]), d1, d2, schouten)
 
 
 # The engine's linear algebra of a subbundle before the pairing with the

@@ -16,7 +16,7 @@ from gcdeform.cli import (
     render_workspace,
     run_pipeline,
 )
-from gcdeform.frame import kodaira_preset
+from gcdeform.frame import ExteriorForm, kodaira_preset
 
 GOLDEN = Path(__file__).parent / "golden" / "kodaira_report.txt"
 
@@ -673,6 +673,23 @@ def test_report_runs_each_stage_once(monkeypatch, capsys):
         "cochains": 1,
         "mat_rref(d1)": 1,
     }
+
+
+def test_strata_builds_no_exterior_form(monkeypatch, capsys):
+    """``strata`` reads the constant complex and the family's direction
+    vectors, so it builds no ``ExteriorForm``; ``family`` prints one form per
+    free parameter and builds exactly those."""
+    counts = collections.Counter()
+    monkeypatch.setattr(ExteriorForm, "build", staticmethod(_counted(counts, "build", ExteriorForm.build)))
+    abelian6 = Path(__file__).resolve().parent.parent / "bench" / "corpus" / "abelian6_complex.ws"
+    for source in (["--preset", "kodaira"], ["--input", str(abelian6)]):
+        assert cli.main(["strata", *source, "--format", "machine"]) == 0
+    capsys.readouterr()
+    assert counts == {}
+    # positive control: the four reduced directions of the preset's family
+    assert cli.main(["family", "--preset", "kodaira"]) == 0
+    assert capsys.readouterr().out.startswith("reduced family: 4 free parameters\n")
+    assert counts == {"build": 4}
 
 
 def test_map_views_are_built_only_when_read(monkeypatch, capsys):

@@ -1,7 +1,12 @@
 """The linear stage on constant matrices against the assembly it replaced.
 
 Each subbundle keeps one ``CochainComplex``: the d_L matrices of degrees 1
-and 2 and the Schouten tensor on pairs of 2-form slots.  ``mc_residual``
+and 2 and the Schouten tensor on pairs of 2-form slots, summed into slot
+positions from the structure constants.  They are compared with
+``reference_cochains``, which builds them through exterior forms, and the
+d_L rows also with ``reference_ce_differential``, which wedges basis forms
+around each d(e*_k) and so shares no code with the engine's rows; Kodaira x
+Kodaira adds a rank-8 complex with a nonzero tensor.  ``mc_residual``
 reads the Maurer-Cartan constraints off them, and is compared here with
 ``reference_mc_constraints``, which applies d_L and the Schouten bracket to
 the form itself.  ``DeformationMap.substitute`` substitutes into the entries
@@ -18,10 +23,18 @@ from pathlib import Path
 import pytest
 
 from gcdeform.cli import KODAIRA_WORKSPACE, build_workspace, parse_workspace
-from gcdeform.deformation import DeformationError, DeformationMap, mc_residual
+from gcdeform.deformation import DeformationError, DeformationMap, _compatibility, mc_residual
 from gcdeform.frame import ExteriorForm
-from gcdeform.scalar import GR_ZERO, PolyScalar, function, mat_mul, parameter
-from oracles import random_gaussian, random_poly, reference_mc_constraints
+from gcdeform.scalar import GR_ZERO, PolyScalar, function, mat_mul, parameter, solve_linear
+from oracles import (
+    form_vector,
+    random_gaussian,
+    random_poly,
+    reference_ce_differential,
+    reference_cochains,
+    reference_mc_constraints,
+    reference_solve_linear,
+)
 
 CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
 GENERATORS = (
@@ -34,18 +47,40 @@ IWASAWA = (
     "bracket X1 X2 = -X3\nbracket Y1 Y2 = X3\nbracket X1 Y2 = -Y3\nbracket Y1 X2 = -Y3\n"
     "J X1 = Y1\nJ Y1 = -X1\nJ X2 = Y2\nJ Y2 = -X2\nJ X3 = Y3\nJ Y3 = -X3\n"
 )
+# the preset's bracket and J on two copies of X Y U V: rank 8, a nonzero
+# Schouten table and Maurer-Cartan constraints that are not all linear
+KODAIRA_X_KODAIRA = (
+    "basis X Y U V X2 Y2 U2 V2\nbracket X Y = U\nbracket X2 Y2 = U2\n"
+    "J X = Y\nJ Y = -X\nJ U = V\nJ V = -U\n"
+    "J X2 = Y2\nJ Y2 = -X2\nJ U2 = V2\nJ V2 = -U2\n"
+)
+# two symplectic forms whose compatibility elimination reduces rows by earlier
+# pivots (the standard forms pair each unknown into one row only)
+DENSE_SYMPLECTIC = {
+    "kodaira_symplectic_skew": (
+        "basis X Y U V\nbracket X Y = U\n"
+        "symplectic X U = 1\nsymplectic Y V = 1\nsymplectic X V = 1/2\n"
+    ),
+    "abelian6_dense_symplectic": (
+        "basis X1 Y1 X2 Y2 X3 Y3\n"
+        "symplectic X1 Y1 = 1\nsymplectic X2 Y2 = 1\nsymplectic X3 Y3 = 1\n"
+        "symplectic X1 X2 = 1/2\nsymplectic X1 Y3 = 2\nsymplectic Y1 X3 = -1\n"
+        "symplectic Y2 X3 = 1/3\nsymplectic Y1 Y2 = 3\n"
+    ),
+}
 WORKSPACES = {
     "kodaira": KODAIRA_WORKSPACE,
     "kodaira_symplectic_generators": GENERATORS,
     **{path.stem: path.read_text(encoding="utf-8") for path in sorted(CORPUS.glob("*.ws"))},
 }
+CORPUS_NAMES = [path.stem for path in sorted(CORPUS.glob("*.ws"))]
 NAMES = sorted(WORKSPACES)
 S, U = parameter("s"), parameter("u")
 
 
 @pytest.fixture(scope="module")
 def workspaces():
-    texts = {**WORKSPACES, "iwasawa": IWASAWA}
+    texts = {**WORKSPACES, **DENSE_SYMPLECTIC, "iwasawa": IWASAWA, "kodaira_x_kodaira": KODAIRA_X_KODAIRA}
     return {name: build_workspace(parse_workspace(text)) for name, text in texts.items()}
 
 
@@ -120,26 +155,50 @@ def test_mc_residual_refuses_function_coefficients(workspaces):
         mc_residual(DeformationMap.from_form(sub, form))
 
 
-@pytest.mark.parametrize("name", NAMES + ["iwasawa"])
+@pytest.mark.parametrize("name", NAMES + ["iwasawa", "kodaira_x_kodaira"])
 def test_cochain_matrices(workspaces, name):
     sub = workspaces[name].sub
     cx = sub.cochains
     assert cx.slots2 == tuple(itertools.combinations(range(sub.rank), 2))
     assert cx.slots3 == tuple(itertools.combinations(range(sub.rank), 3))
+    # the assembly through exterior forms, with d2 dense
+    ref = reference_cochains(sub)
+    assert cx.d1 == ref.d1
+    assert cx.d2 == [[(r, v) for r, v in enumerate(row) if v] for row in ref.d2]
+    assert cx.schouten == ref.schouten
+    # the tensor is empty exactly when the transported table is
+    assert bool(cx.schouten) == bool(sub.schouten_table())
     # d_L squares to zero
-    assert all(x == GR_ZERO for row in mat_mul(cx.d1, cx.d2) for x in row)
-    # each row is d_L of a basis form, each tensor entry the bracket of two
-    def basis(idx):
-        return ExteriorForm.basis(sub.lform_names, idx)
-
+    assert all(x == GR_ZERO for row in mat_mul(cx.d1, ref.d2) for x in row)
+    # each row is d_L of a basis form, by wedging basis forms around each
+    # d(e*_k): a route that shares no code with the structure-constant rows
     degree1 = [(a,) for a in range(sub.rank)]
-    for sources, targets, matrix in ((degree1, cx.slots2, cx.d1), (cx.slots2, cx.slots3, cx.d2)):
+    for sources, targets, matrix in ((degree1, cx.slots2, cx.d1), (cx.slots2, cx.slots3, ref.d2)):
         assert len(matrix) == len(sources)
         for idx, row in zip(sources, matrix):
-            image = sub.d_L_invariant(basis(idx))
-            assert row == [image.coefficient(t).constant_value() for t in targets]
-    for (s, a), (u, b) in itertools.product(enumerate(cx.slots2), repeat=2):
-        bracket = sub.schouten_bracket(basis(a), basis(b))
-        expected = [(r, c) for r, idx in enumerate(cx.slots3)
-                    if (c := bracket.coefficient(idx).constant_value())]
-        assert cx.schouten.get((s, u), []) == expected
+            image = reference_ce_differential(sub.algebroid, ExteriorForm.basis(sub.lform_names, idx))
+            assert row == form_vector(image, targets)
+
+
+@pytest.mark.parametrize(
+    "name", ["kodaira", *CORPUS_NAMES, "iwasawa", "kodaira_x_kodaira", *DENSE_SYMPLECTIC]
+)
+def test_solve_linear_matches_reference_at_pencil_size(workspaces, name):
+    """The compatibility system of a fresh n x n parameter matrix (16 to 64
+    unknowns) and the Maurer-Cartan system of its pencil, which on Iwasawa
+    and Kodaira x Kodaira keeps nonlinear rows, against the elimination on
+    (coefficients, rest) pairs."""
+    sub = workspaces[name].sub
+    n = sub.rank
+    raw = [[parameter(f"t{i + 1}{j + 1}") for j in range(n)] for i in range(n)]
+    compatibility = _compatibility(sub, [[PolyScalar.of(s) for s in row] for row in raw])
+    pencil = workspaces[name].pencil[0]
+    systems = [
+        (list(compatibility.values()), [s for row in raw for s in row]),
+        ([c for _, c in mc_residual(pencil).nonzero()], list(pencil.parameters)),
+    ]
+    for system, unknowns in systems:
+        got, want = solve_linear(system, unknowns), reference_solve_linear(system, unknowns)
+        assert list(got.bindings.items()) == list(want.bindings.items())
+        assert (got.free, got.residual, got.consistent) == (want.free, want.residual, want.consistent)
+    assert 16 <= n * n <= 64
