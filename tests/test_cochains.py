@@ -14,6 +14,8 @@ and the form without proving compatibility again, and is compared with
 ``from_entries`` on the substituted entries.  All run on the preset, the
 corpus workspaces and a workspace given by generators; the MC comparison also
 runs on the Iwasawa frame, whose constraints are not all linear.
+``solve_linear`` is compared with ``reference_solve_linear`` at pencil size,
+on the compatibility and Maurer-Cartan systems of these workspaces.
 """
 
 import itertools
@@ -68,12 +70,12 @@ DENSE_SYMPLECTIC = {
         "symplectic Y2 X3 = 1/3\nsymplectic Y1 Y2 = 3\n"
     ),
 }
+CORPUS_TEXTS = {path.stem: path.read_text(encoding="utf-8") for path in sorted(CORPUS.glob("*.ws"))}
 WORKSPACES = {
     "kodaira": KODAIRA_WORKSPACE,
     "kodaira_symplectic_generators": GENERATORS,
-    **{path.stem: path.read_text(encoding="utf-8") for path in sorted(CORPUS.glob("*.ws"))},
+    **CORPUS_TEXTS,
 }
-CORPUS_NAMES = [path.stem for path in sorted(CORPUS.glob("*.ws"))]
 NAMES = sorted(WORKSPACES)
 S, U = parameter("s"), parameter("u")
 
@@ -181,7 +183,7 @@ def test_cochain_matrices(workspaces, name):
 
 
 @pytest.mark.parametrize(
-    "name", ["kodaira", *CORPUS_NAMES, "iwasawa", "kodaira_x_kodaira", *DENSE_SYMPLECTIC]
+    "name", ["kodaira", *CORPUS_TEXTS, "iwasawa", "kodaira_x_kodaira", *DENSE_SYMPLECTIC]
 )
 def test_solve_linear_matches_reference_at_pencil_size(workspaces, name):
     """The compatibility system of a fresh n x n parameter matrix (16 to 64
