@@ -5,8 +5,9 @@ and 2 and the Schouten tensor on pairs of 2-form slots, summed into slot
 positions from the structure constants.  They are compared with
 ``reference_cochains``, which builds them through exterior forms, and the
 d_L rows also with ``reference_ce_differential``, which wedges basis forms
-around each d(e*_k) and so shares no code with the engine's rows; Kodaira x
-Kodaira adds a rank-8 complex with a nonzero tensor.  ``mc_residual``
+around each d(e*_k) and so shares no code with the engine's rows, and each
+tensor entry, in both orders, with ``schouten_bracket`` on two basis forms;
+Kodaira x Kodaira adds a rank-8 complex with a nonzero tensor.  ``mc_residual``
 reads the Maurer-Cartan constraints off them, and is compared here with
 ``reference_mc_constraints``, which applies d_L and the Schouten bracket to
 the form itself.  ``DeformationMap.substitute`` substitutes into the entries
@@ -24,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from cli_sweep import WORKSPACES as SWEEP
 from gcdeform.cli import KODAIRA_WORKSPACE, build_workspace, parse_workspace
 from gcdeform.deformation import DeformationError, DeformationMap, _compatibility, mc_residual
 from gcdeform.frame import ExteriorForm
@@ -51,11 +53,7 @@ IWASAWA = (
 )
 # the preset's bracket and J on two copies of X Y U V: rank 8, a nonzero
 # Schouten table and Maurer-Cartan constraints that are not all linear
-KODAIRA_X_KODAIRA = (
-    "basis X Y U V X2 Y2 U2 V2\nbracket X Y = U\nbracket X2 Y2 = U2\n"
-    "J X = Y\nJ Y = -X\nJ U = V\nJ V = -U\n"
-    "J X2 = Y2\nJ Y2 = -X2\nJ U2 = V2\nJ V2 = -U2\n"
-)
+KODAIRA_X_KODAIRA = SWEEP["kodaira_x_kodaira.ws"]
 # two symplectic forms whose compatibility elimination reduces rows by earlier
 # pivots (the standard forms pair each unknown into one row only)
 DENSE_SYMPLECTIC = {
@@ -180,6 +178,12 @@ def test_cochain_matrices(workspaces, name):
         for idx, row in zip(sources, matrix):
             image = reference_ce_differential(sub.algebroid, ExteriorForm.basis(sub.lform_names, idx))
             assert row == form_vector(image, targets)
+    # each tensor entry, in both orders, is the bracket of two basis 2-forms
+    # summed through exterior forms by ``schouten_bracket``
+    for (s, a), (u, b) in itertools.product(enumerate(cx.slots2), repeat=2):
+        bracket = sub.schouten_bracket(*(ExteriorForm.basis(sub.lform_names, idx) for idx in (a, b)))
+        expected = [(r, c) for r, c in enumerate(form_vector(bracket, cx.slots3)) if c]
+        assert cx.schouten.get((s, u), []) == expected
 
 
 @pytest.mark.parametrize(
