@@ -469,14 +469,15 @@ def build_symplectic_eigenbundle(
     names = [f"L{name}" for name in g.basis]
 
     closed = g.ce_differential(w).is_zero()
+    # the generators of a nondegenerate form are isotropic and separated, so
+    # the build fails only on involutivity
     try:
         sub = IsotropicSubbundle.build(frame, gens, names)
-    except AlgebroidError as exc:
-        # a generator pair fails involutivity: consistent only with a form not closed
-        if "not involutive" not in str(exc) or not closed:
+    except AlgebroidError:
+        if not closed:
             raise
         sub = None
-    if (sub is not None) != closed:
+    if (sub is None) == closed:
         raise InternalConsistencyError(
             "involutivity of the symplectic eigenbundle disagrees with closedness"
         )

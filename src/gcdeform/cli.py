@@ -76,10 +76,6 @@ class ParseError(ValueError):
         self.line = line
 
 
-class MathError(ValueError):
-    """The input parsed but is mathematically unusable."""
-
-
 KODAIRA_WORKSPACE = """\
 # Invariant frame of a primary Kodaira surface.
 basis X Y U V
@@ -170,6 +166,7 @@ def parse_workspace(text: str) -> WorkspaceSpec:
     bracket_lines: dict[tuple[str, str], int] = {}
     jmap: dict[str, dict[str, GaussianRational]] = {}
     sympl: dict[tuple[str, str], GaussianRational] = {}
+    sympl_lines: dict[tuple[str, str], int] = {}
     gens: list[dict[str, GaussianRational]] = []
     names_eigen = names_duals = None
     names_lines: dict[str, int] = {}
@@ -268,9 +265,15 @@ def parse_workspace(text: str) -> WorkspaceSpec:
                 raise ParseError(lineno, "symplectic value is not real")
             i, j = b.index(a), b.index(c)
             key, val = ((a, c), value) if i < j else ((c, a), -value)
-            if key in sympl and sympl[key] != val:
-                raise ParseError(lineno, f"conflicting symplectic entry for {key}")
-            sympl[key] = val
+            if key in sympl:
+                if sympl[key] != val:
+                    raise ParseError(
+                        lineno,
+                        f"symplectic [{key[0]}, {key[1]}] conflicts with line {sympl_lines[key]}",
+                    )
+            else:
+                sympl[key] = val
+                sympl_lines[key] = lineno
 
         elif keyword == "generator":
             b = basis_or_fail(lineno)
@@ -427,7 +430,7 @@ def build_workspace(spec: WorkspaceSpec) -> Workspace:
     violations = algebra.validate_jacobi()
     if violations:
         detail = "; ".join(str(v) for v in violations)
-        raise MathError(f"jacobi identity fails: {detail}")
+        raise FrameError(f"jacobi identity fails: {detail}")
 
     if spec.structure == "complex":
         n = algebra.dim
@@ -437,13 +440,10 @@ def build_workspace(spec: WorkspaceSpec) -> Workspace:
             j = index[name]
             for target, c in combo.items():
                 matrix[index[target]][j] = c
-        try:
-            jop = ComplexOp.build(matrix)
-            frame, sub = complex_eigenbundle(
-                algebra, jop, tangent_names=spec.names_eigen, dual_names=spec.names_duals
-            )
-        except (FrameError, AlgebroidError) as exc:
-            raise MathError(str(exc)) from None
+        jop = ComplexOp.build(matrix)
+        frame, sub = complex_eigenbundle(
+            algebra, jop, tangent_names=spec.names_eigen, dual_names=spec.names_duals
+        )
         return Workspace(spec=spec, algebra=algebra, frame=frame, sub=sub, jop=jop)
 
     if spec.structure == "symplectic":
@@ -452,10 +452,7 @@ def build_workspace(spec: WorkspaceSpec) -> Workspace:
             for (a, b), v in spec.symplectic.items()
         }
         w = ExteriorForm.build(algebra.dual_names, data)
-        try:
-            frame, sub = build_symplectic_eigenbundle(algebra, w)
-        except AlgebroidError as exc:
-            raise MathError(str(exc)) from None
+        frame, sub = build_symplectic_eigenbundle(algebra, w)
         return Workspace(spec=spec, algebra=algebra, frame=frame, sub=sub)
 
     frame = ComplexFrame.complexified(algebra)
@@ -471,10 +468,7 @@ def build_workspace(spec: WorkspaceSpec) -> Workspace:
             entries[name] = PolyScalar.const(c)
         gens.append(GenSection.make(frame, entries))
     names = tuple(f"G{i + 1}" for i in range(len(gens)))
-    try:
-        sub = IsotropicSubbundle.build(frame, gens, names)
-    except AlgebroidError as exc:
-        raise MathError(str(exc)) from None
+    sub = IsotropicSubbundle.build(frame, gens, names)
     return Workspace(spec=spec, algebra=algebra, frame=frame, sub=sub)
 
 
@@ -606,14 +600,6 @@ def section_strata(ws: Workspace) -> dict:
     return out
 
 
-def _parameterless(ws: Workspace) -> bool:
-    """Whether ``type`` needs no bindings: the reduced family has no parameters."""
-    try:
-        return not ws.family.free
-    except DeformationError:
-        return False
-
-
 def run_type(ws: Workspace, at: str) -> dict:
     family = ws.family
     by_name = {p.name: p for p in family.free}
@@ -638,10 +624,7 @@ def run_type(ws: Workspace, at: str) -> dict:
     missing = [p.name for p in family.free if p not in bindings]
     if missing:
         raise ParseError(1, f"unbound family parameters: {', '.join(missing)}")
-    try:
-        k, label = classify(family.reduced_map, bindings)
-    except DeformationError as exc:
-        raise MathError(str(exc)) from None
+    k, label = classify(family.reduced_map, bindings)
     return {"k": k, "label": label}
 
 
@@ -747,7 +730,7 @@ def run_pipeline(spec: WorkspaceSpec, command: str, at: Optional[str] = None, fm
         return "\n".join(chunks)
 
     if command == "type":
-        if not at and not _parameterless(ws):
+        if not at and ws.family.free:
             raise ParseError(1, "type needs --at name=value,...")
         data = run_type(ws, at or "")
         liner = _lines_type
@@ -784,7 +767,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description="Exact deformations of invariant generalized complex structures.",
     )
     parser.add_argument("command", choices=COMMANDS)
-    source = parser.add_mutually_exclusive_group()
+    source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--preset", choices=["kodaira"], help="use a built-in workspace")
     source.add_argument("--input", help="workspace description file")
     parser.add_argument("--format", choices=["text", "machine"], default="text")
@@ -793,33 +776,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.at is not None and args.command != "type":
         parser.error("argument --at: only the type command takes bindings")
 
-    try:
-        if args.preset:
-            text = KODAIRA_WORKSPACE
-        elif args.input:
-            try:
-                with open(args.input, "r", encoding="utf-8") as fh:
-                    text = fh.read()
-            except OSError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
-            except UnicodeDecodeError:
-                print(f"error: {args.input}: not UTF-8 text", file=sys.stderr)
-                return 1
-        else:
-            print("error: need --preset or --input", file=sys.stderr)
+    if args.preset:
+        text = KODAIRA_WORKSPACE
+    else:
+        try:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 1
-        spec = parse_workspace(text)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        except UnicodeDecodeError:
+            print(f"error: {args.input}: not UTF-8 text", file=sys.stderr)
+            return 1
 
+    # the one place an error becomes an exit code: 1 input, 2 mathematical
+    # failure, 3 a failed internal identity
     try:
-        output = run_pipeline(spec, args.command, at=args.at, fmt=args.format)
+        output = run_pipeline(parse_workspace(text), args.command, at=args.at, fmt=args.format)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (MathError, DeformationError, AlgebroidError, FrameError) as exc:
+    except (DeformationError, AlgebroidError, FrameError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalConsistencyError as exc:

@@ -125,7 +125,7 @@ class DeformationMap:
         F_m a constant vector {position in ``sub.cochains.slots2``: nonzero
         value}; on a pencil, the F_t are the columns of A."""
         columns: dict[Monomial, dict[int, GaussianRational]] = {}
-        for s, (j, k) in enumerate(itertools.combinations(range(self.sub.rank), 2)):
+        for s, (j, k) in enumerate(self.sub.cochains.slots2):
             for m, v in _pairing(self.sub, self.entries, j, k).items():
                 if v:
                     columns.setdefault(m, {})[s] = v

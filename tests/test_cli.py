@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from cli_sweep import WORKSPACES as SWEEP
 from gcdeform import algebroid, cli, deformation, scalar
 from gcdeform.algebroid import IsotropicSubbundle, Splitting
 from gcdeform.cli import (
@@ -16,9 +17,10 @@ from gcdeform.cli import (
     render_workspace,
     run_pipeline,
 )
-from gcdeform.frame import ExteriorForm, kodaira_preset
+from gcdeform.frame import ExteriorForm, FrameAlgebra, kodaira_preset
 
 GOLDEN = Path(__file__).parent / "golden" / "kodaira_report.txt"
+CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
 
 
 def run_cli(*args, stdin=None):
@@ -157,14 +159,29 @@ def test_parse_error_positions(tmp_path):
     assert "line 2" in result.stderr and "Q" in result.stderr
 
 
-def test_conflicting_bracket_error(tmp_path):
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "basis X Y U\nbracket X Y = U\nbracket Y X = U\nJ X = Y\n",
+            "line 3: bracket [X, Y] conflicts with line 2",
+        ),
+        # a repeated entry that agrees is no conflict
+        (
+            "basis X Y U V\nbracket X Y = U\nsymplectic X U = 1\nsymplectic Y V = 1\n"
+            "symplectic U X = -1\nsymplectic U X = 2\n",
+            "line 6: symplectic [X, U] conflicts with line 3",
+        ),
+    ],
+    ids=["bracket", "symplectic"],
+)
+def test_conflicting_bracket_error(tmp_path, capsys, text, message):
     ws = tmp_path / "bad.ws"
-    ws.write_text(
-        "basis X Y U\nbracket X Y = U\nbracket Y X = U\nJ X = Y\n", encoding="utf-8"
-    )
-    result = run_cli("validate", "--input", str(ws))
-    assert result.returncode == 1
-    assert "conflicts with line 2" in result.stderr
+    ws.write_text(text, encoding="utf-8")
+    assert cli.main(["validate", "--input", str(ws)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_malformed_rational_error(tmp_path):
@@ -271,8 +288,9 @@ def test_subbundle_refusals_exit_2(tmp_path, capsys, text, message):
             ["report", "--preset", "kodaira", "--at", "t14=1"],
             "argument --at: only the type command takes bindings",
         ),
+        (["report"], "one of the arguments --preset --input is required"),
     ],
-    ids=["command", "preset", "format", "preset-and-input", "at-without-type"],
+    ids=["command", "preset", "format", "preset-and-input", "at-without-type", "no-source"],
 )
 def test_usage_errors_exit_1(capsys, argv, reason):
     with pytest.raises(SystemExit) as exc:
@@ -282,13 +300,6 @@ def test_usage_errors_exit_1(capsys, argv, reason):
     assert captured.out == ""
     assert captured.err.startswith("usage: gcdeform ")
     assert f"gcdeform: error: {reason}" in captured.err
-
-
-def test_neither_preset_nor_input_is_an_input_error(capsys):
-    assert cli.main(["report"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: need --preset or --input\n"
 
 
 def test_missing_structure_rejected():
@@ -354,6 +365,20 @@ def test_type_on_a_family_without_parameters_needs_no_bindings(tmp_path, capsys,
     # a family with parameters still asks for them, with --at empty too
     assert cli.main(["type", "--preset", "kodaira", *at]) == 1
     assert capsys.readouterr().err == "error: line 1: type needs --at name=value,...\n"
+
+
+@pytest.mark.parametrize("at", [[], ["--at", "t11=0"]])
+def test_type_on_a_blocked_family_is_a_mathematical_failure(tmp_path, capsys, at):
+    # no binding can help where the reduction itself is blocked: the error
+    # names the constraints that block it, with or without --at
+    ws = tmp_path / "iwasawa.ws"
+    ws.write_text(SWEEP["iwasawa.ws"], encoding="utf-8")
+    assert cli.main(["type", "--input", str(ws), *at]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: nonlinear constraints block reduction: -t11*t22 + t12*t21 - t33\n"
+    )
 
 
 def test_machine_format_single_command():
@@ -749,4 +774,30 @@ def test_internal_consistency_failure_exit_code(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err == (
         "error: internal: reduced family fails its own constraint system\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    [SWEEP["refuse_involutive.ws"], (CORPUS / "kodaira_symplectic.ws").read_text(encoding="utf-8")],
+    ids=["not-closed", "closed"],
+)
+def test_symplectic_closedness_disagreeing_with_involutivity_exit_code(
+    tmp_path, monkeypatch, capsys, text
+):
+    # report every 2-form closed that is not, and the reverse: the bracket
+    # check of the eigenbundle build no longer agrees
+    ce_differential = FrameAlgebra.ce_differential
+
+    def flipped(self, form):
+        return form if ce_differential(self, form).is_zero() else ExteriorForm.zero(form.names)
+
+    monkeypatch.setattr(FrameAlgebra, "ce_differential", flipped)
+    ws = tmp_path / "symplectic.ws"
+    ws.write_text(text, encoding="utf-8")
+    assert cli.main(["validate", "--input", str(ws)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: internal: involutivity of the symplectic eigenbundle disagrees with closedness\n"
     )
