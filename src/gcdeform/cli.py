@@ -265,15 +265,11 @@ def parse_workspace(text: str) -> WorkspaceSpec:
                 raise ParseError(lineno, "symplectic value is not real")
             i, j = b.index(a), b.index(c)
             key, val = ((a, c), value) if i < j else ((c, a), -value)
-            if key in sympl:
-                if sympl[key] != val:
-                    raise ParseError(
-                        lineno,
-                        f"symplectic [{key[0]}, {key[1]}] conflicts with line {sympl_lines[key]}",
-                    )
-            else:
-                sympl[key] = val
-                sympl_lines[key] = lineno
+            if key in sympl and sympl[key] != val:
+                first = sympl_lines[key]
+                raise ParseError(lineno, f"symplectic [{key[0]}, {key[1]}] conflicts with line {first}")
+            sympl[key] = val
+            sympl_lines.setdefault(key, lineno)
 
         elif keyword == "generator":
             b = basis_or_fail(lineno)
