@@ -2,10 +2,11 @@
 
 An ``IsotropicSubbundle`` L is spanned by constant sections, with the tangent
 projection as anchor and the restricted Courant bracket as algebroid bracket.
-The dual L* is identified with the conjugate span through the doubled pairing
-theta(x) = 2<x, .>, the differential d_L acts on exterior elements over L*,
-and the Schouten bracket extends the transported generator brackets as a
-biderivation; on constant forms both are the matrices of a ``CochainComplex``.
+The dual L* is the conjugate span through the doubled pairing theta(x) =
+2<x, .>; L and L* are ``FrameAlgebra``s from one ``closure`` routine.  d_L
+acts on exterior elements over L*, and the Schouten bracket extends L*'s
+bracket as a biderivation; on constant forms both are the matrices of a
+``CochainComplex``.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
-from .courant import GenSection, bracket_vectors, conjugate_vector, courant_bracket
-from .courant import directional, doubled_pair, pair, pairings
-from .frame import ComplexFrame, ComplexOp, ExteriorForm, FrameAlgebra, _sort_index, eigenframe
+from .courant import GenSection, conjugate_vector, courant_bracket, directional, doubled_pair, pair
+from .courant import pairings
+from .frame import ComplexFrame, ComplexOp, ExteriorForm, FrameAlgebra, _sort_index, bracket_vectors
+from .frame import eigenframe
 from .scalar import (
     GR_I,
     GR_ONE,
@@ -83,12 +85,6 @@ class Splitting:
         """The vectors h_a, with 2<h_a, g_b> = delta_ab: the product P^-T conj(g)."""
         return mat_mul(list(zip(*self.inverse)), self.conj_vectors)
 
-    def brackets(self) -> Iterator[tuple[tuple[int, int], list]]:
-        """((a, b), [g_a, g_b]) as vectors for a < b, computed as they are read."""
-        vs = self.vectors
-        for a, b in itertools.combinations(range(len(vs)), 2):
-            yield (a, b), bracket_vectors(self.frame, vs[a], vs[b])
-
     def non_isotropic_pair(self) -> Optional[tuple[int, int]]:
         """The first (a, b), a <= b, with <g_a, g_b> != 0, or None."""
         table = pairings(self.vectors, self.vectors)
@@ -112,7 +108,35 @@ class Splitting:
 
     def involutive(self) -> bool:
         """Whether every [g_a, g_b] lies in L; needs L = L^perp."""
-        return all(self.contains(br) for _, br in self.brackets())
+        closed = closure(self.frame, self.vectors, self.vectors)
+        return not any(any(inside) for _, _, inside, _ in closed)
+
+
+def closure(frame: ComplexFrame, sections, members, coordinates=()) -> list:
+    """The nonzero brackets [s_a, s_b], a < b, of constant vectors by the
+    frame's ``courant_table``, each as ((a, b), bracket, inside, coords):
+    2<[s_a, s_b], .> against ``members``, all zero exactly when the bracket
+    lies in the maximal isotropic span they cut out, and against
+    ``coordinates``, its coordinates there, all from one ``pairings`` product."""
+    table, pairs = frame.courant_table, itertools.combinations(range(len(sections)), 2)
+    brs = [((a, b), bracket_vectors(table, sections[a], sections[b])) for a, b in pairs]
+    brs = [(ab, br) for ab, br in brs if any(br)]
+    rows = pairings([br for _, br in brs], list(members) + list(coordinates))
+    k = len(members)
+    return [(ab, br, row[:k], row[k:]) for (ab, br), row in zip(brs, rows)]
+
+
+def closed_algebra(frame, names, dual_names, sections, members, coordinates) -> FrameAlgebra:
+    """The Lie algebra on ``names`` of a span closed under the bracket, with the
+    ``closure`` coordinates as structure constants; the first bracket that
+    leaves the span is refused."""
+    closed = closure(frame, sections, members, coordinates)
+    for (a, b), br, inside, _ in closed:
+        if any(inside):
+            shown = GenSection.constant(frame, br)
+            raise AlgebroidError(f"not involutive: [{names[a]}, {names[b]}] = {shown}")
+    table = tuple((ab, tuple(coords)) for ab, _, _, coords in closed if any(coords))
+    return FrameAlgebra(tuple(names), table, tuple(dual_names))
 
 
 @dataclass(frozen=True)
@@ -145,9 +169,9 @@ class IsotropicSubbundle:
     classical/non-classical labeling of deformations and is absent otherwise.
 
     ``splitting`` is the pair (L, L-bar) read through the pairing, built once
-    by ``build``; its ``duals`` (theta-inverse of the dual basis), the
-    Schouten table and the constant ``cochains`` are computed on first use
-    and kept.
+    by ``build``; its ``duals`` (theta-inverse of the dual basis), L* as
+    ``dual_algebroid`` and the constant ``cochains`` are computed on first
+    use and kept.
     """
 
     frame: ComplexFrame
@@ -170,8 +194,8 @@ class IsotropicSubbundle:
         names = tuple(names)
         if len(generators) != frame.dim:
             raise AlgebroidError("a maximal isotropic needs half the ambient dimension")
-        if len(names) != len(generators):
-            raise AlgebroidError("one name per generator")
+        if len(names) != len(generators) or len(set(names)) != len(names):
+            raise AlgebroidError("one distinct name per generator")
         for g in generators:
             if not g.is_constant():
                 raise AlgebroidError("generators must be constant sections")
@@ -187,21 +211,9 @@ class IsotropicSubbundle:
                 raise AlgebroidError("generators are linearly dependent")
             raise AlgebroidError("L and its conjugate intersect (real index not zero)")
 
-        # 2<[g_a, g_b], .> against the generators (zero exactly when the
-        # bracket lies in L) and then against the duals (its coordinates)
-        rank = len(generators)
-        brs = list(splitting.brackets())
-        table = pairings([br for _, br in brs], splitting.vectors + splitting.duals)
-        brackets: dict[tuple[str, str], dict[str, GaussianRational]] = {}
-        for ((a, b), br), row in zip(brs, table):
-            if any(row[:rank]):
-                shown = GenSection.constant(frame, br)
-                raise AlgebroidError(f"not involutive: [{names[a]}, {names[b]}] = {shown}")
-            rhs = {names[c]: v for c, v in enumerate(row[rank:]) if v}
-            if rhs:
-                brackets[(names[a], names[b])] = rhs
-
-        algebroid = FrameAlgebra.build(names, brackets, tuple(f"{n}*" for n in names))
+        # L's bracket, in the coordinates 2<h_a, .> of the duals
+        vs, duals = splitting.vectors, tuple(f"{n}*" for n in names)
+        algebroid = closed_algebra(frame, names, duals, vs, vs, splitting.duals)
         return IsotropicSubbundle(
             frame=frame,
             names=names,
@@ -310,29 +322,24 @@ class IsotropicSubbundle:
     # -- Schouten bracket ----------------------------------------------------------
 
     @cached_property
-    def _schouten_table(self) -> dict[tuple[int, int], list[tuple[int, GaussianRational]]]:
-        # the bracket is skew and theta linear: build a < b, negate for b < a
-        hs = self.splitting.duals
-        table: dict[tuple[int, int], list[tuple[int, GaussianRational]]] = {}
-        for a, b in itertools.combinations(range(self.rank), 2):
-            br = bracket_vectors(self.frame, hs[a], hs[b])
-            if not any(br):
-                continue
-            entry = [(c, v) for c, v in enumerate(self.theta(br)) if v]
-            if entry:
-                table[(a, b)] = entry
-                table[(b, a)] = [(c, -v) for c, v in entry]
-        return table
+    def dual_algebroid(self) -> FrameAlgebra:
+        """L* as a Lie algebra: the brackets of the duals h_a, which span the
+        conjugate of L, in the coordinates 2<., g_a> that transport them to
+        L* through theta."""
+        split = self.splitting
+        return closed_algebra(
+            self.frame, self.lform_names, self.names, split.duals, split.conj_vectors, split.vectors
+        )
 
     def schouten_table(self) -> dict[tuple[int, int], list[tuple[int, GaussianRational]]]:
-        """Generator-level bracket on L* transported through theta."""
-        return {key: list(entry) for key, entry in self._schouten_table.items()}
+        """A copy of L*'s skew structure table, the generator-level Schouten bracket."""
+        return {key: list(entry) for key, entry in self.dual_algebroid.brackets.items()}
 
     def _schouten_terms(self, idx1, idx2) -> Iterator[tuple[tuple[int, ...], GaussianRational]]:
         """(unsorted index, value) terms of the bracket of basis elements of degree
         at most 2 from the transported table, as the decomposables expand:
         [a1^a2, b1^b2] = [a1,b1]^a2^b2 - [a1,b2]^a2^b1 - [a2,b1]^a1^b2 + [a2,b2]^a1^b1."""
-        table = self._schouten_table
+        table = self.dual_algebroid.brackets
         for s, i_gen in enumerate(idx1):
             for t, j_gen in enumerate(idx2):
                 for c_idx, v in table.get((i_gen, j_gen), ()):
@@ -368,7 +375,7 @@ class IsotropicSubbundle:
                 row[r] = v
         d2 = [_collect(self.algebroid.ce_terms(idx), at3) for idx in slots[2]]
         schouten = {}
-        if self._schouten_table:  # empty on an abelian algebra: no pair is read
+        if self.dual_algebroid.table:  # empty on an abelian algebra: no pair is read
             for (s, a), (u, b) in itertools.combinations_with_replacement(enumerate(slots[2]), 2):
                 entry = _collect(self._schouten_terms(a, b), at3)
                 if entry:

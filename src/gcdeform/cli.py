@@ -3,7 +3,7 @@
 Input format (line oriented, ``#`` starts a comment):
 
     basis X Y U V
-    bracket X Y = U            # right side: linear combination, e.g. i/2*W + i/2*Wbar
+    bracket X Y = U            # right side: real linear combination, e.g. 1/2*U - 3*V
     J X = Y                    # complex structure, one line per basis vector
     symplectic X Y = 1         # or: invariant 2-form coefficients
     generator U + i*X*         # or: explicit subbundle generators (X* is dual to X)
@@ -212,6 +212,8 @@ def parse_workspace(text: str) -> WorkspaceSpec:
             if a == c:
                 raise ParseError(lineno, f"bracket [{a}, {a}] is identically zero")
             combo = _parse_combination(rhs.strip(), b, lineno)
+            if any(v.im != 0 for v in combo.values()):
+                raise ParseError(lineno, f"bracket [{a}, {c}] has a non-real coefficient")
             i, j = b.index(a), b.index(c)
             key, val = ((a, c), combo)
             if i > j:

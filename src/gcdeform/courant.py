@@ -5,8 +5,8 @@ complexified frame.  Coefficients are exact polynomials in parameters and
 coefficient-function symbols; a derivative of a function is a formal
 first-order derivation symbol, which is all the supported invariant
 computations ever need.  The Courant bracket is one formula for every
-coefficient ring: the frame's structure table applied bilinearly, plus the
-Leibniz terms that differentiate coefficient functions.
+coefficient ring: ``bracket_vectors`` over the frame's ``courant_table``,
+plus the Leibniz terms that differentiate coefficient functions.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .frame import ComplexFrame
+from .frame import ComplexFrame, bracket_vectors
 from .scalar import GR_HALF, GR_ONE, GR_ZERO, PolyLike, PolyScalar, mat_mul, poly, render_sum, zero_of
 
 
@@ -166,37 +166,20 @@ def _grad(frame: ComplexFrame, h: PolyScalar) -> list[PolyScalar]:
     return [h.differentiate(name) for name in frame.tangent_names]
 
 
-def bracket_vectors(frame: ComplexFrame, x, y) -> list:
-    """The part of [x, y] bilinear in the coefficients, by the frame's
-    ``courant_table``; the rings are as for ``doubled_pair``."""
-    table = frame.courant_table
-    ys = [(b, w) for b, w in enumerate(y) if w]
-    out = [zero_of(y[0])] * len(x)
-    for a, v in enumerate(x):
-        if not v:
-            continue
-        for b, w in ys:
-            terms = table.get((a, b))
-            if terms:
-                vw = w * v
-                for k, c in terms:
-                    out[k] = out[k] + vw * c
-    return out
-
-
 def courant_bracket(s1: GenSection, s2: GenSection) -> GenSection:
     """Skew bracket [X+s, Y+t] = [X,Y] + L_X t - L_Y s - d(i_X t - i_Y s)/2.
 
-    The ``bracket_vectors`` sum plus the Leibniz terms, which vanish unless a
-    coefficient holds a function.  With d_b the derivative along the b-th
-    frame vector, frame slot k gains X(y_k) - Y(x_k) and co-frame slot b gains
+    The ``bracket_vectors`` sum over the frame's ``courant_table`` plus the
+    Leibniz terms, which vanish unless a coefficient holds a function.  With
+    d_b the derivative along the b-th frame vector, frame slot k gains
+    X(y_k) - Y(x_k) and co-frame slot b gains
     X(t_b) - Y(s_b) + (1/2) sum_a (t_a d_b x_a - x_a d_b t_a - s_a d_b y_a + y_a d_b s_a).
     """
     _same_frame(s1, s2)
     frame = s1.frame
     d = frame.dim
     x, sig, y, tau = s1.tangent, s1.cotangent, s2.tangent, s2.cotangent
-    out = bracket_vectors(frame, s1.coeffs, s2.coeffs)
+    out = bracket_vectors(frame.courant_table, s1.coeffs, s2.coeffs)
     for k in range(d):
         out[k] += directional(frame, x, y[k]) - directional(frame, y, x[k])
         out[d + k] += directional(frame, x, tau[k]) - directional(frame, y, sig[k])

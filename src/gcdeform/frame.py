@@ -1,8 +1,10 @@
 """Lie algebras by structure constants, complex endomorphisms, invariant forms.
 
 A ``FrameAlgebra`` is a finite-dimensional Lie algebra presented by a named
-basis and exact structure constants.  ``eigenframe`` splits a real frame with
-an almost-complex endomorphism into +i/-i eigenvector generators, recomputing
+basis and exact structure constants.  Every bracket of constant vectors, in
+a Lie algebra or of sections of g + g*, is a ``skew_table`` summed by
+``bracket_vectors``.  ``eigenframe`` splits a real frame with an
+almost-complex endomorphism into +i/-i eigenvector generators, recomputing
 the structure constants exactly in the new basis.  ``ExteriorForm`` holds
 graded exterior elements over a dual basis; wedge evaluation follows the
 determinant convention (no 1/k! factor), fixed once for the whole engine.
@@ -162,6 +164,35 @@ def _sort_index(idx: tuple[int, ...]):
 # ---------------------------------------------------------------------------
 
 
+def skew_table(terms) -> dict[tuple[int, int], list[tuple[int, GaussianRational]]]:
+    """The sparse skew table {(a, b): [(k, c)]} of a bracket given by its
+    nonzero terms (a, b, k, c), c e_k in [e_a, e_b]: each is written under
+    (a, b) and, negated, under (b, a), so the table holds both orders."""
+    table: dict[tuple[int, int], list[tuple[int, GaussianRational]]] = {}
+    for a, b, k, c in terms:
+        table.setdefault((a, b), []).append((k, c))
+        table.setdefault((b, a), []).append((k, -c))
+    return table
+
+
+def bracket_vectors(table, x, y) -> list:
+    """The bracket of coefficient vectors x and y summed bilinearly over a
+    ``skew_table``, without Leibniz terms.  The value lies in the ring of y;
+    x is constant or in that ring."""
+    ys = [(b, w) for b, w in enumerate(y) if w]
+    out = [zero_of(y[0])] * len(x)
+    for a, v in enumerate(x):
+        if not v:
+            continue
+        for b, w in ys:
+            terms = table.get((a, b))
+            if terms:
+                vw = w * v
+                for k, c in terms:
+                    out[k] = out[k] + vw * c
+    return out
+
+
 @dataclass(frozen=True)
 class JacobiViolation:
     triple: tuple[str, str, str]
@@ -236,43 +267,26 @@ class FrameAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    def index(self, name: str) -> int:
-        return self.basis.index(name)
-
-    def bracket_vectors(self, v, w) -> list:
-        """Bilinear bracket of coefficient vectors (no Leibniz terms), in the
-        ring of w; v is constant or in that ring."""
-        out = [zero_of(w[0])] * self.dim
-        for (i, j), vec in self.table:
-            factor = w[j] * v[i] - w[i] * v[j]
-            if not factor:
-                continue
-            for k, c in enumerate(vec):
-                if c:
-                    out[k] = out[k] + factor * c
-        return out
+    @cached_property
+    def brackets(self) -> dict[tuple[int, int], list[tuple[int, GaussianRational]]]:
+        """``table`` as a sparse skew table, both orders, for ``bracket_vectors``."""
+        return skew_table((i, j, k, c) for (i, j), v in self.table for k, c in enumerate(v) if c)
 
     def validate_jacobi(self) -> list[JacobiViolation]:
         """The triples i < j < k whose cyclic sum of [[e_a, e_b], e_c] is not
-        zero, with every bracket read from ``table``, negated for b < a."""
-        table = dict(self.table)
-        table.update({(j, i): [-c for c in vec] for (i, j), vec in self.table})
+        zero, with every bracket read from ``brackets``."""
+        table = self.brackets
         violations = []
         n = self.dim
         for i, j, k in itertools.combinations(range(n), 3):
             total = [GR_ZERO] * n
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                for m, x in enumerate(table.get((a, b), ())):  # a zero pair is skipped
-                    for q, y in enumerate(table.get((m, c), ()) if x else ()):
-                        if y:
-                            total[q] = total[q] + x * y
+                for m, x in table.get((a, b), ()):  # a zero pair is skipped
+                    for q, y in table.get((m, c), ()):
+                        total[q] = total[q] + x * y
             if any(total):
-                defect = tuple(total)
-                violations.append(
-                    JacobiViolation(
-                        (self.basis[i], self.basis[j], self.basis[k]), defect, self.basis
-                    )
-                )
+                triple = (self.basis[i], self.basis[j], self.basis[k])
+                violations.append(JacobiViolation(triple, tuple(total), self.basis))
         return violations
 
     # -- Chevalley-Eilenberg differential ------------------------------------
@@ -369,26 +383,20 @@ class ComplexFrame:
 
     @cached_property
     def courant_table(self) -> dict[tuple[int, int], list[tuple[int, GaussianRational]]]:
-        """Nonzero (slot, value) terms of [e_a, e_b] for constant basis sections.
+        """The ``skew_table`` of constant basis sections: the Lie bracket of
+        g x| g*, which the Courant bracket is on invariant sections.
 
         Slots below ``dim`` are the frame, the rest the co-frame: [e_i, e_j] =
         c^k_ij e_k, [e_i, e_k*] = i_{e_i} d e_k* = -c^k_iq e_q*, [e_k*, e_l*] = 0.
         """
         n = self.dim
-        table: dict[tuple[int, int], list[tuple[int, GaussianRational]]] = {}
-
-        def put(a: int, b: int, slot: int, c: GaussianRational) -> None:
-            # the bracket is skew: [e_b, e_a] gets the negative
-            table.setdefault((a, b), []).append((slot, c))
-            table.setdefault((b, a), []).append((slot, -c))
-
-        for (i, j), vec in self.algebra.table:
-            for k, c in enumerate(vec):
-                if c:
-                    put(i, j, k, c)
-                    put(i, n + k, n + j, -c)
-                    put(j, n + k, n + i, c)
-        return table
+        return skew_table(
+            term
+            for (i, j), vec in self.algebra.table
+            for k, c in enumerate(vec)
+            if c
+            for term in ((i, j, k, c), (i, n + k, n + j, -c), (j, n + k, n + i, c))
+        )
 
 
 def default_frame_names(m: int) -> tuple[list[str], list[str]]:
@@ -451,15 +459,12 @@ def eigenframe(
             raise FrameError("eigenvector relation failed")
 
     pairs = itertools.combinations(range(n), 2)
-    old = [((a, b), g.bracket_vectors(cols[a], cols[b])) for a, b in pairs]
+    old = [((a, b), bracket_vectors(g.brackets, cols[a], cols[b])) for a, b in pairs]
     old = [(ab, vec) for ab, vec in old if any(vec)]
     new = mat_mul([vec for _, vec in old], mat_inverse(cols)) if old else []
-    brackets = {
-        (names[a], names[b]): {names[k]: c for k, c in enumerate(row) if c}
-        for ((a, b), _), row in zip(old, new)
-    }
-
-    algebra = FrameAlgebra.build(names, brackets, duals)
+    # an invertible change of basis keeps every nonzero bracket nonzero
+    table = tuple((ab, tuple(row)) for (ab, _), row in zip(old, new))
+    algebra = FrameAlgebra(tuple(names), table, tuple(duals))
     conj = tuple(list(range(m, 2 * m)) + list(range(m)))
     return ComplexFrame(
         algebra=algebra,

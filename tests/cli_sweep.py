@@ -11,8 +11,9 @@ Kodaira x Kodaira (a rank-8 subbundle with a nonzero Schouten table and a
 generators, on the two-dimensional non-abelian algebra with its area form (a
 reduced family without parameters), on one workspace per refusal of the
 workspace build (a failed Jacobi identity, J^2 != -1, a non-integrable J, a
-degenerate 2-form and each refusal of the subbundle build) and on two
-workspaces with a misplaced ``names`` line; then
+degenerate 2-form and each refusal of the subbundle build), on a bracket
+with a non-real coefficient and on two workspaces with a misplaced ``names``
+line; then
 ``strata`` alone on symplectic abelian-8, seven ``type`` points on the
 preset, two on the reduced family of every ``--input`` workspace that has one
 (every parameter 0, and every parameter 1/7 + i/9; the names are read from
@@ -65,7 +66,10 @@ WORKSPACES = {
     "refuse_degenerate.ws": "basis X Y U V\nsymplectic X Y = 1\n",
     "refuse_jacobi.ws": (
         "basis X Y U V\nbracket X Y = U\nbracket X U = X\n"
-        "bracket Y V = 1/2*Y - i/3*U\nJ X = Y\nJ Y = -X\nJ U = V\nJ V = -U\n"
+        "bracket Y V = 1/2*Y - 1/3*U\nJ X = Y\nJ Y = -X\nJ U = V\nJ V = -U\n"
+    ),
+    "refuse_bracket_not_real.ws": (
+        "basis X Y U V\nbracket X Y = i*U\nsymplectic X U = 1\nsymplectic Y V = 1\n"
     ),
     "names_repeated.ws": "basis X Y\nJ X = Y\nJ Y = -X\nnames eigen A\nnames eigen B\n",
     "names_eigen_symplectic.ws": (

@@ -15,7 +15,7 @@ import operator
 import random
 
 from gcdeform.algebroid import AlgebroidError, CochainComplex
-from gcdeform.courant import GenSection, bracket_vectors, courant_bracket, doubled_pair, pair
+from gcdeform.courant import GenSection, courant_bracket, doubled_pair, pair
 from gcdeform.deformation import (
     CLASSICAL_COMPLEX,
     COMPLEX,
@@ -32,6 +32,7 @@ from gcdeform.frame import (
     FrameAlgebra,
     FrameError,
     JacobiViolation,
+    bracket_vectors,
     default_frame_names,
 )
 from gcdeform.scalar import (
@@ -50,6 +51,7 @@ from gcdeform.scalar import (
     mat_rank,
     minor,
     poly,
+    zero_of,
 )
 
 
@@ -62,6 +64,21 @@ def d_dual_basis(algebra: FrameAlgebra, k: int) -> ExteriorForm:
     return ExteriorForm.build(algebra.dual_names, data)
 
 
+def reference_lie_bracket(algebra: FrameAlgebra, v, w) -> list:
+    """``FrameAlgebra.bracket_vectors`` before every bracket was summed over one
+    skew table: a dense sum over the stored pairs i < j, each weighted by
+    w_j v_i - w_i v_j.  The value lies in the ring of w."""
+    out = [zero_of(w[0])] * algebra.dim
+    for (i, j), vec in algebra.table:
+        factor = w[j] * v[i] - w[i] * v[j]
+        if not factor:
+            continue
+        for k, c in enumerate(vec):
+            if c:
+                out[k] = out[k] + factor * c
+    return out
+
+
 def courant_oracle(frame: ComplexFrame, s1: GenSection, s2: GenSection) -> GenSection:
     """Brute-force Courant bracket of constant sections via exterior calculus."""
     d = frame.dim
@@ -71,7 +88,7 @@ def courant_oracle(frame: ComplexFrame, s1: GenSection, s2: GenSection) -> GenSe
     sigma = ExteriorForm.build(names, {(k,): s1.cotangent[k] for k in range(d)})
     tau = ExteriorForm.build(names, {(k,): s2.cotangent[k] for k in range(d)})
 
-    tangent = frame.algebra.bracket_vectors(x, y)
+    tangent = reference_lie_bracket(frame.algebra, x, y)
 
     def lie(vec, form):
         # constant data: L_v = i_v d + d i_v with the second term constant, so zero
@@ -181,11 +198,11 @@ def reference_courant_bracket(s1: GenSection, s2: GenSection) -> GenSection:
     d = frame.dim
     if s1.is_constant() and s2.is_constant():
         x, y = s1.constant_vector(), s2.constant_vector()
-        return GenSection.constant(frame, bracket_vectors(frame, x, y))
+        return GenSection.constant(frame, bracket_vectors(frame.courant_table, x, y))
     x, sig = list(s1.tangent), list(s1.cotangent)
     y, tau = list(s2.tangent), list(s2.cotangent)
 
-    tang = frame.algebra.bracket_vectors(x, y)
+    tang = reference_lie_bracket(frame.algebra, x, y)
     for k in range(d):
         tang[k] = tang[k] + directional(frame, x, y[k]) - directional(frame, y, x[k])
 
@@ -608,6 +625,23 @@ def reference_theta(sub, y: GenSection) -> list[GaussianRational]:
     return [(pair(y, g).constant_value() * 2) for g in sub.generators]
 
 
+def reference_schouten_table(sub) -> dict:
+    """The transported table before L* was built as a ``FrameAlgebra``: the
+    bracket of each pair of duals h_a, h_b, a < b, taken through ``theta``
+    and negated for b < a."""
+    hs = sub.splitting.duals
+    table = {}
+    for a, b in itertools.combinations(range(sub.rank), 2):
+        br = bracket_vectors(sub.frame.courant_table, hs[a], hs[b])
+        if not any(br):
+            continue
+        entry = [(c, v) for c, v in enumerate(sub.theta(br)) if v]
+        if entry:
+            table[(a, b)] = entry
+            table[(b, a)] = [(c, -v) for c, v in entry]
+    return table
+
+
 def reference_theta_inverse(sub) -> tuple[GenSection, ...]:
     """Sections h_a of the conjugate span with 2<h_a, g_b> = delta_ab."""
     doubled_pairing = tuple(
@@ -839,8 +873,8 @@ def reference_validate_jacobi(g: FrameAlgebra) -> list[JacobiViolation]:
     for i, j, k in itertools.combinations(range(n), 3):
         total = [GR_ZERO] * n
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            inner = g.bracket_vectors(unit[a], unit[b])
-            outer = g.bracket_vectors(inner, unit[c])
+            inner = reference_lie_bracket(g, unit[a], unit[b])
+            outer = reference_lie_bracket(g, inner, unit[c])
             total = [t + o for t, o in zip(total, outer)]
         if any(total):
             triple = (g.basis[i], g.basis[j], g.basis[k])
@@ -883,7 +917,7 @@ def reference_eigenframe(g: FrameAlgebra, J: ComplexOp, tangent_names=None, dual
             raise FrameError("eigenvector relation failed")
     brackets = {}
     for a, b in itertools.combinations(range(n), 2):
-        old = g.bracket_vectors(cols[a], cols[b])
+        old = reference_lie_bracket(g, cols[a], cols[b])
         new = [sum((Pinv[k][i] * old[i] for i in range(n)), GR_ZERO) for k in range(n)]
         rhs = {names[k]: new[k] for k in range(n) if not new[k].is_zero()}
         if rhs:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cli_sweep import WORKSPACES as SWEEP
 from gcdeform.algebroid import (
     AlgebroidError,
     IsotropicSubbundle,
@@ -11,11 +12,13 @@ from gcdeform.algebroid import (
     build_symplectic_eigenbundle,
     complex_eigenbundle,
 )
+from gcdeform.cli import build_workspace, parse_workspace
 from gcdeform.courant import GenSection, courant_bracket
 from gcdeform.frame import (
     ComplexFrame,
     ExteriorForm,
     FrameAlgebra,
+    bracket_vectors,
     eigenframe,
     kodaira_preset,
 )
@@ -28,7 +31,7 @@ from gcdeform.scalar import (
     parameter,
     poly,
 )
-from oracles import courant_oracle, random_gaussian
+from oracles import courant_oracle, random_gaussian, reference_schouten_table, reference_theta
 
 GR = GaussianRational.of
 HALF_I = GR(0, Fraction(1, 2))
@@ -68,7 +71,7 @@ def test_restriction_and_anchor_compatibility(ksub):
             assert coeffs is not None
             unit_a = [poly(GR_ONE if k == a else GR_ZERO) for k in range(n)]
             unit_b = [poly(GR_ONE if k == b else GR_ZERO) for k in range(n)]
-            via_algebroid = ksub.algebroid.bracket_vectors(unit_a, unit_b)
+            via_algebroid = bracket_vectors(ksub.algebroid.brackets, unit_a, unit_b)
             assert [c.constant_value() for c in coeffs] == [
                 c.constant_value() for c in via_algebroid
             ]
@@ -76,7 +79,7 @@ def test_restriction_and_anchor_compatibility(ksub):
             anchor_br = [c.constant_value() for c in br.tangent]
             xa = [poly(c) for c in ksub.anchor[a]]
             xb = [poly(c) for c in ksub.anchor[b]]
-            frame_br = ksub.frame.algebra.bracket_vectors(xa, xb)
+            frame_br = bracket_vectors(ksub.frame.algebra.brackets, xa, xb)
             assert anchor_br == [c.constant_value() for c in frame_br]
 
 
@@ -115,6 +118,14 @@ def test_symplectic_eigenbundle_rejects_degenerate():
     w = ExteriorForm.build(g.dual_names, {(0, 1): PolyScalar.const(GR_ONE)})
     with pytest.raises(AlgebroidError, match="degenerate"):
         build_symplectic_eigenbundle(g, w)
+
+
+def test_generator_names_are_checked(ksub):
+    # L and L* are built straight from index tables, so the names are checked
+    # before any bracket is taken
+    for names in (("a", "b", "c"), ("a", "b", "c", "a")):
+        with pytest.raises(AlgebroidError, match="one distinct name per generator"):
+            IsotropicSubbundle.build(ksub.frame, ksub.generators, names)
 
 
 def test_isotropy_violation_reported(kframe):
@@ -270,21 +281,40 @@ def test_schouten_table_single_pair(ksub):
     assert table[(1, 2)] == [(0, HALF_I)]
 
 
+def assert_schouten_table_matches_references(sub):
+    """L*'s table against the Courant oracle's brackets of the duals, taken
+    through the reference theta, and against the per-pair theta loop; L* is a
+    Lie algebra."""
+    hs = [GenSection.constant(sub.frame, h) for h in sub.splitting.duals]
+    table = {}
+    for a, b in itertools.product(range(sub.rank), repeat=2):
+        coeffs = reference_theta(sub, courant_oracle(sub.frame, hs[a], hs[b]))
+        entry = [(c, v) for c, v in enumerate(coeffs) if not v.is_zero()]
+        if entry:
+            table[(a, b)] = entry
+    assert table == sub.schouten_table() == reference_schouten_table(sub)
+    assert sub.dual_algebroid.validate_jacobi() == []
+    return table
+
+
 def test_schouten_table_matches_oracle(ksub):
     # By hand: on invariant sections the Courant bracket is
     # i_X d(eta) - i_Y d(xi), and the only nonzero differentials are
     # d(rho) = d(rhobar) = -(i/2) omega^omegabar.  Theta sends Wbar* to rhobar
     # and omega* to T, so [rhobar, T] = -i_T d(rhobar) = (i/2) omegabar and
     # the one generator bracket on L* is [Wbar*, omega*] = (i/2) Tbar*.
-    hs = [GenSection.constant(ksub.frame, h) for h in ksub.splitting.duals]
-    table = {}
-    for a, b in itertools.product(range(ksub.rank), repeat=2):
-        coeffs = ksub.theta(courant_oracle(ksub.frame, hs[a], hs[b]).constant_vector())
-        entry = [(c, v) for c, v in enumerate(coeffs) if not v.is_zero()]
-        if entry:
-            table[(a, b)] = entry
+    table = assert_schouten_table_matches_references(ksub)
     assert table == {(1, 2): [(0, HALF_I)], (2, 1): [(0, -HALF_I)]}
-    assert table == ksub.schouten_table()
+
+
+# every swept workspace that builds: the refusals end before a subbundle exists
+BUILT = sorted(name for name in SWEEP if not name.startswith(("refuse_", "names_")))
+
+
+@pytest.mark.parametrize("name", BUILT)
+def test_schouten_table_matches_oracle_on_the_sweep(name):
+    sub = build_workspace(parse_workspace(SWEEP[name])).sub
+    assert_schouten_table_matches_references(sub)
 
 
 def test_schouten_displayed_case_vanishes(ksub):

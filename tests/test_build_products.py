@@ -23,6 +23,7 @@ from gcdeform.courant import GenSection, doubled_pair, pairings
 from gcdeform.frame import ComplexFrame, ComplexOp, FrameAlgebra, FrameError, eigenframe
 from gcdeform.scalar import GR_ONE, GR_ZERO, GaussianRational, SingularMatrixError, mat_inverse, mat_mul
 from oracles import (
+    courant_oracle,
     random_gaussian,
     random_two_step_nilpotent,
     reference_duals,
@@ -210,10 +211,13 @@ def test_duals_match_the_dense_reference(workspaces):
 
 
 def reference_algebroid(split: Splitting, names) -> dict:
-    """Each bracket's coordinates pair by pair, through ``Splitting.coordinates``,
-    or the refusal of the first bracket outside L."""
+    """Each bracket, taken by the Courant oracle, and its coordinates pair by
+    pair, through ``Splitting.coordinates``, or the refusal of the first
+    bracket outside L."""
     brackets = {}
-    for (a, b), br in split.brackets():
+    sections = [GenSection.constant(split.frame, v) for v in split.vectors]
+    for a, b in itertools.combinations(range(len(sections)), 2):
+        br = courant_oracle(split.frame, sections[a], sections[b]).constant_vector()
         coeffs = split.coordinates(br)
         if coeffs is None:
             shown = GenSection.constant(split.frame, br)

@@ -417,6 +417,9 @@ KODAIRA_J = "basis X Y U V\nbracket X Y = U\nJ X = Y\nJ Y = -X\nJ U = V\nJ V = -
         (KODAIRA_J + "names eigen T T\n", 7),
         # J must be real (the frame split would exit 2)
         ("basis X Y U V\nbracket X Y = U\nJ X = i*X\nJ Y = -X\nJ U = V\nJ V = -U\n", 3),
+        # bracket coefficients must be real (the engine conjugates the real
+        # algebra; this one would report a family of 4 free parameters)
+        ("basis X Y U V\nbracket X Y = i*U\nsymplectic X U = 1\nsymplectic Y V = 1\n", 2),
         # a symplectic form must be real (the real-index check would exit 2)
         ("basis X Y U V\nbracket X Y = U\nsymplectic X Y = 1\nsymplectic X U = i\n", 4),
         # co-frame names equal to basis names make the printed X* ambiguous
@@ -436,6 +439,7 @@ KODAIRA_J = "basis X Y U V\nbracket X Y = U\nJ X = Y\nJ Y = -X\nJ U = V\nJ V = -
     ids=[
         "eigen-repeat",
         "j-not-real",
+        "bracket-not-real",
         "symplectic-not-real",
         "duals-clash",
         "duals-count",
@@ -620,7 +624,7 @@ def test_report_runs_each_stage_once(monkeypatch, capsys):
     for name in ("constrain_map", "mc_residual", "reduce_family", "gauge_image"):
         for module in (cli, deformation):
             monkeypatch.setattr(module, name, _counted(counts, name, getattr(module, name)))
-    for cls, attr in ((Splitting, "duals"), (IsotropicSubbundle, "_schouten_table")):
+    for cls, attr in ((Splitting, "duals"), (IsotropicSubbundle, "dual_algebroid")):
         cached = cls.__dict__[attr]
         monkeypatch.setattr(cached, "func", _counted(counts, attr, cached.func))
     # the complexes built, so that an rref of a degree-1 d_L matrix is told apart
@@ -660,8 +664,8 @@ def test_report_runs_each_stage_once(monkeypatch, capsys):
         per_call.append(dict(counts))
 
     # one pencil, one reduction, one set of theta-inverse vectors (the duals
-    # of the splitting), one Schouten table and one constant cochain complex;
-    # the gauge section builds the gauge image once, the reduction exchanges
+    # of the splitting), one L* algebra (the Schouten table) and one constant
+    # cochain complex; the gauge section builds the gauge image once, the reduction exchanges
     # on the echelon rows behind it, and the rref of the degree-1 d_L matrix
     # runs once, kept on the complex; mc_residual runs for the pencil and for the reduced-family
     # certificate, both read off the complex; schouten_bracket and
@@ -674,7 +678,7 @@ def test_report_runs_each_stage_once(monkeypatch, capsys):
         "gauge_image": 1,
         "mat_rref(d1)": 1,
         "duals": 1,
-        "_schouten_table": 1,
+        "dual_algebroid": 1,
         "cochains": 1,
     }
     # a second call recomputes everything: nothing is cached across calls
@@ -692,7 +696,7 @@ def test_report_runs_each_stage_once(monkeypatch, capsys):
     assert counts == {
         "constrain_map": 1,
         "duals": 1,
-        "_schouten_table": 1,
+        "dual_algebroid": 1,
         "schouten_bracket": 1,
         "from_entries": 1,
         "cochains": 1,

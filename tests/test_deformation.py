@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from gcdeform import algebroid, courant, deformation, scalar
+from gcdeform import algebroid, courant, deformation, frame, scalar
 from gcdeform.algebroid import Splitting, build_symplectic_eigenbundle, complex_eigenbundle
 from gcdeform.cli import KODAIRA_WORKSPACE, build_workspace, parse_workspace
 from gcdeform.courant import GenSection, pair
@@ -354,9 +354,9 @@ def test_classify_works_on_vectors(ksub, kfamily, monkeypatch):
     )
     # each is rebound wherever it is imported by name
     for home, name in ((courant, "courant_bracket"), (courant, "doubled_pair"),
-                       (courant, "bracket_vectors"), (scalar, "mat_inverse")):
+                       (courant, "pairings"), (frame, "bracket_vectors"), (scalar, "mat_inverse")):
         wrapped = counted(name, getattr(home, name))
-        for module in (scalar, courant, algebroid, deformation):
+        for module in (scalar, frame, courant, algebroid, deformation):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapped)
     for name in ("non_isotropic_pair", "involutive"):
@@ -372,7 +372,8 @@ def test_classify_works_on_vectors(ksub, kfamily, monkeypatch):
     calls.clear()
     assert structure.involutive
     read = dict(calls)
-    assert set(read) == {"doubled_pair", "bracket_vectors", "non_isotropic_pair", "involutive"}
+    # isotropy and the closure routine pair whole lists, each in one product
+    assert set(read) == {"pairings", "bracket_vectors", "non_isotropic_pair", "involutive"}
     assert structure.involutive and structure.isotropic and calls == read
     assert structure.splitting.duals is structure.splitting.duals
     assert calls["mat_inverse"] == 1

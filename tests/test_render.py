@@ -88,7 +88,7 @@ def test_jacobi_failure_message(tmp_path, capsys):
     ws = tmp_path / "bad.ws"
     ws.write_text(
         "basis X Y U V\nbracket X Y = U\nbracket X U = X\n"
-        "bracket Y V = 1/2*Y - i/3*U\nJ X = Y\nJ Y = -X\nJ U = V\nJ V = -U\n",
+        "bracket Y V = 1/2*Y - 1/3*U\nJ X = Y\nJ Y = -X\nJ U = V\nJ V = -U\n",
         encoding="utf-8",
     )
     assert cli.main(["validate", "--input", str(ws)]) == 2
@@ -96,7 +96,7 @@ def test_jacobi_failure_message(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == (
         "error: jacobi identity fails: jacobi defect at (X, Y, U): -U; "
-        "jacobi defect at (X, Y, V): 1/3*i*X - 1/2*U\n"
+        "jacobi defect at (X, Y, V): 1/3*X - 1/2*U\n"
     )
 
 

@@ -1,7 +1,7 @@
 """The vector helpers answer in the ring of their second operand.
 
-``courant.doubled_pair``, ``courant.bracket_vectors``,
-``FrameAlgebra.bracket_vectors``, ``Splitting.contains`` and
+``courant.doubled_pair``, ``frame.bracket_vectors`` over the Courant table
+and over the Lie algebra's table, ``Splitting.contains`` and
 ``Splitting.coordinates`` take no zero argument: Gaussian-rational operands
 give Gaussian rationals and polynomial operands give polynomials, all-zero
 results included, and a constant first operand follows the second.  All run
@@ -16,7 +16,9 @@ import pytest
 
 from cli_sweep import WORKSPACES as SWEEP
 from gcdeform import courant
+from gcdeform.algebroid import closure
 from gcdeform.cli import KODAIRA_WORKSPACE, build_workspace, parse_workspace
+from gcdeform.frame import bracket_vectors
 from gcdeform.scalar import GR_ZERO, P_ZERO, GaussianRational, PolyScalar, parameter
 
 CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
@@ -53,16 +55,14 @@ def test_pairing_and_brackets_answer_in_the_ring_of_the_operands(workspaces, nam
         assert courant.doubled_pair(x, as_poly(y)) == PolyScalar.const(value)
         seen.add(("pair", bool(value)))
 
-        brackets = (
-            ("courant", lambda u, v: courant.bracket_vectors(frame, u, v), x, y),
-            ("frame", frame.algebra.bracket_vectors, x[:d], y[:d]),
-        )
-        for label, bracket, u, v in brackets:
-            br = bracket(u, v)
+        # the one sum, on the Courant table and on the Lie algebra's table
+        tables = (("courant", frame.courant_table, x, y), ("frame", frame.algebra.brackets, x[:d], y[:d]))
+        for label, table, u, v in tables:
+            br = bracket_vectors(table, u, v)
             assert_ring(br, GaussianRational)
-            assert_ring(bracket(as_poly(u), as_poly(v)), PolyScalar)
-            assert bracket(as_poly(u), as_poly(v)) == as_poly(br)
-            assert bracket(u, as_poly(v)) == as_poly(br)
+            assert_ring(bracket_vectors(table, as_poly(u), as_poly(v)), PolyScalar)
+            assert bracket_vectors(table, as_poly(u), as_poly(v)) == as_poly(br)
+            assert bracket_vectors(table, u, as_poly(v)) == as_poly(br)
             seen.add((label, any(br)))
     # each helper met both all-zero and nonzero results
     assert seen == {(label, z) for label in ("pair", "courant", "frame") for z in (False, True)}
@@ -73,7 +73,8 @@ def test_membership_and_coordinates_answer_in_the_ring_of_the_vector(workspaces,
     ws = workspaces[name]
     split = ws.sub.splitting
     n, size = len(split.vectors), len(split.vectors[0])
-    inside = split.vectors + [br for _, br in split.brackets()] + [[GR_ZERO] * size]
+    closed = closure(ws.frame, split.vectors, split.vectors)
+    inside = split.vectors + [br for _, br, _, _ in closed] + [[GR_ZERO] * size]
     for v in inside:
         coords = split.coordinates(v)
         assert split.contains(v) and split.contains(as_poly(v))
@@ -105,10 +106,10 @@ def test_ring_regressions_on_the_preset(workspaces):
     # and to a polynomial where they meet
     assert courant.doubled_pair(as_poly(g), as_poly(meets)).__class__ is PolyScalar
     # the empty slots of a bracket of polynomial vectors are polynomial zeros
-    br = courant.bracket_vectors(frame, as_poly(split.vectors[0]), as_poly(split.vectors[2]))
+    br = bracket_vectors(frame.courant_table, as_poly(split.vectors[0]), as_poly(split.vectors[2]))
     assert_ring(br, PolyScalar)
     assert any(v is P_ZERO for v in br)
     # the frame bracket of Gaussian-rational vectors stays Gaussian-rational
     d = frame.dim
     units = [[GaussianRational.of(int(a == b)) for b in range(d)] for a in range(d)]
-    assert_ring(frame.algebra.bracket_vectors(units[0], units[1]), GaussianRational)
+    assert_ring(bracket_vectors(frame.algebra.brackets, units[0], units[1]), GaussianRational)
