@@ -12,8 +12,14 @@ Input format (line oriented, ``#`` starts a comment):
     names params t
 
 Exactly one structure kind (J lines, symplectic lines, or generator lines)
-must be present.  Reports are byte-identical across runs for identical input;
-``--format machine`` emits the same data as a JSON tree.
+must be present.  ``bracket`` and ``symplectic`` lines are skew entries: two
+distinct basis names, then a real right side, kept under the pair in basis
+order (negated when the names come reversed); a repeated entry must agree
+with the first.  A space never joins two operands (``1 2`` is refused), a
+combination never ends in a sign, and no basis, eigen or co-frame name may
+be ``i``, the imaginary unit.  An input error names its line.  Reports are
+byte-identical across runs for identical input; ``--format machine`` emits
+the same data as a JSON tree.
 """
 
 from __future__ import annotations
@@ -61,7 +67,6 @@ from .scalar import (
     GR_ONE,
     GR_ZERO,
     GaussianRational,
-    PolyScalar,
     ScalarError,
     parse_gaussian,
     render_sum,
@@ -111,25 +116,41 @@ class WorkspaceSpec:
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
+def _check_names(names: Sequence[str], what: str, line: int) -> None:
+    # a name prints next to coefficients, where the letter i is the imaginary unit
+    for n in names:
+        if not _NAME_RE.match(n) or n == "i":
+            raise ParseError(line, f"{what} {n!r}" + (" (the imaginary unit)" if n == "i" else ""))
+
+
+def _scalar(text: str, line: int) -> GaussianRational:
+    try:
+        return parse_gaussian(text)
+    except ScalarError as exc:
+        raise ParseError(line, str(exc)) from None
+
+
 def _split_terms(text: str, line: int) -> list[tuple[int, str]]:
     """Split a linear combination on top-level + and - signs."""
     terms: list[tuple[int, str]] = []
     sign, buf, depth = 1, "", 0
-    for idx, ch in enumerate(text):
+    for ch in text:
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        if ch in "+-" and depth == 0 and buf.strip():
-            terms.append((sign, buf.strip()))
-            sign = 1 if ch == "+" else -1
-            buf = ""
-        elif ch in "+-" and depth == 0 and not buf.strip():
-            sign = sign * (1 if ch == "+" else -1)
+        if ch in "+-" and depth == 0:
+            # a sign ends the term before it; signs in a row multiply
+            if buf.strip():
+                terms.append((sign, buf.strip()))
+                sign, buf = 1, ""
+            sign *= 1 if ch == "+" else -1
         else:
             buf += ch
     if buf.strip():
         terms.append((sign, buf.strip()))
+    elif terms:  # the text ends in a top-level sign
+        raise ParseError(line, f"dangling sign in {text.strip()!r}")
     if not terms:
         raise ParseError(line, "empty linear combination")
     return terms
@@ -147,166 +168,121 @@ def _parse_combination(text: str, names: Sequence[str], line: int) -> dict[str, 
         head = term[: m.start(1)]
         if name not in names:
             raise ParseError(line, f"unknown basis name {name!r}")
+        coeff = GR_ONE
         if head:
-            if not head.endswith("*"):
+            # a coefficient is a scalar followed by *, never * alone
+            if not head.endswith("*") or not head[:-1].strip():
                 raise ParseError(line, f"malformed term {term!r}")
-            head = head[:-1]
-        try:
-            coeff = parse_gaussian(head) if head else GR_ONE
-        except ScalarError as exc:
-            raise ParseError(line, str(exc)) from None
-        coeff = coeff * GaussianRational.of(sign)
-        out[name] = out.get(name, GR_ZERO) + coeff
+            coeff = _scalar(head[:-1], line)
+        out[name] = out.get(name, GR_ZERO) + coeff * GaussianRational.of(sign)
     return {n: c for n, c in out.items() if not c.is_zero()}
+
+
+def _equation(stripped: str, keyword: str, line: int) -> tuple[str, str]:
+    """The two sides of a ``keyword lhs = rhs`` line, stripped."""
+    body = stripped[len(keyword) :]
+    if "=" not in body:
+        raise ParseError(line, f"{keyword} line needs '='")
+    lhs, rhs = body.split("=", 1)
+    return lhs.strip(), rhs.strip()
+
+
+def _skew_entry(
+    keyword: str, lhs: str, rhs: str, basis: tuple[str, ...], line: int, entries: dict,
+    first_lines: dict[tuple[str, str], int],
+) -> None:
+    """Store a ``bracket a b = combination`` or ``symplectic a b = scalar``
+    entry under its basis-ordered pair, negated when the names come reversed.
+
+    The names are checked before the right side is read; a repeated entry
+    must agree with the first, which ``first_lines`` locates.
+    """
+    pair = lhs.split()
+    if len(pair) != 2:
+        raise ParseError(line, f"{keyword} left side needs two names")
+    a, b = pair
+    if a not in basis or b not in basis:
+        raise ParseError(line, f"unknown basis name in {keyword} [{a}, {b}]")
+    if a == b:
+        raise ParseError(line, f"{keyword} [{a}, {a}] is identically zero")
+    bracket = keyword == "bracket"
+    value = _parse_combination(rhs, basis, line) if bracket else _scalar(rhs, line)
+    if any(c.im != 0 for c in (value.values() if bracket else [value])):
+        raise ParseError(line, f"{keyword} [{a}, {b}] has a non-real coefficient")
+    if basis.index(a) > basis.index(b):
+        a, b = b, a
+        value = {n: -c for n, c in value.items()} if bracket else -value
+    if (a, b) not in entries:
+        entries[a, b], first_lines[a, b] = value, line
+    elif entries[a, b] != value:
+        raise ParseError(line, f"{keyword} [{a}, {b}] conflicts with line {first_lines[a, b]}")
 
 
 def parse_workspace(text: str) -> WorkspaceSpec:
     basis: Optional[tuple[str, ...]] = None
-    brackets: dict[tuple[str, str], dict[str, GaussianRational]] = {}
-    bracket_lines: dict[tuple[str, str], int] = {}
+    # per keyword: the entries and the line each was first given on
+    skew: dict[str, tuple[dict, dict]] = {"bracket": ({}, {}), "symplectic": ({}, {})}
     jmap: dict[str, dict[str, GaussianRational]] = {}
-    sympl: dict[tuple[str, str], GaussianRational] = {}
-    sympl_lines: dict[tuple[str, str], int] = {}
     gens: list[dict[str, GaussianRational]] = []
-    names_eigen = names_duals = None
-    names_lines: dict[str, int] = {}
-    param_prefix = "t"
-
-    def basis_or_fail(line: int) -> tuple[str, ...]:
-        if basis is None:
-            raise ParseError(line, "basis must be declared first")
-        return basis
+    named: dict[str, tuple[int, tuple[str, ...]]] = {}  # kind -> (line, names)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
             continue
-        tokens = stripped.split()
-        keyword = tokens[0]
+        keyword, *rest = stripped.split()
 
         if keyword == "basis":
             if basis is not None:
                 raise ParseError(lineno, "duplicate basis line")
-            names = tokens[1:]
-            if not names:
+            if not rest:
                 raise ParseError(lineno, "empty basis")
-            for n in names:
-                if not _NAME_RE.match(n):
-                    raise ParseError(lineno, f"bad basis name {n!r}")
-            if len(set(names)) != len(names):
+            _check_names(rest, "bad basis name", lineno)
+            if len(set(rest)) != len(rest):
                 raise ParseError(lineno, "duplicate basis name")
-            basis = tuple(names)
+            basis = tuple(rest)
 
-        elif keyword == "bracket":
-            b = basis_or_fail(lineno)
-            body = stripped[len("bracket") :].strip()
-            if "=" not in body:
-                raise ParseError(lineno, "bracket line needs '='")
-            lhs, rhs = body.split("=", 1)
-            pair_names = lhs.split()
-            if len(pair_names) != 2:
-                raise ParseError(lineno, "bracket left side needs two names")
-            a, c = pair_names
-            if a not in b or c not in b:
-                raise ParseError(lineno, f"unknown basis name in bracket [{a}, {c}]")
-            if a == c:
-                raise ParseError(lineno, f"bracket [{a}, {a}] is identically zero")
-            combo = _parse_combination(rhs.strip(), b, lineno)
-            if any(v.im != 0 for v in combo.values()):
-                raise ParseError(lineno, f"bracket [{a}, {c}] has a non-real coefficient")
-            i, j = b.index(a), b.index(c)
-            key, val = ((a, c), combo)
-            if i > j:
-                key = (c, a)
-                val = {n: -v for n, v in combo.items()}
-            if key in brackets:
-                if brackets[key] != val:
-                    raise ParseError(
-                        lineno,
-                        f"bracket [{key[0]}, {key[1]}] conflicts with line "
-                        f"{bracket_lines[key]}",
-                    )
-            else:
-                brackets[key] = val
-                bracket_lines[key] = lineno
+        elif keyword == "names":
+            if not rest:
+                raise ParseError(lineno, "names line needs a kind")
+            kind, *chosen = rest
+            if kind not in ("eigen", "duals", "params"):
+                raise ParseError(lineno, f"unknown names kind {kind!r}")
+            if kind in named:
+                raise ParseError(lineno, f"duplicate names {kind} line")
+            if kind == "params" and (len(chosen) != 1 or not _NAME_RE.match(chosen[0])):
+                raise ParseError(lineno, "names params needs one identifier")
+            named[kind] = (lineno, tuple(chosen))
+
+        elif keyword not in ("bracket", "J", "symplectic", "generator"):
+            raise ParseError(lineno, f"unknown directive {keyword!r}")
+
+        elif basis is None:
+            raise ParseError(lineno, "basis must be declared first")
+
+        elif keyword == "generator":
+            tokens = list(basis) + [f"{n}*" for n in basis]
+            gens.append(_parse_combination(stripped[len(keyword) :].strip(), tokens, lineno))
 
         elif keyword == "J":
-            b = basis_or_fail(lineno)
-            body = stripped[1:].strip()
-            if "=" not in body:
-                raise ParseError(lineno, "J line needs '='")
-            lhs, rhs = body.split("=", 1)
-            name = lhs.strip()
-            if name not in b:
+            name, rhs = _equation(stripped, keyword, lineno)
+            if name not in basis:
                 raise ParseError(lineno, f"unknown basis name {name!r}")
             if name in jmap:
                 raise ParseError(lineno, f"duplicate J line for {name}")
-            jmap[name] = _parse_combination(rhs.strip(), b, lineno)
+            jmap[name] = _parse_combination(rhs, basis, lineno)
             if any(c.im != 0 for c in jmap[name].values()):
                 raise ParseError(lineno, f"J {name} has a non-real coefficient")
 
-        elif keyword == "symplectic":
-            b = basis_or_fail(lineno)
-            body = stripped[len("symplectic") :].strip()
-            if "=" not in body:
-                raise ParseError(lineno, "symplectic line needs '='")
-            lhs, rhs = body.split("=", 1)
-            pair_names = lhs.split()
-            if len(pair_names) != 2:
-                raise ParseError(lineno, "symplectic left side needs two names")
-            a, c = pair_names
-            if a not in b or c not in b:
-                raise ParseError(lineno, "unknown basis name in symplectic entry")
-            if a == c:
-                raise ParseError(lineno, "symplectic entry on a repeated name")
-            try:
-                value = parse_gaussian(rhs.strip())
-            except ScalarError as exc:
-                raise ParseError(lineno, str(exc)) from None
-            if value.im != 0:
-                raise ParseError(lineno, "symplectic value is not real")
-            i, j = b.index(a), b.index(c)
-            key, val = ((a, c), value) if i < j else ((c, a), -value)
-            if key in sympl and sympl[key] != val:
-                first = sympl_lines[key]
-                raise ParseError(lineno, f"symplectic [{key[0]}, {key[1]}] conflicts with line {first}")
-            sympl[key] = val
-            sympl_lines.setdefault(key, lineno)
-
-        elif keyword == "generator":
-            b = basis_or_fail(lineno)
-            tokens_ok = list(b) + [f"{n}*" for n in b]
-            gens.append(_parse_combination(stripped[len("generator") :].strip(), tokens_ok, lineno))
-
-        elif keyword == "names":
-            if len(tokens) < 2:
-                raise ParseError(lineno, "names line needs a kind")
-            kind = tokens[1]
-            rest = tokens[2:]
-            if kind not in ("eigen", "duals", "params"):
-                raise ParseError(lineno, f"unknown names kind {kind!r}")
-            if kind in names_lines:
-                raise ParseError(lineno, f"duplicate names {kind} line")
-            names_lines[kind] = lineno
-            if kind == "eigen":
-                names_eigen = tuple(rest)
-            elif kind == "duals":
-                names_duals = tuple(rest)
-            else:
-                if len(rest) != 1 or not _NAME_RE.match(rest[0]):
-                    raise ParseError(lineno, "names params needs one identifier")
-                param_prefix = rest[0]
-
         else:
-            raise ParseError(lineno, f"unknown directive {keyword!r}")
+            lhs, rhs = _equation(stripped, keyword, lineno)
+            _skew_entry(keyword, lhs, rhs, basis, lineno, *skew[keyword])
 
     if basis is None:
         raise ParseError(1, "no basis line")
-    kinds = [k for k, present in (
-        ("complex", bool(jmap)),
-        ("symplectic", bool(sympl)),
-        ("subbundle", bool(gens)),
-    ) if present]
+    brackets, sympl = skew["bracket"][0], skew["symplectic"][0]
+    present = (("complex", jmap), ("symplectic", sympl), ("subbundle", gens))
+    kinds = [kind for kind, lines in present if lines]
     if len(kinds) != 1:
         raise ParseError(1, "exactly one structure (J, symplectic, or generator lines) required")
     structure = kinds[0]
@@ -314,7 +290,7 @@ def parse_workspace(text: str) -> WorkspaceSpec:
         missing = ", ".join(sorted(set(basis) - set(jmap)))
         raise ParseError(1, f"J is missing on: {missing}")
     # only a complex structure has an eigenframe to name
-    frame_lines = sorted((line, kind) for kind, line in names_lines.items() if kind != "params")
+    frame_lines = sorted((line, kind) for kind, (line, _) in named.items() if kind != "params")
     if frame_lines and structure != "complex":
         line, kind = frame_lines[0]
         raise ParseError(line, f"names {kind} applies only to a complex structure (J lines)")
@@ -323,17 +299,19 @@ def parse_workspace(text: str) -> WorkspaceSpec:
     # kind left unnamed takes eigenframe's default names
     taken = set(basis)
     for kind, default in zip(("eigen", "duals"), default_frame_names(len(basis) // 2)):
-        if kind not in names_lines:
+        if kind not in named:
             taken.update([*default, *(f"{n}bar" for n in default)])
     for line, kind in frame_lines:
-        chosen = names_eigen if kind == "eigen" else names_duals
+        chosen = named[kind][1]
         if len(chosen) != len(basis) // 2:
             raise ParseError(line, f"names {kind} needs one name per complex plane")
+        _check_names(chosen, f"names {kind}: bad name", line)
         for label in [*chosen, *(f"{n}bar" for n in chosen)]:
             if label in taken:
                 raise ParseError(line, f"names {kind}: {label!r} is already in use")
             taken.add(label)
 
+    chosen_names = {kind: names for kind, (_, names) in named.items()}
     return WorkspaceSpec(
         basis=basis,
         brackets=brackets,
@@ -341,27 +319,27 @@ def parse_workspace(text: str) -> WorkspaceSpec:
         jmap=jmap,
         symplectic=sympl,
         generators=tuple(gens),
-        names_eigen=names_eigen,
-        names_duals=names_duals,
-        param_prefix=param_prefix,
+        names_eigen=chosen_names.get("eigen"),
+        names_duals=chosen_names.get("duals"),
+        param_prefix=chosen_names.get("params", ("t",))[0],
     )
+
+
+def _in_basis_order(spec: WorkspaceSpec, entries: dict) -> list:
+    """The items of a table keyed by name pairs, pairs in basis order."""
+    return sorted(entries.items(), key=lambda kv: tuple(map(spec.basis.index, kv[0])))
 
 
 def render_workspace(spec: WorkspaceSpec) -> str:
     """Canonical text form; parses back to an equal spec."""
     lines = ["basis " + " ".join(spec.basis)]
-    for (a, b), combo in sorted(
-        spec.brackets.items(), key=lambda kv: (spec.basis.index(kv[0][0]), spec.basis.index(kv[0][1]))
-    ):
+    for (a, b), combo in _in_basis_order(spec, spec.brackets):
         lines.append(f"bracket {a} {b} = {_render_combo(combo, spec.basis)}")
     if spec.structure == "complex":
         for name in spec.basis:
             lines.append(f"J {name} = {_render_combo(spec.jmap[name], spec.basis)}")
     elif spec.structure == "symplectic":
-        for (a, b), v in sorted(
-            spec.symplectic.items(),
-            key=lambda kv: (spec.basis.index(kv[0][0]), spec.basis.index(kv[0][1])),
-        ):
+        for (a, b), v in _in_basis_order(spec, spec.symplectic):
             lines.append(f"symplectic {a} {b} = {v}")
     else:
         order = list(spec.basis) + [f"{n}*" for n in spec.basis]
@@ -431,14 +409,10 @@ def build_workspace(spec: WorkspaceSpec) -> Workspace:
         raise FrameError(f"jacobi identity fails: {detail}")
 
     if spec.structure == "complex":
-        n = algebra.dim
-        index = {name: i for i, name in enumerate(spec.basis)}
-        matrix = [[GR_ZERO] * n for _ in range(n)]
-        for name, combo in spec.jmap.items():
-            j = index[name]
-            for target, c in combo.items():
-                matrix[index[target]][j] = c
-        jop = ComplexOp.build(matrix)
+        # column b holds the coefficients of J b
+        jop = ComplexOp.build(
+            [[spec.jmap[b].get(a, GR_ZERO) for b in spec.basis] for a in spec.basis]
+        )
         frame, sub = complex_eigenbundle(
             algebra, jop, tangent_names=spec.names_eigen, dual_names=spec.names_duals
         )
@@ -446,25 +420,15 @@ def build_workspace(spec: WorkspaceSpec) -> Workspace:
 
     if spec.structure == "symplectic":
         data = {
-            (spec.basis.index(a), spec.basis.index(b)): PolyScalar.const(v)
-            for (a, b), v in spec.symplectic.items()
+            (spec.basis.index(a), spec.basis.index(b)): v for (a, b), v in spec.symplectic.items()
         }
         w = ExteriorForm.build(algebra.dual_names, data)
         frame, sub = build_symplectic_eigenbundle(algebra, w)
         return Workspace(spec=spec, algebra=algebra, frame=frame, sub=sub)
 
+    # the complexified frame names the dual of X "X*", as generator lines do
     frame = ComplexFrame.complexified(algebra)
-    gens = []
-    for combo in spec.generators:
-        entries = {}
-        for token, c in combo.items():
-            name = (
-                algebra.dual_names[spec.basis.index(token[:-1])]
-                if token.endswith("*")
-                else token
-            )
-            entries[name] = PolyScalar.const(c)
-        gens.append(GenSection.make(frame, entries))
+    gens = [GenSection.make(frame, combo) for combo in spec.generators]
     names = tuple(f"G{i + 1}" for i in range(len(gens)))
     sub = IsotropicSubbundle.build(frame, gens, names)
     return Workspace(spec=spec, algebra=algebra, frame=frame, sub=sub)
@@ -482,10 +446,7 @@ def _wedge_label(sub: IsotropicSubbundle, idx) -> str:
 def section_validation(ws: Workspace) -> dict:
     brackets = [
         f"[{a}, {b}] = {_render_combo(combo, ws.spec.basis)}"
-        for (a, b), combo in sorted(
-            ws.spec.brackets.items(),
-            key=lambda kv: (ws.spec.basis.index(kv[0][0]), ws.spec.basis.index(kv[0][1])),
-        )
+        for (a, b), combo in _in_basis_order(ws.spec, ws.spec.brackets)
     ]
     return {
         "basis": " ".join(ws.spec.basis),
@@ -615,10 +576,7 @@ def run_type(ws: Workspace, at: str) -> dict:
             raise ParseError(1, f"unknown family parameter {name!r} (free: {known})")
         if by_name[name] in bindings:
             raise ParseError(1, f"{name} bound twice")
-        try:
-            bindings[by_name[name]] = parse_gaussian(value)
-        except ScalarError as exc:
-            raise ParseError(1, str(exc)) from None
+        bindings[by_name[name]] = _scalar(value, 1)
     missing = [p.name for p in family.free if p not in bindings]
     if missing:
         raise ParseError(1, f"unbound family parameters: {', '.join(missing)}")

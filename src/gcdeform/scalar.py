@@ -217,6 +217,7 @@ GR_HALF = GaussianRational.of(Fraction(1, 2))
 
 _SIMPLE_RE = re.compile(r"^(\d+)(?:/(\d+))?$")
 _IMAG_RE = re.compile(r"^i(?:/(\d+))?$")
+_SPLIT_OPERAND_RE = re.compile(r"[\w)]\s+[\w(]")
 
 
 def parse_gaussian(text: str) -> GaussianRational:
@@ -234,6 +235,10 @@ def parse_gaussian(text: str) -> GaussianRational:
     total = GR_ZERO
     for sign, chunk in _split_signed(s):
         total = total + sign * _parse_gaussian_atom(chunk)
+    # a space may stand beside an operator or a parenthesis, never between
+    # two operands: "1 2" is no 12
+    if _SPLIT_OPERAND_RE.search(text):
+        raise ScalarError(f"malformed scalar {text.strip()!r}")
     return total
 
 

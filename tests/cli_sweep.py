@@ -12,8 +12,10 @@ generators, on the two-dimensional non-abelian algebra with its area form (a
 reduced family without parameters), on one workspace per refusal of the
 workspace build (a failed Jacobi identity, J^2 != -1, a non-integrable J, a
 degenerate 2-form and each refusal of the subbundle build), on a bracket
-with a non-real coefficient and on two workspaces with a misplaced ``names``
-line; then
+with a non-real coefficient, on two workspaces with a misplaced ``names``
+line, on three malformed combinations (operands joined by a space, a
+dangling sign, a ``*`` with no coefficient) and on five names that would
+print ambiguously (not identifiers, or the imaginary unit ``i``); then
 ``strata`` alone on symplectic abelian-8, seven ``type`` points on the
 preset, two on the reduced family of every ``--input`` workspace that has one
 (every parameter 0, and every parameter 1/7 + i/9; the names are read from
@@ -35,6 +37,8 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 CORPUS = HERE.parent / "bench" / "corpus"
+
+KODAIRA_J = "basis X Y U V\nbracket X Y = U\nJ X = Y\nJ Y = -X\nJ U = V\nJ V = -U\n"
 
 WORKSPACES = {
     "iwasawa.ws": (
@@ -72,6 +76,20 @@ WORKSPACES = {
         "basis X Y U V\nbracket X Y = i*U\nsymplectic X U = 1\nsymplectic Y V = 1\n"
     ),
     "names_repeated.ws": "basis X Y\nJ X = Y\nJ Y = -X\nnames eigen A\nnames eigen B\n",
+    "refuse_split_number.ws": (
+        "basis X Y U V\nbracket X Y = 1 2*U\nsymplectic X U = 1\nsymplectic Y V = 1\n"
+    ),
+    "refuse_dangling_sign.ws": (
+        "basis X Y U V\nbracket X Y = U +\nsymplectic X U = 1\nsymplectic Y V = 1\n"
+    ),
+    "refuse_bare_star.ws": (
+        "basis X Y U V\nbracket X Y = *U\nsymplectic X U = 1\nsymplectic Y V = 1\n"
+    ),
+    "refuse_eigen_not_identifier.ws": KODAIRA_J + "names eigen T+W Z\nnames duals o*m r\n",
+    "refuse_duals_not_identifier.ws": KODAIRA_J + "names duals o*m r\n",
+    "refuse_basis_i.ws": "basis i j\nJ i = j\nJ j = -i\n",
+    "refuse_eigen_i.ws": KODAIRA_J + "names eigen i W\n",
+    "refuse_duals_i.ws": KODAIRA_J + "names duals omega i\n",
     "names_eigen_symplectic.ws": (
         "basis X Y U V\nbracket X Y = U\nsymplectic X U = 1\nsymplectic Y V = 1\n"
         "names eigen A B\n"

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import reader_fuzz
 from cli_sweep import WORKSPACES as SWEEP
 from gcdeform import algebroid, cli, deformation, scalar
 from gcdeform.algebroid import IsotropicSubbundle, Splitting
@@ -94,6 +95,14 @@ def test_type_command_requires_complete_bindings():
     result = run_cli("type", "--preset", "kodaira", "--at", "t14=1")
     assert result.returncode == 1
     assert "unbound" in result.stderr
+
+
+def test_type_binding_refuses_operands_joined_by_a_space(capsys):
+    at = "t11=0,t22=0,t14=0,t32=1 2"
+    assert cli.main(["type", "--preset", "kodaira", "--at", at]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 1: malformed scalar '1 2'\n"
 
 
 def test_type_command_rejects_a_parameter_bound_twice(capsys):
@@ -408,6 +417,8 @@ def test_names_eigen_wrong_count(tmp_path):
 
 
 KODAIRA_J = "basis X Y U V\nbracket X Y = U\nJ X = Y\nJ Y = -X\nJ U = V\nJ V = -U\n"
+# the Kodaira symplectic workspace with its bracket's right side left open
+SYMPLECTIC_TAIL = "basis X Y U V\nbracket X Y = {}\nsymplectic X U = 1\nsymplectic Y V = 1\n"
 
 
 @pytest.mark.parametrize(
@@ -435,6 +446,20 @@ KODAIRA_J = "basis X Y U V\nbracket X Y = U\nJ X = Y\nJ Y = -X\nJ U = V\nJ V = -
         # a symplectic structure has no eigenframe to name
         ("basis X Y U V\nbracket X Y = U\nsymplectic X U = 1\nsymplectic Y V = 1\n"
          "names eigen A B\n", 5),
+        # two operands joined by a space would read as one number, 12
+        (SYMPLECTIC_TAIL.format("1 2*U"), 2),
+        ("basis X Y U V\nbracket X Y = U\nsymplectic X U = 1 2\nsymplectic Y V = 1\n", 3),
+        # a dangling sign would be dropped, reading U
+        (SYMPLECTIC_TAIL.format("U +"), 2),
+        (SYMPLECTIC_TAIL.format("U -"), 2),
+        # a bare * would read as the coefficient 1
+        (SYMPLECTIC_TAIL.format("*U"), 2),
+        # names that print ambiguously: not identifiers, or the imaginary unit
+        (KODAIRA_J + "names eigen T+W Z\n", 7),
+        (KODAIRA_J + "names duals o*m r\n", 7),
+        ("basis i j\nJ i = j\nJ j = -i\n", 1),
+        (KODAIRA_J + "names eigen i W\n", 7),
+        (KODAIRA_J + "names duals omega i\n", 7),
     ],
     ids=[
         "eigen-repeat",
@@ -447,6 +472,16 @@ KODAIRA_J = "basis X Y U V\nbracket X Y = U\nJ X = Y\nJ Y = -X\nJ U = V\nJ V = -
         "duals-default-eigen",
         "names-repeat",
         "eigen-symplectic",
+        "bracket-split-number",
+        "symplectic-split-number",
+        "dangling-plus",
+        "dangling-minus",
+        "bare-star",
+        "eigen-not-identifier",
+        "duals-not-identifier",
+        "basis-i",
+        "eigen-i",
+        "duals-i",
     ],
 )
 def test_input_errors_cite_their_line(tmp_path, capsys, text, line):
@@ -454,6 +489,47 @@ def test_input_errors_cite_their_line(tmp_path, capsys, text, line):
     ws.write_text(text, encoding="utf-8")
     assert cli.main(["validate", "--input", str(ws)]) == 1
     assert capsys.readouterr().err.startswith(f"error: line {line}: ")
+
+
+# bracket and symplectic entries share one reader: (keyword, value, its
+# negation, a non-real value, a structure to complete the workspace)
+SKEW_KEYWORDS = [
+    ("bracket", "U", "-U", "i*U", "J X = Y\nJ Y = -X\nJ U = V\nJ V = -U\n"),
+    ("symplectic", "1", "-1", "i", ""),
+]
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ("{k} X Y {v}", "line 2: {k} line needs '='"),
+        ("{k} X = {v}", "line 2: {k} left side needs two names"),
+        ("{k} X Y U = {v}", "line 2: {k} left side needs two names"),
+        ("{k} X Q = {v}", "line 2: unknown basis name in {k} [X, Q]"),
+        # the names are checked before the right side is read
+        ("{k} Q X = 1//2", "line 2: unknown basis name in {k} [Q, X]"),
+        ("{k} Y Y = {v}", "line 2: {k} [Y, Y] is identically zero"),
+        ("{k} Y X = {nonreal}", "line 2: {k} [Y, X] has a non-real coefficient"),
+        ("{k} X Y = {v}\n{k} Y X = {v}", "line 3: {k} [X, Y] conflicts with line 2"),
+        ("{k} X Y = {v}\n{k} X Y = {v}\n{k} Y X = {v}", "line 4: {k} [X, Y] conflicts with line 2"),
+        # a reversed repeat that agrees is no conflict
+        ("{k} Y X = {neg}\n{k} X Y = {v}", None),
+    ],
+    ids=["needs-eq", "one-name", "three-names", "unknown", "names-first", "repeated",
+         "not-real", "conflict", "conflict-cites-first", "agreeing-repeat"],
+)
+@pytest.mark.parametrize("k, v, neg, nonreal, structure", SKEW_KEYWORDS, ids=["bracket", "symplectic"])
+def test_skew_entries_share_one_reader(lines, message, k, v, neg, nonreal, structure):
+    text = "basis X Y U V\n" + lines.format(k=k, v=v, neg=neg, nonreal=nonreal) + "\n" + structure
+    if message is not None:
+        with pytest.raises(ParseError) as info:
+            parse_workspace(text)
+        assert str(info.value) == message.format(k=k)
+        return
+    spec = parse_workspace(text)
+    entries = spec.brackets if k == "bracket" else spec.symplectic
+    expected = {"U": scalar.GR_ONE} if k == "bracket" else scalar.GR_ONE
+    assert entries == {("X", "Y"): expected}
 
 
 def test_names_lines_are_single_and_frame_names_need_j(tmp_path, capsys):
@@ -805,3 +881,19 @@ def test_symplectic_closedness_disagreeing_with_involutivity_exit_code(
     assert captured.err == (
         "error: internal: involutivity of the symplectic eigenbundle disagrees with closedness\n"
     )
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "['t32', 't11', 't22', 't14']\n"
+
+
+def test_reader_fuzz_finds_no_unpositioned_input_error():
+    """300 seeded mutations of the preset, corpus and sweep texts (see
+    ``tests/reader_fuzz.py``): every exit is 0, 1 or 2, and every exit 1
+    names its line."""
+    exits, bad = reader_fuzz.fuzz(cli.main, KODAIRA_WORKSPACE, 300, seed=1)
+    assert bad == []
+    assert sum(exits.values()) == 300 and set(exits) <= {"0", "1", "2"}

@@ -132,9 +132,18 @@ def test_parse_gaussian(text, value):
 
 
 def test_parse_gaussian_rejects_junk():
-    for bad in ("", "x", "1//2", "1/0", "--2"):
+    for bad in ("", "x", "1//2", "1/0", "--2", "1 2"):
         with pytest.raises(ScalarError):
             parse_gaussian(bad)
+
+
+def test_parse_gaussian_allows_spaces_beside_operators():
+    half_minus_i = GR(Fraction(1, 2), -1)
+    assert parse_gaussian("1/2 - i") == half_minus_i
+    assert parse_gaussian("(1/2 - i)") == half_minus_i
+    assert parse_gaussian(" ( 1 / 2 - i ) ") == half_minus_i
+    assert parse_gaussian("- 1") == GR(-1)
+    assert parse_gaussian("2 * i") == GR(0, 2)
 
 
 def test_parse_render_round_trip():
