@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 
 class ScalarError(ValueError):
@@ -698,13 +698,26 @@ def minor(matrix, rows: tuple[int, ...], cols: tuple[int, ...], table: dict) -> 
 
 
 # ---------------------------------------------------------------------------
-# Linear solving over the Gaussian rationals
+# Exact linear algebra over the Gaussian rationals
 # ---------------------------------------------------------------------------
+
+Matrix = list[list[GaussianRational]]
+GaussInt = tuple[int, int]  # (re, im)
+Row = dict[int, GaussInt]
+
+
+class SingularMatrixError(ScalarError):
+    pass
 
 
 @dataclass
 class LinearSolution:
-    """Result of solving a polynomial system for its degree-<=1 part."""
+    """Result of solving a polynomial system for its degree-<=1 part.
+
+    When ``consistent`` is false the solution set is empty: some linear
+    constraint reduced to a nonzero polynomial free of the unknowns.  Such a
+    constraint is left out, and ``bindings`` and ``free`` solve the others.
+    """
 
     bindings: dict[Symbol, PolyScalar]
     free: list[Symbol]
@@ -719,163 +732,128 @@ def solve_linear(system: Sequence[PolyScalar], unknowns: Sequence[Symbol]) -> Li
     coefficients are themselves symbolic) are returned verbatim in the residual
     list, unsolved.  When a constraint couples several unknowns the
     latest-listed one is solved for, so earlier unknowns are preferred as free
-    coordinates.  An inconsistent linear system is reported as an empty
-    solution set (``consistent=False``).  Rows are eliminated as
-    {monomial: coefficient} dicts; a polynomial is made only for each binding.
+    coordinates: ``_eliminate`` numbers the columns as the unknowns,
+    latest-listed first, then every other monomial as first seen.  The
+    binding of u is u - row, read off the pivot row of u.
     """
-    unknown_set = set(unknowns)
-    position = {u: i for i, u in enumerate(unknowns)}
-
-    def unknown(m: Monomial) -> Optional[Symbol]:
-        """The unknown u when m is the monomial u, else None."""
-        p = m.powers
-        return p[0][0] if len(p) == 1 and p[0][1] == 1 and p[0][0] in unknown_set else None
-
-    residual: list[PolyScalar] = []
-    # each pivot row has coefficient 1 on its pivot and 0 on every other pivot
-    pivots: dict[Symbol, dict[Monomial, GaussianRational]] = {}
-    consistent = True
+    n, unknown_set = len(unknowns), set(unknowns)
+    column = {((u, 1),): j for j, u in enumerate(reversed(unknowns))}  # by monomial powers
+    monomial: dict[int, Monomial] = {}
+    rows, residual = [], []
     for poly_row in system:
         # linear: each term is free of the unknowns or is one unknown to the first power
         if any(m.degree() != 1 and not unknown_set.isdisjoint(m.generators()) for m, _ in poly_row.terms):
             residual.append(poly_row)
             continue
-        row = dict(poly_row.terms)
-        for u, c in [(u, c) for m, c in row.items() if (u := unknown(m)) in pivots]:
-            _subtract(row, pivots[u], c)
-        left = {u: (m, c) for m, c in row.items() if (u := unknown(m)) is not None}
-        if not left:
+        for m, _ in poly_row.terms:
+            monomial[column.setdefault(m.powers, n + len(column))] = m
+        rows.append([(column[m.powers], c) for m, c in poly_row.terms])
+    pivots, consistent = _eliminate(rows, n, jordan=True)
+    bindings = {}
+    for u in unknowns:
+        if (row := pivots.get(j := column[((u, 1),)])) is not None:
+            terms = {monomial[k]: _over(-a, -b, *row[j]) for k, (a, b) in row.items() if k != j}
+            bindings[u] = PolyScalar.from_dict(terms)
+    return LinearSolution(bindings, [u for u in unknowns if u not in bindings], residual, consistent)
+
+
+def _integer_row(entries: Iterable[tuple[int, GaussianRational]]) -> Row:
+    """The sparse row {column: (re, im)} of the entries times the lcm of their denominators."""
+    entries = [(j, x) for j, x in entries if x._a or x._b]
+    den = lcm(*[x._d for _, x in entries])
+    return {j: (x._a * (den // x._d), x._b * (den // x._d)) for j, x in entries}
+
+
+def _eliminate(rows: Iterable, width: int, jordan: bool) -> tuple[dict[int, Row], bool]:
+    """Fraction-free Gauss(-Jordan) elimination over Z[i], this module's one
+    pivot rule; returns ({pivot column: pivot row} in the order found, consistent).
+
+    Bareiss's rule (Math. Comp. 22, 1968), one row at a time: at each pivot
+    column c found so far, in that order, row <- (p*row - row[c]*pivot_row)/q
+    for the pivot p at c and the pivot q that cleared the row last (1 at
+    first).  Every entry is then a minor of the input, so q divides exactly.
+    A step with row[c] = 0 would only scale by p/q and folds into the next.
+    The row's pivot is its first column; a nonzero row with none below
+    ``width`` makes the system inconsistent and never feeds a pivot row.  A
+    new pivot row is scaled by the last pivot over q, as if cleared at every
+    column.  ``jordan`` then clears each pivot row at the pivots found after
+    it, q first its own pivot: the reduced echelon form, unique for the
+    column order, once the caller divides each pivot row by its pivot.
+    """
+    pivots: dict[int, Row] = {}
+    consistent, last = True, (1, 0)
+    for row in map(_integer_row, rows):
+        row, q = _clear(row, pivots.items(), (1, 0))
+        pivot = min(row, default=width)
+        if pivot >= width:
             consistent = consistent and not row
-            continue
-        pivot = max(left, key=position.__getitem__)
-        unit, lead = left[pivot]
-        inverse = GR_ONE / lead
-        row = {m: c * inverse for m, c in row.items()}
-        for prow in pivots.values():
-            f = prow.get(unit)
-            if f:
-                _subtract(prow, row, f)
-        pivots[pivot] = row
-
-    # u minus its pivot row, in which u has coefficient 1
-    bindings = {u: PolyScalar.from_dict({m: -c for m, c in pivots[u].items() if unknown(m) is not u})
-                for u in unknowns if u in pivots}
-    free = [u for u in unknowns if u not in pivots]
-    return LinearSolution(bindings=bindings, free=free, residual=residual, consistent=consistent)
-
-
-def _subtract(row: dict, other: Mapping, f: GaussianRational) -> None:
-    """row -= f * other, in place, dropping the terms that cancel."""
-    for m, c in other.items():
-        s = row.get(m, GR_ZERO) - c * f
-        if s:
-            row[m] = s
         else:
-            row.pop(m, None)
+            pivots[pivot] = row = _scaled(row, last, q)
+            last = row[pivot]
+    if jordan:
+        steps = list(pivots.items())
+        for k, (c, row) in enumerate(steps):
+            pivots[c] = _clear(row, steps[k + 1 :], row[c])[0]
+    return pivots, consistent
 
 
-# ---------------------------------------------------------------------------
-# Exact matrices over the Gaussian rationals
-# ---------------------------------------------------------------------------
-
-Matrix = list[list[GaussianRational]]
-
-
-class SingularMatrixError(ScalarError):
-    pass
-
-
-def _gaussian_integer_rows(
-    matrix: Sequence[Sequence[GaussianRational]],
-) -> list[tuple[list[int], list[int]]]:
-    """Each row times the lcm of its denominators, as real and imaginary int lists.
-
-    Scaling a row by a nonzero constant changes neither the row space nor the
-    solutions, so every routine below works on these Gaussian-integer rows.
-    """
-    out = []
-    for row in matrix:
-        den = lcm(*[x._d for x in row])
-        out.append(([x._a * (den // x._d) for x in row], [x._b * (den // x._d) for x in row]))
-    return out
-
-
-def _eliminate(
-    rows: list[tuple[list[int], list[int]]], ncols: int, jordan: bool
-) -> tuple[list[int], tuple[int, int]]:
-    """Fraction-free elimination over Z[i], in place; returns (pivots, last pivot).
-
-    Bareiss's one-step rule (Math. Comp. 22, 1968): with pivot p at (r, c) and
-    previous pivot q, every other row becomes (p*row - row[c]*pivot_row) / q.
-    Each entry is then a minor of the input, so the division is exact in the
-    Gaussian integers.  A row with row[c] = 0 is still scaled by p/q.
-    ``jordan`` clears the rows above each pivot as well (Gauss-Jordan form);
-    every pivot row then ends with the same pivot value, the last one.
-    Without it the elimination stops at the echelon form.
-    """
-    nrows = len(rows)
-    pivots: list[int] = []
-    qr, qi = 1, 0
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        p = next((i for i in range(r, nrows) if rows[i][0][c] or rows[i][1][c]), None)
-        if p is None:
+def _clear(row: Row, steps: Iterable[tuple[int, Row]], q: GaussInt) -> tuple[Row, GaussInt]:
+    """Bareiss's rule on ``row``, last cleared by pivot q, at each (column,
+    pivot row) of ``steps``, in place where no scaling is due; returns the
+    row and the pivot that cleared it last."""
+    for c, prow in steps:
+        if (f := row.get(c)) is None:
             continue
-        rows[r], rows[p] = rows[p], rows[r]
-        pre, pim = rows[r]
-        pr, pi = pre[c], pim[c]
-        qn = qr * qr + qi * qi
-        for i in range(0 if jordan else r + 1, nrows):
-            if i == r:
-                continue
-            xre, xim = rows[i]
-            fr, fi = xre[c], xim[c]
-            if not (fr or fi) and pr == qr and pi == qi:
-                continue
-            # rows below r are zero left of c; column c itself comes out zero
-            for j in range(0 if i < r else c, ncols):
-                xr, xi, yr, yi = xre[j], xim[j], pre[j], pim[j]
-                tr = pr * xr - pi * xi - fr * yr + fi * yi
-                ti = pr * xi + pi * xr - fr * yi - fi * yr
-                if qi:
-                    tr, ti = tr * qr + ti * qi, ti * qr - tr * qi
-                    xre[j], xim[j] = tr // qn, ti // qn
-                else:
-                    xre[j], xim[j] = tr // qr, ti // qr
-        pivots.append(c)
-        qr, qi = pr, pi
-        r += 1
-    return pivots, (qr, qi)
+        fr, fi = f
+        row = _scaled(row, prow[c], (1, 0))
+        for j, (a, b) in prow.items():
+            xr, xi = row.get(j, (0, 0))
+            xr, xi = xr - fr * a + fi * b, xi - fr * b - fi * a
+            if xr or xi:
+                row[j] = (xr, xi)
+            else:
+                del row[j]
+        row, q = _scaled(row, (1, 0), q), prow[c]
+    return row, q
+
+
+def _scaled(row: Row, p: GaussInt, q: GaussInt) -> Row:
+    """``row`` times p over q, q dividing each product in Z[i]; ``row`` itself
+    when p = q, else a new row."""
+    if p == q:
+        return row
+    (pr, pi), (qr, qi) = p, q
+    if pi or pr != 1:
+        row = {j: (pr * a - pi * b, pr * b + pi * a) for j, (a, b) in row.items()}
+    if qi:
+        n = qr * qr + qi * qi
+        return {j: ((a * qr + b * qi) // n, (b * qr - a * qi) // n) for j, (a, b) in row.items()}
+    return row if qr == 1 else {j: (a // qr, b // qr) for j, (a, b) in row.items()}
 
 
 def _over(a: int, b: int, dr: int, di: int) -> GaussianRational:
     """The Gaussian rational (a + b*i) / (dr + di*i)."""
-    if not (a or b):
-        return GR_ZERO
-    if di:
-        return _reduced(a * dr + b * di, b * dr - a * di, dr * dr + di * di)
-    if dr < 0:
-        return _reduced(-a, -b, -dr)
-    return _reduced(a, b, dr)
+    return _reduced(a * dr + b * di, b * dr - a * di, dr * dr + di * di) if a or b else GR_ZERO
 
 
 def mat_rref(matrix: Sequence[Sequence[GaussianRational]]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    if not matrix:
-        return [], []
-    ncols = len(matrix[0])
-    rows = _gaussian_integer_rows(matrix)
-    pivots, (dr, di) = _eliminate(rows, ncols, jordan=True)
-    out = [[_over(a, b, dr, di) for a, b in zip(re_, im_)] for re_, im_ in rows[: len(pivots)]]
-    out.extend([GR_ZERO] * ncols for _ in range(len(rows) - len(pivots)))
-    return out, pivots
+    """Reduced row echelon form; returns (rows, pivot column indices).
+
+    One ``_eliminate`` with ``jordan``, each pivot row divided by its pivot
+    once; the zero rows follow the pivot rows.
+    """
+    ncols = len(matrix[0]) if matrix else 0
+    pivots, _ = _eliminate(map(enumerate, matrix), ncols, jordan=True)
+    columns = sorted(pivots)
+    out = [[_over(*pivots[c].get(j, (0, 0)), *pivots[c][c]) for j in range(ncols)] for c in columns]
+    out.extend([GR_ZERO] * ncols for _ in range(len(matrix) - len(pivots)))
+    return out, columns
 
 
 def mat_rank(matrix: Sequence[Sequence[GaussianRational]]) -> int:
+    """The number of pivots of ``_eliminate`` stopped at the echelon form."""
     ncols = len(matrix[0]) if matrix else 0
-    return len(_eliminate(_gaussian_integer_rows(matrix), ncols, jordan=False)[0])
+    return len(_eliminate(map(enumerate, matrix), ncols, jordan=False)[0])
 
 
 def mat_inverse(matrix: Sequence[Sequence[GaussianRational]]) -> Matrix:

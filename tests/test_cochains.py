@@ -29,7 +29,16 @@ from cli_sweep import WORKSPACES as SWEEP
 from gcdeform.cli import KODAIRA_WORKSPACE, build_workspace, parse_workspace
 from gcdeform.deformation import DeformationError, DeformationMap, _compatibility, mc_residual
 from gcdeform.frame import ExteriorForm
-from gcdeform.scalar import GR_ZERO, PolyScalar, function, mat_mul, parameter, solve_linear
+from gcdeform.scalar import (
+    GR_ZERO,
+    Monomial,
+    PolyScalar,
+    function,
+    mat_mul,
+    mat_rref,
+    parameter,
+    solve_linear,
+)
 from oracles import (
     form_vector,
     random_gaussian,
@@ -37,6 +46,7 @@ from oracles import (
     reference_ce_differential,
     reference_cochains,
     reference_mc_constraints,
+    reference_rref,
     reference_solve_linear,
 )
 
@@ -193,7 +203,10 @@ def test_solve_linear_matches_reference_at_pencil_size(workspaces, name):
     """The compatibility system of a fresh n x n parameter matrix (16 to 64
     unknowns) and the Maurer-Cartan system of its pencil, which on Iwasawa
     and Kodaira x Kodaira keeps nonlinear rows, against the elimination on
-    (coefficients, rest) pairs."""
+    (coefficients, rest) pairs.  The compatibility system is also read as a
+    constant matrix, its unknown columns latest-listed first: ``mat_rref`` of
+    it matches ``reference_rref``, and its rows, read as bindings, are
+    ``solve_linear``'s, so the two share one pivot rule."""
     sub = workspaces[name].sub
     n = sub.rank
     raw = [[parameter(f"t{i + 1}{j + 1}") for j in range(n)] for i in range(n)]
@@ -208,3 +221,17 @@ def test_solve_linear_matches_reference_at_pencil_size(workspaces, name):
         assert list(got.bindings.items()) == list(want.bindings.items())
         assert (got.free, got.residual, got.consistent) == (want.free, want.residual, want.consistent)
     assert 16 <= n * n <= 64
+
+    system, unknowns = systems[0]
+    columns = [Monomial.of(s) for s in reversed(unknowns)]
+    # the compatibility rows are linear forms in the unknowns, with no other term
+    assert {m for p in system for m, _ in p.terms} <= set(columns)
+    matrix = [[p.coefficient(m) for m in columns] for p in system]
+    rows, pivots = mat_rref(matrix)
+    assert (rows, pivots) == reference_rref(matrix)
+    # the binding of a pivot unknown u is u minus its row
+    bindings = {}
+    for row, c in zip(rows, pivots):
+        terms = {m: -x for j, (m, x) in enumerate(zip(columns, row)) if j != c}
+        bindings[unknowns[-1 - c]] = PolyScalar.from_dict(terms)
+    assert bindings == solve_linear(system, unknowns).bindings
