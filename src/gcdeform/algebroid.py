@@ -5,8 +5,8 @@ projection as anchor and the restricted Courant bracket as algebroid bracket.
 The dual L* is the conjugate span through the doubled pairing theta(x) =
 2<x, .>; L and L* are ``FrameAlgebra``s from one ``closure`` routine.  d_L
 acts on exterior elements over L*, and the Schouten bracket extends L*'s
-bracket as a biderivation; on constant forms both are the matrices of a
-``CochainComplex``.
+bracket as a biderivation; on constant forms both are sparse matrices of a
+``CochainComplex``, d_L one per degree from one routine, ``ce_rows``.
 """
 
 from __future__ import annotations
@@ -29,13 +29,15 @@ from .scalar import (
     PolyLike,
     PolyScalar,
     SingularMatrixError,
+    _rref,
     mat_inverse,
     mat_left_inverse,
     mat_mul,
     mat_rank,
-    mat_rref,
     poly,
 )
+
+SparseRow = list[tuple[int, GaussianRational]]
 
 
 class AlgebroidError(ValueError):
@@ -141,23 +143,20 @@ def closed_algebra(frame, names, dual_names, sections, members, coordinates) -> 
 
 @dataclass(frozen=True)
 class CochainComplex:
-    """d_L and the Schouten bracket on constant forms over L*, as matrices on the
-    lexicographic basis slots: row a of ``d1`` is d_L of the a-th basis
-    1-form; ``d2[s]`` lists the nonzero (3-slot, value) of d_L of the s-th
-    basis 2-form, and ``schouten[(s, u)]`` those of the bracket of the s-th
-    and u-th basis 2-forms."""
+    """d_L and the Schouten bracket on constant forms over L*, as sparse
+    matrices on the lexicographic basis slots, ``slots[p]`` those of degree p:
+    ``d[p][s]`` lists the nonzero ((p+1)-slot, value) of d_L of the s-th basis
+    p-form (``ce_rows``), and ``schouten[(s, u)]`` those of the bracket of the
+    s-th and u-th basis 2-forms."""
 
-    slots2: tuple[tuple[int, ...], ...]
-    slots3: tuple[tuple[int, ...], ...]
-    d1: Matrix
-    d2: list[list[tuple[int, GaussianRational]]]
-    schouten: dict[tuple[int, int], list[tuple[int, GaussianRational]]]
+    slots: tuple[tuple[tuple[int, ...], ...], ...]
+    d: dict[int, list[SparseRow]]
+    schouten: dict[tuple[int, int], SparseRow]
 
     @cached_property
     def gauge(self) -> Matrix:
-        """Echelon basis of the image of ``d1``: the nonzero rows of its rref."""
-        rows, pivots = mat_rref(self.d1)
-        return rows[: len(pivots)]
+        """Echelon basis of the image of ``d[1]``: the nonzero rows of its rref."""
+        return _rref(self.d[1], len(self.slots[2]))[0]
 
 
 @dataclass(frozen=True)
@@ -331,7 +330,7 @@ class IsotropicSubbundle:
             self.frame, self.lform_names, self.names, split.duals, split.conj_vectors, split.vectors
         )
 
-    def schouten_table(self) -> dict[tuple[int, int], list[tuple[int, GaussianRational]]]:
+    def schouten_table(self) -> dict[tuple[int, int], SparseRow]:
         """A copy of L*'s skew structure table, the generator-level Schouten bracket."""
         return {key: list(entry) for key, entry in self.dual_algebroid.brackets.items()}
 
@@ -364,16 +363,10 @@ class IsotropicSubbundle:
 
     @cached_property
     def cochains(self) -> CochainComplex:
-        """d_L on degrees 1 and 2 and the Schouten bracket of 2-forms as constant
-        matrices, summed into slot positions straight from the algebroid's
-        structure constants (``ce_terms``) and the Schouten table."""
-        slots = [list(itertools.combinations(range(self.rank), p)) for p in range(4)]
-        at2, at3 = ({idx: r for r, idx in enumerate(slots[p])} for p in (2, 3))
-        d1 = [[GR_ZERO] * len(at2) for _ in slots[1]]
-        for row, idx in zip(d1, slots[1]):
-            for r, v in _collect(self.algebroid.ce_terms(idx), at2):
-                row[r] = v
-        d2 = [_collect(self.algebroid.ce_terms(idx), at3) for idx in slots[2]]
+        """d_L in the degrees the pipeline reads, 1 and 2, by ``ce_rows``, the
+        Schouten bracket of 2-forms from the Schouten table, slots up to 3."""
+        slots = tuple(tuple(itertools.combinations(range(self.rank), p)) for p in range(4))
+        at3 = {idx: r for r, idx in enumerate(slots[3])}
         schouten = {}
         if self.dual_algebroid.table:  # empty on an abelian algebra: no pair is read
             for (s, a), (u, b) in itertools.combinations_with_replacement(enumerate(slots[2]), 2):
@@ -381,10 +374,19 @@ class IsotropicSubbundle:
                 if entry:
                     # 2-forms bracket symmetrically, for the transported table is skew
                     schouten[(s, u)] = schouten[(u, s)] = entry
-        return CochainComplex(tuple(slots[2]), tuple(slots[3]), d1, d2, schouten)
+        return CochainComplex(slots, {p: ce_rows(self.algebroid, p) for p in (1, 2)}, schouten)
 
 
-def _collect(terms, at: dict[tuple[int, ...], int]) -> list[tuple[int, GaussianRational]]:
+def ce_rows(algebra: FrameAlgebra, p: int) -> list[SparseRow]:
+    """The Chevalley-Eilenberg differential of ``algebra`` on constant p-forms
+    as sparse rows on the lexicographic slots: row s lists the nonzero
+    ((p+1)-slot, value) of d of the s-th basis p-form, from ``ce_terms``."""
+    n = algebra.dim
+    at = {idx: r for r, idx in enumerate(itertools.combinations(range(n), p + 1))}
+    return [_collect(algebra.ce_terms(idx), at) for idx in itertools.combinations(range(n), p)]
+
+
+def _collect(terms, at: dict[tuple[int, ...], int]) -> SparseRow:
     """The nonzero (position, value) of a sum of (unsorted index, value) terms,
     each index sorted with the sign of ``_sort_index`` and placed by ``at``;
     an index that repeats a slot is zero."""

@@ -4,11 +4,12 @@ A deformation map is its entries; its transported 2-form (A t, A constant, on
 the pencil that pairing compatibility carves out of a fresh parameter matrix),
 the form's constant columns, the deformed generators and their tangent rows
 are views built on first read.  On the subbundle's constant complex, the
-Maurer-Cartan system is D2 A t + 1/2 sum t_p t_q S(A_p, A_q) (d_L matrix D2,
-Schouten tensor S), and the gauge directions, the rref of the degree-1 d_L
-matrix, are quotiented out by coordinate dropping.  At ground parameter
-values, the deformed pairing in closed form and the tangent rows classify a
-deformed structure by exact ranks; its generators are built on read.
+Maurer-Cartan system is d[2] A t + 1/2 sum t_p t_q S(A_p, A_q) (S the
+Schouten tensor, d[p] the sparse d_L matrix on p-forms), and the gauge
+directions, the rref of d[1], are quotiented out by coordinate dropping.
+At ground parameter values, the deformed pairing in closed form and the
+tangent rows classify a deformed structure by exact ranks; its generators
+are built on read.
 """
 
 from __future__ import annotations
@@ -122,10 +123,10 @@ class DeformationMap:
     @cached_property
     def columns(self) -> dict[Monomial, dict[int, GaussianRational]]:
         """The form as sum_m m F_m over the monomials m of its coefficients, each
-        F_m a constant vector {position in ``sub.cochains.slots2``: nonzero
+        F_m a constant vector {position in ``sub.cochains.slots[2]``: nonzero
         value}; on a pencil, the F_t are the columns of A."""
         columns: dict[Monomial, dict[int, GaussianRational]] = {}
-        for s, (j, k) in enumerate(self.sub.cochains.slots2):
+        for s, (j, k) in enumerate(self.sub.cochains.slots[2]):
             for m, v in _pairing(self.sub, self.entries, j, k).items():
                 if v:
                     columns.setdefault(m, {})[s] = v
@@ -247,29 +248,29 @@ def mc_residual(e: DeformationMap) -> MCSystem:
     """d_L(eps~) + [eps~, eps~]/2 on the degree-3 slots, read off the constant
     complex: with the form as sum_m m F_m (``e.columns``; on a pencil, F_m are
     the columns of A), the constraint on slot r is
-    sum_m m (D2 F_m)_r + 1/2 sum_{m, m'} m m' S(F_m, F_m')_r."""
+    sum_m m (d[2] F_m)_r + 1/2 sum_{m, m'} m m' S(F_m, F_m')_r."""
     if any(c.has_functions() for row in e.entries for c in row):
         raise DeformationError("the Maurer-Cartan system needs parameter-only coefficients")
     cx = e.sub.cochains
     columns = [(m, list(col.items())) for m, col in e.columns.items()]
-    terms = [(m, r, v * w) for m, col in columns for s, v in col for r, w in cx.d2[s]]
+    terms = [(m, r, v * w) for m, col in columns for s, v in col for r, w in cx.d[2][s]]
     for (m1, col1), (m2, col2) in itertools.product(columns, repeat=2):
         halves = [(r, GR_HALF * v1 * v2 * w) for s1, v1 in col1 for s2, v2 in col2
                   for r, w in cx.schouten.get((s1, s2), ())]
         if halves:
             m = m1 * m2
             terms += [(m, r, v) for r, v in halves]
-    acc: list[dict[Monomial, GaussianRational]] = [{} for _ in cx.slots3]
+    acc: list[dict[Monomial, GaussianRational]] = [{} for _ in cx.slots[3]]
     for m, r, v in terms:
         acc[r][m] = acc[r].get(m, GR_ZERO) + v
-    return MCSystem(e, [(idx, PolyScalar.from_dict(a)) for idx, a in zip(cx.slots3, acc)])
+    return MCSystem(e, [(idx, PolyScalar.from_dict(a)) for idx, a in zip(cx.slots[3], acc)])
 
 
 def gauge_image(sub: IsotropicSubbundle) -> list[ExteriorForm]:
     """Echelon basis of the image of d_L from degree 1 to degree 2: the rows
-    of the rref of the degree-1 matrix, kept on the subbundle's complex."""
+    of the rref of ``d[1]``, kept on the subbundle's complex."""
     cx = sub.cochains
-    return [ExteriorForm.build(sub.lform_names, dict(zip(cx.slots2, row))) for row in cx.gauge]
+    return [ExteriorForm.build(sub.lform_names, dict(zip(cx.slots[2], row))) for row in cx.gauge]
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +281,7 @@ def gauge_image(sub: IsotropicSubbundle) -> list[ExteriorForm]:
 @dataclass
 class DeformationFamily:
     """Solved Maurer-Cartan family after gauge reduction.  ``directions`` holds
-    the constant vector of each free parameter on ``sub.cochains.slots2``;
+    the constant vector of each free parameter on ``sub.cochains.slots[2]``;
     ``reduced_basis``, the same directions as 2-forms, is built on first read."""
 
     solved: dict[Symbol, PolyScalar]
@@ -292,7 +293,7 @@ class DeformationFamily:
     @cached_property
     def reduced_basis(self) -> list[ExteriorForm]:
         sub = self.reduced_map.sub
-        return [ExteriorForm.build(sub.lform_names, dict(zip(sub.cochains.slots2, d)))
+        return [ExteriorForm.build(sub.lform_names, dict(zip(sub.cochains.slots[2], d)))
                 for d in self.directions]
 
 
@@ -348,11 +349,9 @@ def reduce_family(mc: MCSystem) -> DeformationFamily:
 
     solved_map = e.substitute(solved)
     # the direction of each parameter is its constant column of the solved form
-    slots = sub.cochains.slots2
-    directions = {}
-    for p in free_syms:
-        column = solved_map.columns.get(Monomial.of(p), {})
-        directions[p] = [column.get(s, GR_ZERO) for s in range(len(slots))]
+    width = len(sub.cochains.slots[2])
+    columns = {p: solved_map.columns.get(Monomial.of(p), {}) for p in free_syms}
+    directions = {p: [col.get(s, GR_ZERO) for s in range(width)] for p, col in columns.items()}
     gauge_vecs = sub.cochains.gauge
 
     # Steinitz exchange: each gauge element replaces a kept direction of
@@ -374,7 +373,7 @@ def reduce_family(mc: MCSystem) -> DeformationFamily:
         dropped.append(hit[0])
 
     # ordered by the first slot of each direction
-    first_slot = lambda p: next((s for s, x in enumerate(directions[p]) if x), len(slots))
+    first_slot = lambda p: next((s for s, x in enumerate(directions[p]) if x), width)
     free = sorted((p for p in free_syms if p not in dropped), key=first_slot)
     reduced_map = solved_map.substitute({p: PolyScalar.zero() for p in dropped})
     reduced = [directions[p] for p in free]

@@ -836,18 +836,22 @@ def _over(a: int, b: int, dr: int, di: int) -> GaussianRational:
     return _reduced(a * dr + b * di, b * dr - a * di, dr * dr + di * di) if a or b else GR_ZERO
 
 
-def mat_rref(matrix: Sequence[Sequence[GaussianRational]]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices).
-
-    One ``_eliminate`` with ``jordan``, each pivot row divided by its pivot
-    once; the zero rows follow the pivot rows.
-    """
-    ncols = len(matrix[0]) if matrix else 0
-    pivots, _ = _eliminate(map(enumerate, matrix), ncols, jordan=True)
+def _rref(rows: Iterable, width: int) -> tuple[Matrix, list[int]]:
+    """The nonzero rows of the reduced row echelon form of sparse rows
+    [(column, value)] on ``width`` columns, and their pivot columns: one
+    ``_eliminate`` with ``jordan``, each pivot row divided by its pivot once."""
+    pivots, _ = _eliminate(rows, width, jordan=True)
     columns = sorted(pivots)
-    out = [[_over(*pivots[c].get(j, (0, 0)), *pivots[c][c]) for j in range(ncols)] for c in columns]
-    out.extend([GR_ZERO] * ncols for _ in range(len(matrix) - len(pivots)))
+    out = [[_over(*pivots[c].get(j, (0, 0)), *pivots[c][c]) for j in range(width)] for c in columns]
     return out, columns
+
+
+def mat_rref(matrix: Sequence[Sequence[GaussianRational]]) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form; returns (rows, pivot column indices): the
+    rows of ``_rref``, then the zero rows."""
+    ncols = len(matrix[0]) if matrix else 0
+    out, columns = _rref(map(enumerate, matrix), ncols)
+    return out + [[GR_ZERO] * ncols for _ in range(len(matrix) - len(columns))], columns
 
 
 def mat_rank(matrix: Sequence[Sequence[GaussianRational]]) -> int:
@@ -858,11 +862,8 @@ def mat_rank(matrix: Sequence[Sequence[GaussianRational]]) -> int:
 
 def mat_inverse(matrix: Sequence[Sequence[GaussianRational]]) -> Matrix:
     n = len(matrix)
-    aug = [
-        list(row) + [GR_ONE if i == j else GR_ZERO for j in range(n)]
-        for i, row in enumerate(matrix)
-    ]
-    rows, pivots = mat_rref(aug)
+    aug = ([*enumerate(row), (n + i, GR_ONE)] for i, row in enumerate(matrix))
+    rows, pivots = _rref(aug, 2 * n)
     if pivots[:n] != list(range(n)):
         raise SingularMatrixError("matrix is singular")
     return [row[n:] for row in rows[:n]]
@@ -895,11 +896,8 @@ def mat_left_inverse(matrix: Sequence[Sequence[GaussianRational]]) -> Matrix:
     n = len(matrix[0]) if m else 0
     if n == 0:
         return []
-    aug = [
-        [matrix[i][j] for i in range(m)] + [GR_ONE if k == j else GR_ZERO for k in range(n)]
-        for j in range(n)
-    ]
-    rows, pivots = mat_rref(aug)
+    aug = ([(i, row[j]) for i, row in enumerate(matrix)] + [(m + j, GR_ONE)] for j in range(n))
+    rows, pivots = _rref(aug, m + n)
     if pivots[-1] >= m:
         raise SingularMatrixError("matrix has no left inverse")
     left = [[GR_ZERO] * m for _ in range(n)]

@@ -531,26 +531,40 @@ def form_vector(form: ExteriorForm, slots) -> list[GaussianRational]:
     return [terms[idx].constant_value() if idx in terms else GR_ZERO for idx in slots]
 
 
+def sparse(vector) -> list[tuple[int, GaussianRational]]:
+    """The nonzero (position, value) of a dense vector."""
+    return [(r, v) for r, v in enumerate(vector) if v]
+
+
+def dense(rows, width: int) -> list[list[GaussianRational]]:
+    """Sparse rows [(position, value)] as dense rows of ``width`` entries."""
+    out = [[GR_ZERO] * width for _ in rows]
+    for row, entries in zip(out, rows):
+        for r, v in entries:
+            row[r] = v
+    return out
+
+
 # The engine's constant complex before it summed the structure constants into
 # slot positions: one exterior form per basis form and per pair of them.
 def reference_cochains(sub) -> CochainComplex:
     """d_L of each basis 1- and 2-form through ``d_L_invariant``, read on the
-    basis slots, and the Schouten tensor from one ``ExteriorForm`` per pair of
-    basis 2-forms; ``d2`` is dense here, one list per row."""
+    basis slots as its nonzero (slot, value), and the Schouten tensor from one
+    ``ExteriorForm`` per pair of basis 2-forms."""
     names = sub.lform_names
-    slots = [list(itertools.combinations(range(sub.rank), p)) for p in range(4)]
-    d1, d2 = (
-        [form_vector(sub.d_L_invariant(ExteriorForm.basis(names, i)), slots[p + 1]) for i in slots[p]]
+    slots = tuple(tuple(itertools.combinations(range(sub.rank), p)) for p in range(4))
+    d = {
+        p: [sparse(form_vector(sub.d_L_invariant(ExteriorForm.basis(names, i)), slots[p + 1]))
+            for i in slots[p]]
         for p in (1, 2)
-    )
+    }
     schouten = {}
     for (s, a), (u, b) in itertools.combinations_with_replacement(enumerate(slots[2]), 2):
         # the terms of one pair of basis forms have distinct raw indices
         bracket = ExteriorForm.build(names, dict(sub._schouten_terms(a, b)))
         if bracket.terms:
-            entry = [(r, v) for r, v in enumerate(form_vector(bracket, slots[3])) if v]
-            schouten[(s, u)] = schouten[(u, s)] = entry
-    return CochainComplex(tuple(slots[2]), tuple(slots[3]), d1, d2, schouten)
+            schouten[(s, u)] = schouten[(u, s)] = sparse(form_vector(bracket, slots[3]))
+    return CochainComplex(slots, d, schouten)
 
 
 # The engine's linear algebra of a subbundle before the pairing with the

@@ -714,13 +714,16 @@ def test_report_runs_each_stage_once(monkeypatch, capsys):
 
     monkeypatch.setattr(cochains, "func", _counted(counts, "cochains", kept))
 
-    def rref(matrix):
-        if any(matrix is cx.d1 for cx in complexes):
-            counts["mat_rref(d1)"] += 1
-        return scalar.mat_rref(matrix)
+    core = scalar._rref
 
-    for module in (algebroid, deformation):
-        monkeypatch.setattr(module, "mat_rref", rref)
+    def rref(rows, width):
+        if any(rows is cx.d[1] for cx in complexes):
+            counts["rref(d[1])"] += 1
+        return core(rows, width)
+
+    # the sparse core behind mat_rref too, so every route to an rref is seen
+    for module in (scalar, algebroid):
+        monkeypatch.setattr(module, "_rref", rref)
     bracket = IsotropicSubbundle.schouten_bracket
     monkeypatch.setattr(
         IsotropicSubbundle, "schouten_bracket", _counted(counts, "schouten_bracket", bracket)
@@ -742,7 +745,7 @@ def test_report_runs_each_stage_once(monkeypatch, capsys):
     # one pencil, one reduction, one set of theta-inverse vectors (the duals
     # of the splitting), one L* algebra (the Schouten table) and one constant
     # cochain complex; the gauge section builds the gauge image once, the reduction exchanges
-    # on the echelon rows behind it, and the rref of the degree-1 d_L matrix
+    # on the echelon rows behind it, and the rref of the sparse degree-1 d_L matrix d[1]
     # runs once, kept on the complex; mc_residual runs for the pencil and for the reduced-family
     # certificate, both read off the complex; schouten_bracket and
     # from_entries, absent here, are called 0 times: no Schouten bracket of
@@ -752,7 +755,7 @@ def test_report_runs_each_stage_once(monkeypatch, capsys):
         "mc_residual": 2,
         "reduce_family": 1,
         "gauge_image": 1,
-        "mat_rref(d1)": 1,
+        "rref(d[1])": 1,
         "duals": 1,
         "dual_algebroid": 1,
         "cochains": 1,
@@ -776,7 +779,7 @@ def test_report_runs_each_stage_once(monkeypatch, capsys):
         "schouten_bracket": 1,
         "from_entries": 1,
         "cochains": 1,
-        "mat_rref(d1)": 1,
+        "rref(d[1])": 1,
     }
 
 

@@ -1,13 +1,15 @@
 """The linear stage on constant matrices against the assembly it replaced.
 
-Each subbundle keeps one ``CochainComplex``: the d_L matrices of degrees 1
-and 2 and the Schouten tensor on pairs of 2-form slots, summed into slot
-positions from the structure constants.  They are compared with
+Each subbundle keeps one ``CochainComplex``: the sparse d_L matrices of
+degrees 1 and 2 and the Schouten tensor on pairs of 2-form slots, summed into
+slot positions from the structure constants.  They are compared with
 ``reference_cochains``, which builds them through exterior forms, and the
 d_L rows also with ``reference_ce_differential``, which wedges basis forms
 around each d(e*_k) and so shares no code with the engine's rows, and each
 tensor entry, in both orders, with ``schouten_bracket`` on two basis forms;
-Kodaira x Kodaira adds a rank-8 complex with a nonzero tensor.  ``mc_residual``
+Kodaira x Kodaira adds a rank-8 complex with a nonzero tensor.  ``ce_rows``,
+the one routine behind every degree, is also run on all degrees 0..n, where
+the cohomology dimensions it gives are pinned.  ``mc_residual``
 reads the Maurer-Cartan constraints off them, and is compared here with
 ``reference_mc_constraints``, which applies d_L and the Schouten bracket to
 the form itself.  ``DeformationMap.substitute`` substitutes into the entries
@@ -26,6 +28,7 @@ from pathlib import Path
 import pytest
 
 from cli_sweep import WORKSPACES as SWEEP
+from gcdeform.algebroid import ce_rows
 from gcdeform.cli import KODAIRA_WORKSPACE, build_workspace, parse_workspace
 from gcdeform.deformation import DeformationError, DeformationMap, _compatibility, mc_residual
 from gcdeform.frame import ExteriorForm
@@ -35,11 +38,13 @@ from gcdeform.scalar import (
     PolyScalar,
     function,
     mat_mul,
+    mat_rank,
     mat_rref,
     parameter,
     solve_linear,
 )
 from oracles import (
+    dense,
     form_vector,
     random_gaussian,
     random_poly,
@@ -48,6 +53,7 @@ from oracles import (
     reference_mc_constraints,
     reference_rref,
     reference_solve_linear,
+    sparse,
 )
 
 CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
@@ -90,7 +96,8 @@ S, U = parameter("s"), parameter("u")
 
 @pytest.fixture(scope="module")
 def workspaces():
-    texts = {**WORKSPACES, **DENSE_SYMPLECTIC, "iwasawa": IWASAWA, "kodaira_x_kodaira": KODAIRA_X_KODAIRA}
+    texts = {**WORKSPACES, **DENSE_SYMPLECTIC, "iwasawa": IWASAWA, "kodaira_x_kodaira": KODAIRA_X_KODAIRA,
+             "r2": SWEEP["r2.ws"]}
     return {name: build_workspace(parse_workspace(text)) for name, text in texts.items()}
 
 
@@ -165,35 +172,88 @@ def test_mc_residual_refuses_function_coefficients(workspaces):
         mc_residual(DeformationMap.from_form(sub, form))
 
 
+def _composes_to_zero(d, slots, p) -> bool:
+    """Whether the sparse rows d[p + 1] after d[p] give the zero matrix."""
+    first, second = (dense(d[q], len(slots[q + 1])) for q in (p, p + 1))
+    return all(x == GR_ZERO for row in mat_mul(first, second) for x in row)
+
+
+def _basis_rows(algebra, slots, p):
+    """d of each basis p-form by ``reference_ce_differential``, as sparse rows."""
+    basis = (ExteriorForm.basis(algebra.dual_names, idx) for idx in slots[p])
+    return [sparse(form_vector(reference_ce_differential(algebra, f), slots[p + 1])) for f in basis]
+
+
 @pytest.mark.parametrize("name", NAMES + ["iwasawa", "kodaira_x_kodaira"])
 def test_cochain_matrices(workspaces, name):
     sub = workspaces[name].sub
     cx = sub.cochains
-    assert cx.slots2 == tuple(itertools.combinations(range(sub.rank), 2))
-    assert cx.slots3 == tuple(itertools.combinations(range(sub.rank), 3))
-    # the assembly through exterior forms, with d2 dense
+    assert cx.slots == tuple(tuple(itertools.combinations(range(sub.rank), p)) for p in range(4))
+    # the pipeline builds the degrees it reads, and no other
+    assert sorted(cx.d) == [1, 2]
+    # the assembly through exterior forms
     ref = reference_cochains(sub)
-    assert cx.d1 == ref.d1
-    assert cx.d2 == [[(r, v) for r, v in enumerate(row) if v] for row in ref.d2]
+    assert cx.d == ref.d
     assert cx.schouten == ref.schouten
     # the tensor is empty exactly when the transported table is
     assert bool(cx.schouten) == bool(sub.schouten_table())
     # d_L squares to zero
-    assert all(x == GR_ZERO for row in mat_mul(cx.d1, ref.d2) for x in row)
+    assert _composes_to_zero(cx.d, cx.slots, 1)
     # each row is d_L of a basis form, by wedging basis forms around each
     # d(e*_k): a route that shares no code with the structure-constant rows
-    degree1 = [(a,) for a in range(sub.rank)]
-    for sources, targets, matrix in ((degree1, cx.slots2, cx.d1), (cx.slots2, cx.slots3, ref.d2)):
-        assert len(matrix) == len(sources)
-        for idx, row in zip(sources, matrix):
-            image = reference_ce_differential(sub.algebroid, ExteriorForm.basis(sub.lform_names, idx))
-            assert row == form_vector(image, targets)
+    for p in (1, 2):
+        assert cx.d[p] == _basis_rows(sub.algebroid, cx.slots, p)
+    # the gauge rows are the nonzero rows of the rref of d[1], made dense
+    rows, pivots = reference_rref(dense(cx.d[1], len(cx.slots[2])))
+    assert cx.gauge == rows[: len(pivots)]
     # each tensor entry, in both orders, is the bracket of two basis 2-forms
     # summed through exterior forms by ``schouten_bracket``
-    for (s, a), (u, b) in itertools.product(enumerate(cx.slots2), repeat=2):
+    for (s, a), (u, b) in itertools.product(enumerate(cx.slots[2]), repeat=2):
         bracket = sub.schouten_bracket(*(ExteriorForm.basis(sub.lform_names, idx) for idx in (a, b)))
-        expected = [(r, c) for r, c in enumerate(form_vector(bracket, cx.slots3)) if c]
-        assert cx.schouten.get((s, u), []) == expected
+        assert cx.schouten.get((s, u), []) == sparse(form_vector(bracket, cx.slots[3]))
+
+
+# dim H^k(L) = dim C^k - rank d_k - rank d_(k-1), k = 0..rank
+BETTI = {
+    "kodaira": [1, 3, 4, 3, 1],
+    "kodaira_symplectic": [1, 3, 4, 3, 1],
+    "kodaira_symplectic_generators": [1, 3, 4, 3, 1],
+    "abelian4_complex": [1, 4, 6, 4, 1],
+    "abelian4_symplectic": [1, 4, 6, 4, 1],
+    "abelian6_complex": [1, 6, 15, 20, 15, 6, 1],
+    "abelian6_symplectic": [1, 6, 15, 20, 15, 6, 1],
+    "r2": [1, 1, 0],
+    "iwasawa": [1, 5, 11, 14, 11, 5, 1],
+    "kodaira_x_kodaira": [1, 6, 17, 30, 36, 30, 17, 6, 1],
+}
+# the workspaces of type 0, where the anchor identifies L with T (x) C
+SYMPLECTIC = {"kodaira_symplectic", "kodaira_symplectic_generators", "abelian4_symplectic",
+              "abelian6_symplectic", "r2"}
+
+
+def _betti(d, slots) -> list[int]:
+    """dim C^k - rank d_k - rank d_(k-1) for k = 0..n, from the sparse rows of d_0..d_n."""
+    ranks = [mat_rank(dense(rows, len(slots[p + 1]))) for p, rows in enumerate(d)]
+    return [len(slots[k]) - ranks[k] - (ranks[k - 1] if k else 0) for k in range(len(d))]
+
+
+@pytest.mark.parametrize("name", sorted(BETTI))
+def test_ce_rows_give_cohomology_in_every_degree(workspaces, name):
+    """``ce_rows`` on every degree 0..n of L: each row against the wedge route,
+    d_(p+1) d_p = 0, and the cohomology dimensions; on the symplectic
+    workspaces, also the Chevalley-Eilenberg cohomology of the base algebra."""
+    ws = workspaces[name]
+    sub, n = ws.sub, ws.sub.rank
+    slots = [tuple(itertools.combinations(range(n), p)) for p in range(n + 2)]
+    d = [ce_rows(sub.algebroid, p) for p in range(n + 1)]
+    for p in range(n + 1):
+        assert d[p] == _basis_rows(sub.algebroid, slots, p)
+    for p in range(n):
+        assert _composes_to_zero(d, slots, p)
+    assert _betti(d, slots) == BETTI[name]
+    assert (sub.type_index() == 0) == (name in SYMPLECTIC)
+    if name in SYMPLECTIC:
+        assert _betti([_basis_rows(ws.algebra, slots, p) for p in range(n + 1)], slots) == BETTI[name]
 
 
 @pytest.mark.parametrize(

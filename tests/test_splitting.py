@@ -300,7 +300,7 @@ def test_map_views_match_their_builders(workspaces, name):
             where = (family, label)
             form = reference_transported_form(emap.sub, emap.entries)
             assert emap.form == form, where
-            assert emap.columns == reference_columns(form, emap.sub.cochains.slots2), where
+            assert emap.columns == reference_columns(form, emap.sub.cochains.slots[2]), where
             assert emap.projection == reference_projection_matrix(emap), where
             assert [v[:d] for v in emap.vectors] == emap.projection, where
             for point in _points(emap.parameters, rng, 8):
