@@ -12,7 +12,6 @@ bracket as a biderivation; on constant forms both are sparse matrices of a
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
@@ -52,8 +51,9 @@ class Splitting:
     """Constant vectors g_j and their conjugates, read through the pairing.
 
     ``pairing`` is P[j][k] = 2<g_j, conj(g_k)>, given or taken by one
-    ``pairings`` product, and ``inverse`` is P^-1, or None when P is singular;
-    only P is computed eagerly.  Isotropic, independent sections span a
+    ``pairings`` product, ``pairing_rows`` its rows as sparse rows, and
+    ``inverse`` is P^-1, or None when P is singular; only P is computed
+    eagerly.  Isotropic, independent sections span a
     maximal isotropic L, and L = L^perp: v lies in L exactly when
     2<g_c, v> = 0 for every c, L meets its conjugate only in zero exactly when
     P has full rank (``separated``), and v in L has coordinates
@@ -70,6 +70,11 @@ class Splitting:
     @cached_property
     def conj_vectors(self) -> list:
         return [conjugate_vector(self.frame, v) for v in self.vectors]
+
+    @cached_property
+    def pairing_rows(self) -> list[SparseRow]:
+        """Each row j of P as its nonzero (k, P[j][k])."""
+        return [[(k, p) for k, p in enumerate(row) if p] for row in self.pairing]
 
     @cached_property
     def inverse(self) -> Optional[Matrix]:
@@ -141,7 +146,6 @@ def closed_algebra(frame, names, dual_names, sections, members, coordinates) -> 
     return FrameAlgebra(tuple(names), table, tuple(dual_names))
 
 
-@dataclass(frozen=True)
 class CochainComplex:
     """d_L and the Schouten bracket on constant forms over L*, as sparse
     matrices on the lexicographic basis slots, ``slots[p]`` those of degree p:
@@ -149,9 +153,20 @@ class CochainComplex:
     p-form (``ce_rows``), and ``schouten[(s, u)]`` those of the bracket of the
     s-th and u-th basis 2-forms."""
 
-    slots: tuple[tuple[tuple[int, ...], ...], ...]
-    d: dict[int, list[SparseRow]]
-    schouten: dict[tuple[int, int], SparseRow]
+    def __init__(
+        self,
+        slots: tuple[tuple[tuple[int, ...], ...], ...],
+        d: dict[int, list[SparseRow]],
+        schouten: dict[tuple[int, int], SparseRow],
+    ) -> None:
+        self.slots = slots
+        self.d = d
+        self.schouten = schouten
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not CochainComplex:
+            return NotImplemented
+        return (self.slots, self.d, self.schouten) == (other.slots, other.d, other.schouten)
 
     @cached_property
     def gauge(self) -> Matrix:
@@ -159,7 +174,6 @@ class CochainComplex:
         return _rref(self.d[1], len(self.slots[2]))[0]
 
 
-@dataclass(frozen=True)
 class IsotropicSubbundle:
     """Maximal isotropic, Courant-involutive subbundle with algebroid data.
 
@@ -170,15 +184,34 @@ class IsotropicSubbundle:
     ``splitting`` is the pair (L, L-bar) read through the pairing, built once
     by ``build``; its ``duals`` (theta-inverse of the dual basis), L* as
     ``dual_algebroid`` and the constant ``cochains`` are computed on first
-    use and kept.
+    use and kept.  Equality and hashing read every field but ``splitting``,
+    which the others determine.
     """
 
-    frame: ComplexFrame
-    names: tuple[str, ...]
-    generators: tuple[GenSection, ...]
-    algebroid: FrameAlgebra
-    splitting: Splitting = field(compare=False, repr=False)
-    split: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
+    def __init__(
+        self,
+        frame: ComplexFrame,
+        names: tuple[str, ...],
+        generators: tuple[GenSection, ...],
+        algebroid: FrameAlgebra,
+        splitting: Splitting,
+        split: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None,
+    ) -> None:
+        self.frame = frame
+        self.names = names
+        self.generators = generators
+        self.algebroid = algebroid
+        self.splitting = splitting
+        self.split = split
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not IsotropicSubbundle:
+            return NotImplemented
+        return (self.frame, self.names, self.generators, self.algebroid, self.split) == (
+            other.frame, other.names, other.generators, other.algebroid, other.split)
+
+    def __hash__(self) -> int:
+        return hash((self.frame, self.names, self.generators, self.algebroid, self.split))
 
     # -- construction ---------------------------------------------------------
 

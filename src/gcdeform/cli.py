@@ -29,8 +29,7 @@ import itertools
 import json
 import re
 import sys
-from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional, Sequence
 
 from .algebroid import (
@@ -100,17 +99,36 @@ names params t
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class WorkspaceSpec:
-    basis: tuple[str, ...]
-    brackets: dict[tuple[str, str], dict[str, GaussianRational]]
-    structure: str
-    jmap: dict[str, dict[str, GaussianRational]] = field(default_factory=dict)
-    symplectic: dict[tuple[str, str], GaussianRational] = field(default_factory=dict)
-    generators: tuple[dict[str, GaussianRational], ...] = ()
-    names_eigen: Optional[tuple[str, ...]] = None
-    names_duals: Optional[tuple[str, ...]] = None
-    param_prefix: str = "t"
+    """The data of a workspace text, nothing built yet; specs with equal
+    fields are equal, so a text and its rendering can be compared."""
+
+    def __init__(
+        self,
+        basis: tuple[str, ...],
+        brackets: dict[tuple[str, str], dict[str, GaussianRational]],
+        structure: str,
+        jmap: Optional[dict[str, dict[str, GaussianRational]]] = None,
+        symplectic: Optional[dict[tuple[str, str], GaussianRational]] = None,
+        generators: tuple[dict[str, GaussianRational], ...] = (),
+        names_eigen: Optional[tuple[str, ...]] = None,
+        names_duals: Optional[tuple[str, ...]] = None,
+        param_prefix: str = "t",
+    ) -> None:
+        self.basis = basis
+        self.brackets = brackets
+        self.structure = structure
+        self.jmap = {} if jmap is None else jmap
+        self.symplectic = {} if symplectic is None else symplectic
+        self.generators = generators
+        self.names_eigen = names_eigen
+        self.names_duals = names_duals
+        self.param_prefix = param_prefix
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not WorkspaceSpec:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
 
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -363,7 +381,6 @@ def _render_combo(combo: dict[str, GaussianRational], order: Sequence[str]) -> s
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class Workspace:
     """A built workspace and its analysis stages.
 
@@ -374,11 +391,19 @@ class Workspace:
     family is blocked.
     """
 
-    spec: WorkspaceSpec
-    algebra: FrameAlgebra
-    frame: ComplexFrame
-    sub: IsotropicSubbundle
-    jop: Optional[ComplexOp] = None
+    def __init__(
+        self,
+        spec: WorkspaceSpec,
+        algebra: FrameAlgebra,
+        frame: ComplexFrame,
+        sub: IsotropicSubbundle,
+        jop: Optional[ComplexOp] = None,
+    ) -> None:
+        self.spec = spec
+        self.algebra = algebra
+        self.frame = frame
+        self.sub = sub
+        self.jop = jop
 
     @cached_property
     def pencil(self) -> tuple[DeformationMap, ConstraintReport]:
@@ -717,7 +742,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+@cache
+def _parser() -> _Parser:
+    """The command-line parser, built on the first call of a process, not
+    at import, and reused by every later ``main``."""
     parser = _Parser(
         prog="gcdeform",
         description="Exact deformations of invariant generalized complex structures.",
@@ -728,6 +756,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     source.add_argument("--input", help="workspace description file")
     parser.add_argument("--format", choices=["text", "machine"], default="text")
     parser.add_argument("--at", help="parameter bindings for the type command")
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.at is not None and args.command != "type":
         parser.error("argument --at: only the type command takes bindings")

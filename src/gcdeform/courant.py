@@ -12,7 +12,6 @@ plus the Leibniz terms that differentiate coefficient functions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .frame import ComplexFrame, bracket_vectors
@@ -23,16 +22,22 @@ class CourantError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class GenSection:
     """Element of (T + T*) x C in a fixed complexified frame."""
 
-    frame: ComplexFrame
-    coeffs: tuple[PolyScalar, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != 2 * self.frame.dim:
+    def __init__(self, frame: ComplexFrame, coeffs: tuple[PolyScalar, ...]) -> None:
+        if len(coeffs) != 2 * frame.dim:
             raise CourantError("coefficient vector has wrong length")
+        self.frame = frame
+        self.coeffs = coeffs
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not GenSection:
+            return NotImplemented
+        return (self.frame, self.coeffs) == (other.frame, other.coeffs)
+
+    def __hash__(self) -> int:
+        return hash((self.frame, self.coeffs))
 
     @staticmethod
     def zero(frame: ComplexFrame) -> "GenSection":

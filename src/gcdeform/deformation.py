@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from typing import Mapping, Optional, Sequence
@@ -52,7 +51,6 @@ class DeformationError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class DeformationMap:
     """Map eps: L -> L-bar, stored as its entries.
 
@@ -65,9 +63,23 @@ class DeformationMap:
     of the second, eps~(x, y) = 2<x, eps(y)>.
     """
 
-    sub: IsotropicSubbundle
-    entries: tuple[tuple[PolyScalar, ...], ...]
-    parameters: tuple[Symbol, ...]
+    def __init__(
+        self,
+        sub: IsotropicSubbundle,
+        entries: tuple[tuple[PolyScalar, ...], ...],
+        parameters: tuple[Symbol, ...],
+    ) -> None:
+        self.sub = sub
+        self.entries = entries
+        self.parameters = parameters
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not DeformationMap:
+            return NotImplemented
+        return (self.sub, self.entries, self.parameters) == (other.sub, other.entries, other.parameters)
+
+    def __hash__(self) -> int:
+        return hash((self.sub, self.entries, self.parameters))
 
     @staticmethod
     def from_entries(
@@ -172,19 +184,18 @@ def _mixed_block(sub: IsotropicSubbundle) -> list[tuple[int, int]]:
 
 def _pairing(sub: IsotropicSubbundle, entries, j: int, k: int, acc=None) -> dict:
     """The terms of 2<g_j, eps(g_k)> = sum_i P[j][i] entries[i][k] by monomial,
-    added to ``acc`` when given."""
+    over the nonzero P[j][i] only, added to ``acc`` when given."""
     acc = {} if acc is None else acc
-    for p, row in zip(sub.splitting.pairing[j], entries):
-        if p:
-            for m, c in row[k].terms:
-                acc[m] = acc.get(m, GR_ZERO) + p * c
+    for i, p in sub.splitting.pairing_rows[j]:
+        for m, c in entries[i][k].terms:
+            acc[m] = acc.get(m, GR_ZERO) + p * c
     return acc
 
 
-@dataclass
 class ConstraintReport:
-    eliminated: dict[Symbol, PolyScalar]
-    free: list[Symbol]
+    def __init__(self, eliminated: dict[Symbol, PolyScalar], free: list[Symbol]) -> None:
+        self.eliminated = eliminated
+        self.free = free
 
 
 def _compatibility(sub: IsotropicSubbundle, entries) -> dict[tuple[int, int], PolyScalar]:
@@ -225,12 +236,14 @@ def constrain_map(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class MCSystem:
     """Coefficients of d_L(eps~) + [eps~, eps~]/2 on the degree-3 basis."""
 
-    deformation: DeformationMap
-    constraints: list[tuple[tuple[int, int, int], PolyScalar]]
+    def __init__(
+        self, deformation: DeformationMap, constraints: list[tuple[tuple[int, int, int], PolyScalar]]
+    ) -> None:
+        self.deformation = deformation
+        self.constraints = constraints
 
     def nonzero(self) -> list[tuple[tuple[int, int, int], PolyScalar]]:
         return [(idx, c) for idx, c in self.constraints if not c.is_zero()]
@@ -278,17 +291,24 @@ def gauge_image(sub: IsotropicSubbundle) -> list[ExteriorForm]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class DeformationFamily:
     """Solved Maurer-Cartan family after gauge reduction.  ``directions`` holds
     the constant vector of each free parameter on ``sub.cochains.slots[2]``;
     ``reduced_basis``, the same directions as 2-forms, is built on first read."""
 
-    solved: dict[Symbol, PolyScalar]
-    dropped_gauge: list[Symbol]
-    free: list[Symbol]
-    directions: list[list[GaussianRational]]
-    reduced_map: DeformationMap
+    def __init__(
+        self,
+        solved: dict[Symbol, PolyScalar],
+        dropped_gauge: list[Symbol],
+        free: list[Symbol],
+        directions: list[list[GaussianRational]],
+        reduced_map: DeformationMap,
+    ) -> None:
+        self.solved = solved
+        self.dropped_gauge = dropped_gauge
+        self.free = free
+        self.directions = directions
+        self.reduced_map = reduced_map
 
     @cached_property
     def reduced_basis(self) -> list[ExteriorForm]:
@@ -404,17 +424,24 @@ def reduce_family(mc: MCSystem) -> DeformationFamily:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class DeformedStructure:
     """Verdicts at the ground point ``bindings`` of ``family``, whose entries
     evaluate to ``values`` and whose deformed pairing is ``pairing``; all but
     separation are decided or built on first read."""
 
-    family: DeformationMap
-    bindings: Mapping[Symbol, GaussianRational]
-    values: Matrix
-    pairing: Matrix
-    separated: bool
+    def __init__(
+        self,
+        family: DeformationMap,
+        bindings: Mapping[Symbol, GaussianRational],
+        values: Matrix,
+        pairing: Matrix,
+        separated: bool,
+    ) -> None:
+        self.family = family
+        self.bindings = bindings
+        self.values = values
+        self.pairing = pairing
+        self.separated = separated
 
     @cached_property
     def type_index(self) -> int:
@@ -527,7 +554,6 @@ def classify(e: DeformationMap, bindings: Mapping[Symbol, GaussianRational]) -> 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class TypeStratum:
     """Parameter conditions selecting one type value.
 
@@ -535,18 +561,35 @@ class TypeStratum:
     not; an empty ``nonzero`` list means no further genericity is needed.
     """
 
-    zero: tuple[PolyScalar, ...]
-    nonzero: tuple[PolyScalar, ...]
-    k: int
-    label: str
-    substrata: tuple[tuple[str, str], ...] = ()
+    def __init__(
+        self,
+        zero: tuple[PolyScalar, ...],
+        nonzero: tuple[PolyScalar, ...],
+        k: int,
+        label: str,
+        substrata: tuple[tuple[str, str], ...] = (),
+    ) -> None:
+        self.zero = zero
+        self.nonzero = nonzero
+        self.k = k
+        self.label = label
+        self.substrata = substrata
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not TypeStratum:
+            return NotImplemented
+        return (self.zero, self.nonzero, self.k, self.label, self.substrata) == (
+            other.zero, other.nonzero, other.k, other.label, other.substrata)
+
+    def __hash__(self) -> int:
+        return hash((self.zero, self.nonzero, self.k, self.label, self.substrata))
 
 
-@dataclass
 class Stratification:
-    strata: list[TypeStratum]
-    generic_rank: int
-    refused: Optional[str] = None
+    def __init__(self, strata: list[TypeStratum], generic_rank: int, refused: Optional[str] = None) -> None:
+        self.strata = strata
+        self.generic_rank = generic_rank
+        self.refused = refused
 
 
 def _normalize_minor(p: PolyScalar) -> PolyScalar:

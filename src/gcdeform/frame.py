@@ -13,7 +13,6 @@ determinant convention (no 1/k! factor), fixed once for the whole engine.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -44,7 +43,6 @@ class FrameError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ExteriorForm:
     """Graded exterior element with PolyScalar coefficients.
 
@@ -53,8 +51,22 @@ class ExteriorForm:
     labels of the underlying dual basis.
     """
 
-    names: tuple[str, ...]
-    terms: tuple[tuple[tuple[int, ...], PolyScalar], ...]
+    def __init__(
+        self, names: tuple[str, ...], terms: tuple[tuple[tuple[int, ...], PolyScalar], ...]
+    ) -> None:
+        self.names = names
+        self.terms = terms
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ExteriorForm:
+            return NotImplemented
+        return (self.names, self.terms) == (other.names, other.terms)
+
+    def __hash__(self) -> int:
+        return hash((self.names, self.terms))
+
+    def __repr__(self) -> str:
+        return f"ExteriorForm(names={self.names!r}, terms={self.terms!r})"
 
     @staticmethod
     def build(names: Sequence[str], data: Mapping[tuple[int, ...], PolyLike]) -> "ExteriorForm":
@@ -193,11 +205,21 @@ def bracket_vectors(table, x, y) -> list:
     return out
 
 
-@dataclass(frozen=True)
 class JacobiViolation:
-    triple: tuple[str, str, str]
-    defect: tuple[GaussianRational, ...]
-    basis: tuple[str, ...]
+    def __init__(
+        self, triple: tuple[str, str, str], defect: tuple[GaussianRational, ...], basis: tuple[str, ...]
+    ) -> None:
+        self.triple = triple
+        self.defect = defect
+        self.basis = basis
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not JacobiViolation:
+            return NotImplemented
+        return (self.triple, self.defect, self.basis) == (other.triple, other.defect, other.basis)
+
+    def __hash__(self) -> int:
+        return hash((self.triple, self.defect, self.basis))
 
     def __str__(self) -> str:
         rendered = render_sum(
@@ -206,7 +228,6 @@ class JacobiViolation:
         return f"jacobi defect at ({', '.join(self.triple)}): {rendered}"
 
 
-@dataclass(frozen=True)
 class FrameAlgebra:
     """Lie algebra with named basis and exact structure constants.
 
@@ -214,9 +235,23 @@ class FrameAlgebra:
     skew partner is implied, so c^k_ij = -c^k_ji holds by construction.
     """
 
-    basis: tuple[str, ...]
-    table: tuple[tuple[tuple[int, int], tuple[GaussianRational, ...]], ...]
-    dual_names: tuple[str, ...]
+    def __init__(
+        self,
+        basis: tuple[str, ...],
+        table: tuple[tuple[tuple[int, int], tuple[GaussianRational, ...]], ...],
+        dual_names: tuple[str, ...],
+    ) -> None:
+        self.basis = basis
+        self.table = table
+        self.dual_names = dual_names
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not FrameAlgebra:
+            return NotImplemented
+        return (self.basis, self.table, self.dual_names) == (other.basis, other.table, other.dual_names)
+
+    def __hash__(self) -> int:
+        return hash((self.basis, self.table, self.dual_names))
 
     @staticmethod
     def build(
@@ -325,11 +360,19 @@ class FrameAlgebra:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class ComplexOp:
     """Endomorphism J on the real basis, required to square to -identity."""
 
-    matrix: tuple[tuple[GaussianRational, ...], ...]
+    def __init__(self, matrix: tuple[tuple[GaussianRational, ...], ...]) -> None:
+        self.matrix = matrix
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ComplexOp:
+            return NotImplemented
+        return self.matrix == other.matrix
+
+    def __hash__(self) -> int:
+        return hash(self.matrix)
 
     @staticmethod
     def build(matrix: Sequence[Sequence[GaussianRational]]) -> "ComplexOp":
@@ -351,7 +394,6 @@ class ComplexOp:
         return [row[0] for row in mat_mul(self.matrix, [[c] for c in vector])]
 
 
-@dataclass(frozen=True)
 class ComplexFrame:
     """Complexified ambient frame for sections of (T + T*) x C.
 
@@ -360,10 +402,26 @@ class ComplexFrame:
     real frame it is the identity (only coefficients get conjugated).
     """
 
-    algebra: FrameAlgebra
-    conj: tuple[int, ...]
-    real: Optional[FrameAlgebra] = None
-    change_of_basis: Optional[tuple[tuple[GaussianRational, ...], ...]] = None
+    def __init__(
+        self,
+        algebra: FrameAlgebra,
+        conj: tuple[int, ...],
+        real: Optional[FrameAlgebra] = None,
+        change_of_basis: Optional[tuple[tuple[GaussianRational, ...], ...]] = None,
+    ) -> None:
+        self.algebra = algebra
+        self.conj = conj
+        self.real = real
+        self.change_of_basis = change_of_basis
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ComplexFrame:
+            return NotImplemented
+        return (self.algebra, self.conj, self.real, self.change_of_basis) == (
+            other.algebra, other.conj, other.real, other.change_of_basis)
+
+    def __hash__(self) -> int:
+        return hash((self.algebra, self.conj, self.real, self.change_of_basis))
 
     @staticmethod
     def complexified(g: FrameAlgebra) -> "ComplexFrame":

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
@@ -292,20 +291,31 @@ PARAMETER = "parameter"
 FUNCTION = "function"
 
 
-@dataclass(frozen=True)
 class Symbol:
-    """Named generator: a deformation parameter or a coefficient function."""
+    """Named generator: a deformation parameter or a coefficient function.
 
-    name: str
-    kind: str
+    A value: symbols of equal name and kind are equal and hash alike.
+    """
 
-    def __post_init__(self) -> None:
-        if self.kind not in (PARAMETER, FUNCTION):
-            raise ScalarError(f"unknown symbol kind {self.kind!r}")
-        object.__setattr__(self, "_hash", hash((self.name, self.kind)))  # the dataclass's hash, once
+    __slots__ = ("name", "kind", "_hash")
+
+    def __init__(self, name: str, kind: str) -> None:
+        if kind not in (PARAMETER, FUNCTION):
+            raise ScalarError(f"unknown symbol kind {kind!r}")
+        self.name = name
+        self.kind = kind
+        self._hash = hash((name, kind))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Symbol:
+            return NotImplemented
+        return self.name == other.name and self.kind == other.kind
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __repr__(self) -> str:
+        return f"Symbol(name={self.name!r}, kind={self.kind!r})"
 
     def sort_key(self) -> tuple[str, str]:
         return (self.name, "")
@@ -322,7 +332,6 @@ def function(name: str) -> Symbol:
     return Symbol(name, FUNCTION)
 
 
-@dataclass(frozen=True)
 class DerivationSymbol:
     """First derivative of a coefficient function along a frame direction.
 
@@ -330,16 +339,26 @@ class DerivationSymbol:
     parameters and nested derivatives cannot be constructed.
     """
 
-    direction: str
-    operand: Symbol
+    __slots__ = ("direction", "operand")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.operand, Symbol) or isinstance(self.operand, DerivationSymbol):
+    def __init__(self, direction: str, operand: Symbol) -> None:
+        if not isinstance(operand, Symbol) or isinstance(operand, DerivationSymbol):
             raise ScalarError("derivative operand must be a plain symbol")
-        if self.operand.kind != FUNCTION:
-            raise ScalarError(
-                f"cannot differentiate {self.operand.kind} symbol {self.operand.name!r}"
-            )
+        if operand.kind != FUNCTION:
+            raise ScalarError(f"cannot differentiate {operand.kind} symbol {operand.name!r}")
+        self.direction = direction
+        self.operand = operand
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not DerivationSymbol:
+            return NotImplemented
+        return self.direction == other.direction and self.operand == other.operand
+
+    def __hash__(self) -> int:
+        return hash((self.direction, self.operand))
+
+    def __repr__(self) -> str:
+        return f"DerivationSymbol(direction={self.direction!r}, operand={self.operand!r})"
 
     def sort_key(self) -> tuple[str, str]:
         return (self.operand.name, self.direction)
@@ -356,11 +375,16 @@ Generator = Union[Symbol, DerivationSymbol]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Monomial:
     """Commutative product of generators, stored sorted with exponents."""
 
-    powers: tuple[tuple[Generator, int], ...]
+    def __init__(self, powers: tuple[tuple[Generator, int], ...]) -> None:
+        self.powers = powers
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Monomial:
+            return NotImplemented
+        return self.powers == other.powers
 
     def __hash__(self) -> int:
         return self._hash
@@ -369,6 +393,9 @@ class Monomial:
     def _hash(self) -> int:
         # hashed once: dict lookups would otherwise re-hash the nested powers
         return hash(self.powers)
+
+    def __repr__(self) -> str:
+        return f"Monomial(powers={self.powers!r})"
 
     @staticmethod
     def of(*gens: Generator) -> "Monomial":
@@ -420,7 +447,6 @@ MONOMIAL_ONE = Monomial(())
 PolyLike = Union["PolyScalar", GaussianRational, int, Fraction, Symbol, DerivationSymbol]
 
 
-@dataclass(frozen=True)
 class PolyScalar:
     """Sparse exact polynomial: monomials mapped to Gaussian-rational coefficients.
 
@@ -429,7 +455,21 @@ class PolyScalar:
     deterministic.
     """
 
-    terms: tuple[tuple[Monomial, GaussianRational], ...]
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[Monomial, GaussianRational], ...]) -> None:
+        self.terms = terms
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not PolyScalar:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash(self.terms)
+
+    def __repr__(self) -> str:
+        return f"PolyScalar(terms={self.terms!r})"
 
     @staticmethod
     def from_dict(d: Mapping[Monomial, GaussianRational]) -> "PolyScalar":
@@ -710,7 +750,6 @@ class SingularMatrixError(ScalarError):
     pass
 
 
-@dataclass
 class LinearSolution:
     """Result of solving a polynomial system for its degree-<=1 part.
 
@@ -719,10 +758,17 @@ class LinearSolution:
     constraint is left out, and ``bindings`` and ``free`` solve the others.
     """
 
-    bindings: dict[Symbol, PolyScalar]
-    free: list[Symbol]
-    residual: list[PolyScalar]
-    consistent: bool
+    def __init__(
+        self,
+        bindings: dict[Symbol, PolyScalar],
+        free: list[Symbol],
+        residual: list[PolyScalar],
+        consistent: bool,
+    ) -> None:
+        self.bindings = bindings
+        self.free = free
+        self.residual = residual
+        self.consistent = consistent
 
 
 def solve_linear(system: Sequence[PolyScalar], unknowns: Sequence[Symbol]) -> LinearSolution:
