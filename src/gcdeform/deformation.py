@@ -198,12 +198,13 @@ class ConstraintReport:
         self.free = free
 
 
-def _compatibility(sub: IsotropicSubbundle, entries) -> dict[tuple[int, int], PolyScalar]:
-    """2<g_j, eps(g_k)> + 2<g_k, eps(g_j)> for every pair j <= k; a map is
-    compatible with the pairing exactly when all of them vanish."""
+def _compatibility(sub: IsotropicSubbundle, entries) -> dict[tuple[int, int], list]:
+    """The nonzero terms of 2<g_j, eps(g_k)> + 2<g_k, eps(g_j)>, in no fixed
+    order, for every pair j <= k; a map is compatible with the pairing exactly
+    when all of them vanish."""
     pairs = itertools.combinations_with_replacement(range(sub.rank), 2)
-    return {(j, k): PolyScalar.from_dict(_pairing(sub, entries, k, j, _pairing(sub, entries, j, k)))
-            for j, k in pairs}
+    sums = {(j, k): _pairing(sub, entries, k, j, _pairing(sub, entries, j, k)) for j, k in pairs}
+    return {jk: [(m, c) for m, c in acc.items() if c] for jk, acc in sums.items()}
 
 
 def constrain_map(
@@ -332,7 +333,7 @@ def solve_mc_system(
     work = [p for p in system if not p.is_zero()]
     while work:
         remaining = [u for u in unknowns if u not in bindings]
-        solution = solve_linear(work, remaining)
+        solution = solve_linear([p.terms for p in work], remaining)
         if not solution.consistent:
             raise DeformationError("empty solution set")
         new: dict[Symbol, PolyScalar] = dict(solution.bindings)

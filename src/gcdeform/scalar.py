@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Collection, Iterable, Mapping, Sequence, Union
 
 
 class ScalarError(ValueError):
@@ -162,13 +161,14 @@ class GaussianRational:
         return f"GaussianRational(re={self.re!r}, im={self.im!r})"
 
     def __str__(self) -> str:
-        re, im = self.re, self.im
-        if im == 0:
-            return str(re)
-        if re == 0:
-            return _imag_str(im)
-        sign = "+" if im > 0 else "-"
-        return f"{re} {sign} {_imag_str(abs(im))}"
+        # printed from the triple as ``Fraction`` prints each part
+        a, b, d = self._a, self._b, self._d
+        if not b:
+            return _ratio(a, d)
+        im = "i" if abs(b) == d else f"{_ratio(abs(b), d)}*i"
+        if not a:
+            return im if b > 0 else "-" + im
+        return f"{_ratio(a, d)} {'+' if b > 0 else '-'} {im}"
 
 
 _new = object.__new__
@@ -192,12 +192,10 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
     return x
 
 
-def _imag_str(im: Fraction) -> str:
-    if im == 1:
-        return "i"
-    if im == -1:
-        return "-i"
-    return f"{im}*i"
+def _ratio(n: int, d: int) -> str:
+    """n/d in lowest terms, for d > 0: ``n`` alone when d divides it."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def _coerce_gr(x) -> GaussianRational:
@@ -297,7 +295,7 @@ class Symbol:
     A value: symbols of equal name and kind are equal and hash alike.
     """
 
-    __slots__ = ("name", "kind", "_hash")
+    __slots__ = ("name", "kind", "_hash", "_key")
 
     def __init__(self, name: str, kind: str) -> None:
         if kind not in (PARAMETER, FUNCTION):
@@ -305,6 +303,7 @@ class Symbol:
         self.name = name
         self.kind = kind
         self._hash = hash((name, kind))
+        self._key = (name, "")
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not Symbol:
@@ -318,7 +317,7 @@ class Symbol:
         return f"Symbol(name={self.name!r}, kind={self.kind!r})"
 
     def sort_key(self) -> tuple[str, str]:
-        return (self.name, "")
+        return self._key
 
     def __str__(self) -> str:
         return self.name
@@ -339,15 +338,17 @@ class DerivationSymbol:
     parameters and nested derivatives cannot be constructed.
     """
 
-    __slots__ = ("direction", "operand")
+    __slots__ = ("direction", "operand", "_hash", "_key")
 
     def __init__(self, direction: str, operand: Symbol) -> None:
-        if not isinstance(operand, Symbol) or isinstance(operand, DerivationSymbol):
+        if operand.__class__ is not Symbol:
             raise ScalarError("derivative operand must be a plain symbol")
         if operand.kind != FUNCTION:
             raise ScalarError(f"cannot differentiate {operand.kind} symbol {operand.name!r}")
         self.direction = direction
         self.operand = operand
+        self._hash = hash((direction, operand))
+        self._key = (operand.name, direction)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not DerivationSymbol:
@@ -355,13 +356,13 @@ class DerivationSymbol:
         return self.direction == other.direction and self.operand == other.operand
 
     def __hash__(self) -> int:
-        return hash((self.direction, self.operand))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"DerivationSymbol(direction={self.direction!r}, operand={self.operand!r})"
 
     def sort_key(self) -> tuple[str, str]:
-        return (self.operand.name, self.direction)
+        return self._key
 
     def __str__(self) -> str:
         return f"{self.direction}({self.operand.name})"
@@ -375,11 +376,20 @@ Generator = Union[Symbol, DerivationSymbol]
 # ---------------------------------------------------------------------------
 
 
+def _generator_key(power: tuple[Generator, int]):
+    return power[0]._key
+
+
 class Monomial:
     """Commutative product of generators, stored sorted with exponents."""
 
+    __slots__ = ("powers", "_hash", "_key")
+
     def __init__(self, powers: tuple[tuple[Generator, int], ...]) -> None:
         self.powers = powers
+        # hashed once: dict lookups would otherwise re-hash the nested powers
+        self._hash = hash(powers)
+        self._key = None  # order_key, filled on its first read
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not Monomial:
@@ -388,11 +398,6 @@ class Monomial:
 
     def __hash__(self) -> int:
         return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        # hashed once: dict lookups would otherwise re-hash the nested powers
-        return hash(self.powers)
 
     def __repr__(self) -> str:
         return f"Monomial(powers={self.powers!r})"
@@ -409,16 +414,15 @@ class Monomial:
         items = [(g, e) for g, e in counts.items() if e != 0]
         if any(e < 0 for _, e in items):
             raise ScalarError("negative exponent")
-        items.sort(key=lambda ge: ge[0].sort_key())
-        return Monomial(tuple(items))
+        return Monomial(tuple(sorted(items, key=_generator_key)))
 
-    @cached_property
+    @property
     def order_key(self) -> tuple[tuple[str, str], ...]:
         # Fixed lexicographic order on (symbol name, derivation direction);
         # a monomial that is a prefix of another sorts first.
-        return tuple(
-            key for g, e in self.powers for key in itertools.repeat(g.sort_key(), e)
-        )
+        if self._key is None:
+            self._key = tuple(key for g, e in self.powers for key in itertools.repeat(g._key, e))
+        return self._key
 
     def degree(self) -> int:
         return sum(e for _, e in self.powers)
@@ -427,10 +431,14 @@ class Monomial:
         return tuple(g for g, _ in self.powers)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
+        if not other.powers:
+            return self
+        if not self.powers:
+            return other
         counts: dict[Generator, int] = dict(self.powers)
         for g, e in other.powers:
             counts[g] = counts.get(g, 0) + e
-        return Monomial.from_counts(counts)
+        return Monomial(tuple(sorted(counts.items(), key=_generator_key)))
 
     def __str__(self) -> str:
         if not self.powers:
@@ -445,6 +453,7 @@ MONOMIAL_ONE = Monomial(())
 
 
 PolyLike = Union["PolyScalar", GaussianRational, int, Fraction, Symbol, DerivationSymbol]
+Term = tuple[Monomial, GaussianRational]
 
 
 class PolyScalar:
@@ -457,7 +466,7 @@ class PolyScalar:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: tuple[tuple[Monomial, GaussianRational], ...]) -> None:
+    def __init__(self, terms: tuple[Term, ...]) -> None:
         self.terms = terms
 
     def __eq__(self, other: object) -> bool:
@@ -473,9 +482,9 @@ class PolyScalar:
 
     @staticmethod
     def from_dict(d: Mapping[Monomial, GaussianRational]) -> "PolyScalar":
-        items = [(m, c) for m, c in d.items() if not c.is_zero()]
+        items = [(m, c) for m, c in d.items() if c._a or c._b]
         if len(items) > 1:
-            items.sort(key=lambda mc: mc[0].order_key)
+            items.sort(key=_term_key)
         return PolyScalar(tuple(items))
 
     @staticmethod
@@ -515,28 +524,16 @@ class PolyScalar:
             return self
         d = dict(self.terms)
         for m, c in other.terms:
-            s = op(d.get(m, GR_ZERO), c)
-            if s.is_zero():
-                d.pop(m, None)
-            else:
-                d[m] = s
+            d[m] = op(d.get(m, GR_ZERO), c)
         return PolyScalar.from_dict(d)
 
     def __neg__(self) -> "PolyScalar":
         return PolyScalar(tuple((m, -c) for m, c in self.terms))
 
     def __mul__(self, other: PolyLike) -> "PolyScalar":
-        other = poly(other)
-        d: dict[Monomial, GaussianRational] = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = m1 * m2
-                s = d.get(m, GR_ZERO) + c1 * c2
-                if s.is_zero():
-                    d.pop(m, None)
-                else:
-                    d[m] = s
-        return PolyScalar.from_dict(d)
+        if other.__class__ is not PolyScalar:
+            other = poly(other)
+        return PolyScalar.from_dict(_product(self.terms, other.terms, {}))
 
     __rmul__ = __mul__
 
@@ -590,24 +587,24 @@ class PolyScalar:
         Binding a coefficient function or a derivative symbol is rejected.
         """
         for sym in bindings:
-            if not isinstance(sym, Symbol) or isinstance(sym, DerivationSymbol):
+            if sym.__class__ is not Symbol:
                 raise SubstitutionError(f"cannot bind {sym!r}")
             if sym.kind != PARAMETER:
                 raise SubstitutionError(f"cannot bind {sym.kind} symbol {sym.name!r}")
-        values = {s: poly(v) for s, v in bindings.items()}
+        values = {s: poly(v).terms for s, v in bindings.items()}
         if not any(g in values for m, _ in self.terms for g, _ in m.powers):
             return self
-        out = PolyScalar.zero()
+        out: dict[Monomial, GaussianRational] = {}
         for m, c in self.terms:
             # the unbound factors keep their order; each bound one multiplies in
-            kept = Monomial(tuple((g, e) for g, e in m.powers if g not in values))
-            term = PolyScalar(((kept, c),))
+            term = {Monomial(tuple((g, e) for g, e in m.powers if g not in values)): c}
             for g, e in m.powers:
-                if g in values:
-                    for _ in range(e):
-                        term = term * values[g]
-            out = out + term
-        return out
+                for _ in range(e if g in values else 0):
+                    term = _product(term.items(), values[g], {})
+            for k, v in term.items():
+                s = out.get(k)
+                out[k] = v if s is None else s + v
+        return PolyScalar.from_dict(out)
 
     def differentiate(self, direction: str) -> "PolyScalar":
         """Formal derivative along a frame direction.
@@ -616,24 +613,17 @@ class PolyScalar:
         ``DerivationSymbol`` factor.  A monomial already carrying a derivative
         symbol cannot be differentiated again (first-order closure).
         """
-        out = PolyScalar.zero()
+        out: dict[Monomial, GaussianRational] = {}
         for m, c in self.terms:
             for g, e in m.powers:
-                if isinstance(g, DerivationSymbol):
-                    raise DerivationDepthError(
-                        f"second derivative of {g.operand.name!r} required"
-                    )
-            for idx, (g, e) in enumerate(m.powers):
-                if isinstance(g, Symbol) and g.kind == FUNCTION:
-                    counts = dict(m.powers)
-                    counts[g] = e - 1
-                    counts[DerivationSymbol(direction, g)] = (
-                        counts.get(DerivationSymbol(direction, g), 0) + 1
-                    )
-                    out = out + PolyScalar.from_dict(
-                        {Monomial.from_counts(counts): c * GaussianRational.of(e)}
-                    )
-        return out
+                if g.__class__ is DerivationSymbol:
+                    raise DerivationDepthError(f"second derivative of {g.operand.name!r} required")
+            for g, e in m.powers:
+                if g.kind == FUNCTION:
+                    counts = {**dict(m.powers), g: e - 1, DerivationSymbol(direction, g): 1}
+                    mono = Monomial.from_counts(counts)
+                    out[mono] = out.get(mono, GR_ZERO) + c * GaussianRational.of(e)
+        return PolyScalar.from_dict(out)
 
     def evaluate(self, point: Mapping[Generator, GaussianRational]) -> GaussianRational:
         """Evaluate with every generator (derivatives included) ground to a value."""
@@ -690,6 +680,23 @@ def _is_sum(text: str) -> bool:
     return False
 
 
+def _term_key(term: Term):
+    return term[0].order_key
+
+
+def _product(left: Iterable, right: Iterable, acc: dict) -> dict:
+    """Add each product of a (monomial, coefficient) pair of ``left`` and one
+    of ``right`` into ``acc`` by monomial; a sum that cancels stays, as zero,
+    for ``PolyScalar.from_dict`` to drop."""
+    get = acc.get
+    for m1, c1 in left:
+        for m2, c2 in right:
+            m, c = m1 * m2, c1 * c2
+            s = get(m)
+            acc[m] = c if s is None else s + c
+    return acc
+
+
 def poly(x: PolyLike) -> PolyScalar:
     if isinstance(x, PolyScalar):
         return x
@@ -729,9 +736,10 @@ def minor(matrix, rows: tuple[int, ...], cols: tuple[int, ...], table: dict) -> 
             if last[col].is_zero():
                 continue
             rest = minor(matrix, head, cols[:pos] + cols[pos + 1 :], table)
-            odd = (len(head) + pos) % 2
-            for mono, c in (rest * last[col]).terms:
-                total[mono] = total.get(mono, GR_ZERO) + (-c if odd else c)
+            entry = last[col].terms
+            if (len(head) + pos) % 2:
+                entry = [(m, -c) for m, c in entry]
+            _product(rest.terms, entry, total)
         value = PolyScalar.from_dict(total)
     table[key] = value
     return value
@@ -771,12 +779,14 @@ class LinearSolution:
         self.consistent = consistent
 
 
-def solve_linear(system: Sequence[PolyScalar], unknowns: Sequence[Symbol]) -> LinearSolution:
+def solve_linear(system: Sequence[Collection[Term]], unknowns: Sequence[Symbol]) -> LinearSolution:
     """Gaussian elimination for the linear part of ``system`` in ``unknowns``.
 
-    Constraints that are genuinely nonlinear in the unknowns (or whose unknown
-    coefficients are themselves symbolic) are returned verbatim in the residual
-    list, unsolved.  When a constraint couples several unknowns the
+    Each constraint is given by its (monomial, nonzero coefficient) pairs in
+    any order, such as a polynomial's ``terms``.  Constraints that are
+    genuinely nonlinear in the unknowns (or whose unknown coefficients are
+    themselves symbolic) are returned as polynomials in the residual list,
+    unsolved.  When a constraint couples several unknowns the
     latest-listed one is solved for, so earlier unknowns are preferred as free
     coordinates: ``_eliminate`` numbers the columns as the unknowns,
     latest-listed first, then every other monomial as first seen.  The
@@ -786,14 +796,14 @@ def solve_linear(system: Sequence[PolyScalar], unknowns: Sequence[Symbol]) -> Li
     column = {((u, 1),): j for j, u in enumerate(reversed(unknowns))}  # by monomial powers
     monomial: dict[int, Monomial] = {}
     rows, residual = [], []
-    for poly_row in system:
+    for terms in system:
         # linear: each term is free of the unknowns or is one unknown to the first power
-        if any(m.degree() != 1 and not unknown_set.isdisjoint(m.generators()) for m, _ in poly_row.terms):
-            residual.append(poly_row)
+        if any(m.degree() != 1 and not unknown_set.isdisjoint(m.generators()) for m, _ in terms):
+            residual.append(PolyScalar.from_dict(dict(terms)))
             continue
-        for m, _ in poly_row.terms:
+        for m, _ in terms:
             monomial[column.setdefault(m.powers, n + len(column))] = m
-        rows.append([(column[m.powers], c) for m, c in poly_row.terms])
+        rows.append([(column[m.powers], c) for m, c in terms])
     pivots, consistent = _eliminate(rows, n, jordan=True)
     bindings = {}
     for u in unknowns:

@@ -6,6 +6,7 @@ products), a different route from the engine's function-coefficient Leibniz
 expansion.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 import itertools
@@ -36,6 +37,7 @@ from gcdeform.frame import (
     default_frame_names,
 )
 from gcdeform.scalar import (
+    DerivationSymbol,
     GR_HALF,
     GR_I,
     GR_ONE,
@@ -382,6 +384,159 @@ def random_poly(rng: random.Random, symbols, max_terms: int = 3) -> PolyScalar:
         gens = [rng.choice(symbols) for _ in range(rng.randint(0, 2))]
         total = total + PolyScalar.from_dict({Monomial.of(*gens): random_gaussian(rng)})
     return total
+
+
+# Polynomials as {monomial: coefficient} dicts, each monomial a frozen
+# ``Counter`` of generator exponents and each coefficient a
+# ``ReferenceGaussianRational``: no sorted powers, no cached hash or order key.
+
+
+def _reference_poly(p: PolyScalar) -> dict:
+    return {frozenset(m.powers): ReferenceGaussianRational(c.re, c.im) for m, c in p.terms}
+
+
+def _reference_combine(pairs) -> dict:
+    """Sum (monomial Counter, coefficient) pairs by monomial, zeros dropped."""
+    out = {}
+    for counts, c in pairs:
+        key = frozenset((+counts).items())
+        out[key] = out.get(key, ReferenceGaussianRational.of()) + c
+    return {m: c for m, c in out.items() if not c.is_zero()}
+
+
+def _reference_mul(p: dict, q: dict) -> dict:
+    return _reference_combine(
+        (Counter(dict(m1)) + Counter(dict(m2)), c1 * c2) for m1, c1 in p.items() for m2, c2 in q.items()
+    )
+
+
+def _reference_add(p: dict, q: dict, sign: int = 1) -> dict:
+    return _reference_combine(
+        [(Counter(dict(m)), c) for m, c in p.items()]
+        + [(Counter(dict(m)), c if sign > 0 else -c) for m, c in q.items()]
+    )
+
+
+def _reference_substitute(p: dict, values: dict) -> dict:
+    out = {}
+    for m, c in p.items():
+        term = {frozenset((g, e) for g, e in m if g not in values): c}
+        for g, e in m:
+            for _ in range(e if g in values else 0):
+                term = _reference_mul(term, values[g])
+        out = _reference_add(out, term)
+    return out
+
+
+def _reference_evaluate(p: dict, point: dict) -> ReferenceGaussianRational:
+    total = ReferenceGaussianRational.of()
+    for m, c in p.items():
+        for g, e in m:
+            for _ in range(e):
+                c = c * point[g]
+        total = total + c
+    return total
+
+
+def _reference_key(g) -> tuple[str, str]:
+    """A generator's place in the monomial order: (symbol name, derivation direction)."""
+    return (g.operand.name, g.direction) if isinstance(g, DerivationSymbol) else (g.name, "")
+
+
+def _reference_order(m) -> tuple:
+    """The canonical term order: the sorted generator keys, each repeated by its exponent."""
+    return tuple(sorted(_reference_key(g) for g, e in m for _ in range(e)))
+
+
+def _reference_str(p: dict) -> str:
+    text = ""
+    for m in sorted(p, key=_reference_order):
+        c = p[m]
+        cs = f"({c})" if c.re and c.im else str(c)
+        label = "*".join(
+            str(g) if e == 1 else f"{g}^{e}" for g, e in sorted(m, key=lambda ge: _reference_key(ge[0]))
+        )
+        term = cs if not label else label if cs == "1" else "-" + label if cs == "-1" else f"{cs}*{label}"
+        if not text:
+            text = term
+        else:
+            text += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
+    return text or "0"
+
+
+def _canonical_faults(label: str, p: PolyScalar) -> list[str]:
+    """Zero coefficients, unsorted powers or terms out of the canonical order in ``p``."""
+    out = []
+    orders = [_reference_order(m.powers) for m, _ in p.terms]
+    if any(a >= b for a, b in zip(orders, orders[1:])):
+        out.append(f"{label}: terms out of canonical order: {p!r}")
+    for m, c in p.terms:
+        keys = [_reference_key(g) for g, _ in m.powers]
+        if c.is_zero() or keys != sorted(set(keys)) or any(e < 1 for _, e in m.powers):
+            out.append(f"{label}: term ({m!r}, {c!r}) is not canonical")
+    return out
+
+
+def polynomial_mismatches(rng: random.Random) -> list[str]:
+    """Every disagreement of ``PolyScalar`` with the Counter-monomial reference
+    on seeded ``random_poly`` operands: ``*``, ``+``, ``-``, ``substitute``,
+    ``evaluate`` and ``str``; results out of canonical form; equal results
+    reached by different routes that differ or hash apart; and ``minor`` of a
+    random square matrix of size 1 to 4 against ``permutation_det``."""
+    f = Symbol("f", "function")
+    params = [Symbol(name, "parameter") for name in ("s", "t", "u")]
+    gens = [*params, f, DerivationSymbol("X", f), DerivationSymbol("Y", f)]
+    p, q, r = (random_poly(rng, gens, rng.randint(1, 4)) for _ in range(3))
+    rp, rq, rr = map(_reference_poly, (p, q, r))
+    bound = rng.sample(params, rng.randint(0, len(params)))
+    values = {s: random_poly(rng, gens, 3) if rng.random() < 0.7 else PolyScalar.zero() for s in bound}
+    point = {g: random_gaussian(rng) for g in gens}
+    out = []
+
+    def check(label, got, want):
+        out.extend(_canonical_faults(label, got))
+        if _reference_poly(got) != want:
+            out.append(f"{label}: {got} != {_reference_str(want)}")
+        if str(got) != _reference_str(want):
+            out.append(f"{label}: str {str(got)!r} != {_reference_str(want)!r}")
+
+    for label, got, want in (
+        (f"{p}", p, rp),
+        (f"({p}) * ({q})", p * q, _reference_mul(rp, rq)),
+        (f"({p}) + ({q})", p + q, _reference_add(rp, rq)),
+        (f"({p}) - ({q})", p - q, _reference_add(rp, rq, -1)),
+        (f"-({p})", -p, _reference_add({}, rp, -1)),
+        (
+            f"({p}).substitute({values})",
+            p.substitute(values),
+            _reference_substitute(rp, {s: _reference_poly(v) for s, v in values.items()}),
+        ),
+    ):
+        check(label, got, want)
+    ref_point = {g: ReferenceGaussianRational(v.re, v.im) for g, v in point.items()}
+    got, want = p.evaluate(point), _reference_evaluate(rp, ref_point)
+    if ReferenceGaussianRational(got.re, got.im) != want:
+        out.append(f"({p}).evaluate({point}): {got} != {want}")
+    # equal results reached by different routes are equal and hash alike
+    routes = (
+        (p * q, q * p),
+        (p * (q + r), p * q + p * r),
+        ((p + q) - q, p),
+        (p * q * r, p * (q * r)),
+        ((p * q).substitute(values), p.substitute(values) * q.substitute(values)),
+    )
+    for k, (a, b) in enumerate(routes):
+        if a != b or hash(a) != hash(b):
+            out.append(f"route {k} on ({p}), ({q}), ({r}): {a!r} != {b!r}")
+
+    n = rng.randint(1, 4)
+    matrix = [[random_poly(rng, gens, 2) if rng.random() < 0.8 else PolyScalar.zero() for _ in range(n)]
+              for _ in range(n)]
+    det = minor(matrix, tuple(range(n)), tuple(range(n)), {})
+    out.extend(_canonical_faults("minor", det))
+    if det != permutation_det(matrix):
+        out.append(f"minor of {matrix}: {det} != {permutation_det(matrix)}")
+    return out
 
 
 def small_binding(rng: random.Random) -> GaussianRational:

@@ -159,7 +159,7 @@ def test_criterion_3_schouten_vanishing(ksub, kmap):
 
         # ker d_L on the pencil, solved from the coefficients of d_L(form)
         closedness = solve_linear(
-            [c for _, c in ksub.d_L_invariant(emap.form).terms], emap.parameters
+            [c.terms for _, c in ksub.d_L_invariant(emap.form).terms], emap.parameters
         )
         assert closedness.consistent and not closedness.residual
         assert {p.name for p in closedness.bindings} == {"t12"}

@@ -272,12 +272,14 @@ def test_solve_linear_matches_reference_at_pencil_size(workspaces, name):
     raw = [[parameter(f"t{i + 1}{j + 1}") for j in range(n)] for i in range(n)]
     compatibility = _compatibility(sub, [[PolyScalar.of(s) for s in row] for row in raw])
     pencil = workspaces[name].pencil[0]
+    polys = [PolyScalar.from_dict(dict(terms)) for terms in compatibility.values()]
     systems = [
-        (list(compatibility.values()), [s for row in raw for s in row]),
+        (polys, [s for row in raw for s in row]),
         ([c for _, c in mc_residual(pencil).nonzero()], list(pencil.parameters)),
     ]
     for system, unknowns in systems:
-        got, want = solve_linear(system, unknowns), reference_solve_linear(system, unknowns)
+        got = solve_linear([p.terms for p in system], unknowns)
+        want = reference_solve_linear(system, unknowns)
         assert list(got.bindings.items()) == list(want.bindings.items())
         assert (got.free, got.residual, got.consistent) == (want.free, want.residual, want.consistent)
     assert 16 <= n * n <= 64
@@ -294,4 +296,5 @@ def test_solve_linear_matches_reference_at_pencil_size(workspaces, name):
     for row, c in zip(rows, pivots):
         terms = {m: -x for j, (m, x) in enumerate(zip(columns, row)) if j != c}
         bindings[unknowns[-1 - c]] = PolyScalar.from_dict(terms)
-    assert bindings == solve_linear(system, unknowns).bindings
+    # the compatibility rows as built, their terms in no fixed order, solve alike
+    assert bindings == solve_linear(list(compatibility.values()), unknowns).bindings

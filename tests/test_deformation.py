@@ -121,7 +121,15 @@ def test_zero_map_satisfies_compatibility(ksub):
 def test_incompatible_entries_rejected(ksub):
     entries = [[PolyScalar.zero()] * 4 for _ in range(4)]
     entries[0][0] = poly(GR_ONE)  # its pairing partner is missing
-    with pytest.raises(DeformationError):
+    with pytest.raises(DeformationError, match=r"^pairing compatibility fails at \(Tbar, omega\)$"):
+        DeformationMap.from_entries(ksub, entries)
+    # entries (0, 0) and (2, 2) meet in that pair: -s cancels s there, 1 - s
+    # leaves the constant after the s terms cancel
+    s = poly(t("s"))
+    entries[0][0], entries[2][2] = s, -s
+    DeformationMap.from_entries(ksub, entries)
+    entries[2][2] = 1 - s
+    with pytest.raises(DeformationError, match=r"^pairing compatibility fails at \(Tbar, omega\)$"):
         DeformationMap.from_entries(ksub, entries)
 
 
