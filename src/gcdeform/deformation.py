@@ -8,8 +8,8 @@ Maurer-Cartan system is d[2] A t + 1/2 sum t_p t_q S(A_p, A_q) (S the
 Schouten tensor, d[p] the sparse d_L matrix on p-forms), and the gauge
 directions, the rref of d[1], are quotiented out by coordinate dropping.
 At ground parameter values, the deformed pairing in closed form and the
-tangent rows classify a deformed structure by exact ranks; its generators
-are built on read.
+tangent rows, both in Gaussian integers, classify a deformed structure by
+integer ranks; its rational values, pairing and generators are built on read.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
+from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from .algebroid import InternalConsistencyError, IsotropicSubbundle, Splitting
@@ -32,7 +33,11 @@ from .scalar import (
     Monomial,
     PolyLike,
     PolyScalar,
+    Row,
+    ScalarError,
     Symbol,
+    _over,
+    integer_rank,
     mat_rank,
     mat_rref,
     minor,
@@ -57,10 +62,10 @@ class DeformationMap:
     ``entries[i][j]`` is the coefficient of the i-th conjugate generator in
     the image of the j-th generator.  Everything else is a view of the
     entries, computed on first read and kept: the transported 2-form
-    ``form``, its constant ``columns``, the deformed generators ``vectors``
-    and their tangent rows ``projection``.  The transport convention is fixed
-    once: the associated bilinear form pairs the first slot against the image
-    of the second, eps~(x, y) = 2<x, eps(y)>.
+    ``form``, its constant ``columns``, the deformed generators ``vectors``,
+    their tangent rows ``projection`` and the ``integer`` view.  The transport
+    convention is fixed once: the associated bilinear form pairs the first
+    slot against the image of the second, eps~(x, y) = 2<x, eps(y)>.
     """
 
     def __init__(
@@ -161,8 +166,16 @@ class DeformationMap:
         for eps, conj in zip(self.entries, splitting.conj_vectors):
             for j, c in enumerate(eps):
                 if c:
-                    rows[j] = [x + c.scale(w) if w else x for x, w in zip(rows[j], conj[:size])]
+                    rows[j] = [x + c.scale(w) if w._a or w._b else x for x, w in zip(rows[j], conj[:size])]
         return rows
+
+    @cached_property
+    def integer(self) -> tuple[int, int, list, list]:
+        """``_integer_view`` (C, deg, rows) of the entries, then the
+        ``projection`` rows, C clearing P too, and C P as rows [(i, re, im)]."""
+        p = self.sub.splitting.pairing_rows
+        den, deg, rows = _integer_view([*self.entries, *self.projection], [x._d for r in p for _, x in r])
+        return den, deg, rows, [[(i, x._a * den // x._d, x._b * den // x._d) for i, x in row] for row in p]
 
     def mixed_block_entries(self) -> list[PolyScalar]:
         """Entries mixing tangent-type and cotangent-type generators.
@@ -180,6 +193,42 @@ def _mixed_block(sub: IsotropicSubbundle) -> list[tuple[int, int]]:
         raise DeformationError("subbundle carries no tangent/cotangent split")
     tangent, cotangent = sub.split
     return list(itertools.product(cotangent, tangent)) + list(itertools.product(tangent, cotangent))
+
+
+def _integer_view(rows, dens=()) -> tuple[int, int, list]:
+    """Polynomial rows as (C, deg, rows): C the lcm of ``dens`` and of the
+    denominators, deg the top degree, a row its nonzero entries (column, terms)
+    of C times them, a term (re, im, generators with repeats, deg - degree)."""
+    terms = [(m, c) for row in rows for p in row for m, c in p.terms]
+    den = lcm(*dens, *(c._d for _, c in terms))
+    deg = max((m.degree() for m, _ in terms), default=0)
+    expand = lambda m: tuple(g for g, e in m.powers for _ in range(e))
+    return den, deg, [[(k, [(c._a * den // c._d, c._b * den // c._d, expand(m), deg - m.degree())
+                            for m, c in p.terms]) for k, p in enumerate(row) if p] for row in rows]
+
+
+def _evaluate(den: int, deg: int, rows, point) -> tuple[int, list[Row]]:
+    """F = C D^deg and F times the ``_integer_view`` rows at a point, as sparse
+    Gaussian-integer rows, D the lcm of the point's denominators: with x = D t
+    in Z[i], a term c m of degree k is C c m(x) D^(deg - k)."""
+    d = lcm(*(v._d for v in point.values()))
+    x = {g: (v._a * d // v._d, v._b * d // v._d) for g, v in point.items()}
+    lift, out = [d**k for k in range(deg + 1)], []
+    try:
+        for row in rows:
+            out.append(values := {})
+            for k, terms in row:
+                re = im = 0
+                for a, b, gens, deficit in terms:
+                    for g in gens:
+                        xr, xi = x[g]
+                        a, b = a * xr - b * xi, a * xi + b * xr
+                    re, im = re + a * lift[deficit], im + b * lift[deficit]
+                if re or im:
+                    values[k] = (re, im)
+    except KeyError as missing:
+        raise ScalarError(f"no value for {missing.args[0]}") from None
+    return den * lift[deg], out
 
 
 def _pairing(sub: IsotropicSubbundle, entries, j: int, k: int, acc=None) -> dict:
@@ -426,29 +475,41 @@ def reduce_family(mc: MCSystem) -> DeformationFamily:
 
 
 class DeformedStructure:
-    """Verdicts at the ground point ``bindings`` of ``family``, whose entries
-    evaluate to ``values`` and whose deformed pairing is ``pairing``; all but
-    separation are decided or built on first read."""
+    """Verdicts at the ground point ``bindings`` of ``family``.  There, the map's
+    entries and then its ``projection`` rows times the positive integer
+    ``scale`` are ``integer_rows``, and P(E) times C scale^2 is
+    ``integer_pairing``; all but separation, the rational ``values`` and
+    ``pairing`` too, are decided or built on first read."""
 
     def __init__(
         self,
         family: DeformationMap,
         bindings: Mapping[Symbol, GaussianRational],
-        values: Matrix,
-        pairing: Matrix,
+        scale: int,
+        integer_rows: list[Row],
+        integer_pairing: list[Row],
         separated: bool,
     ) -> None:
         self.family = family
         self.bindings = bindings
-        self.values = values
-        self.pairing = pairing
+        self.scale = scale
+        self.integer_rows = integer_rows
+        self.integer_pairing = integer_pairing
         self.separated = separated
+
+    @cached_property
+    def values(self) -> Matrix:
+        return _divided(self.integer_rows[: self.family.sub.rank], self.scale)
+
+    @cached_property
+    def pairing(self) -> Matrix:
+        return _divided(self.integer_pairing, self.family.integer[0] * self.scale**2)
 
     @cached_property
     def type_index(self) -> int:
         """Corank of the tangent projection at the point: the type k."""
-        rows = [[c.evaluate(self.bindings) for c in row] for row in self.family.projection]
-        return self.family.sub.frame.dim - mat_rank(rows)
+        dim, rows = self.family.sub.frame.dim, self.integer_rows[self.family.sub.rank :]
+        return dim - integer_rank(map(dict, rows), dim)
 
     @cached_property
     def splitting(self) -> Splitting:
@@ -476,15 +537,9 @@ class DeformedStructure:
         return DeformationMap.from_entries(self.family.sub, self.values)
 
 
-def _ground(e: DeformationMap, bindings: Mapping[Symbol, GaussianRational]) -> Matrix:
-    """The entries of ``e`` evaluated at the bindings, which bind every parameter."""
-    missing = [p.name for p in e.parameters if p not in bindings]
-    if missing:
-        raise DeformationError(f"unbound parameters: {', '.join(missing)}")
-    unknown = [s.name for s in bindings if s not in e.parameters]
-    if unknown:
-        raise DeformationError(f"bindings for unknown parameters: {', '.join(unknown)}")
-    return [[c.evaluate(bindings) for c in row] for row in e.entries]
+def _divided(rows: list[Row], d: int) -> Matrix:
+    """Square sparse Gaussian-integer rows over d, as a dense matrix."""
+    return [[_over(*row.get(k, (0, 0)), d, 0) for k in range(len(rows))] for row in rows]
 
 
 def deform_subbundle(
@@ -492,28 +547,34 @@ def deform_subbundle(
 ) -> DeformedStructure:
     """Generators (1 + eps)(g) at ground parameter values, with their pairing.
 
-    The entries are evaluated once into a Gaussian-rational matrix E.
-    Separation, the exact condition for a generalized complex structure at
-    these values, means the deformed span meets its conjugate only in zero:
-    its pairing with the conjugates has full rank.  That pairing is
-    P + E^T P^T conj(E), P the subbundle's, with the zeros of E and P skipped:
-    L and its conjugate are isotropic, so the cross terms vanish for every E.
-    The type evaluates the map's ``projection`` at the point, and the deformed
-    generators, ``e.vectors`` evaluated there, are built only when read.
+    One ``_evaluate`` of ``e.integer`` at the bindings, which bind every
+    parameter, gives N = F E and F times the tangent rows, F = C D^deg.
+    Separation, the exact condition for a generalized complex structure here,
+    means the deformed span meets its conjugate only in zero: P(E) = P +
+    E^T P^T conj(E) has full rank (L and its conjugate are isotropic, so no
+    cross terms).  That is F^2 Pn + N^T Pn^T conj(N) over C F^2, Pn = C P,
+    and a positive factor leaves a rank unchanged.
     """
-    values = _ground(e, bindings)
-    base = e.sub.splitting
-    # entry (j, k) of the pairing gains E[i][j] P[l][i] conj(E[l][k])
-    pairing = [list(row) for row in base.pairing]
-    bars = [[(k, c.conjugate()) for k, c in enumerate(row) if c] for row in values]
-    for bar, p in zip(bars, base.pairing):
-        for pi, row in ((pi, row) for pi, row in zip(p, values) if pi):
-            for j, x in enumerate(row):
-                if x:
-                    xp, acc = x * pi, pairing[j]
-                    for k, y in bar:
-                        acc[k] = acc[k] + xp * y
-    return DeformedStructure(e, bindings, values, pairing, mat_rank(pairing) == len(pairing))
+    missing = [p.name for p in e.parameters if p not in bindings]
+    if missing:
+        raise DeformationError(f"unbound parameters: {', '.join(missing)}")
+    unknown = [s.name for s in bindings if s not in e.parameters]
+    if unknown:
+        raise DeformationError(f"bindings for unknown parameters: {', '.join(unknown)}")
+    (den, deg, view, pn), n = e.integer, e.sub.rank
+    scale, rows = _evaluate(den, deg, view, bindings)
+    # F^2 Pn, then entry (j, k) gains N[i][j] Pn[l][i] conj(N[l][k])
+    pairing = [{k: (scale * scale * a, scale * scale * b) for k, a, b in prow} for prow in pn]
+    for prow, nrow in zip(pn, rows):
+        bar = [(k, a, -b) for k, (a, b) in nrow.items()]
+        for i, pr, pi in prow:
+            for j, (a, b) in rows[i].items():
+                xr, xi, acc = a * pr - b * pi, a * pi + b * pr, pairing[j]
+                for k, yr, yi in bar:
+                    zr, zi = acc.get(k, (0, 0))
+                    acc[k] = (zr + xr * yr - xi * yi, zi + xr * yi + xi * yr)
+    pairing = [{k: z for k, z in row.items() if z[0] or z[1]} for row in pairing]
+    return DeformedStructure(e, bindings, scale, rows, pairing, integer_rank(map(dict, pairing), n) == n)
 
 
 def type_of(e: DeformationMap, bindings: Mapping[Symbol, GaussianRational]) -> int:
@@ -545,7 +606,7 @@ def classify(e: DeformationMap, bindings: Mapping[Symbol, GaussianRational]) -> 
     k = structure.type_index
     label = _label(k, e.sub.frame.dim)
     if label == COMPLEX and e.sub.split is not None:
-        mixed = any(structure.values[i][j] for i, j in _mixed_block(e.sub))
+        mixed = any(j in structure.integer_rows[i] for i, j in _mixed_block(e.sub))
         return k, COMPLEX_NONCLASSICAL if mixed else CLASSICAL_COMPLEX
     return k, label
 
@@ -625,18 +686,13 @@ def _nonzero_minors(matrix, r: int, table: dict) -> list[PolyScalar]:
 _RANK_POINT_SEEDS = (1, 2)
 
 
-@cache
-def _point_values(seed: int, n: int) -> tuple[GaussianRational, ...]:
-    rng = random.Random(seed)
-    part = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-    return tuple(GaussianRational(part(), part()) for _ in range(n))
-
-
 def _rank_points(symbols: Sequence[Symbol]):
-    """The origin, then one seeded point per ``_RANK_POINT_SEEDS`` entry."""
+    """The origin, then one point drawn from each ``_RANK_POINT_SEEDS`` entry."""
     yield {s: GR_ZERO for s in symbols}
     for seed in _RANK_POINT_SEEDS:
-        yield dict(zip(symbols, _point_values(seed, len(symbols))))
+        rng = random.Random(seed)
+        part = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        yield {s: GaussianRational(part(), part()) for s in symbols}
 
 
 def _generic_rank(matrix) -> int:
@@ -653,9 +709,9 @@ def _generic_rank(matrix) -> int:
     symbols = sorted(
         {g for row in matrix for c in row for g in c.generators()}, key=lambda g: g.sort_key()
     )
-    rank = 0
+    rank, view = 0, _integer_view(matrix)
     for point in _rank_points(symbols):
-        rank = max(rank, mat_rank([[c.evaluate(point) for c in row] for row in matrix]))
+        rank = max(rank, integer_rank(_evaluate(*view, point)[1], cols))
         if rank == full:
             return rank
     while rank < full and any(

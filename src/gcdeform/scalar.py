@@ -803,7 +803,7 @@ def solve_linear(system: Sequence[Collection[Term]], unknowns: Sequence[Symbol])
             continue
         for m, _ in terms:
             monomial[column.setdefault(m.powers, n + len(column))] = m
-        rows.append([(column[m.powers], c) for m, c in terms])
+        rows.append(_integer_row((column[m.powers], c) for m, c in terms))
     pivots, consistent = _eliminate(rows, n, jordan=True)
     bindings = {}
     for u in unknowns:
@@ -820,9 +820,10 @@ def _integer_row(entries: Iterable[tuple[int, GaussianRational]]) -> Row:
     return {j: (x._a * (den // x._d), x._b * (den // x._d)) for j, x in entries}
 
 
-def _eliminate(rows: Iterable, width: int, jordan: bool) -> tuple[dict[int, Row], bool]:
-    """Fraction-free Gauss(-Jordan) elimination over Z[i], this module's one
-    pivot rule; returns ({pivot column: pivot row} in the order found, consistent).
+def _eliminate(rows: Iterable[Row], width: int, jordan: bool) -> tuple[dict[int, Row], bool]:
+    """Fraction-free Gauss(-Jordan) elimination of sparse rows over Z[i], which
+    it may change: this module's one pivot rule; returns ({pivot column: pivot
+    row} in the order found, consistent).
 
     Bareiss's rule (Math. Comp. 22, 1968), one row at a time: at each pivot
     column c found so far, in that order, row <- (p*row - row[c]*pivot_row)/q
@@ -838,7 +839,7 @@ def _eliminate(rows: Iterable, width: int, jordan: bool) -> tuple[dict[int, Row]
     """
     pivots: dict[int, Row] = {}
     consistent, last = True, (1, 0)
-    for row in map(_integer_row, rows):
+    for row in rows:
         row, q = _clear(row, pivots.items(), (1, 0))
         pivot = min(row, default=width)
         if pivot >= width:
@@ -895,8 +896,8 @@ def _over(a: int, b: int, dr: int, di: int) -> GaussianRational:
 def _rref(rows: Iterable, width: int) -> tuple[Matrix, list[int]]:
     """The nonzero rows of the reduced row echelon form of sparse rows
     [(column, value)] on ``width`` columns, and their pivot columns: one
-    ``_eliminate`` with ``jordan``, each pivot row divided by its pivot once."""
-    pivots, _ = _eliminate(rows, width, jordan=True)
+    ``_eliminate`` of their ``_integer_row``s, each pivot row divided once."""
+    pivots, _ = _eliminate(map(_integer_row, rows), width, jordan=True)
     columns = sorted(pivots)
     out = [[_over(*pivots[c].get(j, (0, 0)), *pivots[c][c]) for j in range(width)] for c in columns]
     return out, columns
@@ -910,10 +911,14 @@ def mat_rref(matrix: Sequence[Sequence[GaussianRational]]) -> tuple[Matrix, list
     return out + [[GR_ZERO] * ncols for _ in range(len(matrix) - len(columns))], columns
 
 
-def mat_rank(matrix: Sequence[Sequence[GaussianRational]]) -> int:
+def integer_rank(rows: Iterable[Row], width: int) -> int:
     """The number of pivots of ``_eliminate`` stopped at the echelon form."""
-    ncols = len(matrix[0]) if matrix else 0
-    return len(_eliminate(map(enumerate, matrix), ncols, jordan=False)[0])
+    return len(_eliminate(rows, width, jordan=False)[0])
+
+
+def mat_rank(matrix: Sequence[Sequence[GaussianRational]]) -> int:
+    """``integer_rank`` of the rows scaled by ``_integer_row``."""
+    return integer_rank(map(_integer_row, map(enumerate, matrix)), len(matrix[0]) if matrix else 0)
 
 
 def mat_inverse(matrix: Sequence[Sequence[GaussianRational]]) -> Matrix:
@@ -930,12 +935,12 @@ def mat_mul(a: Sequence[Sequence[GaussianRational]], b: Sequence[Sequence[Gaussi
     factors: a nonzero a[i][k] meets only the nonzero entries of row k of b.
     An empty b has no columns, so every row of the product is empty."""
     width = len(b[0]) if b else 0
-    nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    nonzero = [[(j, y) for j, y in enumerate(row) if y._a or y._b] for row in b]
     out = []
     for row in a:
         acc = [GR_ZERO] * width
         for x, terms in zip(row, nonzero):
-            if x:
+            if x._a or x._b:
                 for j, y in terms:
                     acc[j] = acc[j] + x * y
         out.append(acc)

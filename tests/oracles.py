@@ -25,6 +25,8 @@ from gcdeform.deformation import (
     SYMPLECTIC,
     DeformationError,
     DeformationMap,
+    classify,
+    deform_subbundle,
 )
 from gcdeform.frame import (
     ComplexFrame,
@@ -52,6 +54,7 @@ from gcdeform.scalar import (
     mat_left_inverse,
     mat_rank,
     minor,
+    parameter,
     poly,
     zero_of,
 )
@@ -995,6 +998,86 @@ def reference_classify(e: DeformationMap, bindings) -> tuple[int, str]:
         mixed = structure.ground.mixed_block_entries()
         return k, CLASSICAL_COMPLEX if all(c.is_zero() for c in mixed) else COMPLEX_NONCLASSICAL
     return k, label
+
+
+# Maps and points on which ``deform_subbundle`` and ``classify``, which work in
+# Gaussian integers, are compared with ``reference_deform`` and
+# ``reference_classify``, which ground the map by substitution.
+GROUND_UNITS = tuple(GaussianRational.of(*parts) for parts in (
+    (1, 0), (-1, 0), (0, 1), (0, -1), (Fraction(3, 5), Fraction(4, 5)), (Fraction(-5, 13), Fraction(12, 13))))
+
+
+def degree_two_maps(e: DeformationMap) -> list[tuple[str, DeformationMap]]:
+    """``e`` with every parameter t bound to u^2, and with every t bound to
+    u*v + 1, u and v fresh parameters named t + "u" and t + "v"."""
+    fresh = {t: (parameter(t.name + "u"), parameter(t.name + "v")) for t in e.parameters}
+    out = []
+    for label, value in (("u^2", lambda u, v: poly(u) * poly(u)), ("u*v + 1", lambda u, v: poly(u) * poly(v) + 1)):
+        entries = e.substitute({t: value(*uv) for t, uv in fresh.items()}).entries
+        used = {g for row in entries for c in row for g in c.generators()}
+        params = tuple(s for uv in fresh.values() for s in uv if s in used)
+        out.append((label, DeformationMap(e.sub, entries, params)))
+    return out
+
+
+def ground_maps(corpus) -> list[tuple[str, DeformationMap]]:
+    """The pencil, the reduced family and its ``degree_two_maps`` of the
+    preset and of each 4-dimensional workspace in the ``corpus`` directory."""
+    from gcdeform.cli import KODAIRA_WORKSPACE, build_workspace, parse_workspace
+
+    texts = {"kodaira": KODAIRA_WORKSPACE, **{name: (corpus / f"{name}.ws").read_text() for name in (
+        "abelian4_complex", "abelian4_symplectic", "kodaira_symplectic")}}
+    out = []
+    for name, text in texts.items():
+        ws = build_workspace(parse_workspace(text))
+        family = ws.family.reduced_map
+        out += [(f"{name} pencil", ws.pencil[0]), (f"{name} family", family)]
+        out += [(f"{name} family, t -> {label}", e) for label, e in degree_two_maps(family)]
+    return out
+
+
+def ground_point(rng: random.Random, params: Sequence[Symbol]) -> dict:
+    """A point with about 30 % zero coordinates, the others with both parts
+    n/d for |n| <= 97 and 1 <= d <= 97.  One draw in five puts t11 (or the u
+    it is the square of) on the unit circle, every other coordinate zero half
+    of those times, where the preset family leaves the separated structures."""
+    part = lambda: Fraction(rng.randint(-97, 97), rng.randint(1, 97))
+    point = {p: GR_ZERO if rng.random() < 0.3 else GaussianRational(part(), part()) for p in params}
+    pinned = [p for p in params if p.name in ("t11", "t11u")]
+    if pinned and rng.random() < 0.2:
+        if rng.random() < 0.5:
+            point = dict.fromkeys(params, GR_ZERO)
+        point[pinned[0]] = rng.choice(GROUND_UNITS)
+    return point
+
+
+def _verdict(classifier, e: DeformationMap, point):
+    try:
+        return classifier(e, point)
+    except DeformationError as exc:
+        return f"DeformationError: {exc}"
+
+
+def ground_mismatches(label: str, e: DeformationMap, point) -> tuple[list[str], object]:
+    """Every disagreement of ``deform_subbundle`` and ``classify`` at ``point``
+    with the references: separation, type index, pairing, values and the
+    verdict or refusal; returned with the verdict."""
+    structure, ref = deform_subbundle(e, point), reference_deform(e, point)
+    d = e.sub.frame.dim
+    rank = mat_rank([[c.constant_value() for c in g.tangent] for g in ref.generators])
+    verdict = _verdict(classify, e, point)
+    out = [
+        f"{label} at {{{', '.join(f'{p.name}: {v}' for p, v in point.items())}}}: {what} {got} != {want}"
+        for what, got, want in (
+            ("separated", structure.separated, ref.separated),
+            ("type_index", structure.type_index, d - rank),
+            ("pairing", structure.pairing, ref.pairing),
+            ("values", structure.values, [[c.constant_value() for c in row] for row in ref.ground.entries]),
+            ("verdict", verdict, _verdict(reference_classify, e, point)),
+        )
+        if got != want
+    ]
+    return out, verdict
 
 
 def reference_generic_rank(e: DeformationMap) -> int:

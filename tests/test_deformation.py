@@ -326,24 +326,29 @@ def test_classify_labels(kfamily):
 
 
 def test_classify_grounds_once(kfamily, monkeypatch):
+    """One Gaussian-integer evaluation of the map's integer view per call: the
+    entries and the tangent rows at the point come from it together."""
     red = kfamily.reduced_map
     calls = []
-    ground = deformation._ground
+    evaluate = deformation._evaluate
 
-    def counted(e, bindings):
-        calls.append(bindings)
-        return ground(e, bindings)
+    def counted(*args):
+        calls.append(args[-1])
+        return evaluate(*args)
 
-    monkeypatch.setattr(deformation, "_ground", counted)
-    assert classify(red, bind_all(red, t32=GR(1, 1))) == (2, COMPLEX_NONCLASSICAL)
-    assert len(calls) == 1
+    monkeypatch.setattr(deformation, "_evaluate", counted)
+    point = bind_all(red, t32=GR(1, 1))
+    assert classify(red, point) == (2, COMPLEX_NONCLASSICAL)
+    assert calls == [point]
 
 
 def test_classify_works_on_vectors(ksub, kfamily, monkeypatch):
-    """A classify evaluates the point once: it substitutes no polynomial,
-    builds no map and brackets no section; reading ``ground`` builds one map.
-    It decides separation from the closed-form pairing, so it pairs no
-    vectors, inverts nothing and leaves isotropy and involutivity unread."""
+    """A classify evaluates the point once, in Gaussian integers: it evaluates
+    and substitutes no polynomial, builds no map and brackets no section;
+    reading ``ground`` builds one map.  It decides separation from the
+    closed-form pairing, so it pairs no vectors, inverts nothing and leaves
+    isotropy and involutivity unread; reading them evaluates the deformed
+    generators."""
     red = kfamily.reduced_map
     point = bind_all(red, t32=GR(1, 1), t11=GR(Fraction(1, 3)))
     calls = collections.Counter()
@@ -356,6 +361,7 @@ def test_classify_works_on_vectors(ksub, kfamily, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(PolyScalar, "substitute", counted("substitute", PolyScalar.substitute))
+    monkeypatch.setattr(PolyScalar, "evaluate", counted("evaluate", PolyScalar.evaluate))
     monkeypatch.setattr(
         DeformationMap, "from_entries",
         staticmethod(counted("from_entries", DeformationMap.from_entries)),
@@ -381,7 +387,7 @@ def test_classify_works_on_vectors(ksub, kfamily, monkeypatch):
     assert structure.involutive
     read = dict(calls)
     # isotropy and the closure routine pair whole lists, each in one product
-    assert set(read) == {"pairings", "bracket_vectors", "non_isotropic_pair", "involutive"}
+    assert set(read) == {"evaluate", "pairings", "bracket_vectors", "non_isotropic_pair", "involutive"}
     assert structure.involutive and structure.isotropic and calls == read
     assert structure.splitting.duals is structure.splitting.duals
     assert calls["mat_inverse"] == 1
@@ -590,21 +596,27 @@ def test_involutivity_agrees_with_mc_zero_set(kmap):
 
 
 def test_involutive_at_a_separated_point_ranks_the_pairing_once(monkeypatch, kfamily):
-    """``deform_subbundle`` ranks P(E) for separation; reading ``involutive``
-    at a separated point takes independence from that rank, not a second one."""
+    """``deform_subbundle`` ranks P(E) for separation, as the Gaussian-integer
+    matrix ``integer_pairing``; reading ``involutive`` at a separated point
+    takes independence from that rank, not a second one.  Every rank, that
+    of ``mat_rank`` too, goes through ``scalar.integer_rank``."""
     ranked = []
+    integer_rank = scalar.integer_rank
 
-    def rank(matrix):
-        ranked.append(matrix)
-        return scalar.mat_rank(matrix)
+    def rank(rows, width):
+        rows = list(rows)
+        ranked.append([dict(row) for row in rows])
+        return integer_rank(rows, width)
 
-    for module in (algebroid, deformation):
-        monkeypatch.setattr(module, "mat_rank", rank)
+    for module in (scalar, deformation):
+        monkeypatch.setattr(module, "integer_rank", rank)
     red = kfamily.reduced_map
     structure = deform_subbundle(red, bind_all(red, t32=1))
     assert structure.separated and structure.involutive
-    assert len(ranked) == 1 and ranked[0] is structure.pairing
+    assert len(ranked) == 1 and ranked[0] == structure.integer_pairing
     assert len(structure.pairing) == len(structure.pairing[0]) == 4
+    # positive control: a rank of the rational pairing reaches the name
+    assert scalar.mat_rank(structure.pairing) == 4 and len(ranked) == 2
 
 
 def test_gauge_reduction_of_random_closed_kodaira_forms():

@@ -194,21 +194,28 @@ def test_refused_strata_text_prints_the_generic_rank(tmp_path, capsys):
 
 def test_stratified_nodes_evaluate_no_point(monkeypatch):
     """A stratified node takes its rank from its minors, so stratifying the
-    preset evaluates no entry at a point; the refused branch does."""
+    preset evaluates no entry at a point, neither as a polynomial nor through
+    the Gaussian-integer ``_evaluate``; the refused branch does, through the
+    latter."""
     calls = collections.Counter()
-    evaluate = scalar.PolyScalar.evaluate
+    evaluate, integer_evaluate = scalar.PolyScalar.evaluate, deformation._evaluate
 
     def counted(self, point):
         calls["evaluate"] += 1
         return evaluate(self, point)
 
+    def integer_counted(*args):
+        calls["_evaluate"] += 1
+        return integer_evaluate(*args)
+
     monkeypatch.setattr(scalar.PolyScalar, "evaluate", counted)
+    monkeypatch.setattr(deformation, "_evaluate", integer_counted)
     family = build_workspace(parse_workspace(KODAIRA_WORKSPACE)).family
     strata = stratify_type(family.reduced_map)
-    assert strata.strata and calls["evaluate"] == 0
+    assert strata.strata and not calls
     # positive control: the points of ``_generic_rank`` go through the name
     assert generic_rank(family.reduced_map) == strata.generic_rank
-    assert calls["evaluate"] > 0
+    assert calls["_evaluate"] > 0
 
 
 @pytest.mark.parametrize("name", sorted(WORKSPACES))

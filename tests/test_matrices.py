@@ -21,6 +21,7 @@ from gcdeform.scalar import (
     GaussianRational,
     SingularMatrixError,
     _eliminate,
+    _integer_row,
     mat_inverse,
     mat_left_inverse,
     mat_mul,
@@ -170,7 +171,7 @@ def test_each_pivot_is_a_leading_minor():
     for _ in range(80):
         n = rng.randint(1, 5)
         matrix = [[_gaussian_integer(rng) for _ in range(n)] for _ in range(n)]
-        pivots, consistent = _eliminate(map(enumerate, matrix), n, jordan=False)
+        pivots, consistent = _eliminate(map(_integer_row, map(enumerate, matrix)), n, jordan=False)
         assert consistent
         if permutation_det(matrix).is_zero():
             assert len(pivots) < n

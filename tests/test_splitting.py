@@ -4,7 +4,7 @@
 involutivity by pairings against the generators and their conjugates; the
 references in ``oracles`` decide the same facts with a left inverse per span
 and a rank of the stacked generators.  ``deform_subbundle`` and ``classify``,
-which evaluate a ground point once and work on Gaussian-rational vectors, are
+which evaluate a ground point once, in Gaussian integers, and build no vector, are
 compared with ``reference_deform``, which grounds the map by substitution and
 builds the deformed generators as sections.  The views of a deformation map
 (its form, columns, deformed generators and tangent rows, all read off the
