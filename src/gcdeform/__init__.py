@@ -15,7 +15,7 @@ from .algebroid import (
     build_symplectic_eigenbundle,
     complex_eigenbundle,
 )
-from .courant import GenSection, bracket_table, courant_bracket, lie_derivative, pair
+from .courant import GenSection, bracket_table, courant_bracket, pair
 from .deformation import (
     DeformationError,
     DeformationFamily,
@@ -40,7 +40,6 @@ from .frame import (
     FrameAlgebra,
     FrameError,
     eigenframe,
-    kodaira_frame,
     kodaira_preset,
 )
 from .scalar import (

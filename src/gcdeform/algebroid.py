@@ -56,7 +56,7 @@ class Splitting:
     eagerly.  Isotropic, independent sections span a
     maximal isotropic L, and L = L^perp: v lies in L exactly when
     2<g_c, v> = 0 for every c, L meets its conjugate only in zero exactly when
-    P has full rank (``separated``), and v in L has coordinates
+    P is invertible (``inverse`` is not None), and v in L has coordinates
     x_a = 2<h_a, v>, h_a = sum_i P^-1[i][a] conj(g_i), the rows of ``duals``.
     Whole lists of constant vectors are paired by ``pairings``; ``contains``
     and ``coordinates`` take one vector, constant or polynomial.
@@ -84,10 +84,6 @@ class Splitting:
             return None
 
     @cached_property
-    def separated(self) -> bool:
-        return mat_rank(self.pairing) == len(self.vectors)
-
-    @cached_property
     def duals(self) -> Matrix:
         """The vectors h_a, with 2<h_a, g_b> = delta_ab: the product P^-T conj(g)."""
         return mat_mul(list(zip(*self.inverse)), self.conj_vectors)
@@ -99,8 +95,7 @@ class Splitting:
         return next(((a, b) for a, b in pairs if table[a][b]), None)
 
     def independent(self) -> bool:
-        # a full-rank P certifies independence; the rank runs only without one
-        return self.separated or mat_rank(self.vectors) == len(self.vectors)
+        return mat_rank(self.vectors) == len(self.vectors)
 
     def contains(self, vector) -> bool:
         """Whether 2<g_c, v> = 0 for every c."""
@@ -162,11 +157,6 @@ class CochainComplex:
         self.slots = slots
         self.d = d
         self.schouten = schouten
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not CochainComplex:
-            return NotImplemented
-        return (self.slots, self.d, self.schouten) == (other.slots, other.d, other.schouten)
 
     @cached_property
     def gauge(self) -> Matrix:

@@ -75,9 +75,11 @@ COMMANDS = ("validate", "brackets", "mc", "gauge", "family", "type", "strata", "
 
 
 class ParseError(ValueError):
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+    """An input error at a workspace line, or at ``--at`` for the bindings."""
+
+    def __init__(self, line: int | str, message: str):
+        where = f"line {line}" if isinstance(line, int) else line
+        super().__init__(f"{where}: {message}")
 
 
 KODAIRA_WORKSPACE = """\
@@ -141,7 +143,7 @@ def _check_names(names: Sequence[str], what: str, line: int) -> None:
             raise ParseError(line, f"{what} {n!r}" + (" (the imaginary unit)" if n == "i" else ""))
 
 
-def _scalar(text: str, line: int) -> GaussianRational:
+def _scalar(text: str, line: int | str) -> GaussianRational:
     try:
         return parse_gaussian(text)
     except ScalarError as exc:
@@ -346,30 +348,6 @@ def parse_workspace(text: str) -> WorkspaceSpec:
 def _in_basis_order(spec: WorkspaceSpec, entries: dict) -> list:
     """The items of a table keyed by name pairs, pairs in basis order."""
     return sorted(entries.items(), key=lambda kv: tuple(map(spec.basis.index, kv[0])))
-
-
-def render_workspace(spec: WorkspaceSpec) -> str:
-    """Canonical text form; parses back to an equal spec."""
-    lines = ["basis " + " ".join(spec.basis)]
-    for (a, b), combo in _in_basis_order(spec, spec.brackets):
-        lines.append(f"bracket {a} {b} = {_render_combo(combo, spec.basis)}")
-    if spec.structure == "complex":
-        for name in spec.basis:
-            lines.append(f"J {name} = {_render_combo(spec.jmap[name], spec.basis)}")
-    elif spec.structure == "symplectic":
-        for (a, b), v in _in_basis_order(spec, spec.symplectic):
-            lines.append(f"symplectic {a} {b} = {v}")
-    else:
-        order = list(spec.basis) + [f"{n}*" for n in spec.basis]
-        for combo in spec.generators:
-            lines.append(f"generator {_render_combo(combo, order)}")
-    if spec.names_eigen:
-        lines.append("names eigen " + " ".join(spec.names_eigen))
-    if spec.names_duals:
-        lines.append("names duals " + " ".join(spec.names_duals))
-    if spec.param_prefix != "t":
-        lines.append(f"names params {spec.param_prefix}")
-    return "\n".join(lines) + "\n"
 
 
 def _render_combo(combo: dict[str, GaussianRational], order: Sequence[str]) -> str:
@@ -593,18 +571,18 @@ def run_type(ws: Workspace, at: str) -> dict:
         if not chunk:
             continue
         if "=" not in chunk:
-            raise ParseError(1, f"binding {chunk!r} needs name=value")
+            raise ParseError("--at", f"binding {chunk!r} needs name=value")
         name, value = chunk.split("=", 1)
         name = name.strip()
         if name not in by_name:
             known = ", ".join(sorted(by_name))
-            raise ParseError(1, f"unknown family parameter {name!r} (free: {known})")
+            raise ParseError("--at", f"unknown family parameter {name!r} (free: {known})")
         if by_name[name] in bindings:
-            raise ParseError(1, f"{name} bound twice")
-        bindings[by_name[name]] = _scalar(value, 1)
+            raise ParseError("--at", f"{name} bound twice")
+        bindings[by_name[name]] = _scalar(value, "--at")
     missing = [p.name for p in family.free if p not in bindings]
     if missing:
-        raise ParseError(1, f"unbound family parameters: {', '.join(missing)}")
+        raise ParseError("--at", f"unbound family parameters: {', '.join(missing)}")
     k, label = classify(family.reduced_map, bindings)
     return {"k": k, "label": label}
 
@@ -712,7 +690,7 @@ def run_pipeline(spec: WorkspaceSpec, command: str, at: Optional[str] = None, fm
 
     if command == "type":
         if not at and ws.family.free:
-            raise ParseError(1, "type needs --at name=value,...")
+            raise ParseError("--at", "type needs --at name=value,...")
         data = run_type(ws, at or "")
         liner = _lines_type
     else:

@@ -73,12 +73,6 @@ class GenSection:
     def is_constant(self) -> bool:
         return all(c.is_constant() for c in self.coeffs)
 
-    def is_tangent_only(self) -> bool:
-        return all(c.is_zero() for c in self.cotangent)
-
-    def is_cotangent_only(self) -> bool:
-        return all(c.is_zero() for c in self.tangent)
-
     def __add__(self, other: "GenSection") -> "GenSection":
         _same_frame(self, other)
         return GenSection(self.frame, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
@@ -195,18 +189,6 @@ def courant_bracket(s1: GenSection, s2: GenSection) -> GenSection:
                     if dh:
                         out[d + b] += (c * dh).scale(GR_HALF)
     return GenSection(frame, tuple(out))
-
-
-def lie_derivative(x: GenSection, f: GenSection) -> GenSection:
-    """L_X f = [X, f] + d(f(X))/2 for a tangent-only X and a 1-form f."""
-    if not x.is_tangent_only():
-        raise CourantError("lie_derivative direction must be tangent-only")
-    if not f.is_cotangent_only():
-        raise CourantError("lie_derivative argument must be a 1-form")
-    bracket = courant_bracket(x, f)
-    fx = doubled_pair(x.coeffs, f.coeffs)
-    exact = [PolyScalar.zero()] * x.frame.dim + [g.scale(GR_HALF) for g in _grad(x.frame, fx)]
-    return bracket + GenSection(x.frame, tuple(exact))
 
 
 def bracket_table(generators: Sequence[GenSection]) -> list[list[GenSection]]:

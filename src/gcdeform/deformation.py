@@ -102,26 +102,6 @@ class DeformationMap:
             raise DeformationError(f"pairing compatibility fails at {pair}")
         return DeformationMap(sub, entries, tuple(parameters))
 
-    @staticmethod
-    def from_form(sub: IsotropicSubbundle, form: ExteriorForm) -> "DeformationMap":
-        """Recover the map from a degree-2 element of the exterior square of L*."""
-        if form.degrees() not in (set(), {2}):
-            raise DeformationError("deformation form must be homogeneous of degree 2")
-        # eps(g_k) = -sum_a form(g_k, g_a) h_a, and each
-        # h_a = sum_i P^-1[i][a] conj(g_i) is read off on the conjugates
-        n = sub.rank
-        entries = [
-            [-sum((form.coefficient((k, a)).scale(x) for a, x in enumerate(row)), PolyScalar.zero())
-             for k in range(n)]
-            for row in sub.splitting.inverse
-        ]
-        symbols = {g for _, c in form.terms for g in c.generators() if isinstance(g, Symbol)}
-        params = sorted(symbols, key=lambda s: s.sort_key())
-        made = DeformationMap.from_entries(sub, entries, params)
-        if made.form != form:
-            raise InternalConsistencyError("form transport round-trip failed")
-        return made
-
     def substitute(self, bindings: Mapping[Symbol, PolyLike]) -> "DeformationMap":
         """Bind parameters in the entries.  Substitution is a ring homomorphism,
         so the entries stay compatible and nothing is re-proved."""

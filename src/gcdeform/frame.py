@@ -126,21 +126,6 @@ class ExteriorForm:
         c = poly(c)
         return ExteriorForm.build(self.names, {i: k * c for i, k in self.terms})
 
-    def interior(self, vector: Sequence[PolyScalar]) -> "ExteriorForm":
-        """Interior product into the first slot: (i_v f)(...) = f(v, ...)."""
-        acc: dict[tuple[int, ...], PolyScalar] = {}
-        for idx, c in self.terms:
-            for pos, b in enumerate(idx):
-                v = vector[b]
-                if v.is_zero():
-                    continue
-                rest = idx[:pos] + idx[pos + 1 :]
-                term = v * c
-                if pos % 2 == 1:
-                    term = -term
-                acc[rest] = acc.get(rest, PolyScalar.zero()) + term
-        return ExteriorForm.build(self.names, acc)
-
     def evaluate(self, vectors: Sequence[Sequence[PolyScalar]]) -> PolyScalar:
         """Determinant-convention evaluation at coefficient vectors."""
         rows = tuple(range(len(vectors)))
@@ -257,17 +242,11 @@ class FrameAlgebra:
     def build(
         basis: Sequence[str],
         brackets: Mapping[tuple[str, str], Mapping[str, GaussianRational]],
-        dual_names: Optional[Sequence[str]] = None,
     ) -> "FrameAlgebra":
         basis = tuple(basis)
         if len(set(basis)) != len(basis):
             raise FrameError("duplicate basis names")
         index = {n: i for i, n in enumerate(basis)}
-        if dual_names is None:
-            dual_names = tuple(f"{n}*" for n in basis)
-        dual_names = tuple(dual_names)
-        if len(dual_names) != len(basis):
-            raise FrameError("dual basis size mismatch")
         store: dict[tuple[int, int], list[GaussianRational]] = {}
         for (a, b), rhs in brackets.items():
             if a not in index or b not in index:
@@ -296,7 +275,7 @@ class FrameAlgebra:
         table = tuple(
             (ij, tuple(vec)) for ij, vec in sorted(store.items()) if any(vec)
         )
-        return FrameAlgebra(basis, table, dual_names)
+        return FrameAlgebra(basis, table, tuple(f"{n}*" for n in basis))
 
     @property
     def dim(self) -> int:
@@ -365,14 +344,6 @@ class ComplexOp:
 
     def __init__(self, matrix: tuple[tuple[GaussianRational, ...], ...]) -> None:
         self.matrix = matrix
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not ComplexOp:
-            return NotImplemented
-        return self.matrix == other.matrix
-
-    def __hash__(self) -> int:
-        return hash(self.matrix)
 
     @staticmethod
     def build(matrix: Sequence[Sequence[GaussianRational]]) -> "ComplexOp":
@@ -538,30 +509,15 @@ def eigenframe(
 
 
 def kodaira_preset() -> tuple[FrameAlgebra, ComplexOp]:
-    """Invariant frame of the primary Kodaira surface nilmanifold.
-
-    Basis (X, Y, U, V) with the single bracket [X, Y] = U, and the invariant
-    complex endomorphism JX = Y, JY = -X, JU = V, JV = -U.  The +i eigenframe
-    generators are T = (X - iY)/2 and W = (U - iV)/2; their conjugates carry
-    eigenvalue -i, as the eigenvector relation J(v-bar) = -i v-bar forces.
+    """Invariant frame of the primary Kodaira surface nilmanifold, read from
+    the CLI's ``kodaira`` preset: basis (X, Y, U, V) with the single bracket
+    [X, Y] = U, and the invariant complex endomorphism JX = Y, JY = -X,
+    JU = V, JV = -U.  The +i eigenframe generators are T = (X - iY)/2 and
+    W = (U - iV)/2; their conjugates carry eigenvalue -i, as the eigenvector
+    relation J(v-bar) = -i v-bar forces.
     """
-    g = FrameAlgebra.build(
-        ("X", "Y", "U", "V"),
-        {("X", "Y"): {"U": GR_ONE}},
-    )
-    zero, one = GR_ZERO, GR_ONE
-    J = ComplexOp.build(
-        (
-            (zero, -one, zero, zero),
-            (one, zero, zero, zero),
-            (zero, zero, zero, -one),
-            (zero, zero, one, zero),
-        )
-    )
-    return g, J
+    # imported here: the CLI builds on this module
+    from .cli import KODAIRA_WORKSPACE, build_workspace, parse_workspace
 
-
-def kodaira_frame() -> ComplexFrame:
-    """Eigenframe (T, W, Tbar, Wbar) with co-frame (omega, rho, omegabar, rhobar)."""
-    g, J = kodaira_preset()
-    return eigenframe(g, J, tangent_names=("T", "W"), dual_names=("omega", "rho"))
+    ws = build_workspace(parse_workspace(KODAIRA_WORKSPACE))
+    return ws.algebra, ws.jop

@@ -1,18 +1,23 @@
 import pytest
 
-from gcdeform.algebroid import build_complex_eigenbundle
+from gcdeform.cli import KODAIRA_WORKSPACE, build_workspace, parse_workspace
 from gcdeform.deformation import constrain_map, mc_residual, reduce_family
-from gcdeform.frame import kodaira_frame
 
 
 @pytest.fixture(scope="session")
-def kframe():
-    return kodaira_frame()
+def kworkspace():
+    """The built-in ``kodaira`` preset, built as the CLI builds it."""
+    return build_workspace(parse_workspace(KODAIRA_WORKSPACE))
 
 
 @pytest.fixture(scope="session")
-def ksub(kframe):
-    return build_complex_eigenbundle(kframe)
+def kframe(kworkspace):
+    return kworkspace.frame
+
+
+@pytest.fixture(scope="session")
+def ksub(kworkspace):
+    return kworkspace.sub
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,11 @@ The Courant oracle works only on constant sections and goes through pure
 invariant exterior calculus (structure-constant differential, interior
 products), a different route from the engine's function-coefficient Leibniz
 expansion.
+
+Three builders serve only the tests and so live here, not in the engine:
+``interior`` (the interior product of a form), ``from_form`` (the map whose
+transported 2-form is a given form) and ``render_workspace`` (the canonical
+text of a workspace spec, for the reader round trips).
 """
 
 from collections import Counter
@@ -15,7 +20,8 @@ from typing import Optional, Sequence
 import operator
 import random
 
-from gcdeform.algebroid import AlgebroidError, CochainComplex
+from gcdeform.algebroid import AlgebroidError, CochainComplex, InternalConsistencyError
+from gcdeform.cli import WorkspaceSpec, _in_basis_order, _render_combo
 from gcdeform.courant import GenSection, courant_bracket, doubled_pair, pair
 from gcdeform.deformation import (
     CLASSICAL_COMPLEX,
@@ -84,6 +90,22 @@ def reference_lie_bracket(algebra: FrameAlgebra, v, w) -> list:
     return out
 
 
+def interior(form: ExteriorForm, vector: Sequence[PolyScalar]) -> ExteriorForm:
+    """Interior product into the first slot: (i_v f)(...) = f(v, ...)."""
+    acc: dict[tuple[int, ...], PolyScalar] = {}
+    for idx, c in form.terms:
+        for pos, b in enumerate(idx):
+            v = vector[b]
+            if v.is_zero():
+                continue
+            rest = idx[:pos] + idx[pos + 1 :]
+            term = v * c
+            if pos % 2 == 1:
+                term = -term
+            acc[rest] = acc.get(rest, PolyScalar.zero()) + term
+    return ExteriorForm.build(form.names, acc)
+
+
 def courant_oracle(frame: ComplexFrame, s1: GenSection, s2: GenSection) -> GenSection:
     """Brute-force Courant bracket of constant sections via exterior calculus."""
     d = frame.dim
@@ -97,7 +119,7 @@ def courant_oracle(frame: ComplexFrame, s1: GenSection, s2: GenSection) -> GenSe
 
     def lie(vec, form):
         # constant data: L_v = i_v d + d i_v with the second term constant, so zero
-        return frame.algebra.ce_differential(form).interior(vec)
+        return interior(frame.algebra.ce_differential(form), vec)
 
     form = lie(x, tau)
     ly = lie(y, sigma)
@@ -108,10 +130,10 @@ def courant_oracle(frame: ComplexFrame, s1: GenSection, s2: GenSection) -> GenSe
     return GenSection(frame, tuple(tangent + out))
 
 
-# ``courant_bracket``, ``pair`` and ``lie_derivative`` before the bracket was
-# one formula: constant sections through the structure table, every other
-# section through the Lie derivative of the co-frame part, expanded with the
-# frame's d e_k* and contracted by hand.  Copied unchanged, helpers included.
+# ``courant_bracket`` and ``pair`` before the bracket was one formula:
+# constant sections through the structure table, every other section through
+# the Lie derivative of the co-frame part, expanded with the frame's d e_k*
+# and contracted by hand.  Copied unchanged, helpers included.
 
 
 def contract(cot: Sequence[PolyScalar], tan: Sequence[PolyScalar]) -> PolyScalar:
@@ -185,13 +207,6 @@ def reference_pair(s1: GenSection, s2: GenSection) -> PolyScalar:
     for a in range(d):
         total = total + s1.cotangent[a] * s2.tangent[a] + s2.cotangent[a] * s1.tangent[a]
     return total.scale(GR_HALF)
-
-
-def reference_lie_derivative(x: GenSection, f: GenSection) -> GenSection:
-    """L_X f for a tangent-only section X and an invariant co-frame 1-form f."""
-    out = _lie_cotangent(x.frame, x.tangent, f.cotangent)
-    zero = [PolyScalar.zero()] * x.frame.dim
-    return GenSection(x.frame, tuple(zero + out))
 
 
 def reference_courant_bracket(s1: GenSection, s2: GenSection) -> GenSection:
@@ -830,6 +845,26 @@ def reference_theta_inverse(sub) -> tuple[GenSection, ...]:
     return tuple(out)
 
 
+def from_form(sub, form: ExteriorForm) -> DeformationMap:
+    """The map whose transported 2-form is ``form``, a degree-2 element of the
+    exterior square of L*, read through P^-1 and checked by its round trip."""
+    if form.degrees() not in (set(), {2}):
+        raise DeformationError("deformation form must be homogeneous of degree 2")
+    # eps(g_k) = -sum_a form(g_k, g_a) h_a, and each
+    # h_a = sum_i P^-1[i][a] conj(g_i) is read off on the conjugates
+    n = sub.rank
+    entries = [
+        [-sum((form.coefficient((k, a)).scale(x) for a, x in enumerate(row)), PolyScalar.zero())
+         for k in range(n)]
+        for row in sub.splitting.inverse
+    ]
+    symbols = {g for _, c in form.terms for g in c.generators() if isinstance(g, Symbol)}
+    made = DeformationMap.from_entries(sub, entries, sorted(symbols, key=lambda s: s.sort_key()))
+    if made.form != form:
+        raise InternalConsistencyError("form transport round-trip failed")
+    return made
+
+
 def reference_form_entries(sub, form: ExteriorForm) -> list[list[PolyScalar]]:
     """Entries of the map eps: L -> L-bar whose transported 2-form is ``form``."""
     n = sub.rank
@@ -841,7 +876,7 @@ def reference_form_entries(sub, form: ExteriorForm) -> list[list[PolyScalar]]:
         unit = [
             PolyScalar.const(GR_ONE if a == k else GR_ZERO) for a in range(n)
         ]
-        phi = form.interior(unit)
+        phi = interior(form, unit)
         amb = [PolyScalar.zero()] * (2 * sub.frame.dim)
         for a in range(n):
             c = phi.coefficient((a,))
@@ -1175,7 +1210,8 @@ def reference_eigenframe(g: FrameAlgebra, J: ComplexOp, tangent_names=None, dual
         if rhs:
             brackets[(names[a], names[b])] = rhs
     conj = tuple(list(range(m, 2 * m)) + list(range(m)))
-    algebra = FrameAlgebra.build(names, brackets, duals)
+    built = FrameAlgebra.build(names, brackets)
+    algebra = FrameAlgebra(built.basis, built.table, tuple(duals))
     return ComplexFrame(algebra, conj, g, tuple(tuple(row) for row in P))
 
 
@@ -1200,3 +1236,27 @@ def random_two_step_nilpotent(rng, n):
         if rhs:
             brackets[(basis[i], basis[j])] = rhs
     return FrameAlgebra.build(basis, brackets)
+
+
+def render_workspace(spec: WorkspaceSpec) -> str:
+    """Canonical text form of a workspace; parses back to an equal spec."""
+    lines = ["basis " + " ".join(spec.basis)]
+    for (a, b), combo in _in_basis_order(spec, spec.brackets):
+        lines.append(f"bracket {a} {b} = {_render_combo(combo, spec.basis)}")
+    if spec.structure == "complex":
+        for name in spec.basis:
+            lines.append(f"J {name} = {_render_combo(spec.jmap[name], spec.basis)}")
+    elif spec.structure == "symplectic":
+        for (a, b), v in _in_basis_order(spec, spec.symplectic):
+            lines.append(f"symplectic {a} {b} = {v}")
+    else:
+        order = list(spec.basis) + [f"{n}*" for n in spec.basis]
+        for combo in spec.generators:
+            lines.append(f"generator {_render_combo(combo, order)}")
+    if spec.names_eigen:
+        lines.append("names eigen " + " ".join(spec.names_eigen))
+    if spec.names_duals:
+        lines.append("names duals " + " ".join(spec.names_duals))
+    if spec.param_prefix != "t":
+        lines.append(f"names params {spec.param_prefix}")
+    return "\n".join(lines) + "\n"

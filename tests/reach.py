@@ -1,16 +1,28 @@
-"""List the gcdeform functions that no CLI command reaches.
+"""List the gcdeform functions that no CLI command reaches, and what keeps each.
 
 Usage: ``python tests/reach.py [SRC]``, where SRC is the source directory to
 import gcdeform from (default: the ``src`` next to this file).  It runs every
 invocation of ``tests/cli_sweep.py`` in process under ``sys.setprofile`` and
 prints each function of the gcdeform sources that no call entered, nested
-functions included, with its line count, then their number and total lines.
-A report, not a gate: it exits 0 whatever it finds.  Standard library only.
+functions included, with its line count and one label:
+
+- ``acceptance``: running ``tests/test_acceptance.py`` in process, through
+  ``pytest.main``, enters it;
+- ``bench``: ``TRACED`` in ``bench/spans.py`` names it, or the function it is
+  nested in (read with ``ast``, not imported);
+- ``test-only``: neither.
+
+Then it prints the number of functions and lines, in all and per label.  A
+report, not a gate: it exits 0 whatever it finds.  Standard library only,
+except that the ``acceptance`` label needs pytest; without it, no function
+gets that label and a note says so.
 """
 
 from __future__ import annotations
 
 import ast
+import contextlib
+import io
 import os
 import sys
 import tempfile
@@ -20,6 +32,8 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 
 import cli_sweep  # noqa: E402
+
+LABELS = ("acceptance", "bench", "test-only")
 
 
 def functions(path: Path) -> dict[int, tuple[str, int, int]]:
@@ -44,11 +58,33 @@ def functions(path: Path) -> dict[int, tuple[str, int, int]]:
     return found
 
 
+def traced_by_bench() -> set[tuple[str, str]]:
+    """The (file name, qualified name) pairs of ``TRACED`` in ``bench/spans.py``."""
+    tree = ast.parse((HERE.parent / "bench" / "spans.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TRACED" for t in node.targets):
+            return {(f"{module}.py", name) for module, name in ast.literal_eval(node.value)}
+    return set()
+
+
+def run_acceptance() -> str:
+    """Run the acceptance criteria in process; a note when that cannot be done."""
+    try:
+        import pytest
+    except ImportError:
+        return "pytest is not installed: no function is labelled acceptance"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = pytest.main(["-q", "-p", "no:cacheprovider", str(HERE / "test_acceptance.py")])
+    return "" if code == 0 else f"the acceptance run exited {int(code)}"
+
+
 def main() -> int:
     src = Path(sys.argv[1]).resolve() if len(sys.argv) > 1 else HERE.parent / "src"
     package = src / "gcdeform"
     tables = {str(path): functions(path) for path in sorted(package.glob("*.py"))}
-    entered: set[tuple[str, int]] = set()
+    sweep: set[tuple[str, int]] = set()
+    acceptance: set[tuple[str, int]] = set()
+    entered = sweep
 
     def profile(frame, event, arg) -> None:
         if event == "call" and frame.f_code.co_filename in tables:
@@ -74,16 +110,39 @@ def main() -> int:
             sys.setprofile(None)
             os.chdir(cwd)
 
-    reached = {(path, tables[path][line][1]) for path, line in entered if line in tables[path]}
+    entered = acceptance
+    sys.setprofile(profile)
+    try:
+        note = run_acceptance()
+    finally:
+        sys.setprofile(None)
+
+    def reached(marks: set[tuple[str, int]]) -> set[tuple[str, int]]:
+        return {(path, tables[path][line][1]) for path, line in marks if line in tables[path]}
+
+    by_sweep, by_acceptance, bench = reached(sweep), reached(acceptance), traced_by_bench()
     unreached = []
     for path, table in tables.items():
+        file = Path(path).name
         for name, line, count in sorted(set(table.values()), key=lambda entry: entry[1]):
-            if (path, line) not in reached:
-                unreached.append((f"{Path(path).name}:{line}", name, count))
+            if (path, line) in by_sweep:
+                continue
+            if (path, line) in by_acceptance:
+                label = "acceptance"
+            elif any(f == file and (name == t or name.startswith(f"{t}.")) for f, t in bench):
+                label = "bench"
+            else:
+                label = "test-only"
+            unreached.append((f"{file}:{line}", name, count, label))
     print(f"gcdeform functions that no command of the CLI sweep ({commands} commands) reaches:")
-    for where, name, count in unreached:
-        print(f"  {where:<18} {name:<44} {count:>4} lines")
-    print(f"{len(unreached)} functions, {sum(c for _, _, c in unreached)} lines")
+    for where, name, count, label in unreached:
+        print(f"  {where:<18} {name:<44} {count:>4} lines  {label}")
+    print(f"{len(unreached)} functions, {sum(entry[2] for entry in unreached)} lines")
+    for label in LABELS:
+        counts = [entry[2] for entry in unreached if entry[3] == label]
+        print(f"  {label}: {len(counts)} functions, {sum(counts)} lines")
+    if note:
+        print(f"note: {note}")
     return 0
 
 

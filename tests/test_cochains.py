@@ -46,6 +46,7 @@ from gcdeform.scalar import (
 from oracles import (
     dense,
     form_vector,
+    from_form,
     random_gaussian,
     random_poly,
     reference_ce_differential,
@@ -160,7 +161,7 @@ def test_mc_constraints_match_reference_on_random_forms(workspaces, name):
         # constant coefficients, then polynomial ones in two parameters
         coefficient = (lambda: random_gaussian(rng)) if trial < 8 else (lambda: random_poly(rng, symbols))
         data = {idx: coefficient() for idx in slots if rng.random() < 0.6}
-        emap = DeformationMap.from_form(sub, ExteriorForm.build(sub.lform_names, data))
+        emap = from_form(sub, ExteriorForm.build(sub.lform_names, data))
         assert mc_residual(emap).constraints == reference_mc_constraints(emap)
 
 
@@ -169,7 +170,7 @@ def test_mc_residual_refuses_function_coefficients(workspaces):
     sub = workspaces["kodaira"].sub
     form = ExteriorForm.build(sub.lform_names, {(0, 1): PolyScalar.of(function("f"))})
     with pytest.raises(DeformationError, match="parameter-only coefficients"):
-        mc_residual(DeformationMap.from_form(sub, form))
+        mc_residual(from_form(sub, form))
 
 
 def _composes_to_zero(d, slots, p) -> bool:

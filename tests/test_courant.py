@@ -13,14 +13,11 @@ from gcdeform.courant import (
     GenSection,
     bracket_table,
     courant_bracket,
-    lie_derivative,
     pair,
 )
 from gcdeform.frame import ComplexFrame, FrameAlgebra, eigenframe, kodaira_preset
 from gcdeform.scalar import (
     GR_HALF,
-    GR_ONE,
-    GR_ZERO,
     DerivationDepthError,
     DerivationSymbol,
     GaussianRational,
@@ -36,7 +33,6 @@ from oracles import (
     random_poly,
     random_two_step_nilpotent,
     reference_courant_bracket,
-    reference_lie_derivative,
     reference_pair,
 )
 
@@ -118,47 +114,6 @@ def test_bracket_table_requires_constants(kframe):
     s = GenSection.make(kframe, {"Tbar": function("u1")})
     with pytest.raises(CourantError):
         bracket_table([s])
-
-
-def test_lie_derivative_general(kframe):
-    u1, u2, a3, a4 = (function(n) for n in ("u1", "u2", "a3", "a4"))
-    x = GenSection.make(kframe, {"Tbar": u1, "Wbar": u2})
-    f = GenSection.make(kframe, {"omega": a3, "rho": a4})
-    result = lie_derivative(x, f)
-
-    def xof(h):
-        return poly(u1) * poly(h).differentiate("Tbar") + poly(u2) * poly(h).differentiate("Wbar")
-
-    expected_omega = xof(a3) + (poly(u1) * poly(a4)).scale(HALF_I)
-    expected_rho = xof(a4)
-    assert result.cotangent[0] == expected_omega
-    assert result.cotangent[1] == expected_rho
-    assert result.cotangent[2].is_zero() and result.cotangent[3].is_zero()
-
-
-def test_lie_derivative_invariant_values(kframe):
-    t = GenSection.basis(kframe, "T")
-    omegabar = GenSection.basis(kframe, "omegabar")
-    rhobar = GenSection.basis(kframe, "rhobar")
-    assert lie_derivative(t, omegabar).is_zero()
-    assert lie_derivative(t, rhobar) == GenSection.make(kframe, {"omegabar": -HALF_I})
-
-
-def test_lie_derivative_agrees_with_ce_differential(kframe):
-    # constant-coefficient cross-check against the frame-level differential
-    alg = kframe.algebra
-    from gcdeform.frame import ExteriorForm
-
-    for a in range(4):
-        direction = GenSection.basis(kframe, alg.basis[a])
-        unit = [poly(GR_ONE if k == a else GR_ZERO) for k in range(4)]
-        for k in range(4):
-            f = GenSection.basis(kframe, kframe.cotangent_names[k])
-            via_sections = lie_derivative(direction, f)
-            df = alg.ce_differential(ExteriorForm.basis(alg.dual_names, (k,)))
-            contracted = df.interior(unit)
-            for b in range(4):
-                assert via_sections.cotangent[b] == contracted.coefficient((b,))
 
 
 def test_courant_general_formula(kframe):
@@ -373,7 +328,6 @@ def _random_section(rng, frame, symbols):
 )
 def test_one_formula_matches_the_two_path_reference(name):
     frame = _frame(name)
-    zeros = (PolyScalar.zero(),) * frame.dim
     rng = random.Random(f"one formula {name}")
     u, v = function("u"), function("v")
     kinds = {
@@ -386,14 +340,9 @@ def test_one_formula_matches_the_two_path_reference(name):
     for kind, symbols in kinds.items():
         for _ in range(12):
             s1, s2 = _random_section(rng, frame, symbols), _random_section(rng, frame, symbols)
-            x, f = GenSection(frame, s1.tangent + zeros), GenSection(frame, zeros + s2.cotangent)
-            for new, old, args in (
-                (courant_bracket, reference_courant_bracket, (s1, s2)),
-                (pair, reference_pair, (s1, s2)),
-                (lie_derivative, reference_lie_derivative, (x, f)),
-            ):
-                got = _outcome(new, *args)
-                assert got == _outcome(old, *args), (kind, new.__name__, args)
+            for new, old in ((courant_bracket, reference_courant_bracket), (pair, reference_pair)):
+                got = _outcome(new, s1, s2)
+                assert got == _outcome(old, s1, s2), (kind, new.__name__, s1, s2)
                 if got is DerivationDepthError:
                     seen[kind, new.__name__, "refused"] += 1
                 elif new is courant_bracket and any(c.has_derivations() for c in got.coeffs):
@@ -402,4 +351,3 @@ def test_one_formula_matches_the_two_path_reference(name):
     # symbol that would be differentiated again is refused
     assert seen["function", "leibniz"] > 0
     assert seen["derivative", "courant_bracket", "refused"] > 0
-    assert seen["derivative", "lie_derivative", "refused"] > 0

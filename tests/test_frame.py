@@ -10,7 +10,6 @@ from gcdeform.frame import (
     FrameAlgebra,
     FrameError,
     eigenframe,
-    kodaira_frame,
     kodaira_preset,
 )
 from gcdeform.scalar import GR_ONE, GR_ZERO, GaussianRational, PolyScalar, function, parameter, poly
@@ -68,9 +67,8 @@ def test_complex_op_requires_square_minus_one():
     assert J.dim == 4
 
 
-def test_eigenframe_kodaira_single_bracket():
-    frame = kodaira_frame()
-    alg = frame.algebra
+def test_eigenframe_kodaira_single_bracket(kframe):
+    alg = kframe.algebra
     assert alg.basis == ("T", "W", "Tbar", "Wbar")
     assert alg.dual_names == ("omega", "rho", "omegabar", "rhobar")
     assert len(alg.table) == 1
@@ -80,9 +78,8 @@ def test_eigenframe_kodaira_single_bracket():
     assert vec == (GR_ZERO, half_i, GR_ZERO, half_i)
 
 
-def test_eigenframe_round_trip_recovers_real_basis():
-    frame = kodaira_frame()
-    P = frame.change_of_basis
+def test_eigenframe_round_trip_recovers_real_basis(kframe):
+    P = kframe.change_of_basis
     n = 4
     t_col = [P[i][0] for i in range(n)]
     tbar_col = [P[i][2] for i in range(n)]
@@ -153,35 +150,31 @@ def _dual_form(frame, data):
     return ExteriorForm.build(frame.algebra.dual_names, data)
 
 
-def test_ce_differential_kodaira_coframe():
-    frame = kodaira_frame()
-    alg = frame.algebra
+def test_ce_differential_kodaira_coframe(kframe):
+    alg = kframe.algebra
     d_omega = alg.ce_differential(ExteriorForm.basis(alg.dual_names, (0,)))
     assert d_omega.is_zero()
     d_rho = alg.ce_differential(ExteriorForm.basis(alg.dual_names, (1,)))
     # d rho evaluates to -i/2 at (T, Tbar)
     minus_half_i = PolyScalar.const(GR(0, Fraction(-1, 2)))
-    assert d_rho == _dual_form(frame, {(0, 2): minus_half_i})
+    assert d_rho == _dual_form(kframe, {(0, 2): minus_half_i})
     d_rhobar = alg.ce_differential(ExteriorForm.basis(alg.dual_names, (3,)))
-    assert d_rhobar == _dual_form(frame, {(0, 2): minus_half_i})
+    assert d_rhobar == _dual_form(kframe, {(0, 2): minus_half_i})
 
 
-def test_ce_differential_constant_zero_form():
-    frame = kodaira_frame()
-    const = ExteriorForm.build(frame.algebra.dual_names, {(): poly(parameter("t"))})
-    assert frame.algebra.ce_differential(const).is_zero()
+def test_ce_differential_constant_zero_form(kframe):
+    const = ExteriorForm.build(kframe.algebra.dual_names, {(): poly(parameter("t"))})
+    assert kframe.algebra.ce_differential(const).is_zero()
 
 
-def test_ce_differential_rejects_function_coefficients():
-    frame = kodaira_frame()
-    bad = ExteriorForm.build(frame.algebra.dual_names, {(0,): poly(function("u1"))})
+def test_ce_differential_rejects_function_coefficients(kframe):
+    bad = ExteriorForm.build(kframe.algebra.dual_names, {(0,): poly(function("u1"))})
     with pytest.raises(FrameError):
-        frame.algebra.ce_differential(bad)
+        kframe.algebra.ce_differential(bad)
 
 
-def test_ce_differential_squares_to_zero():
-    frame = kodaira_frame()
-    alg = frame.algebra
+def test_ce_differential_squares_to_zero(kframe):
+    alg = kframe.algebra
     rng = random.Random(17)
     t = [parameter(f"s{k}") for k in range(4)]
     for _ in range(20):
@@ -206,10 +199,10 @@ def _random_algebra(rng, n, upper):
     return FrameAlgebra.build(basis, brackets)
 
 
-def test_ce_differential_matches_wedge_expansion():
+def test_ce_differential_matches_wedge_expansion(kframe):
     rng = random.Random(99)
     symbols = [parameter("s"), parameter("t")]
-    algebras = [kodaira_frame().algebra, kodaira_preset()[0]]
+    algebras = [kframe.algebra, kodaira_preset()[0]]
     algebras += [_random_algebra(rng, rng.randint(3, 6), upper=True) for _ in range(12)]
     # constants c^k_ij with k in {i, j} put the slot's own index back in
     algebras += [_random_algebra(rng, rng.randint(3, 5), upper=False) for _ in range(6)]

