@@ -3,7 +3,8 @@
 An ``IsotropicSubbundle`` L is spanned by constant sections, with the tangent
 projection as anchor and the restricted Courant bracket as algebroid bracket.
 The dual L* is the conjugate span through the doubled pairing theta(x) =
-2<x, .>; L and L* are ``FrameAlgebra``s from one ``closure`` routine.  d_L
+2<x, .>; L and L* are ``FrameAlgebra``s from one ``closure`` routine, which
+brackets each pair of sections over their nonzero slots only.  d_L
 acts on exterior elements over L*, and the Schouten bracket extends L*'s
 bracket as a biderivation; on constant forms both are sparse matrices of a
 ``CochainComplex``, d_L one per degree from one routine, ``ce_rows``.
@@ -17,8 +18,8 @@ from typing import Iterator, Optional, Sequence
 
 from .courant import GenSection, conjugate_vector, courant_bracket, directional, doubled_pair, pair
 from .courant import pairings
-from .frame import ComplexFrame, ComplexOp, ExteriorForm, FrameAlgebra, _sort_index, bracket_vectors
-from .frame import eigenframe
+from .frame import ComplexFrame, ComplexOp, ExteriorForm, FrameAlgebra, _sort_index, eigenframe
+from .frame import nonzero_brackets, nonzeros
 from .scalar import (
     GR_I,
     GR_ONE,
@@ -74,7 +75,7 @@ class Splitting:
     @cached_property
     def pairing_rows(self) -> list[SparseRow]:
         """Each row j of P as its nonzero (k, P[j][k])."""
-        return [[(k, p) for k, p in enumerate(row) if p] for row in self.pairing]
+        return [nonzeros(row) for row in self.pairing]
 
     @cached_property
     def inverse(self) -> Optional[Matrix]:
@@ -115,14 +116,12 @@ class Splitting:
 
 
 def closure(frame: ComplexFrame, sections, members, coordinates=()) -> list:
-    """The nonzero brackets [s_a, s_b], a < b, of constant vectors by the
+    """The ``nonzero_brackets`` [s_a, s_b], a < b, of constant vectors by the
     frame's ``courant_table``, each as ((a, b), bracket, inside, coords):
     2<[s_a, s_b], .> against ``members``, all zero exactly when the bracket
     lies in the maximal isotropic span they cut out, and against
     ``coordinates``, its coordinates there, all from one ``pairings`` product."""
-    table, pairs = frame.courant_table, itertools.combinations(range(len(sections)), 2)
-    brs = [((a, b), bracket_vectors(table, sections[a], sections[b])) for a, b in pairs]
-    brs = [(ab, br) for ab, br in brs if any(br)]
+    brs = nonzero_brackets(frame.courant_table, sections)
     rows = pairings([br for _, br in brs], list(members) + list(coordinates))
     k = len(members)
     return [(ab, br, row[:k], row[k:]) for (ab, br), row in zip(brs, rows)]
@@ -444,9 +443,7 @@ def express_in_span(
 # ---------------------------------------------------------------------------
 
 
-def build_complex_eigenbundle(
-    frame: ComplexFrame,
-) -> IsotropicSubbundle:
+def build_complex_eigenbundle(frame: ComplexFrame) -> IsotropicSubbundle:
     """The +i eigenbundle of a complex structure: antiholomorphic tangents
     plus holomorphic co-frame, in that order.
 
@@ -463,10 +460,7 @@ def build_complex_eigenbundle(
 
 
 def complex_eigenbundle(
-    g: FrameAlgebra,
-    J: ComplexOp,
-    tangent_names=None,
-    dual_names=None,
+    g: FrameAlgebra, J: ComplexOp, tangent_names=None, dual_names=None
 ) -> tuple[ComplexFrame, IsotropicSubbundle]:
     frame = eigenframe(g, J, tangent_names=tangent_names, dual_names=dual_names)
     return frame, build_complex_eigenbundle(frame)

@@ -75,7 +75,8 @@ COMMANDS = ("validate", "brackets", "mc", "gauge", "family", "type", "strata", "
 
 
 class ParseError(ValueError):
-    """An input error at a workspace line, or at ``--at`` for the bindings."""
+    """An input error at a workspace line, at ``workspace`` for a whole text
+    with no line to blame, or at ``--at`` for the bindings."""
 
     def __init__(self, line: int | str, message: str):
         where = f"line {line}" if isinstance(line, int) else line
@@ -260,7 +261,7 @@ def parse_workspace(text: str) -> WorkspaceSpec:
             _check_names(rest, "bad basis name", lineno)
             if len(set(rest)) != len(rest):
                 raise ParseError(lineno, "duplicate basis name")
-            basis = tuple(rest)
+            basis, basis_line = tuple(rest), lineno
 
         elif keyword == "names":
             if not rest:
@@ -299,16 +300,16 @@ def parse_workspace(text: str) -> WorkspaceSpec:
             _skew_entry(keyword, lhs, rhs, basis, lineno, *skew[keyword])
 
     if basis is None:
-        raise ParseError(1, "no basis line")
+        raise ParseError("workspace", "no basis line")
     brackets, sympl = skew["bracket"][0], skew["symplectic"][0]
     present = (("complex", jmap), ("symplectic", sympl), ("subbundle", gens))
     kinds = [kind for kind, lines in present if lines]
     if len(kinds) != 1:
-        raise ParseError(1, "exactly one structure (J, symplectic, or generator lines) required")
+        raise ParseError("workspace", "exactly one structure (J, symplectic, or generator lines) required")
     structure = kinds[0]
     if structure == "complex" and set(jmap) != set(basis):
         missing = ", ".join(sorted(set(basis) - set(jmap)))
-        raise ParseError(1, f"J is missing on: {missing}")
+        raise ParseError(basis_line, f"J is missing on: {missing}")
     # only a complex structure has an eigenframe to name
     frame_lines = sorted((line, kind) for kind, (line, _) in named.items() if kind != "params")
     if frame_lines and structure != "complex":

@@ -5,8 +5,9 @@ complexified frame.  Coefficients are exact polynomials in parameters and
 coefficient-function symbols; a derivative of a function is a formal
 first-order derivation symbol, which is all the supported invariant
 computations ever need.  The Courant bracket is one formula for every
-coefficient ring: ``bracket_vectors`` over the frame's ``courant_table``,
-plus the Leibniz terms that differentiate coefficient functions.
+coefficient ring: ``bracket_vectors`` of the two sections' nonzero slots over
+the frame's ``courant_table``, plus the Leibniz terms that differentiate
+coefficient functions.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from __future__ import annotations
 import itertools
 from typing import Mapping, Sequence
 
-from .frame import ComplexFrame, bracket_vectors
-from .scalar import GR_HALF, GR_ONE, GR_ZERO, PolyLike, PolyScalar, mat_mul, poly, render_sum, zero_of
+from .frame import ComplexFrame, bracket_vectors, nonzeros
+from .scalar import GR_HALF, GR_ONE, GR_ZERO, P_ZERO, PolyLike, PolyScalar, mat_mul, poly, render_sum
+from .scalar import zero_of
 
 
 class CourantError(ValueError):
@@ -168,9 +170,10 @@ def _grad(frame: ComplexFrame, h: PolyScalar) -> list[PolyScalar]:
 def courant_bracket(s1: GenSection, s2: GenSection) -> GenSection:
     """Skew bracket [X+s, Y+t] = [X,Y] + L_X t - L_Y s - d(i_X t - i_Y s)/2.
 
-    The ``bracket_vectors`` sum over the frame's ``courant_table`` plus the
-    Leibniz terms, which vanish unless a coefficient holds a function.  With
-    d_b the derivative along the b-th frame vector, frame slot k gains
+    The ``bracket_vectors`` sum of the ``nonzeros`` of each section, taken
+    once, over the frame's ``courant_table`` plus the Leibniz terms, which
+    vanish unless a coefficient holds a function.  With d_b the derivative
+    along the b-th frame vector, frame slot k gains
     X(y_k) - Y(x_k) and co-frame slot b gains
     X(t_b) - Y(s_b) + (1/2) sum_a (t_a d_b x_a - x_a d_b t_a - s_a d_b y_a + y_a d_b s_a).
     """
@@ -178,7 +181,8 @@ def courant_bracket(s1: GenSection, s2: GenSection) -> GenSection:
     frame = s1.frame
     d = frame.dim
     x, sig, y, tau = s1.tangent, s1.cotangent, s2.tangent, s2.cotangent
-    out = bracket_vectors(frame.courant_table, s1.coeffs, s2.coeffs)
+    br = bracket_vectors(frame.courant_table, nonzeros(s1.coeffs), nonzeros(s2.coeffs))
+    out = [br.get(k, P_ZERO) for k in range(2 * d)]
     for k in range(d):
         out[k] += directional(frame, x, y[k]) - directional(frame, y, x[k])
         out[d + k] += directional(frame, x, tau[k]) - directional(frame, y, sig[k])

@@ -37,6 +37,7 @@ from .scalar import (
     ScalarError,
     Symbol,
     _over,
+    bound_terms,
     integer_rank,
     mat_rank,
     mat_rref,
@@ -103,9 +104,10 @@ class DeformationMap:
         return DeformationMap(sub, entries, tuple(parameters))
 
     def substitute(self, bindings: Mapping[Symbol, PolyLike]) -> "DeformationMap":
-        """Bind parameters in the entries.  Substitution is a ring homomorphism,
-        so the entries stay compatible and nothing is re-proved."""
-        entries = tuple(tuple(c.substitute(bindings) for c in row) for row in self.entries)
+        """Bind parameters in the entries, checked once.  Substitution is a ring
+        homomorphism, so the entries stay compatible and nothing is re-proved."""
+        values = bound_terms(bindings)
+        entries = tuple(tuple(c.substituted(values) for c in row) for row in self.entries)
         remaining = tuple(p for p in self.parameters if p not in bindings)
         return DeformationMap(self.sub, entries, remaining)
 
@@ -291,21 +293,24 @@ def mc_residual(e: DeformationMap) -> MCSystem:
     """d_L(eps~) + [eps~, eps~]/2 on the degree-3 slots, read off the constant
     complex: with the form as sum_m m F_m (``e.columns``; on a pencil, F_m are
     the columns of A), the constraint on slot r is
-    sum_m m (d[2] F_m)_r + 1/2 sum_{m, m'} m m' S(F_m, F_m')_r."""
+    sum_m m (d[2] F_m)_r + 1/2 sum_{m, m'} m m' S(F_m, F_m')_r, over the columns
+    grouped by slot and only the nonzero entries of S: an empty S costs nothing."""
     if any(c.has_functions() for row in e.entries for c in row):
         raise DeformationError("the Maurer-Cartan system needs parameter-only coefficients")
     cx = e.sub.cochains
-    columns = [(m, list(col.items())) for m, col in e.columns.items()]
-    terms = [(m, r, v * w) for m, col in columns for s, v in col for r, w in cx.d[2][s]]
-    for (m1, col1), (m2, col2) in itertools.product(columns, repeat=2):
-        halves = [(r, GR_HALF * v1 * v2 * w) for s1, v1 in col1 for s2, v2 in col2
-                  for r, w in cx.schouten.get((s1, s2), ())]
-        if halves:
-            m = m1 * m2
-            terms += [(m, r, v) for r, v in halves]
     acc: list[dict[Monomial, GaussianRational]] = [{} for _ in cx.slots[3]]
-    for m, r, v in terms:
-        acc[r][m] = acc[r].get(m, GR_ZERO) + v
+    at: dict[int, list[tuple[Monomial, GaussianRational]]] = {}
+    for m, col in e.columns.items():
+        for s, v in col.items():
+            at.setdefault(s, []).append((m, v))
+            for r, w in cx.d[2][s]:
+                acc[r][m] = acc[r].get(m, GR_ZERO) + v * w
+    for (s1, s2), entry in cx.schouten.items():
+        for m1, v1 in at.get(s1, ()):
+            for m2, v2 in at.get(s2, ()):
+                m, v = m1 * m2, GR_HALF * v1 * v2
+                for r, w in entry:
+                    acc[r][m] = acc[r].get(m, GR_ZERO) + v * w
     return MCSystem(e, [(idx, PolyScalar.from_dict(a)) for idx, a in zip(cx.slots[3], acc)])
 
 
@@ -374,9 +379,10 @@ def solve_mc_system(
                 new[g] = PolyScalar.zero()
         if not new:
             return bindings, remaining, solution.residual
-        bindings = {k: v.substitute(new) for k, v in bindings.items()}
+        values = bound_terms(new)
+        bindings = {k: v.substituted(values) for k, v in bindings.items()}
         bindings.update(new)
-        work = [p.substitute(new) for p in work]
+        work = [p.substituted(values) for p in work]
         work = [p for p in work if not p.is_zero()]
     free = [u for u in unknowns if u not in bindings]
     return bindings, free, []
@@ -440,13 +446,7 @@ def reduce_family(mc: MCSystem) -> DeformationFamily:
     if not mc_residual(reduced_map).is_trivial():
         raise InternalConsistencyError("reduced family fails its own constraint system")
 
-    return DeformationFamily(
-        solved=solved,
-        dropped_gauge=dropped,
-        free=free,
-        directions=reduced,
-        reduced_map=reduced_map,
-    )
+    return DeformationFamily(solved, dropped, free, reduced, reduced_map)
 
 
 # ---------------------------------------------------------------------------
@@ -652,13 +652,11 @@ def _distinct_normalized(polys) -> list[PolyScalar]:
     return list(dict.fromkeys(_normalize_minor(p) for p in polys if not p.is_zero()))
 
 
-def _nonzero_minors(matrix, r: int, table: dict) -> list[PolyScalar]:
-    """Distinct normalized nonzero r x r minors, read from ``table``."""
-    return _distinct_normalized(
-        minor(matrix, rsel, csel, table)
-        for rsel in itertools.combinations(range(len(matrix)), r)
-        for csel in itertools.combinations(range(len(matrix[0])), r)
-    )
+def _minors(matrix, r: int, table: dict):
+    """Every r x r minor of ``matrix``, read from ``table``, row sets outermost."""
+    rows, cols = range(len(matrix)), range(len(matrix[0]))
+    return (minor(matrix, rs, cs, table) for rs in itertools.combinations(rows, r)
+            for cs in itertools.combinations(cols, r))
 
 
 # seeds of the Gaussian-rational points, after the origin, at which
@@ -670,9 +668,9 @@ def _rank_points(symbols: Sequence[Symbol]):
     """The origin, then one point drawn from each ``_RANK_POINT_SEEDS`` entry."""
     yield {s: GR_ZERO for s in symbols}
     for seed in _RANK_POINT_SEEDS:
-        rng = random.Random(seed)
-        part = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        yield {s: GaussianRational(part(), part()) for s in symbols}
+        rng, k = random.Random(seed), 2 * len(symbols)
+        parts = map(Fraction, rng.choices(range(-9, 10), k=k), rng.choices(range(1, 10), k=k))
+        yield {s: GaussianRational(next(parts), next(parts)) for s in symbols}
 
 
 def _generic_rank(matrix) -> int:
@@ -686,19 +684,13 @@ def _generic_rank(matrix) -> int:
     """
     rows, cols, table = len(matrix), len(matrix[0]), {}
     full = min(rows, cols)
-    symbols = sorted(
-        {g for row in matrix for c in row for g in c.generators()}, key=lambda g: g.sort_key()
-    )
+    symbols = sorted({g for row in matrix for c in row for g in c.generators()}, key=lambda g: g.sort_key())
     rank, view = 0, _integer_view(matrix)
     for point in _rank_points(symbols):
         rank = max(rank, integer_rank(_evaluate(*view, point)[1], cols))
         if rank == full:
             return rank
-    while rank < full and any(
-        not minor(matrix, rsel, csel, table).is_zero()
-        for rsel in itertools.combinations(range(rows), rank + 1)
-        for csel in itertools.combinations(range(cols), rank + 1)
-    ):
+    while rank < full and any(_minors(matrix, rank + 1, table)):
         rank += 1
     return rank
 
@@ -709,7 +701,7 @@ def _rank_and_minors(e: DeformationMap) -> tuple[int, list[PolyScalar]]:
     one minor table."""
     matrix, table = e.projection, {}
     sizes = range(min(len(matrix), len(matrix[0])), 0, -1)
-    found = ((r, _nonzero_minors(matrix, r, table)) for r in sizes)
+    found = ((r, _distinct_normalized(_minors(matrix, r, table))) for r in sizes)
     return next(((r, minors) for r, minors in found if minors), (0, []))
 
 

@@ -3,11 +3,12 @@
 A ``FrameAlgebra`` is a finite-dimensional Lie algebra presented by a named
 basis and exact structure constants.  Every bracket of constant vectors, in
 a Lie algebra or of sections of g + g*, is a ``skew_table`` summed by
-``bracket_vectors``.  ``eigenframe`` splits a real frame with an
-almost-complex endomorphism into +i/-i eigenvector generators, recomputing
-the structure constants exactly in the new basis.  ``ExteriorForm`` holds
-graded exterior elements over a dual basis; wedge evaluation follows the
-determinant convention (no 1/k! factor), fixed once for the whole engine.
+``bracket_vectors`` over the ``nonzeros`` of its operands only.
+``eigenframe`` splits a real frame with an almost-complex endomorphism into
++i/-i eigenvector generators, recomputing the structure constants exactly in
+the new basis.  ``ExteriorForm`` holds graded exterior elements over a dual
+basis; wedge evaluation follows the determinant convention (no 1/k! factor),
+fixed once for the whole engine.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .scalar import (
     minor,
     poly,
     render_sum,
-    zero_of,
 )
 
 
@@ -172,21 +172,36 @@ def skew_table(terms) -> dict[tuple[int, int], list[tuple[int, GaussianRational]
     return table
 
 
-def bracket_vectors(table, x, y) -> list:
-    """The bracket of coefficient vectors x and y summed bilinearly over a
-    ``skew_table``, without Leibniz terms.  The value lies in the ring of y;
-    x is constant or in that ring."""
-    ys = [(b, w) for b, w in enumerate(y) if w]
-    out = [zero_of(y[0])] * len(x)
-    for a, v in enumerate(x):
-        if not v:
-            continue
+def bracket_vectors(table, xs, ys) -> dict:
+    """The bracket of two vectors given by their ``nonzeros``, summed over a
+    ``skew_table`` without Leibniz terms, as {slot: value} on the slots it
+    reaches, in the ring of ys' values (xs' are constant or in that ring)."""
+    out: dict = {}
+    for a, v in xs:
         for b, w in ys:
             terms = table.get((a, b))
             if terms:
                 vw = w * v
                 for k, c in terms:
-                    out[k] = out[k] + vw * c
+                    s = out.get(k)
+                    out[k] = vw * c if s is None else s + vw * c
+    return out
+
+
+def nonzeros(vector) -> list:
+    """The nonzero (slot, value) pairs of a vector: a ``bracket_vectors`` operand."""
+    return [(k, c) for k, c in enumerate(vector) if c]
+
+
+def nonzero_brackets(table, vectors) -> list:
+    """The nonzero brackets [v_a, v_b], a < b, of constant vectors by
+    ``bracket_vectors`` over a ``skew_table``, the ``nonzeros`` of each vector
+    taken once, as ((a, b), the bracket as a dense vector)."""
+    sparse, out = [nonzeros(v) for v in vectors], []
+    for a, b in itertools.combinations(range(len(vectors)), 2):
+        br = bracket_vectors(table, sparse[a], sparse[b])
+        if any(br.values()):
+            out.append(((a, b), [br.get(k, GR_ZERO) for k in range(len(vectors[a]))]))
     return out
 
 
@@ -261,20 +276,14 @@ class FrameAlgebra:
                 if name not in index:
                     raise FrameError(f"unknown basis name {name!r} in bracket value")
                 vec[index[name]] = vec[index[name]] + c
-            sign = 1
             if i > j:
-                i, j, sign = j, i, -1
-                vec = [-c for c in vec]
+                i, j, vec = j, i, [-c for c in vec]
             if (i, j) in store:
                 if store[(i, j)] != vec:
-                    raise FrameError(
-                        f"conflicting bracket entries for [{basis[i]}, {basis[j]}]"
-                    )
+                    raise FrameError(f"conflicting bracket entries for [{basis[i]}, {basis[j]}]")
             else:
                 store[(i, j)] = vec
-        table = tuple(
-            (ij, tuple(vec)) for ij, vec in sorted(store.items()) if any(vec)
-        )
+        table = tuple((ij, tuple(vec)) for ij, vec in sorted(store.items()) if any(vec))
         return FrameAlgebra(basis, table, tuple(f"{n}*" for n in basis))
 
     @property
@@ -444,8 +453,8 @@ def eigenframe(
     Each +i generator is (e - i*Je)/2 for a greedily chosen basis vector e,
     so Je is a column of J; the barred partners are the conjugates and carry
     eigenvalue -i.  A bracket v of two columns of P, the new basis in the old
-    coordinates, is P^-1 v in the new: the nonzero ones, as rows, are taken
-    times P^-T in one ``mat_mul``, and a zero one is never transformed.
+    coordinates, is P^-1 v in the new: the ``nonzero_brackets``, as rows, are
+    taken times P^-T in one ``mat_mul``, and a zero one is never transformed.
     """
     if J.dim != g.dim:
         raise FrameError("J dimension mismatch")
@@ -480,27 +489,19 @@ def eigenframe(
     # the new basis vectors in the old coordinates: the columns of P, rows of P^T
     cols = [[GR_HALF * (e - GR_I * je) for e, je in zip(unit(s), column(s))] for s in seeds]
     cols += [[c.conjugate() for c in vec] for vec in cols]
-    P = [list(row) for row in zip(*cols)]
 
     # eigenvalue check: J (e - iJe)/2 = +i (e - iJe)/2
     for col in cols[:m]:
         if J.apply(col) != [GR_I * c for c in col]:
             raise FrameError("eigenvector relation failed")
 
-    pairs = itertools.combinations(range(n), 2)
-    old = [((a, b), bracket_vectors(g.brackets, cols[a], cols[b])) for a, b in pairs]
-    old = [(ab, vec) for ab, vec in old if any(vec)]
+    old = nonzero_brackets(g.brackets, cols)
     new = mat_mul([vec for _, vec in old], mat_inverse(cols)) if old else []
     # an invertible change of basis keeps every nonzero bracket nonzero
     table = tuple((ab, tuple(row)) for (ab, _), row in zip(old, new))
     algebra = FrameAlgebra(tuple(names), table, tuple(duals))
     conj = tuple(list(range(m, 2 * m)) + list(range(m)))
-    return ComplexFrame(
-        algebra=algebra,
-        conj=conj,
-        real=g,
-        change_of_basis=tuple(tuple(row) for row in P),
-    )
+    return ComplexFrame(algebra=algebra, conj=conj, real=g, change_of_basis=tuple(zip(*cols)))
 
 
 # ---------------------------------------------------------------------------

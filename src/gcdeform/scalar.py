@@ -571,10 +571,9 @@ class PolyScalar:
         return {g for m, _ in self.terms for g in m.generators()}
 
     def has_functions(self) -> bool:
-        return any(
-            (isinstance(g, Symbol) and g.kind == FUNCTION) or isinstance(g, DerivationSymbol)
-            for g in self.generators()
-        )
+        # a generator is a parameter, a function or a derivative of one
+        return any(g.__class__ is not Symbol or g.kind != PARAMETER
+                   for m, _ in self.terms for g, _ in m.powers)
 
     def has_derivations(self) -> bool:
         return any(isinstance(g, DerivationSymbol) for g in self.generators())
@@ -582,16 +581,11 @@ class PolyScalar:
     # -- substitution, differentiation, evaluation ---------------------------
 
     def substitute(self, bindings: Mapping[Symbol, PolyLike]) -> "PolyScalar":
-        """Eliminate parameter symbols by exact substitution.
+        """Eliminate parameter symbols by exact substitution (``bound_terms``)."""
+        return self.substituted(bound_terms(bindings))
 
-        Binding a coefficient function or a derivative symbol is rejected.
-        """
-        for sym in bindings:
-            if sym.__class__ is not Symbol:
-                raise SubstitutionError(f"cannot bind {sym!r}")
-            if sym.kind != PARAMETER:
-                raise SubstitutionError(f"cannot bind {sym.kind} symbol {sym.name!r}")
-        values = {s: poly(v).terms for s, v in bindings.items()}
+    def substituted(self, values: Mapping[Symbol, tuple[Term, ...]]) -> "PolyScalar":
+        """``substitute`` with bindings that ``bound_terms`` checked once."""
         if not any(g in values for m, _ in self.terms for g, _ in m.powers):
             return self
         out: dict[Monomial, GaussianRational] = {}
@@ -640,6 +634,17 @@ class PolyScalar:
 
     def __str__(self) -> str:
         return render_sum((str(c), str(m) if m != MONOMIAL_ONE else "") for m, c in self.terms)
+
+
+def bound_terms(bindings: Mapping[Symbol, PolyLike]) -> dict[Symbol, tuple[Term, ...]]:
+    """Parameter bindings, each value as its terms; binding a coefficient
+    function or a derivative symbol is rejected."""
+    for sym in bindings:
+        if sym.__class__ is not Symbol:
+            raise SubstitutionError(f"cannot bind {sym!r}")
+        if sym.kind != PARAMETER:
+            raise SubstitutionError(f"cannot bind {sym.kind} symbol {sym.name!r}")
+    return {s: poly(v).terms for s, v in bindings.items()}
 
 
 def render_sum(terms: Iterable[tuple[str, str]]) -> str:

@@ -41,7 +41,6 @@ from gcdeform.frame import (
     FrameAlgebra,
     FrameError,
     JacobiViolation,
-    bracket_vectors,
     default_frame_names,
 )
 from gcdeform.scalar import (
@@ -73,6 +72,25 @@ def d_dual_basis(algebra: FrameAlgebra, k: int) -> ExteriorForm:
         if not vec[k].is_zero():
             data[(i, j)] = PolyScalar.const(-vec[k])
     return ExteriorForm.build(algebra.dual_names, data)
+
+
+def reference_bracket_vectors(table, x, y) -> list:
+    """``frame.bracket_vectors`` before its operands were their nonzero slots:
+    the bracket of dense coefficient vectors x and y summed bilinearly over a
+    ``skew_table``, as a dense vector in the ring of y; x is constant or in
+    that ring."""
+    ys = [(b, w) for b, w in enumerate(y) if w]
+    out = [zero_of(y[0])] * len(x)
+    for a, v in enumerate(x):
+        if not v:
+            continue
+        for b, w in ys:
+            terms = table.get((a, b))
+            if terms:
+                vw = w * v
+                for k, c in terms:
+                    out[k] = out[k] + vw * c
+    return out
 
 
 def reference_lie_bracket(algebra: FrameAlgebra, v, w) -> list:
@@ -218,7 +236,7 @@ def reference_courant_bracket(s1: GenSection, s2: GenSection) -> GenSection:
     d = frame.dim
     if s1.is_constant() and s2.is_constant():
         x, y = s1.constant_vector(), s2.constant_vector()
-        return GenSection.constant(frame, bracket_vectors(frame.courant_table, x, y))
+        return GenSection.constant(frame, reference_bracket_vectors(frame.courant_table, x, y))
     x, sig = list(s1.tangent), list(s1.cotangent)
     y, tau = list(s2.tangent), list(s2.cotangent)
 
@@ -819,7 +837,7 @@ def reference_schouten_table(sub) -> dict:
     hs = sub.splitting.duals
     table = {}
     for a, b in itertools.combinations(range(sub.rank), 2):
-        br = bracket_vectors(sub.frame.courant_table, hs[a], hs[b])
+        br = reference_bracket_vectors(sub.frame.courant_table, hs[a], hs[b])
         if not any(br):
             continue
         entry = [(c, v) for c, v in enumerate(sub.theta(br)) if v]

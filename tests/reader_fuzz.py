@@ -11,8 +11,10 @@ from the text itself or from a fixed list of junk tokens.  Every mutated text
 is validated in process.  A run is bad when it ends in an uncaught exception,
 in an exit code other than 0, 1 or 2, or in exit 1 without a positioned
 diagnostic (stderr starting ``error: line N: ``): an input error must name its
-line.  The script prints the count of each exit code and every bad run, and
-exits 1 when there is one.  ``--log`` also prints every mutated text with its
+line, except the two about the whole text (no basis line, not exactly one
+structure), which read ``error: workspace: `` and nothing else.  The script
+prints the count of each exit code and every bad run, and exits 1 when there
+is one.  ``--log`` also prints every mutated text with its
 exit code, stdout and stderr, so the logs of two source trees can be diffed.
 """
 
@@ -31,7 +33,9 @@ HERE = Path(__file__).resolve().parent
 
 JUNK = ("=", "*", "i", "1 2", "+", "-", "(", ")", "1/0", "0", "#", "X*", "1//2", "*U", "names")
 
-_POSITIONED = re.compile(r"^error: line \d+: ")
+# the two errors about a whole text, which no one line causes, cite the workspace
+_WHOLE_TEXT = ("no basis line", "exactly one structure (J, symplectic, or generator lines) required")
+_POSITIONED = re.compile(rf"^error: (line \d+: |workspace: ({'|'.join(map(re.escape, _WHOLE_TEXT))})$)")
 
 
 def base_texts(preset: str) -> list[str]:

@@ -21,6 +21,7 @@ from gcdeform.frame import (
     bracket_vectors,
     eigenframe,
     kodaira_preset,
+    nonzeros,
 )
 from gcdeform.scalar import (
     GR_ONE,
@@ -69,18 +70,13 @@ def test_restriction_and_anchor_compatibility(ksub):
             br = courant_bracket(ksub.generators[a], ksub.generators[b])
             coeffs = ksub.express(br)
             assert coeffs is not None
-            unit_a = [poly(GR_ONE if k == a else GR_ZERO) for k in range(n)]
-            unit_b = [poly(GR_ONE if k == b else GR_ZERO) for k in range(n)]
-            via_algebroid = bracket_vectors(ksub.algebroid.brackets, unit_a, unit_b)
-            assert [c.constant_value() for c in coeffs] == [
-                c.constant_value() for c in via_algebroid
-            ]
+            via_algebroid = bracket_vectors(ksub.algebroid.brackets, [(a, GR_ONE)], [(b, GR_ONE)])
+            assert [c.constant_value() for c in coeffs] == [via_algebroid.get(k, GR_ZERO) for k in range(n)]
             # anchor of the bracket equals the frame bracket of the anchors
             anchor_br = [c.constant_value() for c in br.tangent]
-            xa = [poly(c) for c in ksub.anchor[a]]
-            xb = [poly(c) for c in ksub.anchor[b]]
+            xa, xb = (nonzeros(ksub.anchor[c]) for c in (a, b))
             frame_br = bracket_vectors(ksub.frame.algebra.brackets, xa, xb)
-            assert anchor_br == [c.constant_value() for c in frame_br]
+            assert anchor_br == [frame_br.get(k, GR_ZERO) for k in range(len(anchor_br))]
 
 
 def test_symplectic_eigenbundle_closed_form():

@@ -4,11 +4,15 @@
 through it: J^2 and J applied to a vector, the eigenframe's transform of its
 nonzero brackets by P^-1, the splitting's duals P^-T conj(g), and the
 subbundle build's pairing of every generator bracket with the generators and
-the duals in one ``courant.pairings`` product.  ``validate_jacobi`` reads the
+the duals in one ``courant.pairings`` product.  Those brackets, of L's
+generators, of the duals and of the eigenframe's new basis vectors, are
+summed by ``frame.bracket_vectors`` over the nonzero slots of each vector
+(``nonzero_brackets``, inside ``closure``).  ``validate_jacobi`` reads the
 brackets of basis elements off the stored table.  Each is compared with the
 dense routine it replaced (``tests/oracles.py``) on the preset, every corpus
-workspace and 36 seeded two-step nilpotent algebras; the Jacobi check also on
-mutated tables that break the identity.
+workspace, the workspace given by generators, a symplectic form whose
+generators have three nonzero slots and 36 seeded two-step nilpotent
+algebras; the Jacobi check also on mutated tables that break the identity.
 """
 
 import itertools
@@ -17,15 +21,18 @@ from pathlib import Path
 
 import pytest
 
-from gcdeform.algebroid import AlgebroidError, Splitting, build_complex_eigenbundle
+from cli_sweep import WORKSPACES as SWEEP
+from gcdeform.algebroid import AlgebroidError, Splitting, build_complex_eigenbundle, closure
 from gcdeform.cli import KODAIRA_WORKSPACE, build_workspace, parse_workspace
 from gcdeform.courant import GenSection, doubled_pair, pairings
-from gcdeform.frame import ComplexFrame, ComplexOp, FrameAlgebra, FrameError, eigenframe
+from gcdeform.frame import ComplexFrame, ComplexOp, FrameAlgebra, FrameError, eigenframe, nonzero_brackets
+from gcdeform.frame import nonzeros
 from gcdeform.scalar import GR_ONE, GR_ZERO, GaussianRational, SingularMatrixError, mat_inverse, mat_mul
 from oracles import (
     courant_oracle,
     random_gaussian,
     random_two_step_nilpotent,
+    reference_bracket_vectors,
     reference_duals,
     reference_eigenframe,
     reference_mat_mul,
@@ -36,6 +43,12 @@ CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
 WORKSPACES = {
     "kodaira": KODAIRA_WORKSPACE,
     **{path.stem: path.read_text(encoding="utf-8") for path in sorted(CORPUS.glob("*.ws"))},
+    "kodaira_symplectic_generators": SWEEP["kodaira_symplectic_generators.ws"],
+    # a closed form whose X row has two entries: the generator L_X has three nonzero slots
+    "kodaira_symplectic_dense": (
+        "basis X Y U V\nbracket X Y = U\n"
+        "symplectic X U = 1\nsymplectic Y V = 1\nsymplectic X V = 1/2\n"
+    ),
 }
 
 
@@ -208,6 +221,58 @@ def test_duals_match_the_dense_reference(workspaces):
             assert [doubled_pair(h, v) for v in split.vectors] == [
                 GR_ONE if b == a else GR_ZERO for b in range(g.dim)
             ]
+
+
+def reference_nonzero_brackets(table, vectors) -> list:
+    """Every pair of dense vectors bracketed by ``reference_bracket_vectors``,
+    the nonzero brackets kept."""
+    pairs = itertools.combinations(range(len(vectors)), 2)
+    brs = [(ab, reference_bracket_vectors(table, vectors[ab[0]], vectors[ab[1]])) for ab in pairs]
+    return [(ab, br) for ab, br in brs if any(br)]
+
+
+def reference_closure(frame, sections, members, coordinates) -> list:
+    """``closure`` from the dense brackets, each paired by ``doubled_pair``."""
+    return [(ab, br, [doubled_pair(br, m) for m in members], [doubled_pair(br, c) for c in coordinates])
+            for ab, br in reference_nonzero_brackets(frame.courant_table, sections)]
+
+
+def test_closure_matches_the_dense_reference(workspaces):
+    """L's bracket, from the generators, and L*'s, from the duals: both
+    ``closure`` calls of the subbundle build, on every workspace."""
+    widest, brackets = 0, 0
+    for name, ws in workspaces.items():
+        split = ws.sub.splitting
+        for sections, members, coords in ((split.vectors, split.vectors, split.duals),
+                                          (split.duals, split.conj_vectors, split.vectors)):
+            closed = closure(ws.frame, sections, members, coords)
+            assert closed == reference_closure(ws.frame, sections, members, coords), name
+            widest = max(widest, *(len(nonzeros(v)) for v in sections))
+            brackets += len(closed)
+    # positive controls: some bracket is nonzero, and some section has more
+    # nonzero slots than a basis section plus its image
+    assert brackets and widest >= 3
+
+
+def test_nonzero_brackets_match_the_dense_reference(workspaces):
+    """The sums behind ``closure`` and ``eigenframe``: of constant sections over
+    the Courant table, and of the eigenframe's new basis vectors over the real
+    frame's table, also on seeded nilpotent algebras."""
+    rng = random.Random("nonzero brackets")
+    cases = []
+    for ws in workspaces.values():
+        split = ws.sub.splitting
+        cases += [(ws.frame.courant_table, vs) for vs in (split.vectors, split.conj_vectors, split.duals)]
+        if ws.frame.real is not None:
+            cases.append((ws.algebra.brackets, [list(col) for col in zip(*ws.frame.change_of_basis)]))
+    for g in nilpotent_algebras():
+        if g.dim % 2 == 0:
+            frame = eigenframe(g, conjugated_j(rng, g.dim))
+            cases.append((g.brackets, [list(col) for col in zip(*frame.change_of_basis)]))
+        cases.append((g.brackets, random_matrix(rng, 4, g.dim, 0.5)))
+    for table, vectors in cases:
+        assert nonzero_brackets(table, vectors) == reference_nonzero_brackets(table, vectors)
+    assert sum(bool(nonzero_brackets(table, vectors)) for table, vectors in cases) > len(cases) // 2
 
 
 def reference_algebroid(split: Splitting, names) -> dict:

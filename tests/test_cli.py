@@ -307,6 +307,28 @@ def test_missing_structure_rejected():
         parse_workspace("basis X Y\n")
 
 
+ONE_STRUCTURE = "exactly one structure (J, symplectic, or generator lines) required"
+
+
+@pytest.mark.parametrize(
+    "text, err",
+    [
+        # line 1 holds a comment: the J lines leave Y out, a fault of the basis line's cover
+        ("# a comment\nbasis X Y U V\nbracket X Y = U\nJ X = Y\nJ U = V\nJ V = -U\n",
+         "error: line 2: J is missing on: Y\n"),
+        ("# comments only\n\n# and no basis\n", "error: workspace: no basis line\n"),
+        ("# a comment\nbasis X Y\n", f"error: workspace: {ONE_STRUCTURE}\n"),
+        ("basis X Y\nJ X = Y\nJ Y = -X\nsymplectic X Y = 1\n", f"error: workspace: {ONE_STRUCTURE}\n"),
+    ],
+    ids=["j-missing", "no-basis", "no-structure", "two-structures"],
+)
+def test_whole_workspace_errors_cite_the_basis_line_or_the_workspace(tmp_path, capsys, text, err):
+    ws = tmp_path / "bad.ws"
+    ws.write_text(text, encoding="utf-8")
+    assert cli.main(["validate", "--input", str(ws)]) == 1
+    assert capsys.readouterr().err == err
+
+
 def test_param_prefix_override(tmp_path):
     ws = tmp_path / "s.ws"
     ws.write_text(KODAIRA_WORKSPACE.replace("names params t", "names params s"))

@@ -102,10 +102,14 @@ def workspaces():
     return {name: build_workspace(parse_workspace(text)) for name, text in texts.items()}
 
 
+# nonlinear Maurer-Cartan constraints block these two families
+BLOCKED = ("iwasawa", "kodaira_x_kodaira")
+
+
 def _maps(ws, name):
     """The pencil, and the reduced family where one exists."""
     pencil = ws.pencil[0]
-    return [pencil] if name == "iwasawa" else [pencil, ws.family.reduced_map]
+    return [pencil] if name in BLOCKED else [pencil, ws.family.reduced_map]
 
 
 def _bindings(rng, params):
@@ -141,14 +145,38 @@ def test_substitute_matches_from_entries(workspaces, name):
             assert made == DeformationMap.from_entries(sub, entries, remaining)
 
 
-@pytest.mark.parametrize("name", NAMES + ["iwasawa"])
+@pytest.mark.parametrize("name", NAMES + sorted(DENSE_SYMPLECTIC) + list(BLOCKED))
 def test_mc_constraints_match_reference(workspaces, name):
+    """The pencil, the reduced family and substituted pencils of every
+    workspace: the abelian-6 ones have an empty Schouten tensor, Kodaira x
+    Kodaira one with 118 nonzero entries."""
     rng = random.Random(f"mc-{name}")
     maps = _maps(workspaces[name], name)
     pencil = maps[0]
     maps += [pencil.substitute(_bindings(rng, list(pencil.parameters))) for _ in range(4)]
     for emap in maps:
         assert mc_residual(emap).constraints == reference_mc_constraints(emap)
+
+
+@pytest.mark.parametrize("name", ["abelian6_complex", "abelian6_symplectic", "kodaira"])
+def test_mc_residual_multiplies_columns_only_on_nonzero_schouten_entries(workspaces, monkeypatch, name):
+    """The quadratic term walks the nonzero Schouten entries: with none, as on
+    abelian-6, no two columns are multiplied; the preset's entries do
+    multiply some (the positive control)."""
+    emap = workspaces[name].pencil[0]
+    emap.columns, emap.sub.cochains  # built before counting
+    count = [0]
+    times = Monomial.__mul__
+
+    def counted(m1, m2):
+        count[0] += 1
+        return times(m1, m2)
+
+    monkeypatch.setattr(Monomial, "__mul__", counted)
+    mc = mc_residual(emap)
+    products = count[0]
+    assert bool(products) == bool(emap.sub.cochains.schouten) == (name == "kodaira")
+    assert mc.constraints == reference_mc_constraints(emap)
 
 
 @pytest.mark.parametrize("name", NAMES + ["iwasawa"])

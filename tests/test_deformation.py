@@ -23,7 +23,8 @@ from gcdeform.deformation import (
     mc_residual,
     reduce_family,
     _minimal_hitting_sets,
-    _nonzero_minors,
+    _distinct_normalized,
+    _minors,
     _normalize_minor,
     solve_mc_system,
     stratify_type,
@@ -360,7 +361,8 @@ def test_classify_works_on_vectors(ksub, kfamily, monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(PolyScalar, "substitute", counted("substitute", PolyScalar.substitute))
+    # every substitution, of one polynomial or of a map's entries, goes through ``substituted``
+    monkeypatch.setattr(PolyScalar, "substituted", counted("substituted", PolyScalar.substituted))
     monkeypatch.setattr(PolyScalar, "evaluate", counted("evaluate", PolyScalar.evaluate))
     monkeypatch.setattr(
         DeformationMap, "from_entries",
@@ -395,7 +397,7 @@ def test_classify_works_on_vectors(ksub, kfamily, monkeypatch):
     unit = lambda a: [GR_ONE if k == a else GR_ZERO for k in range(ksub.rank)]
     ksub.d_L_general(ExteriorForm.basis(ksub.lform_names, (0,)), [unit(0), unit(1)])
     red.substitute({})
-    assert calls["courant_bracket"] == 1 and calls["substitute"] > 0
+    assert calls["courant_bracket"] == 1 and calls["substituted"] > 0
 
 
 @pytest.mark.parametrize("name, ranks", [("abelian4_complex", 1), ("kodaira", 2)])
@@ -450,18 +452,18 @@ def test_minor_table_matches_permutation_expansion():
                         if not det.is_zero() and norm not in expected:
                             expected.append(norm)
                 # same minors, same order, read back from the filled table
-                assert _nonzero_minors(matrix, r, table) == expected
+                assert _distinct_normalized(_minors(matrix, r, table)) == expected
 
 
 def test_stratify_builds_one_minor_table_per_descent_node(kfamily, monkeypatch):
     reads = []
-    nonzero_minors = deformation._nonzero_minors
+    minors = deformation._minors
 
     def counted(matrix, r, table):
         reads.append((matrix, table))
-        return nonzero_minors(matrix, r, table)
+        return minors(matrix, r, table)
 
-    monkeypatch.setattr(deformation, "_nonzero_minors", counted)
+    monkeypatch.setattr(deformation, "_minors", counted)
     result = stratify_type(kfamily.reduced_map)
 
     # ``reads`` keeps every matrix and table alive, so their ids are distinct

@@ -4,7 +4,10 @@
 and over the Lie algebra's table, ``Splitting.contains`` and
 ``Splitting.coordinates`` take no zero argument: Gaussian-rational operands
 give Gaussian rationals and polynomial operands give polynomials, all-zero
-results included, and a constant first operand follows the second.  All run
+results included, and a constant first operand follows the second.
+``bracket_vectors`` takes the ``nonzeros`` of its operands and gives the
+slots it reaches, which match the dense ``reference_bracket_vectors``; its
+dense callers fill the other slots with the zero of their ring.  All run
 on the preset, the Kodaira symplectic corpus workspace and the workspace
 given by generators that ``cli_sweep.py`` sweeps.
 """
@@ -18,8 +21,9 @@ from cli_sweep import WORKSPACES as SWEEP
 from gcdeform import courant
 from gcdeform.algebroid import closure
 from gcdeform.cli import KODAIRA_WORKSPACE, build_workspace, parse_workspace
-from gcdeform.frame import bracket_vectors
+from gcdeform.frame import bracket_vectors, nonzero_brackets, nonzeros
 from gcdeform.scalar import GR_ZERO, P_ZERO, GaussianRational, PolyScalar, parameter
+from oracles import reference_bracket_vectors
 
 CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
 WORKSPACES = {
@@ -58,12 +62,15 @@ def test_pairing_and_brackets_answer_in_the_ring_of_the_operands(workspaces, nam
         # the one sum, on the Courant table and on the Lie algebra's table
         tables = (("courant", frame.courant_table, x, y), ("frame", frame.algebra.brackets, x[:d], y[:d]))
         for label, table, u, v in tables:
-            br = bracket_vectors(table, u, v)
-            assert_ring(br, GaussianRational)
-            assert_ring(bracket_vectors(table, as_poly(u), as_poly(v)), PolyScalar)
-            assert bracket_vectors(table, as_poly(u), as_poly(v)) == as_poly(br)
-            assert bracket_vectors(table, u, as_poly(v)) == as_poly(br)
-            seen.add((label, any(br)))
+            br = bracket_vectors(table, nonzeros(u), nonzeros(v))
+            assert [br.get(k, GR_ZERO) for k in range(len(u))] == reference_bracket_vectors(table, u, v)
+            assert_ring(br.values(), GaussianRational)
+            as_polys = {k: PolyScalar.const(c) for k, c in br.items()}
+            poly_br = bracket_vectors(table, nonzeros(as_poly(u)), nonzeros(as_poly(v)))
+            assert_ring(poly_br.values(), PolyScalar)
+            assert poly_br == as_polys
+            assert bracket_vectors(table, nonzeros(u), nonzeros(as_poly(v))) == as_polys
+            seen.add((label, any(br.values())))
     # each helper met both all-zero and nonzero results
     assert seen == {(label, z) for label in ("pair", "courant", "frame") for z in (False, True)}
 
@@ -105,11 +112,14 @@ def test_ring_regressions_on_the_preset(workspaces):
     assert courant.doubled_pair(as_poly(g), as_poly(g)) is P_ZERO
     # and to a polynomial where they meet
     assert courant.doubled_pair(as_poly(g), as_poly(meets)).__class__ is PolyScalar
-    # the empty slots of a bracket of polynomial vectors are polynomial zeros
-    br = bracket_vectors(frame.courant_table, as_poly(split.vectors[0]), as_poly(split.vectors[2]))
+    # the empty slots of a Courant bracket of polynomial sections are polynomial zeros
+    sections = [courant.GenSection(frame, tuple(as_poly(split.vectors[a]))) for a in (0, 2)]
+    br = courant.courant_bracket(*sections).coeffs
     assert_ring(br, PolyScalar)
     assert any(v is P_ZERO for v in br)
     # the frame bracket of Gaussian-rational vectors stays Gaussian-rational
     d = frame.dim
     units = [[GaussianRational.of(int(a == b)) for b in range(d)] for a in range(d)]
-    assert_ring(bracket_vectors(frame.algebra.brackets, units[0], units[1]), GaussianRational)
+    brs = nonzero_brackets(frame.algebra.brackets, units)
+    assert brs and all(len(br) == d for _, br in brs)
+    assert_ring([x for _, br in brs for x in br], GaussianRational)
