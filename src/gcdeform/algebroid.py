@@ -386,16 +386,23 @@ class IsotropicSubbundle:
     @cached_property
     def cochains(self) -> CochainComplex:
         """d_L in the degrees the pipeline reads, 1 and 2, by ``ce_rows``, the
-        Schouten bracket of 2-forms from the Schouten table, slots up to 3."""
-        slots = tuple(tuple(itertools.combinations(range(self.rank), p)) for p in range(4))
-        at3 = {idx: r for r, idx in enumerate(slots[3])}
+        Schouten bracket of 2-forms from L*'s nonzero brackets: [h_i, h_j] = sum_c
+        v h_c puts (-1)^(p+q) v on (c, x, y) in the bracket of slots {i, x} and
+        {j, y}, i at place p, j at q, as ``_schouten_terms`` expands it."""
+        n = self.rank
+        slots = tuple(tuple(itertools.combinations(range(n), p)) for p in range(4))
+        at2, at3 = ({idx: r for r, idx in enumerate(slots[p])} for p in (2, 3))
+        # the 2-slots through i: (the other index x, the slot of {i, x}, the place of i)
+        through = [[(x, at2[min(i, x), max(i, x)], x < i) for x in range(n) if x != i] for i in range(n)]
+        terms: dict[tuple[int, int], list] = {}
+        for (i, j), entry in self.dual_algebroid.brackets.items():
+            for (x, s, p), (y, u, q) in itertools.product(through[i], through[j]):
+                if s <= u:  # 2-forms bracket symmetrically, for the transported table is skew
+                    terms.setdefault((s, u), []).extend(((c, x, y), v if p == q else -v) for c, v in entry)
         schouten = {}
-        if self.dual_algebroid.table:  # empty on an abelian algebra: no pair is read
-            for (s, a), (u, b) in itertools.combinations_with_replacement(enumerate(slots[2]), 2):
-                entry = _collect(self._schouten_terms(a, b), at3)
-                if entry:
-                    # 2-forms bracket symmetrically, for the transported table is skew
-                    schouten[(s, u)] = schouten[(u, s)] = entry
+        for s, u in sorted(terms):
+            if entry := _collect(terms[s, u], at3):
+                schouten[(s, u)] = schouten[(u, s)] = entry
         return CochainComplex(slots, {p: ce_rows(self.algebroid, p) for p in (1, 2)}, schouten)
 
 

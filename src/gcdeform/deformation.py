@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .algebroid import InternalConsistencyError, IsotropicSubbundle, Splitting
 from .courant import GenSection
@@ -29,6 +28,7 @@ from .scalar import (
     GR_ONE,
     GR_ZERO,
     GaussianRational,
+    PARAMETER,
     Matrix,
     Monomial,
     PolyLike,
@@ -36,6 +36,9 @@ from .scalar import (
     Row,
     ScalarError,
     Symbol,
+    _bindings,
+    _eliminate,
+    _integer_row,
     _over,
     bound_terms,
     integer_rank,
@@ -97,10 +100,10 @@ class DeformationMap:
         entries = tuple(tuple(poly(c) for c in row) for row in entries)
         if len(entries) != n or any(len(r) != n for r in entries):
             raise DeformationError("entry matrix has wrong shape")
-        bad = next((jk for jk, c in _compatibility(sub, entries).items() if c), None)
-        if bad is not None:
-            pair = f"({sub.names[bad[0]]}, {sub.names[bad[1]]})"
-            raise DeformationError(f"pairing compatibility fails at {pair}")
+        cells = [c for row in entries for c in row][::-1]  # by ``_compatibility_rows`` column
+        for (j, k), row in _compatibility_rows(sub):
+            if sum((cells[c].scale(_over(a, b, 1, 0)) for c, (a, b) in row.items()), PolyScalar.zero()):
+                raise DeformationError(f"pairing compatibility fails at ({sub.names[j]}, {sub.names[k]})")
         return DeformationMap(sub, entries, tuple(parameters))
 
     def substitute(self, bindings: Mapping[Symbol, PolyLike]) -> "DeformationMap":
@@ -213,10 +216,10 @@ def _evaluate(den: int, deg: int, rows, point) -> tuple[int, list[Row]]:
     return den * lift[deg], out
 
 
-def _pairing(sub: IsotropicSubbundle, entries, j: int, k: int, acc=None) -> dict:
+def _pairing(sub: IsotropicSubbundle, entries, j: int, k: int) -> dict:
     """The terms of 2<g_j, eps(g_k)> = sum_i P[j][i] entries[i][k] by monomial,
-    over the nonzero P[j][i] only, added to ``acc`` when given."""
-    acc = {} if acc is None else acc
+    over the nonzero P[j][i] only."""
+    acc = {}
     for i, p in sub.splitting.pairing_rows[j]:
         for m, c in entries[i][k].terms:
             acc[m] = acc.get(m, GR_ZERO) + p * c
@@ -229,13 +232,18 @@ class ConstraintReport:
         self.free = free
 
 
-def _compatibility(sub: IsotropicSubbundle, entries) -> dict[tuple[int, int], list]:
-    """The nonzero terms of 2<g_j, eps(g_k)> + 2<g_k, eps(g_j)>, in no fixed
-    order, for every pair j <= k; a map is compatible with the pairing exactly
-    when all of them vanish."""
-    pairs = itertools.combinations_with_replacement(range(sub.rank), 2)
-    sums = {(j, k): _pairing(sub, entries, k, j, _pairing(sub, entries, j, k)) for j, k in pairs}
-    return {jk: [(m, c) for m, c in acc.items() if c] for jk, acc in sums.items()}
+def _compatibility_rows(sub: IsotropicSubbundle) -> Iterator[tuple[tuple[int, int], Row]]:
+    """For each j <= k, 2<g_j, eps(g_k)> + 2<g_k, eps(g_j)> as an ``_integer_row``
+    on the entries, E[i][k] at column n^2 - 1 - (n i + k), as ``solve_linear``
+    numbers the entries listed row by row; a compatible map zeroes every row."""
+    p, n = sub.splitting.pairing_rows, sub.rank
+    for j, k in itertools.combinations_with_replacement(range(n), 2):
+        row: dict[int, GaussianRational] = {}
+        for a, b in ((j, k), (k, j)):
+            for i, x in p[a]:
+                c = n * n - 1 - n * i - b
+                row[c] = row.get(c, GR_ZERO) + x
+        yield (j, k), _integer_row(row.items())
 
 
 def constrain_map(
@@ -250,17 +258,13 @@ def constrain_map(
     """
     n = sub.rank
     sep = "" if n <= 9 else "_"
-    raw = [[parameter(f"{prefix}{i + 1}{sep}{j + 1}") for j in range(n)] for i in range(n)]
-    unknowns = [[PolyScalar.of(s) for s in row] for row in raw]
-    system = list(_compatibility(sub, unknowns).values())
-    solution = solve_linear(system, [s for row in raw for s in row])
-    if solution.residual or not solution.consistent:
-        raise InternalConsistencyError("compatibility constraint is not linear")
-    entries = tuple(
-        tuple(solution.bindings.get(s, x) for s, x in zip(*rows)) for rows in zip(raw, unknowns)
-    )
-    emap = DeformationMap(sub, entries, tuple(solution.free))
-    return emap, ConstraintReport(eliminated=solution.bindings, free=solution.free)
+    raw = [parameter(f"{prefix}{i + 1}{sep}{j + 1}") for i in range(n) for j in range(n)]
+    pivots, _ = _eliminate((row for _, row in _compatibility_rows(sub)), n * n, jordan=True)
+    bindings = _bindings(pivots, raw, [Monomial(((s, 1),)) for s in reversed(raw)])
+    cells = [bindings[s] if s in bindings else PolyScalar.of(s) for s in raw]
+    free = [s for s in raw if s not in bindings]
+    emap = DeformationMap(sub, tuple(tuple(cells[i : i + n]) for i in range(0, n * n, n)), tuple(free))
+    return emap, ConstraintReport(eliminated=bindings, free=free)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +299,8 @@ def mc_residual(e: DeformationMap) -> MCSystem:
     the columns of A), the constraint on slot r is
     sum_m m (d[2] F_m)_r + 1/2 sum_{m, m'} m m' S(F_m, F_m')_r, over the columns
     grouped by slot and only the nonzero entries of S: an empty S costs nothing."""
-    if any(c.has_functions() for row in e.entries for c in row):
+    # a compatible map's entries are P^-1 times its form, so both carry the same monomials
+    if any(g.__class__ is not Symbol or g.kind != PARAMETER for m in e.columns for g, _ in m.powers):
         raise DeformationError("the Maurer-Cartan system needs parameter-only coefficients")
     cx = e.sub.cochains
     acc: list[dict[Monomial, GaussianRational]] = [{} for _ in cx.slots[3]]
@@ -669,8 +674,10 @@ def _rank_points(symbols: Sequence[Symbol]):
     yield {s: GR_ZERO for s in symbols}
     for seed in _RANK_POINT_SEEDS:
         rng, k = random.Random(seed), 2 * len(symbols)
-        parts = map(Fraction, rng.choices(range(-9, 10), k=k), rng.choices(range(1, 10), k=k))
-        yield {s: GaussianRational(next(parts), next(parts)) for s in symbols}
+        a, b = rng.choices(range(-9, 10), k=k), rng.choices(range(1, 10), k=k)
+        # a[u]/b[u] + (a[u+1]/b[u+1]) i, over b[u] b[u+1]
+        parts = zip(symbols, range(0, k, 2))
+        yield {s: _over(a[u] * b[u + 1], a[u + 1] * b[u], b[u] * b[u + 1], 0) for s, u in parts}
 
 
 def _generic_rank(matrix) -> int:
@@ -695,11 +702,32 @@ def _generic_rank(matrix) -> int:
     return rank
 
 
+def _constant_rank(matrix) -> Optional[int]:
+    """The rank of a polynomial matrix when elimination on nonzero constant
+    pivots leaves nothing nonzero, else None.  A step takes polynomial
+    multiples of the pivot row from the rows left, so the pivot rows span the
+    row space, and their pivot block is a minor of constant nonzero value."""
+    rows = list(matrix)
+    for rank in itertools.count():
+        if not (rows := [row for row in rows if any(row)]):
+            return rank
+        pivots = ((i, j) for i, row in enumerate(rows) for j, c in enumerate(row) if c and c.is_constant())
+        if (at := next(pivots, None)) is None:
+            return None
+        pivot = rows.pop(at[0])
+        inverse = GR_ONE / pivot[at[1]].terms[0][1]
+        for i, row in enumerate(rows):
+            if f := row[at[1]].scale(inverse):
+                rows[i] = [x - f * y if y else x for x, y in zip(row, pivot)]
+
+
 def _rank_and_minors(e: DeformationMap) -> tuple[int, list[PolyScalar]]:
-    """Generic rank r of the tangent projection, the largest size with a
-    nonzero minor, and its distinct nonzero r x r minors, read top-down from
-    one minor table."""
+    """Generic rank r of the tangent projection and the minors its node reads:
+    [1], from no table, when ``_constant_rank`` decides r; else its distinct
+    nonzero r x r minors, r the largest size with one, read from one table."""
     matrix, table = e.projection, {}
+    if (r := _constant_rank(matrix)) is not None:
+        return r, [PolyScalar.const(GR_ONE)]
     sizes = range(min(len(matrix), len(matrix[0])), 0, -1)
     found = ((r, _distinct_normalized(_minors(matrix, r, table))) for r in sizes)
     return next(((r, minors) for r, minors in found if minors), (0, []))
@@ -708,17 +736,17 @@ def _rank_and_minors(e: DeformationMap) -> tuple[int, list[PolyScalar]]:
 def stratify_type(e: DeformationMap) -> Stratification:
     """Enumerate type strata of a parameter family by exact minor vanishing.
 
-    Each descent node takes the rank r of its tangent projection as the
-    largest size with a nonzero minor, and those r x r minors are the ones it
-    reads, from one minor table: every minor is a Laplace expansion along its
-    last row into minors of the rows before it, each computed once and shared
-    across all sizes; the root's rank is the reported generic rank.  Rank
-    boundaries whose minors are monomials are descended exactly through
-    minimal hitting sets of their variable supports; a non-monomial boundary
-    stops the descent with an explicit refusal note.  More than eight
-    parameters refuse stratification outright; the generic rank is still
-    certified, by ``_generic_rank`` at exact points, and no minor is built
-    where a point has full rank.
+    Each descent node takes the rank r of its tangent projection by
+    ``_rank_and_minors``: a node whose constant pivots leave nothing nonzero
+    is a leaf, for a constant r x r minor is nonzero; any other reads its
+    r x r minors, r the largest size with a nonzero minor, from one table of
+    Laplace expansions along the last row, shared across sizes.  The root's
+    rank is the reported generic rank.  Rank boundaries whose minors are
+    monomials are descended exactly through minimal hitting sets of their
+    variable supports; a non-monomial boundary stops the descent with an
+    explicit refusal note.  More than eight parameters refuse stratification
+    outright; the generic rank is still certified, by ``_generic_rank`` at
+    exact points, and no minor is built where a point has full rank.
 
     The limit stays at eight (measured on 2 vCPUs, Python 3.11): the
     15-parameter abelian-6 families would descend in 0.006 s (complex) and

@@ -794,8 +794,7 @@ def solve_linear(system: Sequence[Collection[Term]], unknowns: Sequence[Symbol])
     unsolved.  When a constraint couples several unknowns the
     latest-listed one is solved for, so earlier unknowns are preferred as free
     coordinates: ``_eliminate`` numbers the columns as the unknowns,
-    latest-listed first, then every other monomial as first seen.  The
-    binding of u is u - row, read off the pivot row of u.
+    latest-listed first, then every other monomial as first seen.
     """
     n, unknown_set = len(unknowns), set(unknowns)
     column = {((u, 1),): j for j, u in enumerate(reversed(unknowns))}  # by monomial powers
@@ -810,12 +809,18 @@ def solve_linear(system: Sequence[Collection[Term]], unknowns: Sequence[Symbol])
             monomial[column.setdefault(m.powers, n + len(column))] = m
         rows.append(_integer_row((column[m.powers], c) for m, c in terms))
     pivots, consistent = _eliminate(rows, n, jordan=True)
+    bindings = _bindings(pivots, unknowns, monomial)
+    return LinearSolution(bindings, [u for u in unknowns if u not in bindings], residual, consistent)
+
+
+def _bindings(pivots: dict[int, Row], unknowns: Sequence[Symbol], monomial) -> dict[Symbol, PolyScalar]:
+    """u - row for each unknown u with a pivot row, columns numbered as ``solve_linear`` does."""
     bindings = {}
-    for u in unknowns:
-        if (row := pivots.get(j := column[((u, 1),)])) is not None:
+    for j, u in zip(range(len(unknowns) - 1, -1, -1), unknowns):
+        if (row := pivots.get(j)) is not None:
             terms = {monomial[k]: _over(-a, -b, *row[j]) for k, (a, b) in row.items() if k != j}
             bindings[u] = PolyScalar.from_dict(terms)
-    return LinearSolution(bindings, [u for u in unknowns if u not in bindings], residual, consistent)
+    return bindings
 
 
 def _integer_row(entries: Iterable[tuple[int, GaussianRational]]) -> Row:

@@ -29,8 +29,10 @@ from gcdeform.deformation import (
     COMPLEX_NONCLASSICAL,
     OTHER,
     SYMPLECTIC,
+    ConstraintReport,
     DeformationError,
     DeformationMap,
+    _constant_rank,
     classify,
     deform_subbundle,
 )
@@ -61,6 +63,7 @@ from gcdeform.scalar import (
     minor,
     parameter,
     poly,
+    solve_linear,
     zero_of,
 )
 
@@ -517,8 +520,10 @@ def polynomial_mismatches(rng: random.Random) -> list[str]:
     """Every disagreement of ``PolyScalar`` with the Counter-monomial reference
     on seeded ``random_poly`` operands: ``*``, ``+``, ``-``, ``substitute``,
     ``evaluate`` and ``str``; results out of canonical form; equal results
-    reached by different routes that differ or hash apart; and ``minor`` of a
-    random square matrix of size 1 to 4 against ``permutation_det``."""
+    reached by different routes that differ or hash apart; ``minor`` of a
+    random square matrix of size 1 to 4 against ``permutation_det``; and the
+    rank that constant pivots decide on a ``pivot_rank_case`` of 1 to 4 rows
+    and columns, by ``constant_rank_mismatches``."""
     f = Symbol("f", "function")
     params = [Symbol(name, "parameter") for name in ("s", "t", "u")]
     gens = [*params, f, DerivationSymbol("X", f), DerivationSymbol("Y", f)]
@@ -572,6 +577,61 @@ def polynomial_mismatches(rng: random.Random) -> list[str]:
     out.extend(_canonical_faults("minor", det))
     if det != permutation_det(matrix):
         out.append(f"minor of {matrix}: {det} != {permutation_det(matrix)}")
+    out.extend(constant_rank_mismatches(*pivot_rank_case(rng, params, rng.randint(1, 4), rng.randint(1, 4))))
+    return out
+
+
+LEAF, LEAF_SHUFFLED, NO_CONSTANT, MIXED = "leaf", "leaf, shuffled", "no constant entry", "mixed"
+
+
+def pivot_rank_case(rng: random.Random, gens, rows: int, cols: int) -> tuple[str, list]:
+    """A seeded rows x cols polynomial matrix and its kind: up to min(rows,
+    cols) constant rows and then polynomial combinations of them (``LEAF``),
+    or the same rows in a shuffled order; entries that are each a multiple of
+    a generator (``NO_CONSTANT``); or the constant rows and then rows of
+    ``random_poly`` entries, where constant pivots may leave something."""
+    kind = rng.choice((LEAF, LEAF_SHUFFLED, NO_CONSTANT, MIXED))
+    entry = lambda make: make() if rng.random() < 0.7 else PolyScalar.zero()
+    if kind == NO_CONSTANT:
+        poly_entry = lambda: random_poly(rng, gens, 2) * PolyScalar.of(rng.choice(gens))
+        return kind, [[entry(poly_entry) for _ in range(cols)] for _ in range(rows)]
+    base = [[entry(lambda: PolyScalar.const(random_gaussian(rng))) for _ in range(cols)]
+            for _ in range(rng.randint(0, min(rows, cols)))]
+    out = [list(row) for row in base]
+    for _ in range(rows - len(base)):
+        if kind == MIXED:
+            out.append([entry(lambda: random_poly(rng, gens, 2)) for _ in range(cols)])
+            continue
+        row = [PolyScalar.zero()] * cols
+        for b in base:
+            f = entry(lambda: random_poly(rng, gens, 2))
+            row = [x + f * y for x, y in zip(row, b)]
+        out.append(row)
+    if kind == LEAF_SHUFFLED:
+        rng.shuffle(out)
+    return kind, out
+
+
+def constant_rank_mismatches(kind: str, matrix) -> list[str]:
+    """Where ``_constant_rank`` disagrees with the minors: the rank it decides
+    must be the largest size with a nonzero ``permutation_det`` minor, and a
+    minor of that size must be a nonzero constant.  It must decide a ``LEAF``,
+    whose constant rows come first, and leave undecided a nonzero matrix with
+    no nonzero constant entry."""
+    got, rows, cols = _constant_rank(matrix), len(matrix), len(matrix[0])
+    constant = any(c and c.is_constant() for row in matrix for c in row)
+    if got is None:
+        return [f"{kind}: constant pivots do not decide {matrix}"] if kind == LEAF else []
+    if not constant and any(c for row in matrix for c in row):
+        return [f"{kind}: a rank decided without a constant entry in {matrix}"]
+    for r in range(min(rows, cols), -1, -1):
+        sets = itertools.product(*(itertools.combinations(range(size), r) for size in (rows, cols)))
+        minors = [permutation_det([[matrix[i][j] for j in cs] for i in rs]) for rs, cs in sets]
+        if any(minors):
+            break
+    out = [] if got == r else [f"{kind}: constant pivots give rank {got}, the minors {r}, on {matrix}"]
+    if not any(m.is_constant() for m in minors if m):
+        out.append(f"{kind}: no {r} x {r} minor is a nonzero constant in {matrix}")
     return out
 
 
@@ -705,6 +765,41 @@ def reference_ce_differential(algebra, form: ExteriorForm) -> ExteriorForm:
             piece = _wedge(_wedge(left, d_dual_basis(algebra, k)), right).scale(c)
             out = out + (-piece if pos % 2 else piece)
     return out
+
+
+# The engine's compatibility constraint before it became sparse
+# Gaussian-integer rows: the pairing sums of a matrix of parameter
+# polynomials, summed by monomial and solved by ``solve_linear``.
+def reference_compatibility(sub, entries) -> dict[tuple[int, int], list]:
+    """The nonzero terms of 2<g_j, eps(g_k)> + 2<g_k, eps(g_j)>, in no fixed
+    order, for every pair j <= k."""
+    out = {}
+    for j, k in itertools.combinations_with_replacement(range(sub.rank), 2):
+        acc = {}
+        for a, b in ((j, k), (k, j)):
+            for i, p in sub.splitting.pairing_rows[a]:
+                for m, c in entries[i][b].terms:
+                    acc[m] = acc.get(m, GR_ZERO) + p * c
+        out[(j, k)] = [(m, c) for m, c in acc.items() if c]
+    return out
+
+
+def reference_constrain_map(sub, prefix: str = "t") -> tuple[DeformationMap, ConstraintReport]:
+    """``constrain_map`` by ``solve_linear`` on the ``reference_compatibility``
+    of a matrix of parameter polynomials."""
+    n = sub.rank
+    sep = "" if n <= 9 else "_"
+    raw = [[parameter(f"{prefix}{i + 1}{sep}{j + 1}") for j in range(n)] for i in range(n)]
+    unknowns = [[PolyScalar.of(s) for s in row] for row in raw]
+    system = list(reference_compatibility(sub, unknowns).values())
+    solution = solve_linear(system, [s for row in raw for s in row])
+    if solution.residual or not solution.consistent:
+        raise InternalConsistencyError("compatibility constraint is not linear")
+    entries = tuple(
+        tuple(solution.bindings.get(s, x) for s, x in zip(*rows)) for rows in zip(raw, unknowns)
+    )
+    emap = DeformationMap(sub, entries, tuple(solution.free))
+    return emap, ConstraintReport(eliminated=solution.bindings, free=solution.free)
 
 
 def reference_mc_constraints(e: DeformationMap) -> list[tuple[tuple[int, ...], PolyScalar]]:

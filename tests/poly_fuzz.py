@@ -8,9 +8,12 @@ Each case is one ``oracles.polynomial_mismatches`` call: products, sums,
 differences, substitution, evaluation and rendering of ``random_poly``
 operands against a reference that keeps monomials as ``Counter``s of
 exponents over ``Fraction``-pair coefficients, the canonical term order,
-equal results reached by different routes, and ``minor`` of a random square
-polynomial matrix against the permutation expansion.  The script prints every
-mismatch and the count, and exits 1 when there is one.
+equal results reached by different routes, ``minor`` of a random square
+polynomial matrix against the permutation expansion, and the rank that
+elimination on constant pivots decides (``deformation._constant_rank``) on a
+seeded ``pivot_rank_case`` against the largest size with a nonzero
+permutation minor, a minor of that size being a nonzero constant.  The script
+prints every mismatch and the count, and exits 1 when there is one.
 """
 
 from __future__ import annotations

@@ -13,11 +13,15 @@ dense routine it replaced (``tests/oracles.py``) on the preset, every corpus
 workspace, the workspace given by generators, a symplectic form whose
 generators have three nonzero slots and 36 seeded two-step nilpotent
 algebras; the Jacobi check also on mutated tables that break the identity.
+``constrain_map`` is compared with ``reference_constrain_map`` on pairings of
+the seeded algebras.
 """
 
+import contextlib
 import itertools
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,6 +29,7 @@ from cli_sweep import WORKSPACES as SWEEP
 from gcdeform.algebroid import AlgebroidError, Splitting, build_complex_eigenbundle, closure
 from gcdeform.cli import KODAIRA_WORKSPACE, build_workspace, parse_workspace
 from gcdeform.courant import GenSection, doubled_pair, pairings
+from gcdeform.deformation import constrain_map
 from gcdeform.frame import ComplexFrame, ComplexOp, FrameAlgebra, FrameError, eigenframe, nonzero_brackets
 from gcdeform.frame import nonzeros
 from gcdeform.scalar import GR_ONE, GR_ZERO, GaussianRational, SingularMatrixError, mat_inverse, mat_mul
@@ -33,6 +38,7 @@ from oracles import (
     random_gaussian,
     random_two_step_nilpotent,
     reference_bracket_vectors,
+    reference_constrain_map,
     reference_duals,
     reference_eigenframe,
     reference_mat_mul,
@@ -316,3 +322,26 @@ def test_subbundle_build_matches_the_pair_by_pair_coordinates(workspaces):
         refused += isinstance(expected, tuple)
     # both branches are reached: integrable and non-integrable J
     assert 0 < refused < len(frames)
+
+
+def test_constrain_map_matches_the_reference_on_seeded_pairings():
+    """``constrain_map`` reads only the rank and the pairing rows, so each of
+    the 36 seeded algebras gets a splitting of random constant vectors (a
+    dense P with denominators), and each even one the eigenbundle of a
+    conjugated J where that J is integrable; entries, parameters, and the
+    eliminated and free parameters in order match ``reference_constrain_map``."""
+    rng = random.Random("constrain map")
+    subs = []
+    for g in nilpotent_algebras():
+        split = Splitting(ComplexFrame.complexified(g), random_matrix(rng, g.dim, 2 * g.dim, 0.6))
+        if split.inverse is not None:
+            subs.append(SimpleNamespace(rank=g.dim, splitting=split))
+        if g.dim % 2 == 0:
+            with contextlib.suppress(AlgebroidError):
+                subs.append(build_complex_eigenbundle(eigenframe(g, conjugated_j(rng, g.dim))))
+    assert len(subs) > 36
+    for sub in subs:
+        (got, report), (want, reference) = constrain_map(sub), reference_constrain_map(sub)
+        assert got == want
+        assert list(report.eliminated.items()) == list(reference.eliminated.items())
+        assert report.free == reference.free

@@ -19,10 +19,15 @@ corpus workspaces and a workspace given by generators; the MC comparison also
 runs on the Iwasawa frame, whose constraints are not all linear.
 ``solve_linear`` is compared with ``reference_solve_linear`` at pencil size,
 on the compatibility and Maurer-Cartan systems of these workspaces.
+``constrain_map``, one elimination of sparse Gaussian-integer rows, is
+compared with ``reference_constrain_map``, which solves the pairing sums of a
+matrix of parameter polynomials, and ``from_entries`` refuses perturbed
+pencils at the pair where those sums first fail.
 """
 
 import itertools
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -30,7 +35,7 @@ import pytest
 from cli_sweep import WORKSPACES as SWEEP
 from gcdeform.algebroid import ce_rows
 from gcdeform.cli import KODAIRA_WORKSPACE, build_workspace, parse_workspace
-from gcdeform.deformation import DeformationError, DeformationMap, _compatibility, mc_residual
+from gcdeform.deformation import DeformationError, DeformationMap, constrain_map, mc_residual
 from gcdeform.frame import ExteriorForm
 from gcdeform.scalar import (
     GR_ZERO,
@@ -50,6 +55,8 @@ from oracles import (
     random_gaussian,
     random_poly,
     reference_ce_differential,
+    reference_compatibility,
+    reference_constrain_map,
     reference_cochains,
     reference_mc_constraints,
     reference_rref,
@@ -224,6 +231,8 @@ def test_cochain_matrices(workspaces, name):
     ref = reference_cochains(sub)
     assert cx.d == ref.d
     assert cx.schouten == ref.schouten
+    # built from the nonzero brackets of L*, the tensor keeps the reference's key order
+    assert list(cx.schouten) == list(ref.schouten)
     # the tensor is empty exactly when the transported table is
     assert bool(cx.schouten) == bool(sub.schouten_table())
     # d_L squares to zero
@@ -299,7 +308,7 @@ def test_solve_linear_matches_reference_at_pencil_size(workspaces, name):
     sub = workspaces[name].sub
     n = sub.rank
     raw = [[parameter(f"t{i + 1}{j + 1}") for j in range(n)] for i in range(n)]
-    compatibility = _compatibility(sub, [[PolyScalar.of(s) for s in row] for row in raw])
+    compatibility = reference_compatibility(sub, [[PolyScalar.of(s) for s in row] for row in raw])
     pencil = workspaces[name].pencil[0]
     polys = [PolyScalar.from_dict(dict(terms)) for terms in compatibility.values()]
     systems = [
@@ -327,3 +336,42 @@ def test_solve_linear_matches_reference_at_pencil_size(workspaces, name):
         bindings[unknowns[-1 - c]] = PolyScalar.from_dict(terms)
     # the compatibility rows as built, their terms in no fixed order, solve alike
     assert bindings == solve_linear(list(compatibility.values()), unknowns).bindings
+
+
+ALL_NAMES = NAMES + sorted(DENSE_SYMPLECTIC) + ["iwasawa", "kodaira_x_kodaira", "r2"]
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_constrain_map_matches_reference(workspaces, name):
+    """Entries, parameters, and the eliminated and free parameters in order."""
+    sub = workspaces[name].sub
+    (got, report), (want, reference) = constrain_map(sub), reference_constrain_map(sub)
+    assert got == want
+    assert list(report.eliminated.items()) == list(reference.eliminated.items())
+    assert report.free == reference.free
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_from_entries_refuses_where_the_pairing_sums_fail(workspaces, name):
+    """A pencil with one or two entries moved by a constant: refused exactly
+    when some pairing sum is nonzero, at the first such pair."""
+    sub = workspaces[name].sub
+    pencil, n = workspaces[name].pencil[0], sub.rank
+    rng = random.Random(f"from-entries-{name}")
+    refused = 0
+    for _ in range(12):
+        entries = [list(row) for row in pencil.entries]
+        for _ in range(rng.randint(1, 2)):
+            i, k = rng.randrange(n), rng.randrange(n)
+            entries[i][k] = entries[i][k] + random_gaussian(rng)
+        failing = [jk for jk, terms in reference_compatibility(sub, entries).items() if terms]
+        if not failing:
+            made = DeformationMap.from_entries(sub, entries, pencil.parameters)
+            assert made.entries == tuple(map(tuple, entries))
+            continue
+        j, k = failing[0]
+        message = f"pairing compatibility fails at ({sub.names[j]}, {sub.names[k]})"
+        with pytest.raises(DeformationError, match=f"^{re.escape(message)}$"):
+            DeformationMap.from_entries(sub, entries, pencil.parameters)
+        refused += 1
+    assert refused

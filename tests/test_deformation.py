@@ -466,11 +466,12 @@ def test_stratify_builds_one_minor_table_per_descent_node(kfamily, monkeypatch):
     monkeypatch.setattr(deformation, "_minors", counted)
     result = stratify_type(kfamily.reduced_map)
 
-    # ``reads`` keeps every matrix and table alive, so their ids are distinct
-    matrices = {id(m) for m, _ in reads}
-    tables = {id(tb) for _, tb in reads}
-    assert len(result.strata) == len(matrices) == len(tables) == 2
-    assert len({(id(m), id(tb)) for m, tb in reads}) == 2
+    # the root reads its minors from one table; on the t14 = 0 leaf, constant
+    # pivots leave nothing nonzero and decide its rank without a table
+    root = kfamily.reduced_map.projection
+    assert len(result.strata) == 2 and result.strata[1].nonzero == ()
+    assert reads and all(m is root for m, _ in reads)
+    assert len({id(tb) for _, tb in reads}) == 1
 
 
 def test_stratify_kodaira(kfamily):

@@ -4,16 +4,20 @@ A family with more than eight parameters is refused stratification but still
 gets its generic rank from ``_generic_rank``, which takes the rank at the
 origin and at seeded points and expands minors only while that bound is below
 min(rows, cols), so no minor is built when a point reaches the full rank.  A
-stratified descent node reads its r x r minors anyway, so it takes r top-down
-as the largest size with a nonzero minor and evaluates no point.  Both are
-compared with ``reference_generic_rank``, which expands every minor from the
-largest size down.
+stratified descent node first eliminates on constant pivots, which decide a
+leaf's rank without a minor; any other node reads its r x r minors anyway, so
+it takes r top-down as the largest size with a nonzero minor.  Neither
+evaluates a point.  All are compared with ``reference_generic_rank``, which
+expands every minor from the largest size down, and the constant pivots also
+with ``permutation_det`` minors of seeded matrices.  The points themselves
+are compared with the ``Fraction``-built ones.
 """
 
 import collections
 import itertools
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -24,7 +28,16 @@ from gcdeform.cli import KODAIRA_WORKSPACE, build_workspace, parse_workspace
 from gcdeform.deformation import DeformationMap, constrain_map, stratify_type
 from gcdeform.frame import ComplexOp, FrameAlgebra
 from gcdeform.scalar import GR_ONE, GR_ZERO, GaussianRational, parameter
-from oracles import random_gaussian, reference_generic_rank
+from oracles import (
+    LEAF,
+    LEAF_SHUFFLED,
+    MIXED,
+    NO_CONSTANT,
+    constant_rank_mismatches,
+    pivot_rank_case,
+    random_gaussian,
+    reference_generic_rank,
+)
 
 CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
 WORKSPACES = {
@@ -237,3 +250,31 @@ def test_every_descent_node_has_the_reference_rank(monkeypatch, name):
     assert len(nodes) == len(strata.strata) and nodes[0][1] == strata.generic_rank
     for e, r in nodes:
         assert r == reference_generic_rank(e), name
+
+
+def test_constant_pivot_rank_matches_minor_route():
+    """Seeded 1..5 x 1..5 matrices: whenever constant pivots decide a rank, it
+    is the largest size with a nonzero minor and a minor of that size is a
+    nonzero constant; they decide every leaf whose constant rows come first."""
+    rng = random.Random("constant pivots")
+    gens = [parameter("s"), parameter("t")]
+    seen = collections.Counter()
+    for _ in range(240):
+        kind, matrix = pivot_rank_case(rng, gens, rng.randint(1, 5), rng.randint(1, 5))
+        assert constant_rank_mismatches(kind, matrix) == []
+        seen[kind, deformation._constant_rank(matrix) is not None] += 1
+    # shuffled leaves are mostly decided, and mixed rows sometimes leave a nonzero entry
+    assert seen[LEAF, True] and seen[LEAF_SHUFFLED, True] and seen[NO_CONSTANT, False]
+    assert seen[MIXED, True] and seen[MIXED, False]
+
+
+def test_rank_points_match_the_fraction_built_points():
+    """``_rank_points`` builds each coordinate from its two integer draws; the
+    points equal those built from ``Fraction`` parts, draw by draw."""
+    symbols = [parameter(f"t{k}") for k in range(15)]
+    points = list(deformation._rank_points(symbols))
+    assert points[0] == {s: GR_ZERO for s in symbols}
+    for seed, point in zip(deformation._RANK_POINT_SEEDS, points[1:], strict=True):
+        rng, k = random.Random(seed), 2 * len(symbols)
+        parts = map(Fraction, rng.choices(range(-9, 10), k=k), rng.choices(range(1, 10), k=k))
+        assert point == {s: GaussianRational(next(parts), next(parts)) for s in symbols}
