@@ -25,7 +25,6 @@ the same data as a JSON tree.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import re
 import sys
@@ -492,9 +491,9 @@ def section_brackets(ws: Workspace) -> dict:
     # the frame's structure table is the bracket of constant basis sections
     names = list(ws.frame.tangent_names) + list(ws.frame.cotangent_names)
     lines = []
-    for a, b in itertools.product(range(len(names)), repeat=2):
+    for (a, b), terms in sorted(ws.frame.courant_table.items()):
         combo: dict[str, GaussianRational] = {}
-        for k, c in ws.frame.courant_table.get((a, b), ()):
+        for k, c in terms:
             combo[names[k]] = combo.get(names[k], GR_ZERO) + c
         if any(combo.values()):
             shown = _render_combo({n: c for n, c in combo.items() if c}, names)

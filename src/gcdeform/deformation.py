@@ -7,16 +7,18 @@ are views built on first read.  On the subbundle's constant complex, the
 Maurer-Cartan system is d[2] A t + 1/2 sum t_p t_q S(A_p, A_q) (S the
 Schouten tensor, d[p] the sparse d_L matrix on p-forms), and the gauge
 directions, the rref of d[1], are quotiented out by coordinate dropping.
-At ground parameter values, the deformed pairing in closed form and the
-tangent rows, both in Gaussian integers, classify a deformed structure by
-integer ranks; its rational values, pairing and generators are built on read.
+A map compiles once into its ground plan ``integer``: entries and tangent
+rows as Gaussian-integer terms naming parameters by position, the pairing
+numerator and the mixed-block pairs.  At a ground point, read as values in
+parameter order, the deformed pairing in closed form and the tangent rows
+classify a deformed structure by integer ranks.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from functools import cached_property
+from functools import cache, cached_property
 from math import lcm
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -67,9 +69,9 @@ class DeformationMap:
     the image of the j-th generator.  Everything else is a view of the
     entries, computed on first read and kept: the transported 2-form
     ``form``, its constant ``columns``, the deformed generators ``vectors``,
-    their tangent rows ``projection`` and the ``integer`` view.  The transport
-    convention is fixed once: the associated bilinear form pairs the first
-    slot against the image of the second, eps~(x, y) = 2<x, eps(y)>.
+    their tangent rows ``projection`` and the ground plan ``integer``.  The
+    transport convention is fixed once: the associated bilinear form pairs the
+    first slot against the image of the second, eps~(x, y) = 2<x, eps(y)>.
     """
 
     def __init__(
@@ -155,12 +157,15 @@ class DeformationMap:
         return rows
 
     @cached_property
-    def integer(self) -> tuple[int, int, list, list]:
-        """``_integer_view`` (C, deg, rows) of the entries, then the
-        ``projection`` rows, C clearing P too, and C P as rows [(i, re, im)]."""
-        p = self.sub.splitting.pairing_rows
-        den, deg, rows = _integer_view([*self.entries, *self.projection], [x._d for r in p for _, x in r])
-        return den, deg, rows, [[(i, x._a * den // x._d, x._b * den // x._d) for i, x in row] for row in p]
+    def integer(self) -> tuple[int, int, list, list, Optional[list]]:
+        """The ground plan, compiled once: the ``_integer_view`` (C, deg, rows)
+        of the entries and then the ``projection`` rows, C clearing P too, with
+        generators named by position in ``parameters``; Pn = C P as rows
+        [(i, re, im)]; and the ``_mixed_block`` pairs, None without a split."""
+        p, rows = self.sub.splitting.pairing_rows, [*self.entries, *self.projection]
+        den, deg, rows = _integer_view(rows, self.parameters, [x._d for r in p for _, x in r])
+        pn = [[(i, x._a * den // x._d, x._b * den // x._d) for i, x in row] for row in p]
+        return den, deg, rows, pn, _mixed_block(self.sub) if self.sub.split is not None else None
 
     def mixed_block_entries(self) -> list[PolyScalar]:
         """Entries mixing tangent-type and cotangent-type generators.
@@ -180,40 +185,42 @@ def _mixed_block(sub: IsotropicSubbundle) -> list[tuple[int, int]]:
     return list(itertools.product(cotangent, tangent)) + list(itertools.product(tangent, cotangent))
 
 
-def _integer_view(rows, dens=()) -> tuple[int, int, list]:
+def _integer_view(rows, symbols: Sequence[Symbol], dens=()) -> tuple[int, int, list]:
     """Polynomial rows as (C, deg, rows): C the lcm of ``dens`` and of the
     denominators, deg the top degree, a row its nonzero entries (column, terms)
-    of C times them, a term (re, im, generators with repeats, deg - degree)."""
+    of C times them, a term (re, im, positions): deg - degree times
+    len(symbols), then the position in ``symbols`` of each generator, repeated."""
     terms = [(m, c) for row in rows for p in row for m, c in p.terms]
-    den = lcm(*dens, *(c._d for _, c in terms))
-    deg = max((m.degree() for m, _ in terms), default=0)
-    expand = lambda m: tuple(g for g, e in m.powers for _ in range(e))
-    return den, deg, [[(k, [(c._a * den // c._d, c._b * den // c._d, expand(m), deg - m.degree())
-                            for m, c in p.terms]) for k, p in enumerate(row) if p] for row in rows]
-
-
-def _evaluate(den: int, deg: int, rows, point) -> tuple[int, list[Row]]:
-    """F = C D^deg and F times the ``_integer_view`` rows at a point, as sparse
-    Gaussian-integer rows, D the lcm of the point's denominators: with x = D t
-    in Z[i], a term c m of degree k is C c m(x) D^(deg - k)."""
-    d = lcm(*(v._d for v in point.values()))
-    x = {g: (v._a * d // v._d, v._b * d // v._d) for g, v in point.items()}
-    lift, out = [d**k for k in range(deg + 1)], []
+    den, at = lcm(*dens, *(c._d for _, c in terms)), {s: k for k, s in enumerate(symbols)}
+    deg, top = max((m.degree() for m, _ in terms), default=0), len(symbols)
+    pad = lambda m: sum(((at[g],) * e for g, e in m.powers), (top,) * (deg - m.degree()))
     try:
-        for row in rows:
-            out.append(values := {})
-            for k, terms in row:
-                re = im = 0
-                for a, b, gens, deficit in terms:
-                    for g in gens:
-                        xr, xi = x[g]
-                        a, b = a * xr - b * xi, a * xi + b * xr
-                    re, im = re + a * lift[deficit], im + b * lift[deficit]
-                if re or im:
-                    values[k] = (re, im)
+        return den, deg, [[(k, [(c._a * den // c._d, c._b * den // c._d, pad(m)) for m, c in p.terms])
+                           for k, p in enumerate(row) if p] for row in rows]
     except KeyError as missing:
         raise ScalarError(f"no value for {missing.args[0]}") from None
-    return den * lift[deg], out
+
+
+def _evaluate(den: int, deg: int, rows, values: Sequence[GaussianRational]) -> tuple[int, list[Row]]:
+    """F = C D^deg and F times the ``_integer_view`` rows at the point whose
+    coordinates are ``values`` by position, as sparse Gaussian-integer rows, D
+    the lcm of the values' denominators: with x = D t in Z[i], and D at the
+    position after the last, a term c m of degree k is C c m(x) D^(deg - k)."""
+    d = lcm(*(v._d for v in values))
+    x = [(v._a * d // v._d, v._b * d // v._d) for v in values] + [(d, 0)]
+    out = []
+    for row in rows:
+        out.append(point := {})
+        for k, terms in row:
+            re = im = 0
+            for a, b, gens in terms:
+                for g in gens:
+                    xr, xi = x[g]
+                    a, b = a * xr - b * xi, a * xi + b * xr
+                re, im = re + a, im + b
+            if re or im:
+                point[k] = (re, im)
+    return den * d**deg, out
 
 
 def _pairing(sub: IsotropicSubbundle, entries, j: int, k: int) -> dict:
@@ -494,7 +501,7 @@ class DeformedStructure:
     def type_index(self) -> int:
         """Corank of the tangent projection at the point: the type k."""
         dim, rows = self.family.sub.frame.dim, self.integer_rows[self.family.sub.rank :]
-        return dim - integer_rank(map(dict, rows), dim)
+        return dim - integer_rank(rows, dim)
 
     @cached_property
     def splitting(self) -> Splitting:
@@ -532,24 +539,29 @@ def deform_subbundle(
 ) -> DeformedStructure:
     """Generators (1 + eps)(g) at ground parameter values, with their pairing.
 
-    One ``_evaluate`` of ``e.integer`` at the bindings, which bind every
-    parameter, gives N = F E and F times the tangent rows, F = C D^deg.
+    One ``_evaluate`` of the ground plan ``e.integer`` at the values of the
+    bindings, which bind every parameter and nothing else, gives N = F E and F
+    times the tangent rows, F = C D^deg.
     Separation, the exact condition for a generalized complex structure here,
     means the deformed span meets its conjugate only in zero: P(E) = P +
     E^T P^T conj(E) has full rank (L and its conjugate are isotropic, so no
     cross terms).  That is F^2 Pn + N^T Pn^T conj(N) over C F^2, Pn = C P,
     and a positive factor leaves a rank unchanged.
     """
-    missing = [p.name for p in e.parameters if p not in bindings]
-    if missing:
-        raise DeformationError(f"unbound parameters: {', '.join(missing)}")
-    unknown = [s.name for s in bindings if s not in e.parameters]
-    if unknown:
-        raise DeformationError(f"bindings for unknown parameters: {', '.join(unknown)}")
-    (den, deg, view, pn), n = e.integer, e.sub.rank
-    scale, rows = _evaluate(den, deg, view, bindings)
-    # F^2 Pn, then entry (j, k) gains N[i][j] Pn[l][i] conj(N[l][k])
-    pairing = [{k: (scale * scale * a, scale * scale * b) for k, a, b in prow} for prow in pn]
+    try:  # a size test and a lookup per parameter; only a refusal names parameters
+        values = [bindings[p] for p in e.parameters] if len(bindings) == len(e.parameters) else None
+    except KeyError:
+        values = None
+    if values is None:
+        missing = [p.name for p in e.parameters if p not in bindings]
+        unknown = [s.name for s in bindings if s not in e.parameters]
+        raise DeformationError(f"unbound parameters: {', '.join(missing)}" if missing
+                               else f"bindings for unknown parameters: {', '.join(unknown)}")
+    (den, deg, view, pn, _), n = e.integer, e.sub.rank
+    scale, rows = _evaluate(den, deg, view, values)
+    # F^2 Pn, then entry (j, k) gains N[i][j] Pn[l][i] conj(N[l][k]); a zero sum leaves its row
+    square = scale * scale
+    pairing = [{k: (square * a, square * b) for k, a, b in prow} for prow in pn]
     for prow, nrow in zip(pn, rows):
         bar = [(k, a, -b) for k, (a, b) in nrow.items()]
         for i, pr, pi in prow:
@@ -557,9 +569,11 @@ def deform_subbundle(
                 xr, xi, acc = a * pr - b * pi, a * pi + b * pr, pairing[j]
                 for k, yr, yi in bar:
                     zr, zi = acc.get(k, (0, 0))
-                    acc[k] = (zr + xr * yr - xi * yi, zi + xr * yi + xi * yr)
-    pairing = [{k: z for k, z in row.items() if z[0] or z[1]} for row in pairing]
-    return DeformedStructure(e, bindings, scale, rows, pairing, integer_rank(map(dict, pairing), n) == n)
+                    if (zr := zr + xr * yr - xi * yi) | (zi := zi + xr * yi + xi * yr):
+                        acc[k] = (zr, zi)
+                    else:
+                        del acc[k]
+    return DeformedStructure(e, bindings, scale, rows, pairing, integer_rank(pairing, n) == n)
 
 
 def type_of(e: DeformationMap, bindings: Mapping[Symbol, GaussianRational]) -> int:
@@ -576,11 +590,7 @@ OTHER = "other"
 
 def _label(k: int, dim: int) -> str:
     """The stratum label of type k on a frame of dimension ``dim``."""
-    if k == 0:
-        return SYMPLECTIC
-    if k == dim // 2:
-        return COMPLEX
-    return OTHER
+    return SYMPLECTIC if k == 0 else COMPLEX if k == dim // 2 else OTHER
 
 
 def classify(e: DeformationMap, bindings: Mapping[Symbol, GaussianRational]) -> tuple[int, str]:
@@ -589,10 +599,9 @@ def classify(e: DeformationMap, bindings: Mapping[Symbol, GaussianRational]) -> 
     if not structure.separated:
         raise DeformationError("not a generalized complex structure at these parameter values")
     k = structure.type_index
-    label = _label(k, e.sub.frame.dim)
-    if label == COMPLEX and e.sub.split is not None:
-        mixed = any(j in structure.integer_rows[i] for i, j in _mixed_block(e.sub))
-        return k, COMPLEX_NONCLASSICAL if mixed else CLASSICAL_COMPLEX
+    label, pairs, rows = _label(k, e.sub.frame.dim), e.integer[4], structure.integer_rows
+    if label == COMPLEX and pairs is not None:
+        return k, COMPLEX_NONCLASSICAL if any(j in rows[i] for i, j in pairs) else CLASSICAL_COMPLEX
     return k, label
 
 
@@ -669,15 +678,17 @@ def _minors(matrix, r: int, table: dict):
 _RANK_POINT_SEEDS = (1, 2)
 
 
-def _rank_points(symbols: Sequence[Symbol]):
-    """The origin, then one point drawn from each ``_RANK_POINT_SEEDS`` entry."""
-    yield {s: GR_ZERO for s in symbols}
-    for seed in _RANK_POINT_SEEDS:
-        rng, k = random.Random(seed), 2 * len(symbols)
+@cache
+def _rank_points(count: int, seeds: tuple[int, ...]) -> tuple[tuple[GaussianRational, ...], ...]:
+    """The origin, then one point drawn from each of the ``seeds``, each as
+    the values of ``count`` coordinates; drawn once per count and seeds."""
+    points = [(GR_ZERO,) * count]
+    for seed in seeds:
+        rng, k = random.Random(seed), 2 * count
         a, b = rng.choices(range(-9, 10), k=k), rng.choices(range(1, 10), k=k)
         # a[u]/b[u] + (a[u+1]/b[u+1]) i, over b[u] b[u+1]
-        parts = zip(symbols, range(0, k, 2))
-        yield {s: _over(a[u] * b[u + 1], a[u + 1] * b[u], b[u] * b[u + 1], 0) for s, u in parts}
+        points.append(tuple(_over(a[u] * b[u + 1], a[u + 1] * b[u], b[u] * b[u + 1], 0) for u in range(0, k, 2)))
+    return tuple(points)
 
 
 def _generic_rank(matrix) -> int:
@@ -692,9 +703,9 @@ def _generic_rank(matrix) -> int:
     rows, cols, table = len(matrix), len(matrix[0]), {}
     full = min(rows, cols)
     symbols = sorted({g for row in matrix for c in row for g in c.generators()}, key=lambda g: g.sort_key())
-    rank, view = 0, _integer_view(matrix)
-    for point in _rank_points(symbols):
-        rank = max(rank, integer_rank(_evaluate(*view, point)[1], cols))
+    rank, view = 0, _integer_view(matrix, symbols)
+    for values in _rank_points(len(symbols), _RANK_POINT_SEEDS):
+        rank = max(rank, integer_rank(_evaluate(*view, values)[1], cols))
         if rank == full:
             return rank
     while rank < full and any(_minors(matrix, rank + 1, table)):

@@ -832,8 +832,8 @@ def _integer_row(entries: Iterable[tuple[int, GaussianRational]]) -> Row:
 
 def _eliminate(rows: Iterable[Row], width: int, jordan: bool) -> tuple[dict[int, Row], bool]:
     """Fraction-free Gauss(-Jordan) elimination of sparse rows over Z[i], which
-    it may change: this module's one pivot rule; returns ({pivot column: pivot
-    row} in the order found, consistent).
+    it leaves unchanged: this module's one pivot rule; returns ({pivot column:
+    pivot row} in the order found, consistent), a pivot row possibly an input.
 
     Bareiss's rule (Math. Comp. 22, 1968), one row at a time: at each pivot
     column c found so far, in that order, row <- (p*row - row[c]*pivot_row)/q
@@ -855,7 +855,7 @@ def _eliminate(rows: Iterable[Row], width: int, jordan: bool) -> tuple[dict[int,
         if pivot >= width:
             consistent = consistent and not row
         else:
-            pivots[pivot] = row = _scaled(row, last, q)
+            pivots[pivot] = row = row if last == q else _combined(row, last, (0, 0), {}, q)
             last = row[pivot]
     if jordan:
         steps = list(pivots.items())
@@ -866,36 +866,26 @@ def _eliminate(rows: Iterable[Row], width: int, jordan: bool) -> tuple[dict[int,
 
 def _clear(row: Row, steps: Iterable[tuple[int, Row]], q: GaussInt) -> tuple[Row, GaussInt]:
     """Bareiss's rule on ``row``, last cleared by pivot q, at each (column,
-    pivot row) of ``steps``, in place where no scaling is due; returns the
-    row and the pivot that cleared it last."""
+    pivot row) of ``steps``; returns the row and the pivot that cleared it last."""
     for c, prow in steps:
-        if (f := row.get(c)) is None:
-            continue
-        fr, fi = f
-        row = _scaled(row, prow[c], (1, 0))
-        for j, (a, b) in prow.items():
-            xr, xi = row.get(j, (0, 0))
-            xr, xi = xr - fr * a + fi * b, xi - fr * b - fi * a
-            if xr or xi:
-                row[j] = (xr, xi)
-            else:
-                del row[j]
-        row, q = _scaled(row, (1, 0), q), prow[c]
+        if (f := row.get(c)) is not None:
+            row, q = _combined(row, prow[c], f, prow, q), prow[c]
     return row, q
 
 
-def _scaled(row: Row, p: GaussInt, q: GaussInt) -> Row:
-    """``row`` times p over q, q dividing each product in Z[i]; ``row`` itself
-    when p = q, else a new row."""
-    if p == q:
-        return row
-    (pr, pi), (qr, qi) = p, q
-    if pi or pr != 1:
-        row = {j: (pr * a - pi * b, pr * b + pi * a) for j, (a, b) in row.items()}
-    if qi:
-        n = qr * qr + qi * qi
-        return {j: ((a * qr + b * qi) // n, (b * qr - a * qi) // n) for j, (a, b) in row.items()}
-    return row if qr == 1 else {j: (a // qr, b // qr) for j, (a, b) in row.items()}
+def _combined(row: Row, p: GaussInt, f: GaussInt, prow: Row, q: GaussInt) -> Row:
+    """(p*row - f*prow)/q as a new row, q dividing each entry in Z[i]."""
+    (pr, pi), (fr, fi), (qr, qi) = p, f, q
+    n, out = qr * qr + qi * qi, {}
+    for j, (a, b) in row.items():
+        cr, ci = prow.get(j, (0, 0))
+        if (xr := pr * a - pi * b - fr * cr + fi * ci) | (xi := pr * b + pi * a - fr * ci - fi * cr):
+            out[j] = ((xr * qr + xi * qi) // n, (xi * qr - xr * qi) // n)
+    for j, (cr, ci) in prow.items():
+        if j not in row:
+            xr, xi = fi * ci - fr * cr, -fr * ci - fi * cr
+            out[j] = ((xr * qr + xi * qi) // n, (xi * qr - xr * qi) // n)
+    return out
 
 
 def _over(a: int, b: int, dr: int, di: int) -> GaussianRational:

@@ -4,9 +4,10 @@ Usage: ``python tests/ground_fuzz.py [COUNT [SEED [SRC]]]``: COUNT cases
 (default 1000) drawn with SEED (default 1), importing gcdeform from SRC
 (default: the ``src`` next to this file).
 
-The maps are ``oracles.ground_maps`` of the preset and the 4-dimensional
-corpus workspaces: each pencil, each reduced family, and the family with every
-parameter t bound to u^2 and to u*v + 1.  Each case draws a map and an
+The maps are ``oracles.ground_maps``: of the preset and the 4-dimensional
+corpus workspaces each pencil, each reduced family, and the family with every
+parameter t bound to u^2 and to u*v + 1; of the two 6-dimensional abelian
+workspaces the reduced family (15 parameters).  Each case draws a map and an
 ``oracles.ground_point`` with that SEED and makes one ``ground_mismatches``
 call: ``deform_subbundle`` and ``classify``, which work in Gaussian integers,
 against ``reference_deform`` and ``reference_classify`` on separation, type

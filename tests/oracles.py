@@ -1170,7 +1170,8 @@ def degree_two_maps(e: DeformationMap) -> list[tuple[str, DeformationMap]]:
 
 def ground_maps(corpus) -> list[tuple[str, DeformationMap]]:
     """The pencil, the reduced family and its ``degree_two_maps`` of the
-    preset and of each 4-dimensional workspace in the ``corpus`` directory."""
+    preset and of each 4-dimensional workspace in the ``corpus`` directory,
+    then the reduced family of each 6-dimensional one (15 parameters)."""
     from gcdeform.cli import KODAIRA_WORKSPACE, build_workspace, parse_workspace
 
     texts = {"kodaira": KODAIRA_WORKSPACE, **{name: (corpus / f"{name}.ws").read_text() for name in (
@@ -1181,6 +1182,9 @@ def ground_maps(corpus) -> list[tuple[str, DeformationMap]]:
         family = ws.family.reduced_map
         out += [(f"{name} pencil", ws.pencil[0]), (f"{name} family", family)]
         out += [(f"{name} family, t -> {label}", e) for label, e in degree_two_maps(family)]
+    for name in ("abelian6_complex", "abelian6_symplectic"):
+        ws = build_workspace(parse_workspace((corpus / f"{name}.ws").read_text()))
+        out.append((f"{name} family", ws.family.reduced_map))
     return out
 
 

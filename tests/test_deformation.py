@@ -41,7 +41,7 @@ from gcdeform.scalar import (
     parameter,
     poly,
 )
-from oracles import from_form, permutation_det, random_poly, small_binding
+from oracles import from_form, permutation_det, random_poly, reference_deform, small_binding
 
 CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
 GR = GaussianRational.of
@@ -289,10 +289,33 @@ def test_separation_fails_on_unit_circle(ksub, kfamily):
         type_of(red, bind_all(red, t11=1))
 
 
-def test_unbound_parameters_rejected(kfamily):
+def _refusal(fn, e, bindings):
+    with pytest.raises(DeformationError) as caught:
+        fn(e, bindings)
+    return str(caught.value)
+
+
+def test_binding_refusals_match_the_reference(kfamily):
+    """A missing parameter and an unknown one are refused with the reference's
+    full text: missing names in parameter order, unknown names in binding
+    order, and a missing parameter wins over an unknown one, whether or not
+    the counts agree."""
     red = kfamily.reduced_map
-    with pytest.raises(DeformationError, match="unbound"):
-        deform_subbundle(red, {})
+    full, (first, second, *_), (x, y) = bind_all(red), red.parameters, (t("x"), t("y"))
+    drop = lambda *ps: {p: v for p, v in full.items() if p not in ps}
+    cases = {
+        "missing": (drop(second, first), f"unbound parameters: {first.name}, {second.name}"),
+        "unknown": ({y: GR_ZERO, **full, x: GR_ZERO}, "bindings for unknown parameters: y, x"),
+        "both, one fewer": ({**drop(second, first), y: GR_ZERO}, f"unbound parameters: {first.name}, {second.name}"),
+        "both, as many": ({**drop(second), y: GR_ZERO}, f"unbound parameters: {second.name}"),
+        "none bound": ({}, "unbound parameters: " + ", ".join(p.name for p in red.parameters)),
+    }
+    for label, (bindings, text) in cases.items():
+        with pytest.raises(DeformationError) as reference:
+            reference_deform(red, bindings)
+        assert str(reference.value) == text, label
+        for fn in (deform_subbundle, classify, type_of):
+            assert _refusal(fn, red, bindings) == text, (label, fn.__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +350,9 @@ def test_classify_labels(kfamily):
 
 
 def test_classify_grounds_once(kfamily, monkeypatch):
-    """One Gaussian-integer evaluation of the map's integer view per call: the
-    entries and the tangent rows at the point come from it together."""
+    """One Gaussian-integer evaluation of the map's ground plan per call, at
+    the point's values in parameter order: the entries and the tangent rows at
+    the point come from it together."""
     red = kfamily.reduced_map
     calls = []
     evaluate = deformation._evaluate
@@ -340,7 +364,7 @@ def test_classify_grounds_once(kfamily, monkeypatch):
     monkeypatch.setattr(deformation, "_evaluate", counted)
     point = bind_all(red, t32=GR(1, 1))
     assert classify(red, point) == (2, COMPLEX_NONCLASSICAL)
-    assert calls == [point]
+    assert calls == [[point[p] for p in red.parameters]]
 
 
 def test_classify_works_on_vectors(ksub, kfamily, monkeypatch):

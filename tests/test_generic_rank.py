@@ -270,11 +270,13 @@ def test_constant_pivot_rank_matches_minor_route():
 
 def test_rank_points_match_the_fraction_built_points():
     """``_rank_points`` builds each coordinate from its two integer draws; the
-    points equal those built from ``Fraction`` parts, draw by draw."""
-    symbols = [parameter(f"t{k}") for k in range(15)]
-    points = list(deformation._rank_points(symbols))
-    assert points[0] == {s: GR_ZERO for s in symbols}
-    for seed, point in zip(deformation._RANK_POINT_SEEDS, points[1:], strict=True):
-        rng, k = random.Random(seed), 2 * len(symbols)
+    points, values in coordinate order, equal those built from ``Fraction``
+    parts, draw by draw, and a second call returns the same points."""
+    seeds = deformation._RANK_POINT_SEEDS
+    points = deformation._rank_points(15, seeds)
+    assert points[0] == (GR_ZERO,) * 15
+    for seed, point in zip(seeds, points[1:], strict=True):
+        rng, k = random.Random(seed), 30
         parts = map(Fraction, rng.choices(range(-9, 10), k=k), rng.choices(range(1, 10), k=k))
-        assert point == {s: GaussianRational(next(parts), next(parts)) for s in symbols}
+        assert point == tuple(GaussianRational(next(parts), next(parts)) for _ in range(15))
+    assert deformation._rank_points(15, seeds) is points

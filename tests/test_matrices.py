@@ -22,11 +22,16 @@ from gcdeform.scalar import (
     SingularMatrixError,
     _eliminate,
     _integer_row,
+    _rref,
+    integer_rank,
     mat_inverse,
     mat_left_inverse,
     mat_mul,
     mat_rank,
     mat_rref,
+    parameter,
+    poly,
+    solve_linear,
 )
 from oracles import permutation_det, reference_rref
 
@@ -182,3 +187,44 @@ def test_each_pivot_is_a_leading_minor():
             leading = permutation_det([[row[j] for j in order[:k]] for row in matrix[:k]])
             assert GaussianRational.of(*pivots[c][c]) == leading.constant_value()
     assert 10 <= singular <= 50
+
+
+def _unit_heavy_row(rng, width):
+    """A sparse Gaussian-integer row whose entries are units half the time."""
+    units = ((1, 0), (-1, 0), (0, 1), (0, -1))
+    row = {}
+    for j in range(width):
+        if rng.random() < 0.5:
+            row[j] = rng.choice(units) if rng.random() < 0.5 else (rng.randint(-4, 4), rng.randint(-3, 3))
+    return {j: z for j, z in row.items() if z != (0, 0)}
+
+
+def test_elimination_leaves_its_input_rows_alone():
+    """``integer_rank``, the Gauss-Jordan ``_eliminate`` behind ``_rref`` and
+    ``solve_linear``, and those two themselves read their rows and never write
+    them, also where a unit pivot clears a row that nothing scales first."""
+    rng = random.Random(20261022)
+    unknowns = [parameter(f"u{k}") for k in range(6)]
+    unit_pivots = 0
+    for _ in range(300):
+        width = rng.randint(1, 6)
+        rows = [_unit_heavy_row(rng, width) for _ in range(rng.randint(1, 6))]
+        kept = [dict(row) for row in rows]
+        echelon, _ = _eliminate(rows, width, jordan=False)
+        unit_pivots += sum(row[c] == (1, 0) for c, row in echelon.items())
+        integer_rank(rows, width)
+        _eliminate(rows, width, jordan=True)
+        assert rows == kept
+
+        sparse = [[(j, GaussianRational.of(*z)) for j, z in row.items()] for row in rows]
+        copies = [list(row) for row in sparse]
+        _rref(sparse, width)
+        assert sparse == copies
+
+        zero = poly(GR_ZERO)
+        polys = [sum((poly(unknowns[j]).scale(c) for j, c in row), zero) + poly(rng.randint(-2, 2)) for row in sparse]
+        system = [list(p.terms) for p in polys]
+        copies = [list(terms) for terms in system]
+        solve_linear(system, unknowns[:width])
+        assert system == copies
+    assert unit_pivots >= 40
