@@ -6,7 +6,8 @@ the form's constant columns, the deformed generators and their tangent rows
 are views built on first read.  On the subbundle's constant complex, the
 Maurer-Cartan system is d[2] A t + 1/2 sum t_p t_q S(A_p, A_q) (S the
 Schouten tensor, d[p] the sparse d_L matrix on p-forms), and the gauge
-directions, the rref of d[1], are quotiented out by coordinate dropping.
+directions, the rref of d[1], are quotiented out by dropping the coordinates
+that one rref of [directions | gauge] exchanges for them.
 A map compiles once into its ground plan ``integer``: entries and tangent
 rows as Gaussian-integer terms naming parameters by position, the pairing
 numerator and the mixed-block pairs.  At a ground point, read as values in
@@ -39,6 +40,7 @@ from .scalar import (
     ScalarError,
     Symbol,
     _bindings,
+    _coerce_gr,
     _eliminate,
     _integer_row,
     _over,
@@ -406,7 +408,7 @@ def reduce_family(mc: MCSystem) -> DeformationFamily:
     The gauge quotient drops, per gauge basis element in echelon order, the
     first-named kept solution coordinate whose direction has nonzero weight
     when that element is written over the gauge elements already placed and
-    the kept directions.
+    the kept directions: ``_gauge_drops``.
     """
     e = mc.deformation
     sub = e.sub
@@ -420,25 +422,9 @@ def reduce_family(mc: MCSystem) -> DeformationFamily:
     width = len(sub.cochains.slots[2])
     columns = {p: solved_map.columns.get(Monomial.of(p), {}) for p in free_syms}
     directions = {p: [col.get(s, GR_ZERO) for s in range(width)] for p, col in columns.items()}
-    gauge_vecs = sub.cochains.gauge
-
-    # Steinitz exchange: each gauge element replaces a kept direction of
-    # nonzero weight in its expansion over the placed gauge elements and the
-    # kept directions, so these stay a basis of the same span; the expansion
-    # is the last column of the rref of [basis | element], all zero when the
-    # element lies outside the span
-    dropped: list[Symbol] = []
-    kept = sorted(free_syms, key=lambda s: s.name)
-    for placed, gvec in enumerate(gauge_vecs):
-        basis = gauge_vecs[:placed] + [directions[p] for p in kept]
-        rows, pivots = mat_rref(list(zip(*basis, gvec)))
-        weights = {c: row[-1] for row, c in zip(rows, pivots)}
-        hit = [p for a, p in enumerate(kept, placed) if weights.get(a)]
-        if not hit:
-            shown = gauge_image(sub)[placed]
-            raise DeformationError(f"gauge direction {shown} not expressible in solution coordinates")
-        kept.remove(hit[0])
-        dropped.append(hit[0])
+    gauge_vecs, kept = sub.cochains.gauge, sorted(free_syms, key=lambda s: s.name)
+    drops = _gauge_drops([directions[p] for p in kept], gauge_vecs, lambda j: gauge_image(sub)[j])
+    dropped = [kept[a] for a in drops]
 
     # ordered by the first slot of each direction
     first_slot = lambda p: next((s for s, x in enumerate(directions[p]) if x), width)
@@ -446,19 +432,35 @@ def reduce_family(mc: MCSystem) -> DeformationFamily:
     reduced_map = solved_map.substitute({p: PolyScalar.zero() for p in dropped})
     reduced = [directions[p] for p in free]
 
-    # the reduced directions and the gauge span must recover the full
-    # solution tangent space and intersect trivially
-    size = len(free) + len(gauge_vecs)
-    if mat_rank(reduced + gauge_vecs) != size:
+    # the reduced directions and the gauge span, which together span the
+    # solution tangent space by ``_gauge_drops``, must intersect trivially
+    if mat_rank(reduced + gauge_vecs) != len(free) + len(gauge_vecs):
         raise InternalConsistencyError("reduced family meets the gauge span")
-    # with nothing dropped, the kept directions are all of them
-    if dropped and mat_rank([directions[p] for p in free_syms] + gauge_vecs) != size:
-        raise InternalConsistencyError("reduced family plus gauge span is too small")
 
     if not mc_residual(reduced_map).is_trivial():
         raise InternalConsistencyError("reduced family fails its own constraint system")
 
     return DeformationFamily(solved, dropped, free, reduced, reduced_map)
+
+
+def _gauge_drops(directions: Matrix, gauge: Matrix, shown) -> list[int]:
+    """Positions of the directions that the gauge elements replace, in element
+    order: element j replaces the first direction of nonzero weight when it
+    is written over the elements placed and the directions kept.  That weight
+    row is j's coordinates over the directions, the gauge columns of one rref
+    of [directions | gauge], cleared at the earlier rows' pivots, so the drops
+    are the pivots of one ``_eliminate``.  No gauge skips the rref; ``shown(j)``
+    names the first element outside the span of the directions."""
+    if not gauge:
+        return []
+    m = len(directions)
+    rows, pivots = mat_rref(list(zip(*directions, *gauge)))
+    if (j := next((c - m for c in pivots if c >= m), None)) is not None:
+        raise DeformationError(f"gauge direction {shown(j)} not expressible in solution coordinates")
+    if len(pivots) < m:
+        raise InternalConsistencyError("reduced family plus gauge span is too small")
+    coordinates = map(_integer_row, map(enumerate, list(zip(*rows))[m:]))
+    return list(_eliminate(coordinates, m, jordan=False)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -539,9 +541,9 @@ def deform_subbundle(
 ) -> DeformedStructure:
     """Generators (1 + eps)(g) at ground parameter values, with their pairing.
 
-    One ``_evaluate`` of the ground plan ``e.integer`` at the values of the
-    bindings, which bind every parameter and nothing else, gives N = F E and F
-    times the tangent rows, F = C D^deg.
+    One ``_evaluate`` of the ground plan ``e.integer`` at the binding values,
+    Gaussian rationals, ints or Fractions, which bind every parameter and
+    nothing else, gives N = F E and F times the tangent rows, F = C D^deg.
     Separation, the exact condition for a generalized complex structure here,
     means the deformed span meets its conjugate only in zero: P(E) = P +
     E^T P^T conj(E) has full rank (L and its conjugate are isotropic, so no
@@ -549,7 +551,8 @@ def deform_subbundle(
     and a positive factor leaves a rank unchanged.
     """
     try:  # a size test and a lookup per parameter; only a refusal names parameters
-        values = [bindings[p] for p in e.parameters] if len(bindings) == len(e.parameters) else None
+        values = ([_coerce_gr(bindings[p]) for p in e.parameters]
+                  if len(bindings) == len(e.parameters) else None)
     except KeyError:
         values = None
     if values is None:
@@ -732,11 +735,11 @@ def _constant_rank(matrix) -> Optional[int]:
                 rows[i] = [x - f * y if y else x for x, y in zip(row, pivot)]
 
 
-def _rank_and_minors(e: DeformationMap) -> tuple[int, list[PolyScalar]]:
-    """Generic rank r of the tangent projection and the minors its node reads:
+def _rank_and_minors(matrix) -> tuple[int, list[PolyScalar]]:
+    """Generic rank r of a polynomial matrix and the minors its node reads:
     [1], from no table, when ``_constant_rank`` decides r; else its distinct
     nonzero r x r minors, r the largest size with one, read from one table."""
-    matrix, table = e.projection, {}
+    table = {}
     if (r := _constant_rank(matrix)) is not None:
         return r, [PolyScalar.const(GR_ONE)]
     sizes = range(min(len(matrix), len(matrix[0])), 0, -1)
@@ -747,7 +750,9 @@ def _rank_and_minors(e: DeformationMap) -> tuple[int, list[PolyScalar]]:
 def stratify_type(e: DeformationMap) -> Stratification:
     """Enumerate type strata of a parameter family by exact minor vanishing.
 
-    Each descent node takes the rank r of its tangent projection by
+    A descent node holds the tangent rows and mixed-block entries (None
+    without a split) of the family with its zeros substituted, a child's
+    substituted into its parent's, and takes their rank r by
     ``_rank_and_minors``: a node whose constant pivots leave nothing nonzero
     is a leaf, for a constant r x r minor is nonzero; any other reads its
     r x r minors, r the largest size with a nonzero minor, from one table of
@@ -768,51 +773,42 @@ def stratify_type(e: DeformationMap) -> Stratification:
     dim = e.sub.frame.dim
     if len(e.parameters) > 8:
         return Stratification([], _generic_rank(e.projection), "too many parameters")
-    grank, root_minors = _rank_and_minors(e)
-
-    strata: dict[frozenset[str], TypeStratum] = {}
+    strata: dict[frozenset[Symbol], TypeStratum] = {}
     refusal: list[str] = []
 
-    def substrata_for(current: DeformationMap, k: int):
-        if k != dim // 2 or current.sub.split is None:
+    def substrata_for(mixed, k: int):
+        if k != dim // 2 or mixed is None:
             return ()
-        mixed = _distinct_normalized(current.mixed_block_entries())
-        if not mixed:
+        if not (mixed := _distinct_normalized(mixed)):
             return ((CLASSICAL_COMPLEX, ""),)
         conditions = ", ".join(f"{m} = 0" for m in mixed)
         anti = ", ".join(f"{m} != 0" for m in mixed)
         return ((CLASSICAL_COMPLEX, conditions), (COMPLEX_NONCLASSICAL, anti))
 
-    def key_of(zeroed: tuple[Symbol, ...]) -> frozenset[str]:
-        return frozenset(s.name for s in zeroed)
-
-    def descend(current: DeformationMap, zeroed: tuple[Symbol, ...], r: int, minors):
-        has_constant = any(p.is_constant() for p in minors)
+    def descend(rows, mixed, zeroed: tuple[Symbol, ...]) -> int:
+        r, minors = _rank_and_minors(rows)
+        has_constant, k = any(p.is_constant() for p in minors), dim - r
         nonzero = () if has_constant else tuple(minors)
-        k = dim - r
-        strata[key_of(zeroed)] = TypeStratum(
-            zero=tuple(PolyScalar.of(s) for s in zeroed),
-            nonzero=nonzero,
-            k=k,
-            label=_label(k, dim),
-            substrata=substrata_for(current, k),
-        )
+        zero = tuple(PolyScalar.of(s) for s in zeroed)
+        strata[frozenset(zeroed)] = TypeStratum(zero, nonzero, k, _label(k, dim), substrata_for(mixed, k))
         if has_constant or r == 0:
-            return
+            return r
         supports = []
         for p in minors:
             if len(p.terms) != 1:
                 refusal.append(f"non-monomial rank boundary {p}")
-                return
+                return r
             supports.append(tuple(g for g in p.terms[0][0].generators() if isinstance(g, Symbol)))
         for hitting in _minimal_hitting_sets(supports):
             below = zeroed + tuple(hitting)
-            if key_of(below) in strata:
+            if frozenset(below) in strata:
                 continue
-            child = current.substitute({s: PolyScalar.zero() for s in hitting})
-            descend(child, below, *_rank_and_minors(child))
+            values = bound_terms(dict.fromkeys(hitting, PolyScalar.zero()))
+            bound = lambda cells: [c.substituted(values) for c in cells]
+            descend([bound(row) for row in rows], None if mixed is None else bound(mixed), below)
+        return r
 
-    descend(e, (), grank, root_minors)
+    grank = descend(e.projection, e.mixed_block_entries() if e.sub.split is not None else None, ())
     ordered = sorted(strata.values(), key=lambda s: (len(s.zero), [str(p) for p in s.zero]))
     return Stratification(ordered, grank, "; ".join(refusal) if refusal else None)
 

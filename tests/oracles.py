@@ -60,6 +60,7 @@ from gcdeform.scalar import (
     mat_inverse,
     mat_left_inverse,
     mat_rank,
+    mat_rref,
     minor,
     parameter,
     poly,
@@ -1203,6 +1204,13 @@ def ground_point(rng: random.Random, params: Sequence[Symbol]) -> dict:
     return point
 
 
+def plain_point(point: dict) -> dict:
+    """``point`` with each real coordinate as a plain value: an ``int`` where
+    it is integral, else a ``Fraction``; a coordinate off the real line stays."""
+    plain = lambda v: v.re if v.re.denominator != 1 else int(v.re)
+    return {p: plain(v) if not v.im else v for p, v in point.items()}
+
+
 def _verdict(classifier, e: DeformationMap, point):
     try:
         return classifier(e, point)
@@ -1257,6 +1265,51 @@ def reference_generic_rank(e: DeformationMap) -> int:
         ):
             return r
     return 0
+
+
+def reference_gauge_drops(directions, gauge) -> list[int]:
+    """The positions of the ``directions`` that the ``gauge`` elements replace,
+    by the Steinitz exchange as ``reduce_family`` ran it before it read the
+    drops off one rref: per element, in order, one rref of the columns
+    [placed elements | kept directions | element] gives the element's weights,
+    and it replaces the first kept direction of nonzero weight; an element of
+    no weight there is refused, named by its index."""
+    dropped: list[int] = []
+    kept = list(range(len(directions)))
+    for placed, gvec in enumerate(gauge):
+        basis = gauge[:placed] + [directions[p] for p in kept]
+        rows, pivots = mat_rref(list(zip(*basis, gvec)))
+        weights = {c: row[-1] for row, c in zip(rows, pivots)}
+        hit = [p for a, p in enumerate(kept, placed) if weights.get(a)]
+        if not hit:
+            raise DeformationError(f"gauge direction {placed} not expressible in solution coordinates")
+        kept.remove(hit[0])
+        dropped.append(hit[0])
+    return dropped
+
+
+def gauge_exchange_case(rng: random.Random) -> tuple[list, list]:
+    """Independent directions, m <= 8 of width m..9, with sparse small
+    Gaussian-integer entries, and as gauge the echelon rows of k random
+    sparse combinations of them, k from 0 to m; in about 15 % of the cases
+    of width above m, one row outside their span goes in at a random place
+    among the gauge."""
+    entry = lambda: GaussianRational.of(rng.choice((0, 0, 0, 1, -1, 2)), rng.choice((0, 0, 0, 0, 1, -1)))
+    m = rng.randint(1, 8)
+    width = rng.randint(m, 9)
+    while True:
+        directions = [[entry() for _ in range(width)] for _ in range(m)]
+        if mat_rank(directions) == m:
+            break
+    k = rng.randint(0, m)
+    combos = [[entry() for _ in range(m)] for _ in range(k)]
+    mixed = [[sum((c * d[s] for c, d in zip(row, directions)), GR_ZERO) for s in range(width)] for row in combos]
+    gauge = [row for row in mat_rref(mixed)[0] if any(row)] if mixed else []
+    if width > m and rng.random() < 0.15:
+        while mat_rank(directions + [extra := [entry() for _ in range(width)]]) == m:
+            pass
+        gauge.insert(rng.randint(0, len(gauge)), extra)
+    return directions, gauge
 
 
 # The construction stage before every constant product went through the

@@ -41,7 +41,15 @@ from gcdeform.scalar import (
     parameter,
     poly,
 )
-from oracles import from_form, permutation_det, random_poly, reference_deform, small_binding
+from oracles import (
+    from_form,
+    gauge_exchange_case,
+    permutation_det,
+    random_poly,
+    reference_deform,
+    reference_gauge_drops,
+    small_binding,
+)
 
 CORPUS = Path(__file__).resolve().parent.parent / "bench" / "corpus"
 GR = GaussianRational.of
@@ -318,6 +326,20 @@ def test_binding_refusals_match_the_reference(kfamily):
             assert _refusal(fn, red, bindings) == text, (label, fn.__name__)
 
 
+def test_int_and_fraction_bindings_are_read_as_gaussian_rationals(kfamily):
+    """Plain ``int`` and ``Fraction`` values ground the family as their Gaussian
+    rationals do: (2, classical complex) with every t = 0, (0, symplectic
+    type) with every t = 1/3; a float is refused as no Gaussian rational."""
+    red = kfamily.reduced_map
+    for value, verdict in ((0, (2, CLASSICAL_COMPLEX)), (Fraction(1, 3), (0, SYMPLECTIC))):
+        plain, exact = dict.fromkeys(red.parameters, value), dict.fromkeys(red.parameters, GR(value))
+        assert classify(red, plain) == verdict and type_of(red, plain) == verdict[0]
+        assert deform_subbundle(red, plain).pairing == deform_subbundle(red, exact).pairing
+    for fn in (deform_subbundle, classify, type_of):
+        with pytest.raises(TypeError, match="cannot coerce 0.5 to a Gaussian rational"):
+            fn(red, dict.fromkeys(red.parameters, 0.5))
+
+
 # ---------------------------------------------------------------------------
 # types and strata
 # ---------------------------------------------------------------------------
@@ -426,20 +448,48 @@ def test_classify_works_on_vectors(ksub, kfamily, monkeypatch):
 
 @pytest.mark.parametrize("name, ranks", [("abelian4_complex", 1), ("kodaira", 2)])
 def test_reduce_family_ranks_the_full_span_only_after_a_drop(monkeypatch, name, ranks):
-    """With no gauge direction dropped (abelian-4 has d1 = 0) the kept
-    directions are all of them, so the two rank checks would see one matrix."""
+    """``ranks`` eliminations: the gauge quotient is one rref of [directions |
+    gauge], skipped with no gauge (abelian-4 has d1 = 0), and its certificate
+    one rank; the rref also bounds the full span, so that is not ranked again."""
     text = KODAIRA_WORKSPACE if name == "kodaira" else (CORPUS / f"{name}.ws").read_text()
     mc = build_workspace(parse_workspace(text)).mc
     mc.solution, mc.deformation.sub.cochains.gauge  # built before counting
-    ranked = []
+    calls = collections.Counter()
 
-    def rank(matrix):
-        ranked.append(matrix)
-        return scalar.mat_rank(matrix)
+    def counted(fn):
+        def wrapper(matrix):
+            calls[fn.__name__] += 1
+            return fn(matrix)
 
-    monkeypatch.setattr(deformation, "mat_rank", rank)
+        return wrapper
+
+    for fn in (scalar.mat_rank, scalar.mat_rref):
+        monkeypatch.setattr(deformation, fn.__name__, counted(fn))
     family = deformation.reduce_family(mc)
-    assert len(ranked) == ranks and bool(family.dropped_gauge) == (ranks == 2)
+    assert (calls["mat_rref"], calls["mat_rank"]) == (ranks - 1, 1)
+    assert bool(family.dropped_gauge) == (ranks == 2)
+
+
+def test_gauge_drops_match_the_steinitz_reference():
+    """2,000 seeded exchanges give the reference's drops in its order, or its
+    refusal of the same gauge element; many have k >= 2 drops out of name
+    order, which only this test reaches: every gauge image the CLI reduces
+    has dimension at most 1."""
+    rng, seen = random.Random("gauge exchange"), collections.Counter()
+
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except DeformationError as exc:
+            return str(exc)
+
+    for _ in range(2000):
+        directions, gauge = gauge_exchange_case(rng)
+        want = outcome(reference_gauge_drops, directions, gauge)
+        assert outcome(deformation._gauge_drops, directions, gauge, lambda j: j) == want, (directions, gauge)
+        seen["refused" if isinstance(want, str) else "k >= 2" if len(want) >= 2 else "k < 2"] += 1
+        seen["out of order"] += isinstance(want, list) and want != sorted(want)
+    assert seen["k >= 2"] > 800 and seen["out of order"] > 100 and seen["refused"] > 150, seen
 
 
 def _random_matrix(rng, symbols, rows, cols):
@@ -496,6 +546,29 @@ def test_stratify_builds_one_minor_table_per_descent_node(kfamily, monkeypatch):
     assert len(result.strata) == 2 and result.strata[1].nonzero == ()
     assert reads and all(m is root for m, _ in reads)
     assert len({id(tb) for _, tb in reads}) == 1
+
+
+def test_stratify_builds_no_map_below_the_root(monkeypatch):
+    """The descent substitutes into the root's tangent rows and mixed block:
+    on the preset, no ``DeformationMap`` is built or substituted, and the
+    tangent rows are deformed once, for the root."""
+    red = build_workspace(parse_workspace(KODAIRA_WORKSPACE)).family.reduced_map
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("__init__", "substitute", "_deformed"):
+        monkeypatch.setattr(DeformationMap, name, counted(name, getattr(DeformationMap, name)))
+    assert len(stratify_type(red).strata) == 2
+    assert calls == {"_deformed": 1}
+    # positive control: the counters see a substituted map
+    red.substitute({t("t14"): GR_ZERO})
+    assert calls == {"_deformed": 1, "substitute": 1, "__init__": 1}
 
 
 def test_stratify_kodaira(kfamily):

@@ -25,7 +25,7 @@ import pytest
 from gcdeform import cli, deformation, scalar
 from gcdeform.algebroid import complex_eigenbundle
 from gcdeform.cli import KODAIRA_WORKSPACE, build_workspace, parse_workspace
-from gcdeform.deformation import DeformationMap, constrain_map, stratify_type
+from gcdeform.deformation import CLASSICAL_COMPLEX, DeformationMap, constrain_map, stratify_type
 from gcdeform.frame import ComplexOp, FrameAlgebra
 from gcdeform.scalar import GR_ONE, GR_ZERO, GaussianRational, parameter
 from oracles import (
@@ -232,24 +232,23 @@ def test_stratified_nodes_evaluate_no_point(monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(WORKSPACES))
-def test_every_descent_node_has_the_reference_rank(monkeypatch, name):
-    nodes = []
-    rank_and_minors = deformation._rank_and_minors
-
-    def recorded(e):
-        r, minors = rank_and_minors(e)
-        nodes.append((e, r))
-        return r, minors
-
-    monkeypatch.setattr(deformation, "_rank_and_minors", recorded)
-    ws = build_workspace(parse_workspace(WORKSPACES[name]))
-    strata = stratify_type(ws.family.reduced_map)
+def test_every_descent_node_has_the_reference_rank(name):
+    """Each printed stratum, one per descent node, has the type of the
+    reference rank of the family with that stratum's zeros substituted, and
+    the complex strata the mixed-block conditions of that family; the first
+    stratum is the root's, at the generic rank."""
+    e = build_workspace(parse_workspace(WORKSPACES[name])).family.reduced_map
+    strata, dim = stratify_type(e), e.sub.frame.dim
     if strata.refused == "too many parameters":
-        assert nodes == []
+        assert strata.strata == []
         return
-    assert len(nodes) == len(strata.strata) and nodes[0][1] == strata.generic_rank
-    for e, r in nodes:
-        assert r == reference_generic_rank(e), name
+    assert strata.strata[0].zero == () and strata.strata[0].k == dim - strata.generic_rank
+    for stratum in strata.strata:
+        node = e.substitute({s: GR_ZERO for p in stratum.zero for s in p.generators()})
+        assert dim - stratum.k == reference_generic_rank(node), name
+        if stratum.substrata:
+            mixed = deformation._distinct_normalized(node.mixed_block_entries())
+            assert stratum.substrata[0] == (CLASSICAL_COMPLEX, ", ".join(f"{m} = 0" for m in mixed)), name
 
 
 def test_constant_pivot_rank_matches_minor_route():
